@@ -64,7 +64,7 @@ def parse_f(spec: str) -> TrigPoly:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration; round-trips through to_dict."""
+    """Fully resolved run configuration; every output carries its to_dict."""
 
     subcommand: str
     f: str = "sin"
@@ -77,7 +77,6 @@ class RunConfig:
     gamma: float = 0.5
     dt: float = 0.0  # 0 = automatic
     horizon: float = 1e5
-    jobs: int = 1
     format: str = "csv"
     out: str = ""
     report: str = ""
@@ -87,14 +86,6 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
 
     def map_params(self, eps: float = 0.0, delta: float | None = None) -> MapParams:
         return MapParams(eps=eps, delta=self.delta if delta is None else delta,
@@ -127,7 +118,7 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"q", "p", "order", "grid", "jobs"}
+_INT_KEYS = {"q", "p", "order", "grid"}
 _FLOAT_KEYS = {"delta", "gamma", "dt", "horizon", "t_end"}
 _LIST_KEYS = {"eps", "bracket"}
 
@@ -232,7 +223,7 @@ def _run_profile(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params(eps=eps, delta=0.0)
     if not m.coprime():
         raise UsageError(f"profile requires gcd(p, q) = 1, got p={cfg.p}, q={cfg.q}")
-    sols = continue_in_x(eps, m, cfg.grid, jobs=cfg.jobs)
+    sols = continue_in_x(eps, m, cfg.grid)
     if cfg.format == "svg":
         dataset = {"x0": [s.x0 for s in sols], "delta": [s.delta for s in sols],
                    "xlabel": "x0", "ylabel": "delta"}
@@ -274,7 +265,7 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
         _write_csv(cfg, t0, "eps,width,delta_max,delta_min,x_argmax,x_argmin",
                    [(s.eps, s.width, s.delta_max, s.delta_min, s.x_argmax, s.x_argmin)
                     for s in samples], cfg.out)
-    return 0 if samples and not result.failures else (0 if samples else 1)
+    return 0 if samples else 1
 
 
 def _maybe_fit(samples) -> ScalingFit | None:
@@ -379,7 +370,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--dt", type=float, help="chain time step (default: auto)")
     sp.add_argument("--horizon", type=float,
                     help="chain classification horizon (default 1e5)")
-    sp.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     sp.add_argument("--format", choices=("csv", "json", "svg"),
                     help="output format (default csv)")
     sp.add_argument("--out", help="output path (default: stdout)")

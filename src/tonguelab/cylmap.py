@@ -111,21 +111,43 @@ def iterate(s0: PhaseState, m: MapParams, n: int) -> list[PhaseState]:
     return out
 
 
+def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The remainders of a batch of starts and their exact Jacobian.
+
+    ``x0``, ``y0`` and ``delta`` broadcast to one batch shape ``b`` (the
+    drift comes from ``delta``, not ``m.delta``).  All starts go through
+    the n map steps together, and the derivatives with respect to
+    ``(x0, y0, delta)`` are pushed through the same steps by forward-mode
+    tangent propagation.  Returns ``res`` of shape ``(2, *b)`` holding
+    ``(R, S)`` and ``jac`` of shape ``(2, 3, *b)`` with
+    ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]``.
+    """
+    x, y, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, delta)))
+    fp = m.f.derivative()
+    # tangents of x and y, and the seed direction of delta
+    dx, dy, ddelta = (np.zeros((3,) + x.shape) for _ in range(3))
+    dx[0], dy[1], ddelta[2] = 1.0, 1.0, 1.0
+    r, dr = n * y, n * dy
+    ssum, dssum = np.zeros(x.shape), np.zeros(dx.shape)
+    for k in range(n):
+        g = -delta - m.eps * m.f.eval(x)
+        dg = -ddelta - m.eps * fp.eval(x) * dx
+        r, dr = r + (n - k) * g, dr + (n - k) * dg
+        ssum, dssum = ssum + g, dssum + dg
+        x, y = x + y + m.mu + g, y + g
+        dx, dy = dx + dy + dg, dy + dg
+    return np.stack([r, ssum]), np.stack([dr, dssum])
+
+
 def remainders(s0: PhaseState, m: MapParams, n: int) -> RemainderPair:
     """The pair ``(R, S)`` of the n-th iterate, accumulated along the orbit:
 
     ``R = n*y0 + sum_{k<n} (n-k) g(x_k)``,  ``S = sum_{k<n} g(x_k)``.
 
-    Equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.
+    Equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.  The sum
+    is the one-point case of :func:`remainder_jet`.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    r = n * s0.y
-    ssum = 0.0
-    s = s0
-    for k in range(n):
-        g = m.g(s.x)
-        r += (n - k) * g
-        ssum += g
-        s = PhaseState(s.x + s.y + m.mu + g, s.y + g)
-    return RemainderPair(r, ssum)
+    res, _ = remainder_jet(s0.x, s0.y, m.delta, m, n)
+    return RemainderPair(float(res[0]), float(res[1]))

@@ -1,17 +1,22 @@
 """Newton solvers for p/q periodic orbits.
 
-Two complementary routes to the same orbits:
+Both routes solve the same q-step equations ``(R, S) = 0`` (since
+``q mu = 2 pi p`` they are also the periodicity conditions
+``x_q - x_0 - 2 pi p = 0``, ``y_q - y_0 = 0``), with the residual and its
+exact Jacobian from the one batched kernel
+:func:`~tonguelab.cylmap.remainder_jet`.  They differ only in the pair of
+unknowns:
 
-* :func:`solve_orbit_fixed_delta` keeps the drift fixed and solves the
-  periodicity conditions ``x_q - x_0 - 2 pi p = 0``, ``y_q - y_0 = 0``
-  for the initial point ``(x_0, y_0)``.
-* :func:`solve_delta_y` keeps the initial angle ``x_0`` fixed and solves
-  the vanishing-remainder equations for the pair ``(delta, y_0)``; the
-  result samples the implicit functions ``delta = D(x_0, eps)`` and
-  ``y_0 = Y(x_0, eps)`` whose range in delta is the Arnold tongue.
+* :func:`solve_orbit_fixed_delta` and :func:`solve_orbits_fixed_delta`
+  keep the drift fixed and solve for the initial point ``(x_0, y_0)``.
+* :func:`solve_delta_y` and :func:`continue_in_x` keep the initial angle
+  ``x_0`` fixed and solve for ``(delta, y_0)``; the result samples the
+  implicit functions ``delta = D(x_0, eps)`` and ``y_0 = Y(x_0, eps)``
+  whose range in delta is the Arnold tongue.
 
-Both use damped Newton iterations: the Jacobian degenerates at the
-saddle-node on the tongue boundary, where a plain Newton step overshoots.
+One damped Newton iteration serves both, on any number of points at
+once: the Jacobian degenerates at the saddle-node on the tongue
+boundary, where a plain Newton step overshoots.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cylmap import MapParams, PhaseState, RemainderPair, iterate, remainders
+from .cylmap import MapParams, PhaseState, RemainderPair, iterate, remainder_jet, remainders
 
 # Residual threshold below which an orbit counts as converged.
 TAU_NEWTON = 1e-12
@@ -89,11 +94,87 @@ def classify(orbit: PeriodicOrbit) -> str:
     return "parabolic"
 
 
-def _periodicity_residual(x0: float, y0: float, m: MapParams) -> tuple[np.ndarray, list[PhaseState]]:
-    states = iterate(PhaseState(x0, y0), m, m.q)
-    last = states[-1]
-    return (np.array([last.x - x0 - 2.0 * math.pi * m.p, last.y - y0]),
-            states[:-1])
+# Per-point outcome of :func:`_newton`.
+_ACTIVE, _CONVERGED, _FAILED, _SINGULAR = range(4)
+
+# Unknown columns of the remainder Jacobian, in (x0, y0, delta) order.
+_FIXED_DELTA = (0, 1)
+_IMPLICIT = (2, 1)
+
+# Finest eps ramp tried for a profile point that fails from the cold seed.
+_MAX_RAMP_SPLITS = 64
+
+
+def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
+            max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on ``(R, S) = 0`` for a batch of points.
+
+    ``u`` has shape ``(3, n)`` and holds ``(x0, y0, delta)`` per point; the
+    two rows named by ``unknowns`` are solved for, in place, and the third
+    stays fixed.  Each point follows the same rule on its own: it has
+    converged once ``|res| < TAU_NEWTON``, stops when the Newton
+    determinant is below ``TAU_SINGULAR``, and takes a step only when the
+    residual drops, halving it at most ``_MAX_DAMPING_HALVINGS`` times; a
+    non-finite residual fails it.  Returns each point's status and the
+    number of Newton steps it took.
+    """
+    i, j = unknowns
+    res, jac = remainder_jet(u[0], u[1], u[2], m, m.q)
+    norm = np.hypot(res[0], res[1])
+    status = np.full(u.shape[1], _ACTIVE)
+    iterations = np.full(u.shape[1], max_iter)
+    for it in range(max_iter):
+        active = status == _ACTIVE
+        done = active & (norm < TAU_NEWTON)
+        failed = active & ~np.isfinite(norm)
+        det = jac[0, i] * jac[1, j] - jac[0, j] * jac[1, i]
+        singular = active & ~done & ~failed & (np.abs(det) < TAU_SINGULAR)
+        status[done] = _CONVERGED
+        status[failed] = _FAILED
+        status[singular] = _SINGULAR
+        iterations[done | failed | singular] = it
+        todo = np.flatnonzero(status == _ACTIVE)
+        if not todo.size:
+            break
+        # closed-form solve of the 2x2 Newton system for the step
+        a, b, c, d = jac[0, i, todo], jac[0, j, todo], jac[1, i, todo], jac[1, j, todo]
+        r, s = res[:, todo]
+        step = np.array([b * s - d * r, c * r - a * s]) / det[todo]
+        lam = np.ones(todo.size)
+        for _ in range(_MAX_DAMPING_HALVINGS):
+            trial = u[:, todo].copy()
+            trial[[i, j]] += lam * step
+            t_res, t_jac = remainder_jet(trial[0], trial[1], trial[2], m, m.q)
+            t_norm = np.hypot(t_res[0], t_res[1])
+            ok = (t_norm < norm[todo]) | (t_norm < TAU_NEWTON)
+            take = todo[ok]
+            u[:, take] = trial[:, ok]
+            res[:, take], jac[..., take], norm[take] = t_res[:, ok], t_jac[..., ok], t_norm[ok]
+            todo, step, lam = todo[~ok], step[:, ~ok], 0.5 * lam[~ok]
+            if not todo.size:
+                break
+        status[todo], iterations[todo] = _FAILED, it
+    active = status == _ACTIVE
+    status[active] = np.where(norm[active] < TAU_NEWTON, _CONVERGED, _FAILED)
+    return status, iterations
+
+
+def solve_orbits_fixed_delta(starts, m: MapParams,
+                             max_iter: int = 50) -> list[PeriodicOrbit | None]:
+    """Damped Newton on the periodicity conditions at fixed drift, for a
+    batch of ``(x0, y0)`` starts solved together.
+
+    Returns one entry per start: ``None`` when the start does not converge
+    within ``max_iter``, diverges, or meets a singular Newton system, and
+    otherwise the orbit that :func:`solve_orbit_fixed_delta` confirms and
+    builds from the converged point (normally without a further step).
+    """
+    pts = np.asarray(starts, dtype=float).reshape(-1, 2)
+    u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta)])
+    status, _ = _newton(u, m, _FIXED_DELTA, max_iter)
+    return [solve_orbit_fixed_delta(PhaseState(float(x0), float(y0)), m, max_iter)
+            if st == _CONVERGED else None
+            for x0, y0, st in zip(u[0], u[1], status)]
 
 
 def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
@@ -105,56 +186,25 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     :class:`SingularJacobianError` when the Newton system degenerates,
     which signals proximity to the saddle-node at the tongue edge.
     """
-    x0, y0 = guess.x, guess.y
-    res, states = _periodicity_residual(x0, y0, m)
-    norm = float(np.linalg.norm(res))
-    for _ in range(max_iter):
-        if norm < TAU_NEWTON:
-            orbit_states = tuple(states)
-            orbit = PeriodicOrbit(orbit_states, m,
-                                  remainders(orbit_states[0], m, m.q), "")
-            return replace(orbit, kind=classify(orbit))
-        jac = monodromy(states, m) - np.eye(2)
-        det = float(np.linalg.det(jac))
-        if abs(det) < TAU_SINGULAR:
-            raise SingularJacobianError(
-                f"periodicity Jacobian determinant {det:.3e} below {TAU_SINGULAR:g}")
-        dx, dy = np.linalg.solve(jac, -res)
-        lam = 1.0
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            trial_res, trial_states = _periodicity_residual(x0 + lam * dx, y0 + lam * dy, m)
-            trial_norm = float(np.linalg.norm(trial_res))
-            if trial_norm < norm or trial_norm < TAU_NEWTON:
-                break
-            lam *= 0.5
-        else:
-            return None
-        x0, y0 = x0 + lam * dx, y0 + lam * dy
-        res, states, norm = trial_res, trial_states, trial_norm
-        if not np.all(np.isfinite(res)) or norm > 1e8:
-            return None
-    if norm < TAU_NEWTON:
-        orbit_states = tuple(states)
-        orbit = PeriodicOrbit(orbit_states, m,
-                              remainders(orbit_states[0], m, m.q), "")
-        return replace(orbit, kind=classify(orbit))
-    return None
+    u = np.array([[guess.x], [guess.y], [m.delta]])
+    status, _ = _newton(u, m, _FIXED_DELTA, max_iter)
+    if status[0] == _SINGULAR:
+        raise SingularJacobianError(
+            f"periodicity Jacobian determinant below {TAU_SINGULAR:g}")
+    if status[0] != _CONVERGED:
+        return None
+    states = tuple(iterate(PhaseState(float(u[0, 0]), float(u[1, 0])), m, m.q)[:-1])
+    orbit = PeriodicOrbit(states, m, remainders(states[0], m, m.q), "")
+    return replace(orbit, kind=classify(orbit))
 
 
-def _implicit_residual(x0: float, y0: float, delta: float, eps: float,
-                       m: MapParams) -> np.ndarray:
-    pair = remainders(PhaseState(x0, y0), replace(m, eps=eps, delta=delta), m.q)
-    return np.array([pair.R, pair.S])
-
-
-def _fd_jacobian(x0, y0, delta, eps, m) -> np.ndarray:
-    hd = max(1e-7, 1e-7 * abs(delta))
-    hy = max(1e-7, 1e-7 * abs(y0))
-    col_d = (_implicit_residual(x0, y0, delta + hd, eps, m)
-             - _implicit_residual(x0, y0, delta - hd, eps, m)) / (2.0 * hd)
-    col_y = (_implicit_residual(x0, y0 + hy, delta, eps, m)
-             - _implicit_residual(x0, y0 - hy, delta, eps, m)) / (2.0 * hy)
-    return np.column_stack([col_d, col_y])
+def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
+                    max_iter: int = 50) -> tuple[np.ndarray, ...]:
+    """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the arrays
+    ``(delta, y0, converged, iterations)``."""
+    u = np.array(np.broadcast_arrays(x0, y0, delta), dtype=float)
+    status, iterations = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
+    return u[2], u[1], status == _CONVERGED, iterations
 
 
 def solve_delta_y(x0: float, eps: float, m: MapParams,
@@ -163,126 +213,44 @@ def solve_delta_y(x0: float, eps: float, m: MapParams,
     """Newton in ``(delta, y0)`` on the q-step remainders at fixed ``x0``.
 
     Without a seed the iteration starts from the unperturbed solution
-    ``(0, 0)``, whose exact Jacobian ``[[-q(q+1)/2, q], [-q, 0]]`` (the
-    one with determinant q^2) primes the first step; finite differences
-    take over afterwards.  Non-convergence is flagged, not raised: the
-    caller is expected to lower eps or refine its seed.
+    ``(0, 0)``.  Non-convergence is flagged, not raised: the caller is
+    expected to lower eps or refine its seed.
     """
-    q = m.q
-    if seed is None:
-        delta, y0 = 0.0, 0.0
-        jac = np.array([[-q * (q + 1) / 2.0, float(q)], [-float(q), 0.0]])
-    else:
-        delta, y0 = seed
-        jac = None
-    res = _implicit_residual(x0, y0, delta, eps, m)
-    norm = float(np.linalg.norm(res))
-    for it in range(max_iter):
-        if norm < TAU_NEWTON:
-            return ImplicitSolution(x0, eps, delta, y0, True, it)
-        if jac is None:
-            jac = _fd_jacobian(x0, y0, delta, eps, m)
-        det = float(np.linalg.det(jac))
-        if abs(det) < TAU_SINGULAR or not np.all(np.isfinite(jac)):
-            return ImplicitSolution(x0, eps, delta, y0, False, it)
-        dd, dy = np.linalg.solve(jac, -res)
-        lam = 1.0
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            trial = _implicit_residual(x0, y0 + lam * dy, delta + lam * dd, eps, m)
-            trial_norm = float(np.linalg.norm(trial))
-            if trial_norm < norm or trial_norm < TAU_NEWTON:
-                break
-            lam *= 0.5
-        else:
-            return ImplicitSolution(x0, eps, delta, y0, False, it)
-        delta += lam * dd
-        y0 += lam * dy
-        res, norm = trial, trial_norm
-        jac = None
-        if not np.all(np.isfinite(res)):
-            return ImplicitSolution(x0, eps, delta, y0, False, it)
-    converged = norm < TAU_NEWTON
-    return ImplicitSolution(x0, eps, delta, y0, converged, max_iter)
+    delta, y0 = (0.0, 0.0) if seed is None else seed
+    d, y, ok, its = _solve_implicit([x0], eps, m, [delta], [y0], max_iter)
+    return ImplicitSolution(x0, eps, float(d[0]), float(y[0]), bool(ok[0]), int(its[0]))
 
 
-def solve_delta_y_homotopy(x0: float, eps: float, m: MapParams,
-                           max_iter: int = 50, max_splits: int = 64) -> ImplicitSolution:
-    """:func:`solve_delta_y` with a ramp in eps when the direct solve fails.
+def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolution]:
+    """Sample the drift profile ``D(x0, eps)`` on a uniform x0 grid over [0, 2 pi).
 
-    The ramp doubles its resolution until the whole path converges, up to
-    ``max_splits`` intervals; this realizes the independent-seed mode of
-    grid sweeps.
-    """
-    sol = solve_delta_y(x0, eps, m, max_iter=max_iter)
-    if sol.converged:
-        return sol
-    splits = 2
-    while splits <= max_splits:
-        seed = None
-        ok = True
-        for j in range(1, splits + 1):
-            e = eps * j / splits
-            sol = solve_delta_y(x0, e, m, seed=seed, max_iter=max_iter)
-            if not sol.converged:
-                ok = False
-                break
-            seed = (sol.delta, sol.y0)
-        if ok:
-            return sol
-        splits *= 2
-    return sol
-
-
-# Newton-iteration budget that operationalizes the "eps small enough"
-# restriction during continuation: a grid point must converge within this
-# many steps from its neighbor's seed.
-CONTINUATION_MAX_ITER = 12
-
-
-def continue_in_x(eps: float, m: MapParams, grid_size: int,
-                  mode: str = "continuation", jobs: int = 1) -> list[ImplicitSolution]:
-    """Sample the implicit solution on a uniform x0 grid over [0, 2 pi).
-
-    ``continuation`` mode seeds each point from its predecessor and is
-    sequential; ``independent`` mode re-solves every point from the
-    unperturbed seed (with an eps ramp) and may run points in parallel.
-    Raises :class:`ContinuationError` at the first non-converged point.
+    The whole grid is solved in one batch from the unperturbed seed
+    ``(0, 0)``.  Points that fail get an eps ramp from 0: each ramp step
+    is seeded from the previous one, and the ramp doubles its number of
+    steps, up to ``_MAX_RAMP_SPLITS``, until the point converges.  Raises
+    :class:`ContinuationError` at the first point that still fails.
     """
     if grid_size < 8 * m.q:
         raise ValueError(f"grid_size must be >= 8*q = {8 * m.q}")
-    if mode not in ("continuation", "independent"):
-        raise ValueError(f"unknown mode {mode!r}")
     xs = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-
-    if mode == "independent":
-        def solve_one(x0: float) -> ImplicitSolution:
-            return solve_delta_y_homotopy(float(x0), eps, m)
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                sols = list(pool.map(solve_one, xs))
-        else:
-            sols = [solve_one(x) for x in xs]
-        for sol in sols:
-            if not sol.converged:
-                raise ContinuationError(sol.x0, eps)
-        return sols
-
-    sols: list[ImplicitSolution] = []
-    first = solve_delta_y_homotopy(float(xs[0]), eps, m)
-    if not first.converged:
-        raise ContinuationError(float(xs[0]), eps)
-    sols.append(first)
-    seed = (first.delta, first.y0)
-    for x0 in xs[1:]:
-        sol = solve_delta_y(float(x0), eps, m, seed=seed,
-                            max_iter=CONTINUATION_MAX_ITER)
-        if not sol.converged:
-            raise ContinuationError(float(x0), eps)
-        sols.append(sol)
-        seed = (sol.delta, sol.y0)
-    return sols
+    delta, y0, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
+    splits = 2
+    while not ok.all() and splits <= _MAX_RAMP_SPLITS:
+        ramp = np.flatnonzero(~ok)
+        d, y = np.zeros(ramp.size), np.zeros(ramp.size)
+        alive = np.ones(ramp.size, dtype=bool)
+        for step in range(1, splits + 1):
+            d[alive], y[alive], conv, its = _solve_implicit(
+                xs[ramp[alive]], eps * step / splits, m, d[alive], y[alive])
+            iterations[ramp[alive]] = its
+            alive[alive] = conv
+        done = ramp[alive]
+        delta[done], y0[done], ok[done] = d[alive], y[alive], True
+        splits *= 2
+    if not ok.all():
+        raise ContinuationError(float(xs[np.argmin(ok)]), eps)
+    return [ImplicitSolution(float(x), eps, float(d), float(y), True, int(n))
+            for x, d, y, n in zip(xs, delta, y0, iterations)]
 
 
 def orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
@@ -315,19 +283,15 @@ def multistart_orbits(m: MapParams, x0_grid: int = 64,
                       max_iter: int = 50) -> list[PeriodicOrbit]:
     """Fixed-delta orbit search from a grid of Newton starts, deduplicated.
 
-    Singular-Jacobian starts are skipped (they sit on top of the
-    saddle-node); everything that converges is kept once per orbit.
+    Starts that fail, including those on top of the saddle-node where the
+    Newton system is singular, are skipped; everything that converges is
+    kept once per orbit.
     """
+    starts = [(float(x0), float(y0))
+              for x0 in np.linspace(0.0, 2.0 * math.pi, x0_grid, endpoint=False)
+              for y0 in y0_values]
     found: list[PeriodicOrbit] = []
-    for x0 in np.linspace(0.0, 2.0 * math.pi, x0_grid, endpoint=False):
-        for y0 in y0_values:
-            try:
-                orbit = solve_orbit_fixed_delta(PhaseState(float(x0), float(y0)), m,
-                                                max_iter=max_iter)
-            except SingularJacobianError:
-                continue
-            if orbit is None:
-                continue
-            if all(orbit_distance(orbit, o) >= dedupe_tol for o in found):
-                found.append(orbit)
+    for orbit in solve_orbits_fixed_delta(starts, m, max_iter):
+        if orbit is not None and all(orbit_distance(orbit, o) >= dedupe_tol for o in found):
+            found.append(orbit)
     return found

@@ -101,20 +101,6 @@ def default_dt(c: ChainParams) -> float:
     return 0.1 / math.sqrt(max(1.0, c.eps + 4.0))
 
 
-def _accel(pos: np.ndarray, vel: np.ndarray, c: ChainParams,
-           wrap: float) -> np.ndarray:
-    lap = np.roll(pos, -1) - 2.0 * pos + np.roll(pos, 1)
-    lap[-1] += wrap
-    lap[0] -= wrap
-    return lap + c.delta - c.gamma * vel - c.eps * np.sin(pos)
-
-
-def rhs(s: ChainState, c: ChainParams) -> tuple[np.ndarray, np.ndarray]:
-    """Time derivatives ``(vel, acc)`` with the twisted wrap applied."""
-    wrap = 2.0 * math.pi * c.p
-    return s.vel.copy(), _accel(s.pos, s.vel, c, wrap)
-
-
 def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
               record_every: int = 0) -> Trajectory:
     """Fixed-step RK4 from ``s0.t`` to exactly ``s0.t + t_end``.
@@ -170,16 +156,6 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
         rec_v.append(v.copy())
     final = ChainState(t, x, v)
     return Trajectory(np.array(rec_t), np.array(rec_x), np.array(rec_v), final)
-
-
-def energy(s: ChainState, c: ChainParams) -> float:
-    """Discrete energy (kinetic + coupling + pendulum - torque work); for
-    delta = 0 it is non-increasing along trajectories up to O(dt^4)."""
-    wrap = 2.0 * math.pi * c.p
-    diff = np.roll(s.pos, -1) - s.pos
-    diff[-1] += wrap
-    return float(0.5 * np.sum(s.vel ** 2) + 0.5 * np.sum(diff ** 2)
-                 + c.eps * np.sum(1.0 - np.cos(s.pos)) - c.delta * np.sum(s.pos))
 
 
 def _refine_period(spline_list, t0: float, span: float, t_guess: float,

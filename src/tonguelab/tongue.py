@@ -66,93 +66,61 @@ class SweepResult:
     failures: tuple[SweepFailure, ...]
 
 
-def _refine_extremum(eval_delta, x_center: float, halfwidth: float,
-                     sign: float) -> tuple[float, float]:
+def _refine_extremum(m: MapParams, eps: float, point: ImplicitSolution,
+                     halfwidth: float, sign: float) -> tuple[float, float]:
     """Polish one profile extremum by bounded parabolic minimization of
-    ``-sign * delta(x0)`` around the best grid point."""
+    ``-sign * delta(x0)`` within ``halfwidth`` of the grid point ``point``;
+    every evaluation is a Newton solve seeded from that grid point."""
+    def eval_delta(x0: float) -> float:
+        sol = solve_delta_y(x0, eps, m, seed=(point.delta, point.y0))
+        if not sol.converged:
+            raise ContinuationError(x0, eps, "extremum refinement failed to converge")
+        return sol.delta
+
     res = minimize_scalar(lambda x: -sign * eval_delta(x),
-                          bounds=(x_center - halfwidth, x_center + halfwidth),
+                          bounds=(point.x0 - halfwidth, point.x0 + halfwidth),
                           method="bounded",
                           options={"xatol": 1e-9})
     x_star = float(res.x)
     return x_star % (2.0 * math.pi), float(eval_delta(x_star))
 
 
-def width_at(m: MapParams, eps: float, grid: int,
-             seeds: list[ImplicitSolution] | None = None) -> TongueSample:
+def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     """Measure the tongue cross-section at ``eps``.
 
-    Runs the x0 continuation on ``grid`` points, then refines the profile
-    extrema by parabolic interpolation with re-solves seeded from the
-    nearest converged grid point.  ``seeds`` may carry the profile of a
-    previous (nearby) eps to warm-start the sweep.
+    Takes the drift profile on ``grid`` points from :func:`continue_in_x`,
+    then polishes its maximum and minimum within one grid step of the best
+    grid point (see :func:`_refine_extremum`).
     """
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     if eps == 0.0:
         return TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
-    if seeds is not None and len(seeds) == grid:
-        sols: list[ImplicitSolution] = []
-        for prev in seeds:
-            sol = solve_delta_y(prev.x0, eps, m, seed=(prev.delta, prev.y0))
-            if not sol.converged:
-                sols = []
-                break
-            sols.append(sol)
-        if not sols:
-            sols = continue_in_x(eps, m, grid)
-    else:
-        sols = continue_in_x(eps, m, grid)
-
+    sols = continue_in_x(eps, m, grid)
     deltas = np.array([s.delta for s in sols])
-    xs = np.array([s.x0 for s in sols])
     h = 2.0 * math.pi / grid
-
-    # evaluator with a warm seed carried between calls
-    nearest = {float(s.x0): s for s in sols}
-    state = {"seed": None}
-
-    def eval_delta(x0: float) -> float:
-        key = min(nearest, key=lambda xk: min(abs(xk - x0), 2 * math.pi - abs(xk - x0)))
-        near = nearest[key]
-        seed = state["seed"] or (near.delta, near.y0)
-        sol = solve_delta_y(x0, eps, m, seed=seed)
-        if not sol.converged:
-            sol = solve_delta_y(x0, eps, m, seed=(near.delta, near.y0))
-        if not sol.converged:
-            raise ContinuationError(x0, eps, "extremum refinement failed to converge")
-        state["seed"] = (sol.delta, sol.y0)
-        return sol.delta
-
-    i_hi = int(np.argmax(deltas))
-    i_lo = int(np.argmin(deltas))
-    state["seed"] = None
-    x_hi, d_hi = _refine_extremum(eval_delta, float(xs[i_hi]), h, +1.0)
-    state["seed"] = None
-    x_lo, d_lo = _refine_extremum(eval_delta, float(xs[i_lo]), h, -1.0)
-    d_hi = max(d_hi, float(deltas[i_hi]))
-    d_lo = min(d_lo, float(deltas[i_lo]))
+    hi, lo = sols[int(np.argmax(deltas))], sols[int(np.argmin(deltas))]
+    x_hi, d_hi = _refine_extremum(m, eps, hi, h, +1.0)
+    x_lo, d_lo = _refine_extremum(m, eps, lo, h, -1.0)
+    d_hi = max(d_hi, hi.delta)
+    d_lo = min(d_lo, lo.delta)
     return TongueSample(eps, d_hi - d_lo, d_hi, d_lo, x_hi, x_lo)
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:
-    """One tongue sample per eps, ascending, each warm-started from the
-    previous one; failures are recorded and the sweep continues."""
+    """One tongue sample per eps, ascending; failures are recorded and
+    the sweep continues."""
     eps_sorted = list(eps_list)
     if eps_sorted != sorted(eps_sorted):
         raise ValueError("eps_list must be sorted ascending")
     samples: list[TongueSample] = []
     failures: list[SweepFailure] = []
-    seeds = None
     for eps in eps_sorted:
         try:
-            sample = width_at(m, float(eps), grid, seeds=seeds)
-            samples.append(sample)
-            seeds = continue_in_x(float(eps), m, grid)
+            samples.append(width_at(m, float(eps), grid))
         except (ContinuationError, ValueError) as exc:
             failures.append(SweepFailure(float(eps), str(exc)))
-            seeds = None
     return SweepResult(tuple(samples), tuple(failures))
 
 

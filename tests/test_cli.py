@@ -1,0 +1,126 @@
+import json
+
+import pytest
+
+from tonguelab import cli
+
+SAMPLE_KEYS = {"eps", "width", "delta_max", "delta_min", "x_argmax", "x_argmin"}
+
+
+def run_json(capsys, argv):
+    """Exit code and parsed stdout of one CLI run."""
+    rc = cli.run(argv)
+    return rc, json.loads(capsys.readouterr().out)
+
+
+def csv_rows(text):
+    return [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+
+
+def test_tongue_json(capsys):
+    rc, out = run_json(capsys, ["tongue", "--q", "3", "--p", "1", "--eps", "0.1,0.2",
+                                "--grid", "24", "--format", "json"])
+    assert rc == 0
+    assert out["meta"]["config"]["subcommand"] == "tongue"
+    assert out["failures"] == []
+    assert [s["eps"] for s in out["samples"]] == [0.1, 0.2]
+    for s in out["samples"]:
+        assert set(s) == SAMPLE_KEYS
+        assert s["width"] == pytest.approx(s["delta_max"] - s["delta_min"], rel=1e-12)
+
+
+def test_tongue_without_samples_exits_1(capsys):
+    rc = cli.run(["tongue", "--q", "2", "--p", "1", "--f", '{"cos":[0],"sin":[0,50]}',
+                  "--eps", "3", "--grid", "16"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "eps=3 failed" in captured.err
+    assert csv_rows(captured.out) == ["eps,width,delta_max,delta_min,x_argmax,x_argmin".split(",")]
+
+
+def test_profile_json(capsys):
+    rc, out = run_json(capsys, ["profile", "--q", "3", "--p", "1", "--eps", "0.2",
+                                "--grid", "24", "--format", "json"])
+    assert rc == 0
+    profile = out["profile"]
+    assert len(profile) == 24
+    assert all(set(pt) == {"x0", "delta", "y0", "iterations"} for pt in profile)
+    deltas = [pt["delta"] for pt in profile]
+    assert max(deltas) == pytest.approx(-min(deltas), rel=1e-6)
+
+
+def test_profile_svg(tmp_path):
+    out = tmp_path / "profile.svg"
+    argv = ["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "24",
+            "--format", "svg", "--out", str(out)]
+    assert cli.run(argv) == 0
+    first = out.read_bytes()
+    assert first.startswith(b"<svg") and first.endswith(b"</svg>\n")
+    assert cli.run(argv) == 0
+    assert out.read_bytes() == first
+
+
+def test_profile_reducible_is_usage_error(capsys):
+    assert cli.run(["profile", "--q", "4", "--p", "2", "--eps", "0.1", "--grid", "32"]) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_orbit(capsys):
+    rc, out = run_json(capsys, ["orbit", "--q", "3", "--p", "1", "--eps", "0.2",
+                                "--grid", "8"])
+    assert rc == 0
+    assert sorted(o["kind"] for o in out["orbits"]) == ["center", "saddle"]
+    for o in out["orbits"]:
+        assert len(o["states"]) == 3
+        assert max(abs(o["residual"]["R"]), abs(o["residual"]["S"])) < 1e-12
+
+
+def test_series(capsys):
+    rc, out = run_json(capsys, ["series", "--q", "3", "--p", "1", "--order", "4"])
+    assert rc == 0
+    assert out["r"] == 3
+    assert len(out["Delta"]) == len(out["Y"]) == 5
+    assert max(out["first_order_check"].values()) < 1e-10
+    assert out["periodicity_check"]["support_multiples_of_q"]
+
+
+def test_fit_on_tongue_csv(tmp_path, capsys):
+    widths = tmp_path / "widths.csv"
+    assert cli.run(["tongue", "--q", "2", "--p", "1", "--eps", "0.05,0.1,0.15,0.2,0.25,0.3",
+                    "--grid", "16", "--out", str(widths)]) == 0
+    rows = csv_rows(widths.read_text())
+    assert rows[0] == "eps,width,delta_max,delta_min,x_argmax,x_argmin".split(",")
+    assert len(rows) == 7 and all(len(r) == 6 for r in rows)
+    rc, out = run_json(capsys, ["fit", "--q", "2", "--p", "1", "--input", str(widths)])
+    assert rc == 0
+    assert out["expected_r"] == 2
+    assert out["exponent"] == pytest.approx(2.0, abs=0.1)
+    assert out["eps_range"] == [0.05, 0.3]
+
+
+def test_fit_without_input_is_usage_error(capsys):
+    assert cli.run(["fit"]) == 2
+    assert "--input" in capsys.readouterr().err
+
+
+def test_chain_classification(capsys):
+    rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
+                                "--delta", "0.005"])
+    assert rc == 0
+    assert out["kind"] == "equilibrium"
+    assert out["critical_delta"] is None
+    assert set(out) == {"meta", "kind", "mean_velocity", "T", "delay_error", "critical_delta"}
+
+
+def test_jobs_flag_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_jobs_config_key_rejected(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("q=3\np=1\njobs=2\n")
+    assert cli.run(["profile", "--config", str(config)]) == 2
+    assert "jobs" in capsys.readouterr().err

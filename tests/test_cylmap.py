@@ -1,9 +1,15 @@
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tonguelab.cylmap import MapParams, PhaseState, iterate, remainders, step, tangent_step
+from tonguelab.cylmap import (MapParams, PhaseState, iterate, remainder_jet, remainders, step,
+                              tangent_step)
+from tonguelab.orbits import monodromy, solve_delta_y, solve_orbit_fixed_delta
 from tonguelab.trigpoly import TrigPoly
 
 SIN = TrigPoly.sine()
@@ -14,6 +20,21 @@ def random_params(rng, max_q=8):
     f = TrigPoly(rng.uniform(-0.5, 0.5, d + 1), rng.uniform(-0.5, 0.5, d))
     return MapParams(eps=float(rng.uniform(0, 0.5)), delta=float(rng.uniform(-0.5, 0.5)),
                      f=f, p=int(rng.integers(0, 4)), q=int(rng.integers(1, max_q + 1)))
+
+
+@st.composite
+def map_params(draw, max_q=8):
+    """Random forcing of degree 1-3 and random map parameters."""
+    d = draw(st.integers(1, 3))
+    coeff = st.floats(-0.5, 0.5)
+    f = TrigPoly(draw(st.lists(coeff, min_size=d + 1, max_size=d + 1)),
+                 draw(st.lists(coeff, min_size=d, max_size=d)))
+    return MapParams(eps=draw(st.floats(0.0, 0.5)), delta=draw(st.floats(-0.5, 0.5)),
+                     f=f, p=draw(st.integers(0, 3)), q=draw(st.integers(1, max_q)))
+
+
+angles = st.floats(0.0, 2 * math.pi)
+actions = st.floats(-1.0, 1.0)
 
 
 def direct_remainders(s0, m, n):
@@ -135,6 +156,47 @@ class TestRemainders:
                 xs = np.linspace(0, 2 * math.pi, grid, endpoint=False)
                 avg = np.mean([remainders(PhaseState(float(x), 0.0), m, q).S for x in xs])
                 assert abs(avg) < bound
+
+
+class TestRemainderJet:
+    @settings(max_examples=200, deadline=None)
+    @given(map_params(), angles, actions)
+    def test_jacobian_matches_central_differences(self, m, x0, y0):
+        u = np.array([x0, y0, m.delta])
+        _, jac = remainder_jet(*u, m, m.q)
+        h = 1e-6
+        for j in range(3):
+            e = np.zeros(3)
+            e[j] = h
+            plus, _ = remainder_jet(*(u + e), m, m.q)
+            minus, _ = remainder_jet(*(u - e), m, m.q)
+            fd = (plus - minus) / (2 * h)
+            assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=1e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 5), st.floats(0.05, 0.3), angles)
+    def test_state_block_is_monodromy_minus_identity(self, q, eps, x0):
+        m = MapParams(0.0, 0.0, SIN, 1 if q > 1 else 0, q)
+        sol = solve_delta_y(x0, eps, m)
+        assume(sol.converged)
+        m_at = replace(m, eps=eps, delta=sol.delta)
+        orbit = solve_orbit_fixed_delta(PhaseState(sol.x0, sol.y0), m_at)
+        assert orbit is not None
+        first = orbit.states[0]
+        _, jac = remainder_jet(first.x, first.y, m_at.delta, m_at, q)
+        assert np.abs(jac[:, :2] + np.eye(2) - monodromy(orbit.states, m_at)).max() < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(map_params(), st.lists(st.tuples(angles, actions), min_size=1, max_size=12),
+           st.integers(1, 9))
+    def test_batch_equals_one_point_remainders(self, m, starts, n):
+        xs, ys = np.array(starts).T
+        res, jac = remainder_jet(xs, ys, m.delta, m, n)
+        assert res.shape == (2, len(starts)) and jac.shape == (2, 3, len(starts))
+        for k, (x0, y0) in enumerate(starts):
+            pair = remainders(PhaseState(x0, y0), m, n)
+            assert res[0, k] == pytest.approx(pair.R, rel=1e-14, abs=1e-14)
+            assert res[1, k] == pytest.approx(pair.S, rel=1e-14, abs=1e-14)
 
 
 class TestMapParams:

@@ -6,10 +6,36 @@ import pytest
 from tonguelab.cylmap import MapParams, PhaseState, remainders
 from tonguelab.orbits import (ContinuationError, classify, continue_in_x, monodromy,
                               multistart_orbits, orbit_distance, solve_delta_y,
-                              solve_delta_y_homotopy, solve_orbit_fixed_delta)
+                              solve_orbit_fixed_delta)
 from tonguelab.trigpoly import TrigPoly
 
 SIN = TrigPoly.sine()
+
+
+def sequential_profile(eps, m, grid_size):
+    """Reference profile from one-point solves: the first grid point is
+    reached by an eps ramp, every later one is seeded from its predecessor."""
+    xs = np.linspace(0.0, 2 * math.pi, grid_size, endpoint=False)
+    seed = None
+    for e in np.linspace(0.0, eps, 17)[1:]:
+        sol = solve_delta_y(float(xs[0]), float(e), m, seed=seed)
+        assert sol.converged
+        seed = (sol.delta, sol.y0)
+    sols = [sol]
+    for x0 in xs[1:]:
+        sol = solve_delta_y(float(x0), eps, m, seed=seed)
+        assert sol.converged
+        sols.append(sol)
+        seed = (sol.delta, sol.y0)
+    return sols
+
+
+def assert_profiles_match(batched, sequential):
+    assert len(batched) == len(sequential)
+    for a, b in zip(batched, sequential):
+        assert a.converged and a.x0 == b.x0
+        assert abs(a.delta - b.delta) < 1e-9
+        assert abs(a.y0 - b.y0) < 1e-9
 
 
 class TestFixedDeltaNewton:
@@ -113,9 +139,16 @@ class TestImplicitSolve:
         assert abs(pair.R) < 1e-12 and abs(pair.S) < 1e-12
 
     def test_homotopy_reaches_larger_eps(self):
-        m = MapParams(0.0, 0.0, SIN, 1, 6)
-        sol = solve_delta_y_homotopy(0.4, 0.5, m)
-        assert sol.converged
+        # continue_in_x's eps ramp: at sin 2x, q=5, eps=0.8 some grid points
+        # do not converge from the cold seed at the full eps
+        f2 = TrigPoly.sine(2)
+        for f, q, p, eps, grid, cold_misses in ((f2, 5, 2, 0.8, 64, True),
+                                                (SIN, 6, 1, 0.5, 48, False)):
+            m = MapParams(0.0, 0.0, f, p, q)
+            sols = continue_in_x(eps, m, grid)
+            cold = [solve_delta_y(s.x0, eps, m).converged for s in sols]
+            assert (not all(cold)) == cold_misses
+            assert_profiles_match(sols, sequential_profile(eps, m, grid))
 
 
 class TestContinuation:
@@ -144,12 +177,9 @@ class TestContinuation:
             continue_in_x(0.1, m, 16)  # < 8q
 
     def test_modes_agree(self):
+        # the batched cold-start profile against sequential one-point continuation
         m = MapParams(0.0, 0.0, SIN, 1, 2)
-        seq = continue_in_x(0.12, m, 16, mode="continuation")
-        par = continue_in_x(0.12, m, 16, mode="independent", jobs=2)
-        for a, b in zip(seq, par):
-            assert abs(a.delta - b.delta) < 1e-9
-            assert abs(a.y0 - b.y0) < 1e-9
+        assert_profiles_match(continue_in_x(0.12, m, 16), sequential_profile(0.12, m, 16))
 
     def test_failure_reports_x0(self):
         # eps far outside any reasonable range: the sweep must name the

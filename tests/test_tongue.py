@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import SingularJacobianError, solve_delta_y, solve_orbit_fixed_delta
+from tonguelab.orbits import solve_delta_y, solve_orbits_fixed_delta
 from tonguelab.series import expand, predicted_width
 from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent,
                               saddle_node_locus, sweep, width_at)
@@ -21,16 +21,10 @@ def grid_starts(eps):
 
 
 def find_any_orbit(m, starts):
-    """First orbit that fixed-delta Newton reaches from ``starts``."""
-    for x0, y0 in starts:
-        try:
-            orbit = solve_orbit_fixed_delta(PhaseState(float(x0), float(y0)), m,
-                                            max_iter=30)
-        except SingularJacobianError:
-            continue
-        if orbit is not None:
-            return orbit
-    return None
+    """First orbit, in the order of ``starts``, that fixed-delta Newton
+    reaches; all starts are solved in one batch."""
+    return next((o for o in solve_orbits_fixed_delta(starts, m, max_iter=30)
+                 if o is not None), None)
 
 
 def bisect_edge(m, eps, upward, tol):
