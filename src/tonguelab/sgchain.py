@@ -13,7 +13,12 @@ are in bijection with p/q periodic orbits of the drifted cylinder map
 cross-checked against the tongue edge max of the drift profile.
 
 Integration is fixed-step classical 4th order: runs are short and the
-bisection logic on top needs deterministic reproducibility.
+bisection logic on top needs deterministic reproducibility.  A chain has
+only a few sites, so a step written site by site is dominated by the
+fixed cost of each numpy call, not by arithmetic.  :func:`integrate`
+therefore writes each RK4 stage as one matrix product on a work vector
+holding the state, the stage sines and the constants: 9 numpy calls per
+step whatever q is.
 """
 
 from __future__ import annotations
@@ -101,13 +106,61 @@ def default_dt(c: ChainParams) -> float:
     return 0.1 / math.sqrt(max(1.0, c.eps + 4.0))
 
 
+def _rk4_matrices(c: ChainParams, h: float):
+    """Stage matrices ``(G2, G3, G4)`` and step matrix ``P`` of one RK4 step.
+
+    On the work vector ``w = [x, v, s1, s2, s3, s4, 1, delta]`` (length
+    ``6q + 2``, ``s_i = sin`` of stage i's x-argument) the x-argument of
+    stage i is ``w @ G_i`` (stage 1's is ``x`` itself) and the step adds
+    ``w @ P`` to ``[x, v]``.  ``P`` holds the increment rather than the
+    new state so that ``x`` is not multiplied by a rounded ``1 + O(h^2)``
+    coefficient: the update then rounds like ``x + h/6 (...)``.
+    """
+    q = c.q
+    basis = np.eye(6 * q + 2)
+    x, v = basis[:, :q], basis[:, q:2 * q]
+    s = [basis[:, (2 + i) * q:(3 + i) * q] for i in range(4)]
+    lap = -2.0 * np.eye(q) + np.roll(np.eye(q), 1, axis=0) + np.roll(np.eye(q), -1, axis=0)
+    # the twisted boundary x_{k+q} = x_k + 2 pi p as constant terms
+    wrap = np.zeros(q)
+    wrap[0] -= 2.0 * math.pi * c.p
+    wrap[-1] += 2.0 * math.pi * c.p
+    const = np.outer(basis[:, -2], wrap) + np.outer(basis[:, -1], np.ones(q))
+
+    def vdot(xs, vs, sines):
+        # v' as a matrix on w, from the stage's x, v and sine matrices
+        return xs @ lap + const - c.gamma * vs - c.eps * sines
+
+    h2, h6 = 0.5 * h, h / 6.0
+    k1v = vdot(x, v, s[0])
+    k2x = v + h2 * k1v
+    g2 = x + h2 * v
+    k2v = vdot(g2, k2x, s[1])
+    k3x = v + h2 * k2v
+    g3 = x + h2 * k2x
+    k3v = vdot(g3, k3x, s[2])
+    k4x = v + h * k3v
+    g4 = x + h * k3x
+    k4v = vdot(g4, k4x, s[3])
+    step = np.hstack([h6 * (v + 2.0 * (k2x + k3x) + k4x),
+                      h6 * (k1v + 2.0 * (k2v + k3v) + k4v)])
+    return g2, g3, g4, step
+
+
 def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
               record_every: int = 0) -> Trajectory:
-    """Fixed-step RK4 from ``s0.t`` to exactly ``s0.t + t_end``.
+    """Fixed-step classical RK4 from ``s0.t`` to exactly ``s0.t + t_end``.
 
     ``dt`` is shrunk (never grown) to divide ``t_end`` evenly.
     ``record_every = k`` stores every k-th step (0 records only the
     endpoints).  Raises :class:`BlowUpError` on runaway positions.
+
+    The right-hand side is linear in ``[x, v]`` apart from ``sin x``, so
+    each RK4 stage is written as one matrix product on a work vector that
+    holds the state, the stage sines and the constants (see
+    :func:`_rk4_matrices`).  A step is then 9 numpy calls on length-q
+    arrays: at chain lengths of a few sites the cost of a step is the
+    per-call overhead, not the arithmetic.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -117,45 +170,41 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
         raise ValueError("t_end must be >= 0")
     steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0 else 0
     h = t_end / steps if steps else dt
-    wrap = 2.0 * math.pi * c.p
     q = c.q
-    gamma, eps, delta = c.gamma, c.eps, c.delta
-    lap = np.empty(q)
-
-    def accel(xx, vv):
-        lap[1:-1] = xx[2:] - 2.0 * xx[1:-1] + xx[:-2]
-        lap[0] = xx[1] - 2.0 * xx[0] + xx[-1] - wrap
-        lap[-1] = xx[0] + wrap - 2.0 * xx[-1] + xx[-2]
-        return lap + delta - gamma * vv - eps * np.sin(xx)
-
-    x = s0.pos.copy()
-    v = s0.vel.copy()
-    t = s0.t
-    rec_t, rec_x, rec_v = [t], [x.copy()], [v.copy()]
-    h2, h6 = 0.5 * h, h / 6.0
+    g2, g3, g4, step = _rk4_matrices(c, h)
+    w = np.empty(6 * q + 2)
+    w[:q], w[q:2 * q], w[-2:] = s0.pos, s0.vel, (1.0, c.delta)
+    x, z = w[:q], w[:2 * q]
+    s1, s2, s3, s4 = (w[(2 + i) * q:(3 + i) * q] for i in range(4))
+    # recorded step numbers: 0, every k-th step, and the last one if missed
+    marks = np.arange(0, steps + 1, record_every) if record_every else np.zeros(1, int)
+    if not record_every or marks[-1] != steps:
+        marks = np.append(marks, steps)
+    times = s0.t + marks * h
+    rec = np.empty((len(marks), 2 * q))
+    rec[0] = z
+    row = 1
+    tmp, new = np.empty(q), np.empty(2 * q)
+    sin, matmul = np.sin, np.matmul
     for i in range(steps):
-        k1v = accel(x, v)
-        k2x = v + h2 * k1v
-        k2v = accel(x + h2 * v, k2x)
-        k3x = v + h2 * k2v
-        k3v = accel(x + h2 * k2x, k3x)
-        k4x = v + h * k3v
-        k4v = accel(x + h * k3x, k4x)
-        x = x + h6 * (v + 2.0 * (k2x + k3x) + k4x)
-        v = v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v)
-        t = s0.t + (i + 1) * h
+        sin(x, out=s1)
+        matmul(w, g2, out=tmp)
+        sin(tmp, out=s2)
+        matmul(w, g3, out=tmp)
+        sin(tmp, out=s3)
+        matmul(w, g4, out=tmp)
+        sin(tmp, out=s4)
+        matmul(w, step, out=new)
+        z += new
         if (i & 31) == 0 and np.max(np.abs(x)) > BLOWUP_LIMIT:
-            raise BlowUpError(f"|position| exceeded {BLOWUP_LIMIT:g} at t={t:g}")
+            raise BlowUpError(f"|position| exceeded {BLOWUP_LIMIT:g} "
+                              f"at t={s0.t + (i + 1) * h:g}")
         if record_every and (i + 1) % record_every == 0:
-            rec_t.append(t)
-            rec_x.append(x.copy())
-            rec_v.append(v.copy())
-    if not record_every or (steps % record_every):
-        rec_t.append(t)
-        rec_x.append(x.copy())
-        rec_v.append(v.copy())
-    final = ChainState(t, x, v)
-    return Trajectory(np.array(rec_t), np.array(rec_x), np.array(rec_v), final)
+            rec[row] = z
+            row += 1
+    rec[-1] = z
+    final = ChainState(float(times[-1]), w[:q].copy(), w[q:2 * q].copy())
+    return Trajectory(times, rec[:, :q], rec[:, q:], final)
 
 
 def _refine_period(spline_list, t0: float, span: float, t_guess: float,
@@ -275,39 +324,21 @@ class InvalidBracketError(RuntimeError):
         self.hi = hi
 
 
-def _settle(s0: ChainState, c: ChainParams, horizon: float,
-            dt: float) -> ChainState | None:
-    """Integrate until all velocities stay below ``TAU_EQ`` over a window;
-    ``None`` when the horizon runs out first."""
-    state = s0
-    elapsed = 0.0
-    window = 50.0
-    while elapsed < horizon:
-        window = min(window, max(horizon - elapsed, 2 * dt))
-        traj = integrate(state, c, dt, window, record_every=8)
-        state = traj.final
-        elapsed += window
-        if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return state
-        window = min(window * 2.0, 4000.0)
-    return None
-
-
 def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
-                       dt: float) -> tuple[str, ChainState]:
+                       dt: float, escape: float = 0.5) -> tuple[str, ChainState]:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
     "equilibrium" when all velocities drop below ``TAU_EQ`` over a
-    window; "depinned" when any site travels more than half a radian
-    from its start.  Warm-started from a settled pinned shape, the
-    pinned-side transient stays well below that, while one slip event
-    moves a site by a full site spacing; so the test decides after a
-    single bottleneck passage instead of waiting out a whole wave
-    period, which diverges at the depinning threshold.  Returns the
-    outcome together with the final state.
+    window; "depinned" when any site travels more than ``escape`` (half
+    a radian) from its start.  Warm-started from a settled pinned shape,
+    the pinned-side transient stays well below that, while one slip
+    event moves a site by a full site spacing; so the test decides after
+    a single bottleneck passage instead of waiting out a whole wave
+    period, which diverges at the depinning threshold.  With
+    ``escape = math.inf`` it only waits for the run to settle.  Returns
+    the outcome together with the final state.
     """
     ref = s0.pos.copy()
-    escape = 0.5
     state = s0
     elapsed = 0.0
     window = 50.0
@@ -348,8 +379,9 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
         raise InvalidBracketError(lo, hi, f"no equilibrium at delta={lo:g} "
                                           f"(got {rep_lo.kind})")
     # settle fully onto the pinned branch before continuing in delta
-    settled = _settle(state, replace(c, delta=lo), horizon, dt)
-    if settled is None:
+    outcome, settled = _settles_or_depins(state, replace(c, delta=lo), horizon, dt,
+                                          escape=math.inf)
+    if outcome != "equilibrium":
         raise InvalidBracketError(lo, hi, f"could not settle at delta={lo:g}")
     eq_state = ChainState(0.0, settled.pos, np.zeros(c.q))
     rep_hi = classify_attractor(eq_state, replace(c, delta=hi), horizon=horizon)

@@ -1,0 +1,224 @@
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tonguelab.cylmap import MapParams, PhaseState, iterate
+from tonguelab.orbits import solve_orbit_fixed_delta
+from tonguelab.sgchain import (DEFAULT_HORIZON, TAU_WAVE, BlowUpError, ChainParams, ChainState,
+                               InvalidBracketError, _settles_or_depins, classify_attractor,
+                               critical_torque, default_dt, integrate, twist_state)
+from tonguelab.tongue import width_at
+from tonguelab.trigpoly import TrigPoly
+
+# The chain of the critical-torque cross-check and the start-dependence test.
+PINNING = ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
+
+
+def reference_step(x, v, c, h):
+    """One classical RK4 step written site by site (rows are independent chains)."""
+    wrap = 2.0 * math.pi * c.p
+
+    def accel(xx, vv):
+        lap = np.empty_like(xx)
+        lap[..., 1:-1] = xx[..., 2:] - 2.0 * xx[..., 1:-1] + xx[..., :-2]
+        lap[..., 0] = xx[..., 1] - 2.0 * xx[..., 0] + xx[..., -1] - wrap
+        lap[..., -1] = xx[..., 0] + wrap - 2.0 * xx[..., -1] + xx[..., -2]
+        return lap + c.delta - c.gamma * vv - c.eps * np.sin(xx)
+
+    h2, h6 = 0.5 * h, h / 6.0
+    k1v = accel(x, v)
+    k2x = v + h2 * k1v
+    k2v = accel(x + h2 * v, k2x)
+    k3x = v + h2 * k2v
+    k3v = accel(x + h2 * k2x, k3x)
+    k4x = v + h * k3v
+    k4v = accel(x + h * k3x, k4x)
+    return (x + h6 * (v + 2.0 * (k2x + k3x) + k4x),
+            v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
+
+
+def run_500(s0, c):
+    """``integrate`` over 500 default steps, every step recorded, and its h."""
+    t_end = 500 * default_dt(c)
+    traj = integrate(s0, c, default_dt(c), t_end, record_every=1)
+    assert len(traj.times) == 501
+    return traj, t_end / 500
+
+
+def settle(s0, c):
+    outcome, state = _settles_or_depins(s0, c, DEFAULT_HORIZON, default_dt(c), escape=math.inf)
+    assert outcome == "equilibrium"
+    return ChainState(0.0, state.pos, np.zeros(c.q))
+
+
+@st.composite
+def chains(draw):
+    q = draw(st.integers(2, 9))
+    return ChainParams(q=q, p=draw(st.integers(0, q)), gamma=draw(st.floats(0.05, 2.0)),
+                       eps=draw(st.floats(0.0, 3.0)), delta=draw(st.floats(-0.5, 0.5)))
+
+
+class TestIntegrate:
+    @settings(max_examples=60, deadline=None)
+    @given(chains(), st.data())
+    def test_each_step_is_the_per_site_rk4_step(self, c, data):
+        """Every one of 500 steps matches the site-by-site RK4 step taken
+        from the same recorded state, to rounding.
+
+        Compared step by step rather than over the whole run: in the
+        chaotic transients at small gamma and large eps, rounding
+        differences of a few ulps grow past 1e-11 within 500 steps (from
+        a random start at q=5, p=2, gamma=0.054, eps=2.06, a one-ulp
+        change of the start alone moves the site-by-site run by 4.6e-11).
+        """
+        site = st.floats(-3.0, 3.0)
+        lift = data.draw(st.floats(-100.0, 100.0))
+        pos = (lift + twist_state(c).pos
+               + np.array(data.draw(st.lists(site, min_size=c.q, max_size=c.q))))
+        vel = np.array(data.draw(st.lists(site, min_size=c.q, max_size=c.q)))
+        traj, h = run_500(ChainState(0.0, pos, vel), c)
+        x, v = reference_step(traj.pos[:-1], traj.vel[:-1], c, h)
+        scale = np.maximum(1.0, np.abs(traj.pos[:-1]).max(axis=1, keepdims=True))
+        assert np.all(np.abs(x - traj.pos[1:]) <= 1e-14 * scale)
+        assert np.all(np.abs(v - traj.vel[1:]) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("c", [
+        replace(PINNING, delta=0.01),
+        replace(PINNING, delta=0.04375),
+        ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.005),
+        ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.012),
+        ChainParams(q=7, p=2, gamma=0.1, eps=3.0, delta=-0.5),
+    ])
+    def test_whole_run_matches_per_site_rk4(self, c):
+        """The lab's chains from the twisted start: 500 steps agree with the
+        site-by-site RK4 run within 1e-11 * max(1, |x|)."""
+        traj, h = run_500(twist_state(c), c)
+        x, v = twist_state(c).pos, twist_state(c).vel
+        for n in range(1, 501):
+            x, v = reference_step(x, v, c, h)
+            scale = max(1.0, float(np.max(np.abs(x))))
+            assert np.max(np.abs(traj.pos[n] - x)) <= 1e-11 * scale
+            assert np.max(np.abs(traj.vel[n] - v)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("steps", [0, 48, 50])
+    @pytest.mark.parametrize("k", [0, 1, 3, 8])
+    def test_recording_contract(self, k, steps):
+        c = ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.012)
+        dt = default_dt(c)
+        s0 = ChainState(2.5, twist_state(c).pos + 0.1, np.full(3, 0.2))
+        traj = integrate(s0, c, dt, steps * dt, record_every=k)
+        every = integrate(s0, c, dt, steps * dt, record_every=1)
+        h = steps * dt / steps if steps else dt
+        rows = 2 if k == 0 else 1 + steps // k + (steps % k != 0)
+        marks = list(range(0, steps + 1, k)) if k else [0]
+        if k == 0 or marks[-1] != steps:
+            marks.append(steps)
+        assert len(traj.times) == rows == len(marks)
+        assert traj.pos.shape == traj.vel.shape == (rows, 3)
+        np.testing.assert_allclose(traj.times, s0.t + np.array(marks) * h, rtol=1e-15, atol=0)
+        # the recorded rows are the states after exactly those steps
+        assert np.array_equal(traj.pos, every.pos[marks])
+        assert np.array_equal(traj.vel, every.vel[marks])
+        assert np.array_equal(traj.pos[0], s0.pos) and np.array_equal(traj.vel[0], s0.vel)
+        assert traj.final.t == traj.times[-1]
+        assert np.array_equal(traj.pos[-1], traj.final.pos)
+        assert np.array_equal(traj.vel[-1], traj.final.vel)
+
+    def test_final_state_does_not_alias_the_records(self):
+        c = replace(PINNING, delta=0.01)
+        traj = integrate(twist_state(c), c, default_dt(c), 1.0)
+        traj.pos[-1] = 0.0
+        assert np.all(traj.final.pos != 0.0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_nonpositive_dt(self, dt):
+        c = replace(PINNING, delta=0.01)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate(twist_state(c), c, dt, 1.0)
+
+    def test_dt_over_budget(self):
+        c = replace(PINNING, delta=0.01)
+        with pytest.raises(ValueError, match="stability budget"):
+            integrate(twist_state(c), c, 1.01 * default_dt(c), 1.0)
+
+    def test_negative_t_end(self):
+        c = replace(PINNING, delta=0.01)
+        with pytest.raises(ValueError, match="t_end must be >= 0"):
+            integrate(twist_state(c), c, default_dt(c), -1.0)
+
+    def test_runaway_chain_blows_up(self):
+        c = ChainParams(q=3, p=1, gamma=0.5, eps=0.0, delta=1e12)
+        with pytest.raises(BlowUpError, match="exceeded"):
+            integrate(twist_state(c), c, default_dt(c), 10.0)
+
+
+class TestCriticalTorque:
+    def test_probe_outcome_depends_on_the_start(self):
+        """Underdamped and hysteretic: at delta=0.04375 the pinned state
+        settled at 0.01 depins, while the one continued to 0.0325 settles.
+        So every torque probe has to start from the last settled state."""
+        low = settle(twist_state(PINNING), replace(PINNING, delta=0.01))
+        near = settle(low, replace(PINNING, delta=0.0325))
+        probe = replace(PINNING, delta=0.04375)
+        dt = default_dt(probe)
+        assert _settles_or_depins(low, probe, DEFAULT_HORIZON, dt)[0] == "depinned"
+        assert _settles_or_depins(near, probe, DEFAULT_HORIZON, dt)[0] == "equilibrium"
+
+    def test_matches_newton_tongue_edge(self):
+        crit = critical_torque(PINNING, (0.01, 0.1))
+        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
+        assert crit == pytest.approx(edge, rel=1e-3)
+
+    @pytest.mark.parametrize("bracket", [(0.05, 0.05), (0.1, 0.05)])
+    def test_bracket_must_be_ordered(self, bracket):
+        with pytest.raises(InvalidBracketError, match="lo < hi"):
+            critical_torque(PINNING, bracket)
+
+    def test_no_equilibrium_at_lo(self):
+        with pytest.raises(InvalidBracketError, match="no equilibrium at delta=0.1") as info:
+            critical_torque(PINNING, (0.1, 0.2))
+        assert (info.value.lo, info.value.hi) == (0.1, 0.2)
+
+    def test_no_wave_at_hi(self):
+        with pytest.raises(InvalidBracketError, match="no traveling wave at delta=0.02"):
+            critical_torque(PINNING, (0.01, 0.02))
+
+
+class TestAttractors:
+    def test_equilibrium_is_a_periodic_orbit_of_the_map(self):
+        """A settled chain, shifted by pi, solves the map's second-difference
+        relation x_{k+1} - 2 x_k + x_{k-1} = -delta - eps sin x_k; it is the
+        p/q orbit the fixed-drift Newton returns from it."""
+        c = ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.005)
+        pos = settle(twist_state(c), c).pos
+        m = MapParams(c.eps, c.delta, TrigPoly.sine(), c.p, c.q)
+        turn = 2.0 * math.pi * c.p
+
+        def second_difference_residual(x):
+            ring = np.concatenate([[x[-1] - turn], x, [x[0] + turn]])
+            return ring[2:] - 2.0 * ring[1:-1] + ring[:-2] + c.delta + c.eps * np.sin(x)
+
+        xi = pos + math.pi
+        assert np.abs(second_difference_residual(xi)).max() < 1e-12
+        assert np.abs(second_difference_residual(pos)).max() > 0.1  # the shift is needed
+        # in cylmap's convention x_1 - x_0 = y_0 + mu + g(x_0)
+        start = PhaseState(float(xi[0]), float(xi[1] - xi[0] - m.mu - m.g(xi[0])))
+        walk = iterate(start, m, c.q)
+        assert np.allclose([s.x for s in walk[:-1]], xi, atol=1e-12)
+        assert walk[-1].x == pytest.approx(xi[0] + turn, abs=1e-12)
+        orbit = solve_orbit_fixed_delta(start, m)
+        assert orbit is not None
+        assert np.allclose([s.x for s in orbit.states], xi, atol=1e-10)
+        assert orbit.kind == "saddle"  # a stable chain equilibrium is a hyperbolic orbit
+
+    def test_traveling_wave(self):
+        c = ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.012)
+        rep = classify_attractor(twist_state(c), c)
+        assert rep.kind == "traveling_wave"
+        assert rep.delay_error < TAU_WAVE
+        assert abs(rep.mean_velocity) * rep.wave_period == pytest.approx(2.0 * math.pi * c.p,
+                                                                         abs=1e-9)
