@@ -6,14 +6,24 @@ periodic admit power series in the perturbation strength,
     D(x0, eps) = D_1(x0) eps + D_2(x0) eps^2 + ...
     Y(x0, eps) = Y_1(x0) eps + Y_2(x0) eps^2 + ...
 
-whose coefficients are trigonometric polynomials in ``x0``.  This module
-computes them by propagating the orbit deviations through the map as
-truncated eps-jets with :class:`~tonguelab.trigpoly.TrigPoly` coefficients
-and cancelling the q-step remainders order by order.  At every order the
-unknown pair ``(D_n, Y_n)`` enters the remainder coefficients affinely
-through the constant matrix ``[[-q(q+1)/2, q], [-q, 0]]`` (determinant
-q^2), so each order is a pair of scalar polynomial solves: the S-equation
-fixes ``D_n``, then the R-equation fixes ``Y_n``.
+whose coefficients are trigonometric polynomials in ``x0`` with
+``deg D_n, deg Y_n <= n * deg f``.  This module computes them in
+collocation form: every quantity is held by its values at M > 2 N deg f
+equispaced ``x0``, so shifts by ``i mu`` are evaluations and products are
+pointwise.  The orbit deviations ``xi_i`` (i < q) are eps-jets of shape
+``(N+1, q, M)``, and ``f(x0 + i mu + xi_i)`` is composed through the
+exponential recurrence ``W_n = (ik/n) sum_m m xi_m W_{n-m}`` for
+``W = exp(ik xi)``, one harmonic k of f at a time.
+
+The sweep over the orders is "relaxed" (van der Hoeven, *Relax, but
+don't be too lazy*, JSC 2002): the kick at order n, ``g_{i,n} = -D_n -
+F_{i,n-1}``, needs only orders below n, so one pass over the q states
+gives the D,Y-free parts of the remainders (S, R) as running sums.  The
+unknown pair enters affinely, ``S = -q D_n + ...`` and ``R = q Y_n -
+q(q+1)/2 D_n + ...``, so ``D_n`` and ``Y_n`` follow pointwise and the
+deviations get the affine response ``xi_i += i Y_n - i(i+1)/2 D_n``.
+Each ``D_n``, ``Y_n`` is turned into a :class:`~tonguelab.trigpoly.TrigPoly`
+once, by FFT.
 
 The leading x-dependent index ``r`` (first n with a non-constant ``D_n``)
 controls the tongue width, which scales like ``eps^r``.
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylmap import MapParams
-from .trigpoly import (TrigPoly, product, range_extrema, shift_average,
+from .trigpoly import (TrigPoly, product, range_extrema, reconstruct, shift_average,
                        weighted_shift_average)
 
 # A coefficient D_n counts as constant when every harmonic above 0 is
@@ -41,7 +51,8 @@ class LeadingIndexNotFound(RuntimeError):
 
 
 class EpsSeries:
-    """Truncated power series in eps with TrigPoly coefficients."""
+    """Truncated power series in eps with TrigPoly coefficients; the form
+    in which :func:`expand` returns ``D`` and ``Y``."""
 
     __slots__ = ("coeffs",)
 
@@ -54,11 +65,6 @@ class EpsSeries:
     def zero(cls, order: int) -> "EpsSeries":
         z = TrigPoly.zero()
         return cls([z] * (order + 1))
-
-    @classmethod
-    def constant(cls, poly: TrigPoly, order: int) -> "EpsSeries":
-        z = TrigPoly.zero()
-        return cls([poly] + [z] * order)
 
     @property
     def order(self) -> int:
@@ -77,30 +83,6 @@ class EpsSeries:
         c = list(self.coeffs)
         c[n] = poly
         return EpsSeries(c)
-
-    def __add__(self, other: "EpsSeries") -> "EpsSeries":
-        n = min(self.order, other.order)
-        return EpsSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
-
-    def __sub__(self, other: "EpsSeries") -> "EpsSeries":
-        n = min(self.order, other.order)
-        return EpsSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
-
-    def __neg__(self) -> "EpsSeries":
-        return EpsSeries([-c for c in self.coeffs])
-
-    def scaled(self, c: float) -> "EpsSeries":
-        return EpsSeries([p * c for p in self.coeffs])
-
-    def times_eps(self) -> "EpsSeries":
-        """Multiply by eps: shift every coefficient up one power (the top
-        coefficient falls off the truncation)."""
-        return EpsSeries((TrigPoly.zero(),) + self.coeffs[:-1])
-
-    def times_eps_extended(self) -> "EpsSeries":
-        """Multiply by eps, growing the truncation order by one so no
-        coefficient is lost."""
-        return EpsSeries((TrigPoly.zero(),) + self.coeffs)
 
     def mul(self, other: "EpsSeries", max_degree: int | None = None) -> "EpsSeries":
         n = min(self.order, other.order)
@@ -174,72 +156,57 @@ def _is_constant(poly: TrigPoly) -> bool:
     return bool(np.max(mag[1:]) <= R_DETECT_TOL * (1.0 + poly.coeff_norm()))
 
 
-def _taylor_eval(fders: list[TrigPoly], xi: EpsSeries, order: int,
-                 max_degree: int) -> EpsSeries:
-    """``f(x0 + i mu + xi)`` as a series, from precomputed derivatives at
-    the base point: ``sum_k f^(k)/k! * xi^k``.  ``xi`` has no constant
-    term, so powers beyond ``order`` cannot contribute."""
-    acc = EpsSeries.constant(fders[0], order)
-    xi_pow = None
-    inv_fact = 1.0
-    for k in range(1, min(len(fders), order + 1)):
-        xi_pow = xi if xi_pow is None else xi_pow.mul(xi, max_degree=max_degree)
-        inv_fact /= k
-        acc = acc + xi_pow.mul(EpsSeries.constant(fders[k] * inv_fact, order),
-                               max_degree=max_degree)
-    return acc
-
-
-def _propagate(m: MapParams, fders: list[list[TrigPoly]], delta: EpsSeries,
-               y: EpsSeries, order: int, max_degree: int) -> tuple[EpsSeries, EpsSeries]:
-    """Push the deviation jets through q map steps and return the
-    remainder series (R, S) = (xi_q, eta_q - eta_0)."""
-    d = delta.truncated(order)
-    xi = EpsSeries.zero(order)
-    eta = y.truncated(order)
-    for i in range(m.q):
-        # f(x_i) is needed one order lower than the truncation because the
-        # whole term carries an explicit factor of eps.
-        fval = _taylor_eval(fders[i], xi.truncated(order - 1), order - 1, max_degree)
-        g = (-d) - fval.times_eps_extended()
-        xi = xi + eta + g
-        eta = eta + g
-    return xi, eta - y.truncated(order)
-
-
 def expand(m: MapParams, order: int) -> SeriesSolution:
     """Solve the vanishing-remainder equations through ``eps^order``.
 
-    Requires ``gcd(p, q) = 1``.  Degrees are capped at ``order * deg(f)``,
-    which the polynomial structure of the coefficients guarantees is
-    enough; hitting the cap therefore indicates a genuine blow-up rather
-    than a budget misjudgment.
+    Requires ``gcd(p, q) = 1``.  ``D_n`` and ``Y_n`` are returned with
+    capacity ``n * d`` for the stored degree d of f, the degree their
+    polynomial structure allows.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     if not m.coprime():
         raise ValueError(f"series expansion requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     q = m.q
-    d = max(m.f.degree(), 1)
-    max_degree = order * d
+    # the stored degree, so that no harmonic of f aliases on the grid
+    d = m.f.capacity
+    n_pts = 2 * order * d + 2
+    x0 = np.linspace(0.0, 2.0 * math.pi, n_pts, endpoint=False)
+    theta = x0 + m.mu * np.arange(q)[:, None]
+    k = np.arange(1, d + 1)[:, None, None]
+    # f(theta + xi) = a_0 + Re sum_k (a_k - i b_k) e^{ik theta} W_k with
+    # W_k = exp(ik xi), so only W_k needs the eps-jet of xi.
+    phase = ((m.f.cos_coeffs[1:] - 1j * m.f.sin_coeffs)[:, None, None]
+             * np.exp(1j * k * theta))
 
-    # f and its derivatives, shifted to each base point x0 + i*mu
-    base = [m.f]
-    for _ in range(order - 1):
-        base.append(base[-1].derivative())
-    fders = [[g.shift(i * m.mu) for g in base] for i in range(q)]
-
-    delta = EpsSeries.zero(order)
-    y = EpsSeries.zero(order)
+    xi = np.zeros((order + 1, q, n_pts))
+    w = np.zeros((order, d, q, n_pts), dtype=complex)
+    w[0] = 1.0
+    i = np.arange(1, q)[:, None]
+    delta_vals = np.zeros((order + 1, n_pts))
+    y_vals = np.zeros((order + 1, n_pts))
+    f_prev = m.f.eval(theta)
     for n in range(1, order + 1):
-        r_ser, s_ser = _propagate(m, fders, delta, y, n, max_degree)
-        rn = r_ser.coeff(n)
-        sn = s_ser.coeff(n)
-        # -q D_n + S_n = 0, then q Y_n - q(q+1)/2 D_n + R_n = 0
-        dn = sn * (1.0 / q)
-        yn = dn * ((q + 1) / 2.0) - rn * (1.0 / q)
-        delta = delta.with_coeff(n, dn)
-        y = y.with_coeff(n, yn)
+        if n > 1:
+            # W_j = (ik/j) sum_{m=1..j} m xi_m W_{j-m}, with j = n - 1
+            j = n - 1
+            mxi = np.arange(1, n)[:, None, None] * xi[1:n]
+            w[j] = (1j * k / j) * np.einsum("mqx,mkqx->kqx", mxi, w[j - 1::-1])
+            f_prev = (phase * w[j]).real.sum(axis=0)
+        # g_i = -D_n - F_{i,n-1}; the D,Y-free parts of eta_1..eta_q and
+        # xi_1..xi_q are its running sums, and S = R = 0 fixes (D_n, Y_n).
+        eta = -np.cumsum(f_prev, axis=0)
+        x = np.cumsum(eta, axis=0)
+        dn = eta[-1] / q
+        yn = (q + 1) / 2.0 * dn - x[-1] / q
+        delta_vals[n], y_vals[n] = dn, yn
+        xi[n, 1:] = x[:-1] + i * yn - i * (i + 1) / 2.0 * dn
+
+    def from_values(vals):
+        return EpsSeries([TrigPoly.zero()]
+                         + [reconstruct(vals[n], n * d) for n in range(1, order + 1)])
+
+    delta, y = from_values(delta_vals), from_values(y_vals)
 
     r = None
     for n in range(1, order + 1):

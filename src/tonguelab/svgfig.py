@@ -28,6 +28,16 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _text(s: str) -> str:
+    """Escape ``s`` for XML character data."""
+    return str(s).replace("&", "&amp;").replace("<", "&lt;")
+
+
+def _comment(s: str) -> str:
+    """Make ``s`` safe inside an XML comment, which may not hold ``--``."""
+    return s.replace("--", "-&#45;")
+
+
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     if hi <= lo:
         return [lo]
@@ -96,9 +106,9 @@ def _axes(parts: list[str], fr: _Frame, xlabel: str, ylabel: str) -> None:
         parts.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" font-size="11" '
                      f'text-anchor="end">{_fmt_tick(t)}</text>')
     parts.append(f'<text x="{(x0 + x1) // 2}" y="{HEIGHT - 12}" font-size="13" '
-                 f'text-anchor="middle">{xlabel}</text>')
+                 f'text-anchor="middle">{_text(xlabel)}</text>')
     parts.append(f'<text x="16" y="{(y0 + y1) // 2}" font-size="13" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {(y0 + y1) // 2})">{ylabel}</text>')
+                 f'transform="rotate(-90 16 {(y0 + y1) // 2})">{_text(ylabel)}</text>')
 
 
 def _polyline(fr: _Frame, xs, ys, color: str, width: float = 1.5) -> str:
@@ -109,8 +119,9 @@ def _polyline(fr: _Frame, xs, ys, color: str, width: float = 1.5) -> str:
 def render_svg(dataset: dict, kind: str, metadata: dict | None = None) -> str:
     """Render ``dataset`` to an SVG string; raises on an empty dataset.
 
-    ``metadata`` is embedded as an XML comment (key=value lines); pass
-    only reproducible values when byte-identical output matters.
+    ``metadata`` is embedded as an XML comment (key=value lines, with each
+    ``--`` written as ``-&#45;``); pass only reproducible values when
+    byte-identical output matters.  Labels are escaped as XML text.
     """
     if kind == "loglog":
         body = _render_loglog(dataset)
@@ -124,7 +135,7 @@ def render_svg(dataset: dict, kind: str, metadata: dict | None = None) -> str:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">']
     if metadata:
         lines = "\n".join(f"{k}={metadata[k]}" for k in sorted(metadata))
-        head.append(f"<!--\n{lines}\n-->")
+        head.append(f"<!--\n{_comment(lines)}\n-->")
     head.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     return "\n".join(head + body + ["</svg>"]) + "\n"
 

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tonguelab.cylmap import MapParams
+from tonguelab.cylmap import MapParams, PhaseState, remainders
 from tonguelab.orbits import solve_delta_y
 from tonguelab.series import (EpsSeries, LeadingIndexNotFound, eval_series, expand,
                               predicted_width, verify_first_order, verify_periodicity)
@@ -14,6 +16,12 @@ SIN = TrigPoly.sine()
 
 def random_poly(rng, degree):
     return TrigPoly(rng.uniform(-1, 1, degree + 1), rng.uniform(-1, 1, degree))
+
+
+# coprime (p, q) with 1 <= p < q and 2 <= q <= 5
+coprime_pq = st.integers(2, 5).flatmap(
+    lambda q: st.tuples(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]),
+                        st.just(q)))
 
 
 class TestEpsSeries:
@@ -127,6 +135,14 @@ class TestLeadingIndex:
         with pytest.raises(LeadingIndexNotFound):
             verify_periodicity(sol, m)
 
+    def test_high_order_q11(self):
+        # large q at high order, where Newton widths are below the fit floor
+        m = MapParams(0.0, 0.0, SIN, 3, 11)
+        sol = expand(m, 30)
+        assert sol.r == 11
+        assert verify_periodicity(sol, m).passed
+        assert verify_first_order(sol, m).max_error < 1e-12
+
     def test_constant_drift_coefficients_recorded(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         sol = expand(m, 3)
@@ -192,6 +208,25 @@ class TestNumericConsistency:
                 worst = max(worst, abs(num.delta - sol.delta.eval(float(x0), eps)))
             errs[eps] = worst
         assert errs[0.1] / errs[0.05] > 2 ** (order + 0.5)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), coprime_pq, st.integers(1, 4))
+    def test_map_residual_shrinks_at_order_rate(self, seed, degree, pq, order):
+        # Start the map itself at (x0, Y_N(x0, eps)) with drift D_N(x0, eps):
+        # the q-step remainders are O(eps^(N+1)).  The coefficients of f come
+        # from a seeded generator, because a forcing with no harmonic off the
+        # multiples of q (a constant, say) makes the series exact and leaves
+        # only rounding.
+        p, q = pq
+        f = random_poly(np.random.default_rng(seed), degree)
+        sol = expand(MapParams(0.0, 0.0, f, p, q), order)
+        worst = {}
+        for eps in (0.04, 0.02):
+            res = [remainders(PhaseState(x0, sol.y.eval(x0, eps)),
+                              MapParams(eps, sol.delta.eval(x0, eps), f, p, q), q)
+                   for x0 in np.linspace(0, 2 * math.pi, 16, endpoint=False)]
+            worst[eps] = max(max(abs(r.R), abs(r.S)) for r in res)
+        assert worst[0.04] / worst[0.02] > 2 ** (order + 0.5)
 
     def test_exchange_symmetry(self):
         # (p, q) and (p + q, q) describe the same cylinder map
