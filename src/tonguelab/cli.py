@@ -19,7 +19,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,8 +88,13 @@ class RunConfig:
         return asdict(self)
 
     def map_params(self, eps: float = 0.0, delta: float | None = None) -> MapParams:
-        return MapParams(eps=eps, delta=self.delta if delta is None else delta,
-                         f=parse_f(self.f), p=self.p, q=self.q)
+        """The map of ``orbit``, ``profile``, ``tongue``, ``series`` and ``fit``;
+        a p/q orbit needs ``gcd(p, q) = 1``, so a reducible one is a usage error."""
+        m = MapParams(eps=eps, delta=self.delta if delta is None else delta,
+                      f=parse_f(self.f), p=self.p, q=self.q)
+        if not m.coprime():
+            raise UsageError(f"{self.subcommand} requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
+        return m
 
     def chain_params(self) -> ChainParams:
         return ChainParams(q=self.q, p=self.p, gamma=self.gamma,
@@ -118,35 +123,22 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-_INT_KEYS = {"q", "p", "order", "grid"}
-_FLOAT_KEYS = {"delta", "gamma", "dt", "horizon", "t_end"}
-_LIST_KEYS = {"eps", "bracket"}
-
-
-def _coerce(key: str, value) -> object:
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _LIST_KEYS:
-        return _parse_float_list(value) if isinstance(value, str) else [float(v) for v in value]
-    return value
+# Each key is coerced by the type of its field's default value.
+_DEFAULTS = asdict(RunConfig(subcommand=""))
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and flags (flags win)."""
     cfg = RunConfig(subcommand=args.subcommand)
     file_values = read_config_file(args.config) if args.config else {}
-    for key, value in file_values.items():
-        if key == "subcommand":
+    flag_values = {key: getattr(args, key, None) for key in _DEFAULTS}
+    for key, value in [*file_values.items(), *flag_values.items()]:
+        if key == "subcommand" or value is None:
             continue
-        if not hasattr(cfg, key):
+        if key not in _DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, value))
-    for f in fields(RunConfig):
-        flag_value = getattr(args, f.name, None)
-        if flag_value is not None and f.name != "subcommand":
-            setattr(cfg, f.name, _coerce(f.name, flag_value))
+        kind = type(_DEFAULTS[key])
+        setattr(cfg, key, _parse_float_list(value) if kind is list else kind(value))
     return cfg
 
 
@@ -221,8 +213,6 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 def _run_profile(cfg: RunConfig, t0: float) -> int:
     eps = cfg.eps[0]
     m = cfg.map_params(eps=eps, delta=0.0)
-    if not m.coprime():
-        raise UsageError(f"profile requires gcd(p, q) = 1, got p={cfg.p}, q={cfg.q}")
     sols = continue_in_x(eps, m, cfg.grid)
     if cfg.format == "svg":
         dataset = {"x0": [s.x0 for s in sols], "delta": [s.delta for s in sols],
@@ -240,8 +230,6 @@ def _run_profile(cfg: RunConfig, t0: float) -> int:
 
 def _run_tongue(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params()
-    if not m.coprime():
-        raise UsageError(f"tongue requires gcd(p, q) = 1, got p={cfg.p}, q={cfg.q}")
     result = sweep(m, sorted(cfg.eps), grid=cfg.grid)
     for failure in result.failures:
         print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}",
@@ -416,10 +404,7 @@ def run(argv: list[str] | None = None) -> int:
                   "tongue": _run_tongue, "series": _run_series,
                   "chain": _run_chain, "fit": _run_fit}[cfg.subcommand]
         return runner(cfg, t0)
-    except UsageError as exc:
-        print(f"tonguelab: usage error: {exc}", file=sys.stderr)
-        return _USAGE_ERROR
-    except (ValueError,) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"tonguelab: usage error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
     except (ContinuationError, SingularJacobianError, LeadingIndexNotFound,

@@ -227,28 +227,32 @@ def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolu
     The whole grid is solved in one batch from the unperturbed seed
     ``(0, 0)``.  Points that fail get an eps ramp from 0: each ramp step
     is seeded from the previous one, and the ramp doubles its number of
-    steps, up to ``_MAX_RAMP_SPLITS``, until the point converges.  Raises
-    :class:`ContinuationError` at the first point that still fails.
+    steps, up to ``_MAX_RAMP_SPLITS``, until the point converges.  The
+    first failing point in grid order is ramped alone, so that when it
+    fails every ramp :class:`ContinuationError` names it at once; the
+    rest are then ramped as one batch, and the error names the first of
+    them that still fails.
     """
     if grid_size < 8 * m.q:
         raise ValueError(f"grid_size must be >= 8*q = {8 * m.q}")
     xs = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
     delta, y0, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
-    splits = 2
-    while not ok.all() and splits <= _MAX_RAMP_SPLITS:
-        ramp = np.flatnonzero(~ok)
-        d, y = np.zeros(ramp.size), np.zeros(ramp.size)
-        alive = np.ones(ramp.size, dtype=bool)
-        for step in range(1, splits + 1):
-            d[alive], y[alive], conv, its = _solve_implicit(
-                xs[ramp[alive]], eps * step / splits, m, d[alive], y[alive])
-            iterations[ramp[alive]] = its
-            alive[alive] = conv
-        done = ramp[alive]
-        delta[done], y0[done], ok[done] = d[alive], y[alive], True
-        splits *= 2
-    if not ok.all():
-        raise ContinuationError(float(xs[np.argmin(ok)]), eps)
+    failing = np.flatnonzero(~ok)
+    for ramp in (failing[:1], failing[1:]):
+        splits = 2
+        while ramp.size and splits <= _MAX_RAMP_SPLITS:
+            d, y = np.zeros(ramp.size), np.zeros(ramp.size)
+            alive = np.ones(ramp.size, dtype=bool)
+            for step in range(1, splits + 1):
+                d[alive], y[alive], conv, its = _solve_implicit(
+                    xs[ramp[alive]], eps * step / splits, m, d[alive], y[alive])
+                iterations[ramp[alive]] = its
+                alive[alive] = conv
+            done = ramp[alive]
+            delta[done], y0[done] = d[alive], y[alive]
+            ramp, splits = ramp[~alive], 2 * splits
+        if ramp.size:
+            raise ContinuationError(float(xs[ramp[0]]), eps)
     return [ImplicitSolution(float(x), eps, float(d), float(y), True, int(n))
             for x, d, y, n in zip(xs, delta, y0, iterations)]
 

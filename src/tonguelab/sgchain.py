@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize_scalar
 
 # Equilibrium when every |velocity| stays below this over a window.
 TAU_EQ = 1e-8
@@ -207,20 +205,38 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     return Trajectory(times, rec[:, :q], rec[:, q:], final)
 
 
-def _refine_period(spline_list, t0: float, span: float, t_guess: float,
-                   rotation: float) -> float:
-    """Minimize the period mismatch |x(t + T) - x(t) - rotation| over T."""
-    ts = np.linspace(t0, t0 + span, 33)
+def _hermite(traj: Trajectory):
+    """Cubic Hermite interpolant of the recorded ``(pos, vel)`` rows: ``at(t)``
+    gives ``(x, x')`` for every site at every time, each of shape ``(len(t), q)``."""
+    times = traj.times
 
-    def mismatch(T: float) -> float:
-        err = 0.0
-        for sp in spline_list:
-            err += float(np.sum((sp(ts + T) - sp(ts) - rotation) ** 2))
-        return err
+    def at(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        h = (times[i + 1] - times[i])[:, None]
+        s = (t - times[i])[:, None] / h
+        x0, x1 = traj.pos[i], traj.pos[i + 1]
+        m0, m1 = h * traj.vel[i], h * traj.vel[i + 1]
+        c2 = 3.0 * (x1 - x0) - 2.0 * m0 - m1
+        c3 = 2.0 * (x0 - x1) + m0 + m1
+        return x0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
 
-    res = minimize_scalar(mismatch, bounds=(0.75 * t_guess, 1.3 * t_guess),
-                          method="bounded", options={"xatol": 1e-10})
-    return float(res.x)
+    return at
+
+
+def _refine_period(at, ts: np.ndarray, t_guess: float, rotation: float) -> float | None:
+    """Gauss-Newton in T on the mismatch ``x(t + T) - x(t) - rotation``
+    over the times ``ts``, its slope in T being ``v(t + T)``; ``None``
+    when T leaves ``[0.75, 1.3] * t_guess``."""
+    target, T = at(ts)[0] + rotation, t_guess
+    for _ in range(50):
+        x, v = at(ts + T)
+        step = float(np.sum((x - target) * v) / np.sum(v * v))
+        T -= step
+        if not 0.75 * t_guess <= T <= 1.3 * t_guess:
+            return None
+        if abs(step) <= 1e-13 * T:
+            break
+    return T
 
 
 def classify_attractor(s0: ChainState, c: ChainParams,
@@ -278,43 +294,27 @@ def classify_attractor(s0: ChainState, c: ChainParams,
 
 def _try_wave(state: ChainState, c: ChainParams, dt: float,
               t_guess: float, sign: float) -> AttractorReport | None:
-    """Record a dense stretch and test the delay identity against it."""
+    """Record a dense stretch, read it through :func:`_hermite`, refine the
+    period T from ``t_guess`` (:func:`_refine_period`) and test the delay
+    identity ``x_k(t) = x_{k+-1}(t + T/q)`` for either direction of travel,
+    up to the ring seam ``x_{k+q} = x_k + 2 pi p``, against ``TAU_WAVE``."""
+    if c.p == 0 or not 0 < t_guess < 2e5:
+        return None
     rotation = 2.0 * math.pi * c.p
-    if c.p == 0:
+    at = _hermite(integrate(state, c, dt, 1.6 * t_guess + 10.0, record_every=1))
+    ts = state.t + np.linspace(0.0, 0.25 * t_guess, 257)
+    T = _refine_period(at, ts[::8], t_guess, sign * rotation)
+    if T is None:
         return None
-    if not (0 < t_guess < 2e5):
-        return None
-    span = 1.6 * t_guess + 10.0
-    traj = integrate(state, c, dt, span, record_every=1)
-    splines = [CubicSpline(traj.times, traj.pos[:, k]) for k in range(c.q)]
-    t0 = float(traj.times[0])
-    probe = 0.25 * t_guess
-    T = _refine_period(splines, t0, probe, t_guess, sign * rotation)
-    ts = np.linspace(t0, t0 + probe, 257)
-    delay = T / c.q
+    now, later = at(ts)[0], at(ts + T / c.q)[0]
     worst = math.inf
-    for neighbor in (-1, +1):  # the wave may run either way around the ring
-        err = 0.0
-        for k in range(c.q):
-            other = (k + neighbor) % c.q
-            # unwrap the ring seam: x_{k+q} = x_k + 2 pi p
-            offset = rotation * _seam(k, neighbor, c.q)
-            e = np.max(np.abs(splines[k](ts) - splines[other](ts + delay) - offset))
-            err = max(err, float(e))
-        worst = min(worst, err)
+    for nb in (-1, +1):  # the wave may run either way around the ring
+        # the site whose neighbor wraps around the ring is one turn off
+        seam = nb * rotation * (np.arange(c.q) == (c.q - 1 if nb > 0 else 0))
+        worst = min(worst, float(np.max(np.abs(now - np.roll(later, -nb, axis=1) - seam))))
     if worst < TAU_WAVE:
         return AttractorReport("traveling_wave", sign * rotation / T, T, worst)
     return None
-
-
-def _seam(k: int, neighbor: int, q: int) -> int:
-    """Winding correction when index k+neighbor wraps around the ring."""
-    j = k + neighbor
-    if j < 0:
-        return -1
-    if j >= q:
-        return 1
-    return 0
 
 
 class InvalidBracketError(RuntimeError):

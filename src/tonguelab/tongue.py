@@ -10,22 +10,22 @@ the width is exponentially small.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .cylmap import MapParams
-from .orbits import TAU_NEWTON, ContinuationError, ImplicitSolution, continue_in_x, solve_delta_y
+from .orbits import TAU_NEWTON, ContinuationError, continue_in_x, solve_delta_y
+from .trigpoly import range_extrema, reconstruct
 
 # Samples thinner than this are excluded from scaling fits: their widths
 # sit too close to the Newton residual floor to be trusted.
 MIN_FIT_WIDTH = 1e3 * TAU_NEWTON
 
-# Default eps window for scaling fits; trim the low end further whenever
-# widths fall below MIN_FIT_WIDTH.
-DEFAULT_FIT_WINDOW = (0.05, 0.4)
+# Largest interpolant-vs-Newton gap at a profile extremum, relative to the
+# width: the width is then low by about GAP_RTOL**2 of itself (see width_at).
+GAP_RTOL = 1e-5
+MAX_GRID = 1024  # width_at doubles its grid at most up to this size
 
 
 class InsufficientDataError(RuntimeError):
@@ -66,46 +66,41 @@ class SweepResult:
     failures: tuple[SweepFailure, ...]
 
 
-def _refine_extremum(m: MapParams, eps: float, point: ImplicitSolution,
-                     halfwidth: float, sign: float) -> tuple[float, float]:
-    """Polish one profile extremum by bounded parabolic minimization of
-    ``-sign * delta(x0)`` within ``halfwidth`` of the grid point ``point``;
-    every evaluation is a Newton solve seeded from that grid point."""
-    def eval_delta(x0: float) -> float:
-        sol = solve_delta_y(x0, eps, m, seed=(point.delta, point.y0))
-        if not sol.converged:
-            raise ContinuationError(x0, eps, "extremum refinement failed to converge")
-        return sol.delta
-
-    res = minimize_scalar(lambda x: -sign * eval_delta(x),
-                          bounds=(point.x0 - halfwidth, point.x0 + halfwidth),
-                          method="bounded",
-                          options={"xatol": 1e-9})
-    x_star = float(res.x)
-    return x_star % (2.0 * math.pi), float(eval_delta(x_star))
-
-
 def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     """Measure the tongue cross-section at ``eps``.
 
-    Takes the drift profile on ``grid`` points from :func:`continue_in_x`,
-    then polishes its maximum and minimum within one grid step of the best
-    grid point (see :func:`_refine_extremum`).
+    Interpolates the :func:`continue_in_x` profile's ``delta`` and ``y0``
+    by trigonometric polynomials of degree ``(grid - 1) // 2`` and runs
+    one :func:`solve_delta_y`, seeded from both, at each extremum of the
+    ``delta`` interpolant; the grid extrema bound the results.  The
+    Newton value at the interpolant's argmax is low by about
+    ``gap**2 / width``, ``gap`` being the interpolant's miss there, and
+    an aliasing profile misses by far more than a resolved one: the grid
+    doubles until both gaps are within ``GAP_RTOL * width``, and past
+    ``MAX_GRID`` :class:`ContinuationError` is raised.
     """
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     if eps == 0.0:
         return TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-    sols = continue_in_x(eps, m, grid)
-    deltas = np.array([s.delta for s in sols])
-    h = 2.0 * math.pi / grid
-    hi, lo = sols[int(np.argmax(deltas))], sols[int(np.argmin(deltas))]
-    x_hi, d_hi = _refine_extremum(m, eps, hi, h, +1.0)
-    x_lo, d_lo = _refine_extremum(m, eps, lo, h, -1.0)
-    d_hi = max(d_hi, hi.delta)
-    d_lo = min(d_lo, lo.delta)
-    return TongueSample(eps, d_hi - d_lo, d_hi, d_lo, x_hi, x_lo)
+    while True:
+        sols = continue_in_x(eps, m, grid)
+        deltas = np.array([s.delta for s in sols])
+        d_fit = reconstruct(deltas, (grid - 1) // 2)
+        y_fit = reconstruct([s.y0 for s in sols], (grid - 1) // 2)
+        hi, lo = (solve_delta_y(x, eps, m, seed=(d_fit(x), y_fit(x)))
+                  for x in range_extrema(d_fit)[2:])
+        for s in (hi, lo):
+            if not s.converged:
+                raise ContinuationError(s.x0, eps, "extremum solve failed to converge")
+        d_hi, d_lo = max(hi.delta, deltas.max()), min(lo.delta, deltas.min())
+        gap, x_gap = max((abs(d_fit(s.x0) - s.delta), s.x0) for s in (hi, lo))
+        if gap <= GAP_RTOL * (d_hi - d_lo):
+            return TongueSample(eps, d_hi - d_lo, d_hi, d_lo, hi.x0, lo.x0)
+        if 2 * grid > MAX_GRID:
+            raise ContinuationError(x_gap, eps, f"profile interpolant misses Newton by "
+                                    f"{gap:.3g} at grid {grid}, width {d_hi - d_lo:.3g}")
+        grid *= 2
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:

@@ -1,7 +1,13 @@
+import argparse
 import json
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import tonguelab
 from tonguelab import cli
 
 SAMPLE_KEYS = {"eps", "width", "delta_max", "delta_min", "x_argmax", "x_argmin"}
@@ -60,9 +66,10 @@ def test_profile_svg(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_profile_reducible_is_usage_error(capsys):
-    assert cli.run(["profile", "--q", "4", "--p", "2", "--eps", "0.1", "--grid", "32"]) == 2
-    assert "usage error" in capsys.readouterr().err
+@pytest.mark.parametrize("cmd", ["profile", "tongue", "orbit", "series"])
+def test_reducible_is_usage_error(capsys, cmd):
+    assert cli.run([cmd, "--q", "4", "--p", "2", "--eps", "0.1", "--grid", "32"]) == 2
+    assert "gcd(p, q) = 1" in capsys.readouterr().err
 
 
 def test_orbit(capsys):
@@ -124,3 +131,25 @@ def test_jobs_config_key_rejected(tmp_path, capsys):
     config.write_text("q=3\np=1\njobs=2\n")
     assert cli.run(["profile", "--config", str(config)]) == 2
     assert "jobs" in capsys.readouterr().err
+
+
+def test_config_keys_take_their_field_types(tmp_path):
+    names = [f.name for f in fields(cli.RunConfig) if f.name != "subcommand"]
+    config = tmp_path / "run.cfg"
+    config.write_text("".join(f"{name}=3\n" for name in names))
+    cfg = cli.build_config(argparse.Namespace(subcommand="chain", config=str(config)))
+    default = cli.RunConfig(subcommand="chain")
+    for name in names:
+        value = getattr(cfg, name)
+        assert type(value) is type(getattr(default, name)), name
+        if isinstance(value, list):
+            assert value == [3.0], name
+
+
+def test_cli_import_leaves_out_scipy():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tonguelab.cli as c; "
+            "c.make_parser(); print('scipy' in sys.modules)")
+    src = str(Path(tonguelab.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"

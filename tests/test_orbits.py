@@ -188,6 +188,7 @@ class TestContinuation:
         with pytest.raises(ContinuationError) as err:
             continue_in_x(3.0, m, 24)
         assert 0.0 <= err.value.x0 <= 2 * math.pi
+        assert err.value.x0 == 0.0
 
 
 class TestCrossValidation:

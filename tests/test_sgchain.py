@@ -222,3 +222,15 @@ class TestAttractors:
         assert rep.delay_error < TAU_WAVE
         assert abs(rep.mean_velocity) * rep.wave_period == pytest.approx(2.0 * math.pi * c.p,
                                                                          abs=1e-9)
+
+    @pytest.mark.parametrize("q,p,gamma,eps,delta,period", [
+        (3, 1, 0.5, 0.6, 0.012, 391.20862301), (3, 1, 0.5, 0.6, -0.012, 391.20862301),
+        (5, 2, 0.3, 0.8, 0.1, 40.48026115), (5, 2, 0.3, 0.8, -0.1, 40.48026115)])
+    def test_wave_period(self, q, p, gamma, eps, delta, period):
+        """Negative torque sends the wave the other way round the ring, so the
+        delay identity then wraps at the other seam."""
+        c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
+        rep = classify_attractor(twist_state(c), c)
+        assert rep.kind == "traveling_wave"
+        assert rep.wave_period == pytest.approx(period, rel=1e-6)
+        assert math.copysign(1.0, rep.mean_velocity) == math.copysign(1.0, delta)

@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tonguelab import tongue
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import solve_delta_y, solve_orbits_fixed_delta
+from tonguelab.orbits import (ContinuationError, continue_in_x, solve_delta_y,
+                              solve_orbits_fixed_delta)
 from tonguelab.series import expand, predicted_width
 from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent,
                               saddle_node_locus, sweep, width_at)
@@ -97,6 +99,29 @@ class TestWidthClosedForm:
     def test_reducible_rejected(self):
         with pytest.raises(ValueError):
             width_at(MapParams(0.0, 0.0, SIN, 2, 4), 0.1, 32)
+
+
+class TestGlobalExtremum:
+    """On coarse grids an aliased interpolant's extremum misses the
+    profile's; the reported edges must still bound a dense profile."""
+
+    @pytest.mark.parametrize("f,q,p,eps,grid", [
+        (TrigPoly.sine(2), 5, 2, 0.5, 40),
+        (TrigPoly.sine(2), 5, 2, 0.5, 64),
+        (SIN, 7, 1, 0.5, 64),
+        (TrigPoly([0, 0.3], [1, 0, 0.2]), 5, 1, 0.4, 40)],
+        ids=["sin2x-q5p2-grid40", "sin2x-q5p2-grid64", "sin-q7p1-grid64", "mixed-q5p1-grid40"])
+    def test_edges_bound_a_dense_profile(self, f, q, p, eps, grid):
+        m = MapParams(0.0, 0.0, f, p, q)
+        sample = width_at(m, eps, grid)
+        dense = np.array([s.delta for s in continue_in_x(eps, m, 1024)])
+        assert sample.delta_max >= dense.max() - 1e-12
+        assert sample.delta_min <= dense.min() + 1e-12
+
+    def test_unresolved_profile_raises_at_the_grid_cap(self, monkeypatch):
+        monkeypatch.setattr(tongue, "MAX_GRID", 64)
+        with pytest.raises(ContinuationError, match="misses Newton"):
+            width_at(MapParams(0.0, 0.0, TrigPoly.sine(2), 2, 5), 0.5, 40)
 
 
 class TestBisectionOracle:
