@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto the library: ``orbit`` (fixed-drift
-search), ``profile`` (drift profile over x0), ``tongue`` (width sweep
-over eps), ``series`` (eps expansion), ``chain`` (sine-Gordon runs), and
-``fit`` (power-law fit of a width CSV).  Every numeric knob has both a
-flag and a config-file key (``key=value`` lines, flags win); all outputs
-carry the tool version and the fully resolved configuration.
+Subcommands map one-to-one onto the library: ``orbit`` (every p/q orbit
+at a drift, from the roots of the drift profile), ``profile`` (drift
+profile over x0), ``tongue`` (width sweep over eps), ``series`` (eps
+expansion), ``chain`` (sine-Gordon runs), and ``fit`` (power-law fit of a
+width CSV).  Every numeric knob has both a flag and a config-file key
+(``key=value`` lines, flags win); all outputs carry the tool version and
+the fully resolved configuration.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
@@ -19,20 +20,21 @@ import math
 import re
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .cylmap import MapParams, PhaseState
-from .orbits import (ContinuationError, SingularJacobianError, continue_in_x,
-                     multistart_orbits)
+from .orbits import ContinuationError, SingularJacobianError, continue_in_x
 from .series import LeadingIndexNotFound, expand, verify_first_order, verify_periodicity
 from .sgchain import (BlowUpError, ChainParams, ChainState, InvalidBracketError,
                       classify_attractor, critical_torque, default_dt, integrate,
                       twist_state)
 from .svgfig import emit_svg
-from .tongue import InsufficientDataError, ScalingFit, TongueSample, fit_exponent, sweep
+from .tongue import (InsufficientDataError, ScalingFit, TongueSample, fit_exponent,
+                     orbits_at, sweep)
 from .trigpoly import TrigPoly
 
 _USAGE_ERROR = 2
@@ -159,13 +161,12 @@ def _svg_meta(cfg: RunConfig) -> dict:
 
 
 def _open_out(path: str):
-    return open(path, "w", encoding="utf-8", newline="\n") if path else sys.stdout
+    return open(path, "w", encoding="utf-8", newline="\n") if path else nullcontext(sys.stdout)
 
 
 def _write_csv(cfg: RunConfig, t0: float, header: str, rows, path: str) -> None:
     meta = _meta(cfg, t0)
-    fh = _open_out(path)
-    try:
+    with _open_out(path) as fh:
         fh.write(f"# tonguelab {meta['version']}\n")
         fh.write(f"# config: {json.dumps(meta['config'], sort_keys=True)}\n")
         fh.write(f"# wallclock: {meta['wallclock_utc']} elapsed_s={meta['elapsed_s']}\n")
@@ -173,40 +174,23 @@ def _write_csv(cfg: RunConfig, t0: float, header: str, rows, path: str) -> None:
         for row in rows:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
                               for v in row) + "\n")
-    finally:
-        if path:
-            fh.close()
 
 
 def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str) -> None:
-    payload = {"meta": _meta(cfg, t0), **payload}
-    fh = _open_out(path)
-    try:
-        json.dump(payload, fh, indent=2, sort_keys=False)
+    with _open_out(path) as fh:
+        json.dump({"meta": _meta(cfg, t0), **payload}, fh, indent=2, sort_keys=False)
         fh.write("\n")
-    finally:
-        if path:
-            fh.close()
 
 
 # -- subcommand runners ---------------------------------------------------
 
 def _run_orbit(cfg: RunConfig, t0: float) -> int:
-    eps = cfg.eps[0]
-    m = cfg.map_params(eps=eps)
-    y_spread = (0.0,) if eps == 0 else (0.0, eps / 2, -eps / 2)
-    orbits = multistart_orbits(m, x0_grid=cfg.grid, y0_values=y_spread)
-    payload = {
-        "orbits": [
-            {
-                "kind": o.kind,
-                "residual": {"R": o.residual.R, "S": o.residual.S},
-                "states": [{"x": s.x, "y": s.y} for s in o.states],
-            }
-            for o in orbits
-        ]
-    }
-    _write_json(cfg, t0, payload, cfg.out)
+    orbits, sample, grid = orbits_at(cfg.map_params(eps=cfg.eps[0]), cfg.grid)
+    _write_json(cfg, t0, {
+        "orbits": [{"kind": o.kind, "residual": {"R": o.residual.R, "S": o.residual.S},
+                    "states": [{"x": s.x, "y": s.y} for s in o.states]} for o in orbits],
+        "profile": {"grid": grid, "delta_min": sample.delta_min, "delta_max": sample.delta_max},
+    }, cfg.out)
     return 0
 
 
@@ -371,7 +355,8 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
     descriptions = {
-        "orbit": "find all p/q orbits at fixed drift (JSON)",
+        "orbit": "all p/q orbits at fixed drift, from the roots of the drift "
+                 "profile; the profile's range is reported with them (JSON)",
         "profile": "drift profile over x0 at fixed eps",
         "tongue": "tongue width sweep over an eps list",
         "series": "eps-series expansion of the drift profile (JSON)",

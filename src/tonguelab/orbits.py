@@ -1,18 +1,18 @@
 """Newton solvers for p/q periodic orbits.
 
-Both routes solve the same q-step equations ``(R, S) = 0`` (since
-``q mu = 2 pi p`` they are also the periodicity conditions
+Every solver here works on the same q-step equations ``(R, S) = 0``
+(since ``q mu = 2 pi p`` they are also the periodicity conditions
 ``x_q - x_0 - 2 pi p = 0``, ``y_q - y_0 = 0``), with the residual and its
 exact Jacobian from the one batched kernel
-:func:`~tonguelab.cylmap.remainder_jet`.  They differ only in the pair of
-unknowns:
+:func:`~tonguelab.cylmap.remainder_jet`.  Two pairs of unknowns are used:
 
-* :func:`solve_orbit_fixed_delta` and :func:`solve_orbits_fixed_delta`
-  keep the drift fixed and solve for the initial point ``(x_0, y_0)``.
 * :func:`solve_delta_y` and :func:`continue_in_x` keep the initial angle
   ``x_0`` fixed and solve for ``(delta, y_0)``; the result samples the
   implicit functions ``delta = D(x_0, eps)`` and ``y_0 = Y(x_0, eps)``
   whose range in delta is the Arnold tongue.
+* :func:`solve_orbit_fixed_delta` and :func:`solve_orbits_fixed_delta`
+  keep the drift fixed and solve for the initial point ``(x_0, y_0)``;
+  :func:`tonguelab.tongue.orbits_at` seeds them from the profile's roots.
 
 One damped Newton iteration serves both, on any number of points at
 once: the Jacobian degenerates at the saddle-node on the tongue
@@ -248,6 +248,8 @@ def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolu
                     xs[ramp[alive]], eps * step / splits, m, d[alive], y[alive])
                 iterations[ramp[alive]] = its
                 alive[alive] = conv
+                if not alive.any():
+                    break
             done = ramp[alive]
             delta[done], y0[done] = d[alive], y[alive]
             ramp, splits = ramp[~alive], 2 * splits
@@ -255,47 +257,3 @@ def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolu
             raise ContinuationError(float(xs[ramp[0]]), eps)
     return [ImplicitSolution(float(x), eps, float(d), float(y), True, int(n))
             for x, d, y, n in zip(xs, delta, y0, iterations)]
-
-
-def orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
-    """Distance between two orbits as point sets on the cylinder.
-
-    Minimum over cyclic alignments of the maximum pointwise distance,
-    with x compared modulo 2 pi; a q-periodic orbit re-found from any of
-    its q points therefore has distance ~0 to itself.
-    """
-    if len(a.states) != len(b.states):
-        return math.inf
-    q = len(a.states)
-    best = math.inf
-    two_pi = 2.0 * math.pi
-    for shift in range(q):
-        worst = 0.0
-        for i in range(q):
-            sa = a.states[i]
-            sb = b.states[(i + shift) % q]
-            dx = (sa.x - sb.x) % two_pi
-            dx = min(dx, two_pi - dx)
-            worst = max(worst, dx, abs(sa.y - sb.y))
-        best = min(best, worst)
-    return best
-
-
-def multistart_orbits(m: MapParams, x0_grid: int = 64,
-                      y0_values: tuple[float, ...] = (0.0,),
-                      dedupe_tol: float = 1e-6,
-                      max_iter: int = 50) -> list[PeriodicOrbit]:
-    """Fixed-delta orbit search from a grid of Newton starts, deduplicated.
-
-    Starts that fail, including those on top of the saddle-node where the
-    Newton system is singular, are skipped; everything that converges is
-    kept once per orbit.
-    """
-    starts = [(float(x0), float(y0))
-              for x0 in np.linspace(0.0, 2.0 * math.pi, x0_grid, endpoint=False)
-              for y0 in y0_values]
-    found: list[PeriodicOrbit] = []
-    for orbit in solve_orbits_fixed_delta(starts, m, max_iter):
-        if orbit is not None and all(orbit_distance(orbit, o) >= dedupe_tol for o in found):
-            found.append(orbit)
-    return found

@@ -115,11 +115,6 @@ class EpsSeries:
         return [c.to_dict() for c in self.coeffs]
 
 
-def eval_series(s: EpsSeries, x, eps: float):
-    """Module-level alias for :meth:`EpsSeries.eval`."""
-    return s.eval(x, eps)
-
-
 @dataclass(frozen=True)
 class SeriesSolution:
     """The solved expansions plus the detected leading structure.

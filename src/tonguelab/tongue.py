@@ -1,4 +1,4 @@
-"""Tongue geometry: drift profiles, width measurement, and scaling fits.
+"""Tongue geometry: drift profiles, widths, orbit search, and scaling fits.
 
 The tongue at fixed eps is exactly the range of the drift profile
 ``delta = D(x0, eps)`` over one period: the profile is continuous, so an
@@ -6,17 +6,23 @@ orbit exists at a drift value iff it lies between the profile extrema.
 Measuring the width as ``max - min`` of the profile turns existence
 scanning into extremum finding, which stays well conditioned even when
 the width is exponentially small.
+
+:func:`orbits_at` puts the same fact to use: each point ``x_i`` of a p/q
+orbit at drift ``delta`` is a root of ``D(x_i, eps) = delta``, with
+``y_i = Y(x_i, eps)``, so the orbits are built from the profile's roots.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cylmap import MapParams
-from .orbits import TAU_NEWTON, ContinuationError, continue_in_x, solve_delta_y
-from .trigpoly import range_extrema, reconstruct
+from .orbits import (TAU_NEWTON, ContinuationError, PeriodicOrbit, _solve_implicit,
+                     continue_in_x, solve_orbits_fixed_delta)
+from .trigpoly import TrigPoly, _bisect, _critical_points, _scan, range_extrema, reconstruct
 
 # Samples thinner than this are excluded from scaling fits: their widths
 # sit too close to the Newton residual floor to be trusted.
@@ -26,6 +32,9 @@ MIN_FIT_WIDTH = 1e3 * TAU_NEWTON
 # width: the width is then low by about GAP_RTOL**2 of itself (see width_at).
 GAP_RTOL = 1e-5
 MAX_GRID = 1024  # width_at doubles its grid at most up to this size
+
+_SCAN_FACTOR = 64  # orbits_at scans the profile at this many points per harmonic
+_ROOT_XTOL = 1e-12  # and bisects each root on the profile down to this width
 
 
 class InsufficientDataError(RuntimeError):
@@ -70,8 +79,8 @@ def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     """Measure the tongue cross-section at ``eps``.
 
     Interpolates the :func:`continue_in_x` profile's ``delta`` and ``y0``
-    by trigonometric polynomials of degree ``(grid - 1) // 2`` and runs
-    one :func:`solve_delta_y`, seeded from both, at each extremum of the
+    by trigonometric polynomials of degree ``(grid - 1) // 2`` and solves
+    for ``(delta, y0)``, seeded from both, at each extremum of the
     ``delta`` interpolant; the grid extrema bound the results.  The
     Newton value at the interpolant's argmax is low by about
     ``gap**2 / width``, ``gap`` being the interpolant's miss there, and
@@ -79,28 +88,79 @@ def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     doubles until both gaps are within ``GAP_RTOL * width``, and past
     ``MAX_GRID`` :class:`ContinuationError` is raised.
     """
+    return _resolved_profile(m, eps, grid)[0]
+
+
+def _resolved_profile(m: MapParams, eps: float,
+                      grid: int) -> tuple[TongueSample, TrigPoly, TrigPoly, int]:
+    """The loop of :func:`width_at`: its sample, the ``delta`` and ``y0``
+    interpolants of the profile, and the grid that resolved it."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     if eps == 0.0:
-        return TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), TrigPoly.zero(), TrigPoly.zero(), grid
     while True:
         sols = continue_in_x(eps, m, grid)
         deltas = np.array([s.delta for s in sols])
         d_fit = reconstruct(deltas, (grid - 1) // 2)
         y_fit = reconstruct([s.y0 for s in sols], (grid - 1) // 2)
-        hi, lo = (solve_delta_y(x, eps, m, seed=(d_fit(x), y_fit(x)))
-                  for x in range_extrema(d_fit)[2:])
-        for s in (hi, lo):
-            if not s.converged:
-                raise ContinuationError(s.x0, eps, "extremum solve failed to converge")
-        d_hi, d_lo = max(hi.delta, deltas.max()), min(lo.delta, deltas.min())
-        gap, x_gap = max((abs(d_fit(s.x0) - s.delta), s.x0) for s in (hi, lo))
-        if gap <= GAP_RTOL * (d_hi - d_lo):
-            return TongueSample(eps, d_hi - d_lo, d_hi, d_lo, hi.x0, lo.x0)
+        x_ext = np.array(range_extrema(d_fit)[2:])
+        d_ext = _on_profile(x_ext, eps, m, d_fit, y_fit)[0]
+        d_hi, d_lo = float(max(d_ext[0], deltas.max())), float(min(d_ext[1], deltas.min()))
+        gaps = np.abs(d_fit(x_ext) - d_ext)
+        if gaps.max() <= GAP_RTOL * (d_hi - d_lo):
+            sample = TongueSample(eps, d_hi - d_lo, d_hi, d_lo, *map(float, x_ext))
+            return sample, d_fit, y_fit, grid
         if 2 * grid > MAX_GRID:
-            raise ContinuationError(x_gap, eps, f"profile interpolant misses Newton by "
-                                    f"{gap:.3g} at grid {grid}, width {d_hi - d_lo:.3g}")
+            raise ContinuationError(float(x_ext[gaps.argmax()]), eps,
+                                    f"profile interpolant misses Newton by {gaps.max():.3g} "
+                                    f"at grid {grid}, width {d_hi - d_lo:.3g}")
         grid *= 2
+
+
+def _on_profile(x: np.ndarray, eps: float, m: MapParams, d_fit: TrigPoly,
+                y_fit: TrigPoly) -> tuple[np.ndarray, np.ndarray]:
+    """``D(x, eps)`` and ``Y(x, eps)`` by one batched implicit solve seeded
+    from the interpolants."""
+    delta, y0, ok, _ = _solve_implicit(x, eps, m, d_fit(x), y_fit(x))
+    if not ok.all():
+        raise ContinuationError(float(x[~ok][0]), eps, "profile solve failed to converge")
+    return delta, y0
+
+
+def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSample, int]:
+    """Every p/q orbit at drift ``m.delta`` and strength ``m.eps``, the
+    profile's cross-section (the evidence when there is none), and the grid.
+
+    The profile is resolved as in :func:`width_at`, from at least ``8 * q``
+    points.  Inside its range, each root ``x_i`` of ``D(x_i, eps) = delta``
+    seeds :func:`solve_orbits_fixed_delta` with ``(x_i, Y(x_i, eps))``, and
+    orbits through the same roots are one.  At ``eps = 0`` and
+    ``delta = 0`` each grid point gives one parabolic orbit.
+    """
+    sample, d_fit, y_fit, grid = _resolved_profile(m, m.eps, max(grid, 8 * m.q))
+    if not sample.delta_min <= m.delta <= sample.delta_max:
+        return [], sample, grid
+    if m.eps == 0.0:
+        roots, ys = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False), np.zeros(grid)
+    else:
+        # the critical points join the scan with their Newton values, since
+        # a pair of roots near an extremum can sit inside one scan cell
+        n = _SCAN_FACTOR * (d_fit.capacity + 1)
+        crit = _critical_points(d_fit, n)
+        x = np.concatenate([2.0 * math.pi * np.arange(n) / n, crit])
+        v = np.concatenate([_scan(d_fit, n), _on_profile(crit, m.eps, m, d_fit, y_fit)[0]])
+        order = np.argsort(x, kind="stable")
+        roots = _bisect(lambda z: _on_profile(z, m.eps, m, d_fit, y_fit)[0] - m.delta,
+                        x[order], v[order] - m.delta, _ROOT_XTOL)
+        ys = _on_profile(roots, m.eps, m, d_fit, y_fit)[1]
+    found = solve_orbits_fixed_delta(np.column_stack([roots, ys]), m) if roots.size else []
+    unique: dict[frozenset, PeriodicOrbit] = {}
+    for orbit in filter(None, found):
+        gaps = np.array([[s.x] for s in orbit.states]) - roots  # orbit points x roots
+        nearest = np.argmin(np.abs((gaps + math.pi) % (2.0 * math.pi) - math.pi), axis=1)
+        unique.setdefault(frozenset(nearest.tolist()), orbit)
+    return list(unique.values()), sample, grid
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:
@@ -136,10 +196,3 @@ def fit_exponent(samples, min_width: float = MIN_FIT_WIDTH) -> ScalingFit:
     resid = float(np.max(np.abs(logw - (slope * loge + intercept))))
     return ScalingFit(float(slope), float(intercept), resid,
                       (float(min(s.eps for s in usable)), float(max(s.eps for s in usable))))
-
-
-def saddle_node_locus(m: MapParams, eps: float, grid: int = 64) -> tuple[float, float]:
-    """Drift values where the center-saddle pair merges: the profile
-    extrema, i.e. the tongue edges ``(delta_plus, delta_minus)``."""
-    sample = width_at(m, eps, grid)
-    return sample.delta_max, sample.delta_min

@@ -283,11 +283,6 @@ def product(p: TrigPoly, q: TrigPoly, max_degree: int | None = None) -> TrigPoly
     return TrigPoly._from_arrays(a_out, b_out)
 
 
-def frequency_support(p: TrigPoly, tau: float) -> set[int]:
-    """Frequencies k of ``p`` with ``max(|a_k|, |b_k|) > tau``."""
-    return p.support(tau)
-
-
 def shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:
     """``(1/q) * sum_{k=0}^{q-1} f(x + k mu)``.
 
@@ -312,44 +307,57 @@ def weighted_shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:
     return acc * (1.0 / q)
 
 
-def range_extrema(p: TrigPoly, grid_factor: int = 64,
-                  newton_tol: float = 1e-12) -> tuple[float, float, float, float]:
+def range_extrema(p: TrigPoly, grid_factor: int = 64) -> tuple[float, float, float, float]:
     """Global extrema of ``p`` over one period.
 
-    Returns ``(max, min, argmax, argmin)`` with arguments in ``[0, 2 pi)``.
-    A dense scan with at least ``grid_factor * (degree + 1)`` points
-    brackets every extremum (a degree-d polynomial has at most 2d of
-    them); Newton iteration on ``p' = 0`` then polishes the two winners.
+    Returns ``(max, min, argmax, argmin)`` with arguments in ``[0, 2 pi)``:
+    the largest and smallest value of ``p`` at its critical points, found
+    by :func:`_critical_points` on ``grid_factor * (degree + 1)`` points.
     """
     d = p.degree()
     if d == 0:
         c = float(p._a[0])
         return c, c, 0.0, 0.0
-    n = grid_factor * (d + 1)
-    xs = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    xs = _critical_points(p, grid_factor * (d + 1))
     vals = p.eval(xs)
+    hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
+    return float(vals[hi]), float(vals[lo]), float(xs[hi]), float(xs[lo])
+
+
+def _scan(p: TrigPoly, n: int) -> np.ndarray:
+    """``p`` at the n points ``2 pi j / n`` by one zero-padded inverse FFT,
+    in O(n log n) time and O(n) memory.
+
+    The transform length is the first multiple of n above twice the
+    capacity, so no harmonic aliases; every (length / n)-th value is kept.
+    """
+    spec = 0.5 * (p._a - 1j * p._b)
+    spec[0] = p._a[0]
+    size = n * (1 + 2 * p.capacity // n)
+    return np.fft.irfft(spec, size, norm="forward")[::size // n]
+
+
+def _bisect(fun, x: np.ndarray, v: np.ndarray, xtol: float = 0.0) -> np.ndarray:
+    """Zeros of the periodic ``fun`` in each cell where the signs ``v >= 0``
+    of its samples at ``x`` (ascending in ``[0, 2 pi)``) flip.  All cells
+    are bisected on ``fun`` at once, down to ``xtol`` or to rounding."""
+    above = v >= 0
+    i = np.flatnonzero(above != np.roll(above, -1))
+    lo, lo_above = x[i], above[i]
+    hi = np.where(i + 1 < x.size, x[(i + 1) % x.size], x[0] + 2.0 * math.pi)
+    mid = 0.5 * (lo + hi)
+    while np.any((mid > lo) & (mid < hi) & (hi - lo > xtol)):
+        same = (fun(mid) >= 0) == lo_above
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid % (2.0 * math.pi)
+
+
+def _critical_points(p: TrigPoly, n: int) -> np.ndarray:
+    """Zeros of ``p'``: its sign changes on n equispaced points, bisected
+    to 1e-13, where ``p`` is flat to far below its rounding."""
     dp = p.derivative()
-    ddp = dp.derivative()
-
-    def polish(x0: float) -> float:
-        h = 2.0 * math.pi / n
-        x = x0
-        for _ in range(60):
-            g = dp.eval(x)
-            if abs(g) < newton_tol:
-                break
-            curv = ddp.eval(x)
-            if curv == 0.0:
-                break
-            step = g / curv
-            if abs(step) > h:  # stay inside the bracketing cell
-                step = math.copysign(h, step)
-            x -= step
-        return x % (2.0 * math.pi)
-
-    x_hi = polish(float(xs[int(np.argmax(vals))]))
-    x_lo = polish(float(xs[int(np.argmin(vals))]))
-    return (float(p.eval(x_hi)), float(p.eval(x_lo)), x_hi, x_lo)
+    return _bisect(dp, 2.0 * math.pi * np.arange(n) / n, _scan(dp, n), 1e-13)
 
 
 def reconstruct(samples: Iterable[float], capacity: int) -> TrigPoly:

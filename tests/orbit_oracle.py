@@ -1,0 +1,57 @@
+"""Fixed-drift orbit search from a grid of Newton starts: the tests' oracle.
+
+It never evaluates the drift profile, so it checks
+:func:`tonguelab.tongue.orbits_at`, which builds its orbits from the
+profile's roots, by an independent route.
+"""
+
+import math
+
+import numpy as np
+
+from tonguelab.cylmap import MapParams
+from tonguelab.orbits import PeriodicOrbit, solve_orbits_fixed_delta
+
+
+def orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
+    """Distance between two orbits as point sets on the cylinder.
+
+    Minimum over cyclic alignments of the maximum pointwise distance,
+    with x compared modulo 2 pi; a q-periodic orbit re-found from any of
+    its q points therefore has distance ~0 to itself.
+    """
+    if len(a.states) != len(b.states):
+        return math.inf
+    q = len(a.states)
+    best = math.inf
+    two_pi = 2.0 * math.pi
+    for shift in range(q):
+        worst = 0.0
+        for i in range(q):
+            sa = a.states[i]
+            sb = b.states[(i + shift) % q]
+            dx = (sa.x - sb.x) % two_pi
+            dx = min(dx, two_pi - dx)
+            worst = max(worst, dx, abs(sa.y - sb.y))
+        best = min(best, worst)
+    return best
+
+
+def multistart_orbits(m: MapParams, x0_grid: int = 64,
+                      y0_values: tuple[float, ...] = (0.0,),
+                      dedupe_tol: float = 1e-6,
+                      max_iter: int = 50) -> list[PeriodicOrbit]:
+    """Fixed-delta orbit search from a grid of Newton starts, deduplicated.
+
+    Starts that fail, including those on top of the saddle-node where the
+    Newton system is singular, are skipped; everything that converges is
+    kept once per orbit.
+    """
+    starts = [(float(x0), float(y0))
+              for x0 in np.linspace(0.0, 2.0 * math.pi, x0_grid, endpoint=False)
+              for y0 in y0_values]
+    found: list[PeriodicOrbit] = []
+    for orbit in solve_orbits_fixed_delta(starts, m, max_iter):
+        if orbit is not None and all(orbit_distance(orbit, o) >= dedupe_tol for o in found):
+            found.append(orbit)
+    return found

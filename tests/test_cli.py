@@ -82,6 +82,33 @@ def test_orbit(capsys):
         assert max(abs(o["residual"]["R"]), abs(o["residual"]["S"])) < 1e-12
 
 
+def test_orbit_at_zero_eps(capsys):
+    rc, out = run_json(capsys, ["orbit", "--q", "3", "--p", "1", "--eps", "0"])
+    assert rc == 0
+    assert len(out["orbits"]) == 64
+    assert {o["kind"] for o in out["orbits"]} == {"parabolic"}
+    rc, out = run_json(capsys, ["orbit", "--q", "3", "--p", "1", "--eps", "0",
+                                "--delta", "0.01"])
+    assert rc == 0 and out["orbits"] == []
+
+
+def test_orbit_outside_the_tongue(capsys):
+    rc, out = run_json(capsys, ["orbit", "--q", "3", "--p", "1", "--eps", "0.2",
+                                "--delta", "5e-4"])
+    assert rc == 0
+    assert out["orbits"] == []
+    profile = out["profile"]
+    assert profile["grid"] == 64
+    assert profile["delta_min"] < 0 < profile["delta_max"] < 5e-4
+
+
+def test_orbit_profile_failure_exits_1(capsys):
+    rc = cli.run(["orbit", "--q", "3", "--p", "1", "--f", '{"cos":[0],"sin":[50]}',
+                  "--eps", "3"])
+    assert rc == 1
+    assert "x0=0" in capsys.readouterr().err
+
+
 def test_series(capsys):
     rc, out = run_json(capsys, ["series", "--q", "3", "--p", "1", "--order", "4"])
     assert rc == 0

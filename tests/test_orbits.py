@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from tonguelab import orbits as orbits_module
 from tonguelab.cylmap import MapParams, PhaseState, remainders
 from tonguelab.orbits import (ContinuationError, classify, continue_in_x, monodromy,
-                              multistart_orbits, orbit_distance, solve_delta_y,
-                              solve_orbit_fixed_delta)
+                              solve_delta_y, solve_orbit_fixed_delta)
 from tonguelab.trigpoly import TrigPoly
+
+from orbit_oracle import multistart_orbits, orbit_distance
 
 SIN = TrigPoly.sine()
 
@@ -180,6 +182,22 @@ class TestContinuation:
         # the batched cold-start profile against sequential one-point continuation
         m = MapParams(0.0, 0.0, SIN, 1, 2)
         assert_profiles_match(continue_in_x(0.12, m, 16), sequential_profile(0.12, m, 16))
+
+    def test_failed_ramp_stops(self, monkeypatch):
+        # once every point of an eps ramp has failed, no further ramp step
+        # is solved: no implicit solve receives an empty batch
+        sizes = []
+        solve = orbits_module._solve_implicit
+
+        def counted(x0, *args, **kwargs):
+            sizes.append(np.size(x0))
+            return solve(x0, *args, **kwargs)
+
+        monkeypatch.setattr(orbits_module, "_solve_implicit", counted)
+        m = MapParams(0.0, 0.0, TrigPoly.sine(1, 50.0), 1, 3)
+        with pytest.raises(ContinuationError):
+            continue_in_x(3.0, m, 24)
+        assert sizes and min(sizes) > 0
 
     def test_failure_reports_x0(self):
         # eps far outside any reasonable range: the sweep must name the

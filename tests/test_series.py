@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tonguelab.cylmap import MapParams, PhaseState, remainders
 from tonguelab.orbits import solve_delta_y
-from tonguelab.series import (EpsSeries, LeadingIndexNotFound, eval_series, expand,
+from tonguelab.series import (EpsSeries, LeadingIndexNotFound, expand,
                               predicted_width, verify_first_order, verify_periodicity)
 from tonguelab.trigpoly import TrigPoly, shift_average, weighted_shift_average
 
@@ -31,7 +31,6 @@ class TestEpsSeries:
     def test_eval_single_term(self):
         s = EpsSeries.zero(2).with_coeff(1, TrigPoly.sine(1, -1.0))
         assert s.eval(math.pi / 2, 0.1) == pytest.approx(-0.1, abs=1e-15)
-        assert eval_series(s, math.pi / 2, 0.1) == pytest.approx(-0.1, abs=1e-15)
 
     def test_truncation_consistency(self):
         # |eval at order N - eval at order N-1| = |top coeff| * eps^N

@@ -9,9 +9,11 @@ from tonguelab.cylmap import MapParams, PhaseState
 from tonguelab.orbits import (ContinuationError, continue_in_x, solve_delta_y,
                               solve_orbits_fixed_delta)
 from tonguelab.series import expand, predicted_width
-from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent,
-                              saddle_node_locus, sweep, width_at)
+from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent, orbits_at,
+                              sweep, width_at)
 from tonguelab.trigpoly import TrigPoly, range_extrema
+
+from orbit_oracle import multistart_orbits, orbit_distance
 
 SIN = TrigPoly.sine()
 
@@ -146,6 +148,48 @@ class TestBisectionOracle:
         assert abs(sample.width - (upper - lower)) < tol
 
 
+class TestOrbitsAt:
+    """The orbits from the profile's roots against the multistart oracle,
+    which never evaluates the profile."""
+
+    @pytest.mark.parametrize("q,p,eps,f", [
+        (1, 0, 0.2, SIN), (3, 1, 0.2, SIN), (4, 1, 0.1, SIN), (5, 1, 0.3, SIN),
+        (7, 1, 0.4, SIN), (5, 2, 0.5, TrigPoly.sine(2))],
+        ids=["q1p0", "q3p1", "q4p1", "q5p1", "q7p1", "sin2x-q5p2"])
+    def test_parity_with_the_oracle(self, q, p, eps, f):
+        m = MapParams(eps, 0.0, f, p, q)
+        sample = width_at(m, eps, 64)
+        drifts = {"center": (0.0, True), "inside": ((1 - 1e-4) * sample.delta_max, True),
+                  "upper fold": ((1 - 1e-6) * sample.delta_max, False),
+                  "lower fold": ((1 - 1e-6) * sample.delta_min, False),
+                  "outside": (sample.delta_max + 1e-3 * sample.width, False)}
+        for name, (delta, close) in drifts.items():
+            m_at = replace(m, delta=delta)
+            found, profile, _ = orbits_at(m_at, 64)
+            oracle = multistart_orbits(m_at, 64, (0.0, eps / 2, -eps / 2))
+            assert sorted(o.kind for o in found) == sorted(o.kind for o in oracle), name
+            assert (found != []) == (profile.delta_min <= delta <= profile.delta_max), name
+            for orbit in found:
+                assert max(abs(orbit.residual.R), abs(orbit.residual.S)) < 1e-10, name
+                if close:
+                    assert min(orbit_distance(orbit, o) for o in oracle) < 1e-8, name
+
+    def test_grid_raised_to_eight_q(self):
+        m = MapParams(0.2, 0.0, SIN, 1, 3)
+        found, _, grid = orbits_at(m, 8)
+        assert grid == 24
+        assert sorted(o.kind for o in found) == ["center", "saddle"]
+
+    def test_zero_eps(self):
+        # a rotation: every grid point lies on a parabolic orbit at delta 0,
+        # and an orbit through several grid points is one orbit
+        for q, p, grid, count in ((3, 1, 64, 64), (3, 1, 48, 16), (2, 1, 64, 32)):
+            found, _, used = orbits_at(MapParams(0.0, 0.0, SIN, p, q), grid)
+            assert used == grid and len(found) == count
+            assert {o.kind for o in found} == {"parabolic"}
+        assert orbits_at(MapParams(0.0, 0.01, SIN, 1, 3), 48)[0] == []
+
+
 class TestSweepAndFit:
     def test_empty_sweep(self):
         m = MapParams(0.0, 0.0, SIN, 1, 2)
@@ -233,15 +277,14 @@ class TestSignSymmetry:
 class TestSaddleNode:
     def test_one_step_locus(self):
         m = MapParams(0.0, 0.0, SIN, 0, 1)
-        plus, minus = saddle_node_locus(m, 0.2, 16)
+        sample = width_at(m, 0.2, 16)
+        plus, minus = sample.delta_max, sample.delta_min
         assert plus == pytest.approx(0.2, rel=1e-9)
         assert minus == pytest.approx(-0.2, rel=1e-9)
 
     def test_pair_exists_inside_none_outside(self):
-        from tonguelab.orbits import multistart_orbits
-
         m = MapParams(0.2, 0.0, SIN, 1, 3)
-        plus, _ = saddle_node_locus(m, 0.2, 48)
+        plus = width_at(m, 0.2, 48).delta_max
         inside = multistart_orbits(replace(m, delta=plus - 1e-6), x0_grid=48,
                                    y0_values=(0.0, 0.1, -0.1))
         kinds = sorted(o.kind for o in inside)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tonguelab.trigpoly import (CapacityError, TrigPoly, frequency_support, product,
+from tonguelab.trigpoly import (CapacityError, TrigPoly, _scan, product,
                                 range_extrema, reconstruct, shift_average,
                                 weighted_shift_average)
 
@@ -202,13 +204,35 @@ class TestRangeExtrema:
         assert abs(p.derivative().eval(xlo)) < 1e-12
 
 
+class TestScan:
+    """The inverse-FFT scan against direct evaluation on the same points."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=257),
+           n=st.integers(1, 600))
+    def test_matches_eval(self, coeffs, n):
+        d = (len(coeffs) - 1) // 2
+        p = TrigPoly(coeffs[:d + 1], coeffs[d + 1:2 * d + 1])
+        xs = 2 * math.pi * np.arange(n) / n
+        scale = 1.0 + np.abs(p.cos_coeffs).sum() + np.abs(p.sin_coeffs).sum()
+        assert np.max(np.abs(_scan(p, n) - p.eval(xs))) <= 1e-12 * scale
+
+    def test_degree_127_on_the_extremum_grid(self):
+        rng = np.random.default_rng(5)
+        p = random_poly(rng, 127)
+        n = 64 * 128
+        xs = 2 * math.pi * np.arange(n) / n
+        scale = 1.0 + np.abs(p.cos_coeffs).sum() + np.abs(p.sin_coeffs).sum()
+        assert np.max(np.abs(_scan(p, n) - p.eval(xs))) <= 1e-12 * scale
+
+
 class TestFrequencySupport:
     def test_sine(self):
-        assert frequency_support(TrigPoly.sine(), 1e-12) == {1}
+        assert TrigPoly.sine().support(1e-12) == {1}
 
     def test_product_support(self):
         sq = product(TrigPoly.sine(), TrigPoly.sine())
-        assert frequency_support(sq, 1e-12) == {0, 2}
+        assert sq.support(1e-12) == {0, 2}
 
     def test_series_leading_coefficient_support(self):
         # leading x-dependent drift coefficient for f = sin, q = 3, p = 1
@@ -218,7 +242,7 @@ class TestFrequencySupport:
 
         sol = expand(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 3), 3)
         dr = sol.delta.coeff(sol.r)
-        support = frequency_support(dr, 1e-10 * (1.0 + dr.coeff_norm()))
+        support = dr.support(1e-10 * (1.0 + dr.coeff_norm()))
         assert support
         assert all(k % 3 == 0 for k in support)
 
