@@ -27,10 +27,9 @@ import numpy as np
 
 from . import __version__
 from .cylmap import MapParams, PhaseState
-from .orbits import ContinuationError, SingularJacobianError, continue_in_x
+from .orbits import ContinuationError, continue_in_x
 from .series import LeadingIndexNotFound, expand, verify_first_order, verify_periodicity
-from .sgchain import (BlowUpError, ChainParams, ChainState, InvalidBracketError,
-                      classify_attractor, critical_torque, default_dt, integrate,
+from .sgchain import (ChainParams, classify_attractor, critical_torque, default_dt, integrate,
                       twist_state)
 from .svgfig import emit_svg
 from .tongue import (InsufficientDataError, ScalingFit, TongueSample, fit_exponent,
@@ -105,9 +104,12 @@ class RunConfig:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [float(tok) for tok in str(text).split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad number list {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty number list {text!r}")
+    return values
 
 
 def read_config_file(path: str) -> dict:
@@ -305,13 +307,17 @@ def _run_fit(cfg: RunConfig, t0: float) -> int:
         raise UsageError("fit requires --input CSV (eps,width,... rows)")
     samples = []
     with open(cfg.input, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#") or line.startswith("eps"):
                 continue
-            parts = line.split(",")
-            samples.append(TongueSample(float(parts[0]), float(parts[1]),
-                                        *(float(v) for v in parts[2:6])))
+            # fit_exponent reads only eps and width, the first two columns
+            try:
+                eps, width = (float(v) for v in line.split(",")[:2])
+            except ValueError:
+                raise UsageError(f"{cfg.input}:{lineno}: expected eps,width,... numbers, "
+                                 f"got {line!r}") from None
+            samples.append(TongueSample(eps, width, *[math.nan] * 4))
     fit = fit_exponent(samples)
     expected_r = None
     try:
@@ -392,9 +398,7 @@ def run(argv: list[str] | None = None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"tonguelab: usage error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except (ContinuationError, SingularJacobianError, LeadingIndexNotFound,
-            InsufficientDataError, BlowUpError, InvalidBracketError,
-            RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"tonguelab: numerical failure: {exc}", file=sys.stderr)
         return _NUMERIC_ERROR
     except OSError as exc:

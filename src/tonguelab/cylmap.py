@@ -10,7 +10,10 @@ the rotation number ``mu = 2 pi p / q``:
 the winding ``2 pi p`` in the periodicity condition ``x_q = x_0 + 2 pi p``
 stays explicit.  The q-step remainders (R, S) measure the deviation of the
 q-th iterate from the pure rotation; their common zero is a p/q periodic
-orbit.  All functions here are pure.
+orbit.  :func:`remainder_jet` evaluates them for a batch of starts together
+with their exact Jacobian, whose block in ``(x0, y0)`` is the monodromy
+minus the identity; :func:`step` and :func:`iterate` give the points of an
+orbit one at a time.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -57,9 +60,6 @@ class MapParams:
         """Kick ``g(x) = -delta - eps * f(x)``."""
         return -self.delta - self.eps * self.f.eval(x)
 
-    def g_prime(self, x: float) -> float:
-        return -self.eps * self.f.derivative().eval(x)
-
     def coprime(self) -> bool:
         return math.gcd(self.p, self.q) == 1
 
@@ -90,15 +90,6 @@ def step(s: PhaseState, m: MapParams) -> PhaseState:
     return PhaseState(s.x + s.y + m.mu + g, s.y + g)
 
 
-def tangent_step(s: PhaseState, m: MapParams) -> np.ndarray:
-    """Jacobian of :func:`step` at ``s``:
-
-    ``[[1 + g'(x), 1], [g'(x), 1]]`` with determinant 1 (area preservation).
-    """
-    gp = m.g_prime(s.x)
-    return np.array([[1.0 + gp, 1.0], [gp, 1.0]])
-
-
 def iterate(s0: PhaseState, m: MapParams, n: int) -> list[PhaseState]:
     """States ``[s0, step(s0), ..., step^n(s0)]`` (length n + 1)."""
     if n < 0:
@@ -114,6 +105,11 @@ def iterate(s0: PhaseState, m: MapParams, n: int) -> list[PhaseState]:
 def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The remainders of a batch of starts and their exact Jacobian.
 
+    The n-step remainders are accumulated along the orbit,
+
+    ``R = n*y0 + sum_{k<n} (n-k) g(x_k)``,  ``S = sum_{k<n} g(x_k)``,
+
+    equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.
     ``x0``, ``y0`` and ``delta`` broadcast to one batch shape ``b`` (the
     drift comes from ``delta``, not ``m.delta``).  All starts go through
     the n map steps together, and the derivatives with respect to
@@ -138,16 +134,3 @@ def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, np.n
         dx, dy = dx + dy + dg, dy + dg
     return np.stack([r, ssum]), np.stack([dr, dssum])
 
-
-def remainders(s0: PhaseState, m: MapParams, n: int) -> RemainderPair:
-    """The pair ``(R, S)`` of the n-th iterate, accumulated along the orbit:
-
-    ``R = n*y0 + sum_{k<n} (n-k) g(x_k)``,  ``S = sum_{k<n} g(x_k)``.
-
-    Equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.  The sum
-    is the one-point case of :func:`remainder_jet`.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    res, _ = remainder_jet(s0.x, s0.y, m.delta, m, n)
-    return RemainderPair(float(res[0]), float(res[1]))

@@ -16,7 +16,10 @@ exact Jacobian from the one batched kernel
 
 One damped Newton iteration serves both, on any number of points at
 once: the Jacobian degenerates at the saddle-node on the tongue
-boundary, where a plain Newton step overshoots.
+boundary, where a plain Newton step overshoots.  A fixed-delta orbit is
+read off that iteration's final jet: its residual is the last ``(R, S)``,
+and its stability kind comes from the trace of the monodromy, which is
+the identity plus the jet's ``(x0, y0)`` block.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cylmap import MapParams, PhaseState, RemainderPair, iterate, remainder_jet, remainders
+from .cylmap import MapParams, PhaseState, RemainderPair, iterate, remainder_jet
 
 # Residual threshold below which an orbit counts as converged.
 TAU_NEWTON = 1e-12
@@ -74,7 +77,9 @@ class ImplicitSolution:
 
 
 def monodromy(states, m: MapParams) -> np.ndarray:
-    """Product of tangent maps along the q orbit states (last factor first)."""
+    """Product of the tangent maps ``[[1 + g', 1], [g', 1]]`` along the orbit
+    states (last factor first): the tests' reference for the monodromy that
+    the solvers read off :func:`~tonguelab.cylmap.remainder_jet`."""
     fp = m.f.derivative()
     mat = np.eye(2)
     for s in states:
@@ -83,13 +88,12 @@ def monodromy(states, m: MapParams) -> np.ndarray:
     return mat
 
 
-def classify(orbit: PeriodicOrbit) -> str:
+def _kind(trace: float) -> str:
     """Stability from the monodromy trace t: center (|t| < 2), saddle
     (|t| > 2), parabolic inside the ``TAU_CLS`` band around |t| = 2."""
-    t = float(np.trace(monodromy(orbit.states, orbit.params)))
-    if abs(t) < 2.0 - TAU_CLS:
+    if abs(trace) < 2.0 - TAU_CLS:
         return "center"
-    if abs(t) > 2.0 + TAU_CLS:
+    if abs(trace) > 2.0 + TAU_CLS:
         return "saddle"
     return "parabolic"
 
@@ -106,7 +110,7 @@ _MAX_RAMP_SPLITS = 64
 
 
 def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
-            max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+            max_iter: int) -> tuple[np.ndarray, ...]:
     """Damped Newton on ``(R, S) = 0`` for a batch of points.
 
     ``u`` has shape ``(3, n)`` and holds ``(x0, y0, delta)`` per point; the
@@ -115,8 +119,9 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
     converged once ``|res| < TAU_NEWTON``, stops when the Newton
     determinant is below ``TAU_SINGULAR``, and takes a step only when the
     residual drops, halving it at most ``_MAX_DAMPING_HALVINGS`` times; a
-    non-finite residual fails it.  Returns each point's status and the
-    number of Newton steps it took.
+    non-finite residual fails it.  Returns each point's status, the
+    number of Newton steps it took, and the remainders and their Jacobian
+    (as from :func:`~tonguelab.cylmap.remainder_jet`) at its final point.
     """
     i, j = unknowns
     res, jac = remainder_jet(u[0], u[1], u[2], m, m.q)
@@ -156,7 +161,7 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
         status[todo], iterations[todo] = _FAILED, it
     active = status == _ACTIVE
     status[active] = np.where(norm[active] < TAU_NEWTON, _CONVERGED, _FAILED)
-    return status, iterations
+    return status, iterations, res, jac
 
 
 def solve_orbits_fixed_delta(starts, m: MapParams,
@@ -167,11 +172,11 @@ def solve_orbits_fixed_delta(starts, m: MapParams,
     Returns one entry per start: ``None`` when the start does not converge
     within ``max_iter``, diverges, or meets a singular Newton system, and
     otherwise the orbit that :func:`solve_orbit_fixed_delta` confirms and
-    builds from the converged point (normally without a further step).
+    builds from the converged point (normally one jet evaluation, no step).
     """
     pts = np.asarray(starts, dtype=float).reshape(-1, 2)
     u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta)])
-    status, _ = _newton(u, m, _FIXED_DELTA, max_iter)
+    status = _newton(u, m, _FIXED_DELTA, max_iter)[0]
     return [solve_orbit_fixed_delta(PhaseState(float(x0), float(y0)), m, max_iter)
             if st == _CONVERGED else None
             for x0, y0, st in zip(u[0], u[1], status)]
@@ -184,18 +189,20 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     Returns the converged orbit, or ``None`` when the iteration does not
     converge within ``max_iter`` or diverges.  Raises
     :class:`SingularJacobianError` when the Newton system degenerates,
-    which signals proximity to the saddle-node at the tongue edge.
+    which signals proximity to the saddle-node at the tongue edge.  The
+    orbit's residual and kind come from the Newton's final jet, its
+    states from :func:`~tonguelab.cylmap.iterate`.
     """
     u = np.array([[guess.x], [guess.y], [m.delta]])
-    status, _ = _newton(u, m, _FIXED_DELTA, max_iter)
+    status, _, res, jac = _newton(u, m, _FIXED_DELTA, max_iter)
     if status[0] == _SINGULAR:
         raise SingularJacobianError(
             f"periodicity Jacobian determinant below {TAU_SINGULAR:g}")
     if status[0] != _CONVERGED:
         return None
     states = tuple(iterate(PhaseState(float(u[0, 0]), float(u[1, 0])), m, m.q)[:-1])
-    orbit = PeriodicOrbit(states, m, remainders(states[0], m, m.q), "")
-    return replace(orbit, kind=classify(orbit))
+    return PeriodicOrbit(states, m, RemainderPair(float(res[0, 0]), float(res[1, 0])),
+                         _kind(2.0 + float(jac[0, 0, 0] + jac[1, 1, 0])))
 
 
 def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
@@ -203,7 +210,7 @@ def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
     """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the arrays
     ``(delta, y0, converged, iterations)``."""
     u = np.array(np.broadcast_arrays(x0, y0, delta), dtype=float)
-    status, iterations = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
+    status, iterations, _, _ = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
     return u[2], u[1], status == _CONVERGED, iterations
 
 

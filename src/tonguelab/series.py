@@ -61,28 +61,12 @@ class EpsSeries:
         if not self.coeffs:
             raise ValueError("a series needs at least the constant term")
 
-    @classmethod
-    def zero(cls, order: int) -> "EpsSeries":
-        z = TrigPoly.zero()
-        return cls([z] * (order + 1))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
 
     def coeff(self, n: int) -> TrigPoly:
         return self.coeffs[n]
-
-    def truncated(self, order: int) -> "EpsSeries":
-        if order >= self.order:
-            z = TrigPoly.zero()
-            return EpsSeries(self.coeffs + (z,) * (order - self.order))
-        return EpsSeries(self.coeffs[:order + 1])
-
-    def with_coeff(self, n: int, poly: TrigPoly) -> "EpsSeries":
-        c = list(self.coeffs)
-        c[n] = poly
-        return EpsSeries(c)
 
     def mul(self, other: "EpsSeries", max_degree: int | None = None) -> "EpsSeries":
         n = min(self.order, other.order)

@@ -36,6 +36,8 @@ TAU_WAVE = 1e-4
 DEFAULT_HORIZON = 1e5
 # Positions beyond this magnitude abort the run as a blow-up.
 BLOWUP_LIMIT = 1e8
+# A torque probe has depinned once a site moves this far from its start.
+_ESCAPE = 0.5
 
 
 class BlowUpError(RuntimeError):
@@ -251,8 +253,12 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     ``x_k(t) = x_{k+-1}(t + T/q)`` holds to ``TAU_WAVE``.  Otherwise
     undecided at the horizon.
     """
-    if dt is None:
-        dt = default_dt(c)
+    return _classify_attractor(s0, c, horizon, default_dt(c) if dt is None else dt)[0]
+
+
+def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
+                        dt: float) -> tuple[AttractorReport, ChainState]:
+    """:func:`classify_attractor` together with the state its run ended in."""
     state = s0
     elapsed = 0.0
     window = 50.0
@@ -267,7 +273,7 @@ def classify_attractor(s0: ChainState, c: ChainParams,
         elapsed += window
 
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return AttractorReport("equilibrium", 0.0, None, None)
+            return AttractorReport("equilibrium", 0.0, None, None), state
 
         # full-turn crossings of site 0
         adv = np.floor((traj.pos[:, 0] - ref) / turns).astype(int)
@@ -285,11 +291,11 @@ def classify_attractor(s0: ChainState, c: ChainParams,
                 sign = 1.0 if state.pos[0] >= ref else -1.0
                 report = _try_wave(state, c, dt, t_b, sign)
                 if report is not None:
-                    return report
+                    return report, state
                 crossings = crossings[-1:]
         window = min(window * 2.0, 3200.0)
     omega = (float(state.pos[0]) - ref) / max(elapsed, dt)
-    return AttractorReport("undecided", omega, None, None)
+    return AttractorReport("undecided", omega, None, None), state
 
 
 def _try_wave(state: ChainState, c: ChainParams, dt: float,
@@ -325,18 +331,17 @@ class InvalidBracketError(RuntimeError):
 
 
 def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
-                       dt: float, escape: float = 0.5) -> tuple[str, ChainState]:
+                       dt: float) -> tuple[str, ChainState]:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
     "equilibrium" when all velocities drop below ``TAU_EQ`` over a
-    window; "depinned" when any site travels more than ``escape`` (half
+    window; "depinned" when any site travels more than ``_ESCAPE`` (half
     a radian) from its start.  Warm-started from a settled pinned shape,
     the pinned-side transient stays well below that, while one slip
     event moves a site by a full site spacing; so the test decides after
     a single bottleneck passage instead of waiting out a whole wave
-    period, which diverges at the depinning threshold.  With
-    ``escape = math.inf`` it only waits for the run to settle.  Returns
-    the outcome together with the final state.
+    period, which diverges at the depinning threshold.  Returns the
+    outcome together with the final state.
     """
     ref = s0.pos.copy()
     state = s0
@@ -349,7 +354,7 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
         elapsed += window
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
             return "equilibrium", state
-        if float(np.max(np.abs(state.pos - ref))) > escape:
+        if float(np.max(np.abs(state.pos - ref))) > _ESCAPE:
             return "depinned", state
         window = min(window * 2.0, 4000.0)
     return "undecided", state
@@ -367,22 +372,17 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     there would turn each probe into an hours-long run, while escape by a
     full turn decides "no equilibrium" just as rigorously given the
     attractor dichotomy.  Each probe restarts from the last settled
-    equilibrium so the continuation follows the pinned branch.
+    equilibrium so the continuation follows the pinned branch; the first
+    is the state the classification at ``bracket[0]`` settled in.
     """
     lo, hi = bracket
     if not lo < hi:
         raise InvalidBracketError(lo, hi, "bracket must satisfy lo < hi")
     dt = default_dt(c)
-    state = twist_state(c)
-    rep_lo = classify_attractor(state, replace(c, delta=lo), horizon=horizon)
+    rep_lo, settled = _classify_attractor(twist_state(c), replace(c, delta=lo), horizon, dt)
     if rep_lo.kind != "equilibrium":
         raise InvalidBracketError(lo, hi, f"no equilibrium at delta={lo:g} "
                                           f"(got {rep_lo.kind})")
-    # settle fully onto the pinned branch before continuing in delta
-    outcome, settled = _settles_or_depins(state, replace(c, delta=lo), horizon, dt,
-                                          escape=math.inf)
-    if outcome != "equilibrium":
-        raise InvalidBracketError(lo, hi, f"could not settle at delta={lo:g}")
     eq_state = ChainState(0.0, settled.pos, np.zeros(c.q))
     rep_hi = classify_attractor(eq_state, replace(c, delta=hi), horizon=horizon)
     if rep_hi.kind != "traveling_wave":

@@ -22,7 +22,7 @@ import numpy as np
 from .cylmap import MapParams
 from .orbits import (TAU_NEWTON, ContinuationError, PeriodicOrbit, _solve_implicit,
                      continue_in_x, solve_orbits_fixed_delta)
-from .trigpoly import TrigPoly, _bisect, _critical_points, _scan, range_extrema, reconstruct
+from .trigpoly import _SCAN_DENSITY, TrigPoly, _bisect, _critical_points, _scan, reconstruct
 
 # Samples thinner than this are excluded from scaling fits: their widths
 # sit too close to the Newton residual floor to be trusted.
@@ -33,8 +33,7 @@ MIN_FIT_WIDTH = 1e3 * TAU_NEWTON
 GAP_RTOL = 1e-5
 MAX_GRID = 1024  # width_at doubles its grid at most up to this size
 
-_SCAN_FACTOR = 64  # orbits_at scans the profile at this many points per harmonic
-_ROOT_XTOL = 1e-12  # and bisects each root on the profile down to this width
+_ROOT_XTOL = 1e-12  # orbits_at bisects each root on the profile down to this width
 
 
 class InsufficientDataError(RuntimeError):
@@ -80,37 +79,46 @@ def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
 
     Interpolates the :func:`continue_in_x` profile's ``delta`` and ``y0``
     by trigonometric polynomials of degree ``(grid - 1) // 2`` and solves
-    for ``(delta, y0)``, seeded from both, at each extremum of the
-    ``delta`` interpolant; the grid extrema bound the results.  The
+    for ``(delta, y0)``, seeded from both, at every critical point of the
+    ``delta`` interpolant in one batch; the largest and smallest of these
+    Newton values, bounded by the grid extrema, are the edges.  The
     Newton value at the interpolant's argmax is low by about
     ``gap**2 / width``, ``gap`` being the interpolant's miss there, and
     an aliasing profile misses by far more than a resolved one: the grid
-    doubles until both gaps are within ``GAP_RTOL * width``, and past
-    ``MAX_GRID`` :class:`ContinuationError` is raised.
+    doubles until the gaps at both edges are within ``GAP_RTOL * width``,
+    and past ``MAX_GRID`` :class:`ContinuationError` is raised.
     """
     return _resolved_profile(m, eps, grid)[0]
 
 
-def _resolved_profile(m: MapParams, eps: float,
-                      grid: int) -> tuple[TongueSample, TrigPoly, TrigPoly, int]:
+def _resolved_profile(m: MapParams, eps: float, grid: int
+                      ) -> tuple[TongueSample, TrigPoly, TrigPoly, np.ndarray, np.ndarray, int]:
     """The loop of :func:`width_at`: its sample, the ``delta`` and ``y0``
-    interpolants of the profile, and the grid that resolved it."""
+    interpolants of the profile, the critical points of the ``delta``
+    interpolant with the profile's Newton ``delta`` there, and the grid
+    that resolved it."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     if eps == 0.0:
-        return TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), TrigPoly.zero(), TrigPoly.zero(), grid
+        none = np.zeros(0)
+        return (TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), TrigPoly.zero(), TrigPoly.zero(),
+                none, none, grid)
     while True:
         sols = continue_in_x(eps, m, grid)
         deltas = np.array([s.delta for s in sols])
         d_fit = reconstruct(deltas, (grid - 1) // 2)
         y_fit = reconstruct([s.y0 for s in sols], (grid - 1) // 2)
-        x_ext = np.array(range_extrema(d_fit)[2:])
-        d_ext = _on_profile(x_ext, eps, m, d_fit, y_fit)[0]
+        crit = _critical_points(d_fit, _SCAN_DENSITY * (d_fit.capacity + 1))
+        if not crit.size:  # a flat interpolant: 0 stands for its critical points
+            crit = np.zeros(1)
+        d_crit = _on_profile(crit, eps, m, d_fit, y_fit)[0]
+        ext = [d_crit.argmax(), d_crit.argmin()]
+        x_ext, d_ext = crit[ext], d_crit[ext]
         d_hi, d_lo = float(max(d_ext[0], deltas.max())), float(min(d_ext[1], deltas.min()))
         gaps = np.abs(d_fit(x_ext) - d_ext)
         if gaps.max() <= GAP_RTOL * (d_hi - d_lo):
             sample = TongueSample(eps, d_hi - d_lo, d_hi, d_lo, *map(float, x_ext))
-            return sample, d_fit, y_fit, grid
+            return sample, d_fit, y_fit, crit, d_crit, grid
         if 2 * grid > MAX_GRID:
             raise ContinuationError(float(x_ext[gaps.argmax()]), eps,
                                     f"profile interpolant misses Newton by {gaps.max():.3g} "
@@ -138,7 +146,7 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
     orbits through the same roots are one.  At ``eps = 0`` and
     ``delta = 0`` each grid point gives one parabolic orbit.
     """
-    sample, d_fit, y_fit, grid = _resolved_profile(m, m.eps, max(grid, 8 * m.q))
+    sample, d_fit, y_fit, crit, d_crit, grid = _resolved_profile(m, m.eps, max(grid, 8 * m.q))
     if not sample.delta_min <= m.delta <= sample.delta_max:
         return [], sample, grid
     if m.eps == 0.0:
@@ -146,10 +154,9 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
     else:
         # the critical points join the scan with their Newton values, since
         # a pair of roots near an extremum can sit inside one scan cell
-        n = _SCAN_FACTOR * (d_fit.capacity + 1)
-        crit = _critical_points(d_fit, n)
+        n = _SCAN_DENSITY * (d_fit.capacity + 1)
         x = np.concatenate([2.0 * math.pi * np.arange(n) / n, crit])
-        v = np.concatenate([_scan(d_fit, n), _on_profile(crit, m.eps, m, d_fit, y_fit)[0]])
+        v = np.concatenate([_scan(d_fit, n), d_crit])
         order = np.argsort(x, kind="stable")
         roots = _bisect(lambda z: _on_profile(z, m.eps, m, d_fit, y_fit)[0] - m.delta,
                         x[order], v[order] - m.delta, _ROOT_XTOL)

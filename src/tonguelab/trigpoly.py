@@ -32,6 +32,10 @@ TAU_DEG = 1e-12
 # than was budgeted, and is an error rather than a silent truncation.
 DEFAULT_MAX_DEGREE = 4096
 
+# Critical points and roots are bracketed on a scan of this many points per
+# harmonic of the polynomial.
+_SCAN_DENSITY = 64
+
 
 class CapacityError(RuntimeError):
     """A product would exceed the configured maximum degree."""
@@ -307,18 +311,18 @@ def weighted_shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:
     return acc * (1.0 / q)
 
 
-def range_extrema(p: TrigPoly, grid_factor: int = 64) -> tuple[float, float, float, float]:
+def range_extrema(p: TrigPoly) -> tuple[float, float, float, float]:
     """Global extrema of ``p`` over one period.
 
     Returns ``(max, min, argmax, argmin)`` with arguments in ``[0, 2 pi)``:
     the largest and smallest value of ``p`` at its critical points, found
-    by :func:`_critical_points` on ``grid_factor * (degree + 1)`` points.
+    by :func:`_critical_points` on ``_SCAN_DENSITY * (degree + 1)`` points.
     """
     d = p.degree()
     if d == 0:
         c = float(p._a[0])
         return c, c, 0.0, 0.0
-    xs = _critical_points(p, grid_factor * (d + 1))
+    xs = _critical_points(p, _SCAN_DENSITY * (d + 1))
     vals = p.eval(xs)
     hi, lo = int(np.argmax(vals)), int(np.argmin(vals))
     return float(vals[hi]), float(vals[lo]), float(xs[hi]), float(xs[lo])

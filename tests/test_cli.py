@@ -137,6 +137,24 @@ def test_fit_without_input_is_usage_error(capsys):
     assert "--input" in capsys.readouterr().err
 
 
+def test_fit_needs_eps_and_width_per_row(tmp_path, capsys):
+    widths = tmp_path / "widths.csv"
+    rows = [f"{e},{1e-3 * e ** 2}" for e in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    widths.write_text("\n".join(rows) + "\n")
+    rc, out = run_json(capsys, ["fit", "--q", "2", "--p", "1", "--input", str(widths)])
+    assert rc == 0 and out["exponent"] == pytest.approx(2.0)
+    widths.write_text("\n".join(rows + ["0.6"]) + "\n")
+    assert cli.run(["fit", "--q", "2", "--p", "1", "--input", str(widths)]) == 2
+    assert f"{widths}:6: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["orbit", "profile", "chain"])
+@pytest.mark.parametrize("eps", ["", ","])
+def test_empty_eps_is_usage_error(capsys, cmd, eps):
+    assert cli.run([cmd, "--q", "3", "--p", "1", "--eps", eps]) == 2
+    assert "empty number list" in capsys.readouterr().err
+
+
 def test_chain_classification(capsys):
     rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
                                 "--delta", "0.005"])

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tonguelab.cylmap import (MapParams, PhaseState, iterate, remainder_jet, remainders, step,
-                              tangent_step)
-from tonguelab.orbits import monodromy, solve_delta_y, solve_orbit_fixed_delta
+from tonguelab.cylmap import MapParams, PhaseState, iterate, remainder_jet, step
+from tonguelab.orbits import TAU_CLS, monodromy, solve_delta_y, solve_orbit_fixed_delta
 from tonguelab.trigpoly import TrigPoly
 
 SIN = TrigPoly.sine()
@@ -42,6 +41,19 @@ def direct_remainders(s0, m, n):
     return states[-1].x - s0.x - n * m.mu, states[-1].y - s0.y
 
 
+def one_point(s0, m, n):
+    """``(R, S)`` of one start at the map's own drift."""
+    res, _ = remainder_jet(s0.x, s0.y, m.delta, m, n)
+    return float(res[0]), float(res[1])
+
+
+def state_block(x0, y0, m, n):
+    """``I + d(R, S)/d(x0, y0)``: the tangent map of n steps, batched over
+    the starts."""
+    _, jac = remainder_jet(x0, y0, m.delta, m, n)
+    return np.eye(2).reshape((2, 2) + (1,) * (jac.ndim - 2)) + jac[:, :2]
+
+
 class TestStep:
     def test_pure_rotation(self):
         m = MapParams(0.0, 0.0, SIN, 1, 2)  # mu = pi
@@ -65,21 +77,29 @@ class TestStep:
 
 
 class TestTangent:
+    """The one-step tangent map ``[[1 + g'(x), 1], [g'(x), 1]]`` is the n=1
+    state block of the remainder jet."""
+
     def test_unperturbed_shear(self):
         m = MapParams(0.0, 0.3, SIN, 1, 2)
-        j = tangent_step(PhaseState(0.7, 0.1), m)
+        j = state_block(0.7, 0.1, m, 1)
         assert np.allclose(j, [[1.0, 1.0], [0.0, 1.0]])
 
     def test_area_preservation_random(self):
+        # det = 1 for any number of steps; past one step the entries carry
+        # the rounding of the steps before, so the bound scales with the
+        # size of the determinant's two terms
         rng = np.random.default_rng(5)
-        for _ in range(10 ** 4):
+        for _ in range(10 ** 3):
             m = random_params(rng)
-            s = PhaseState(float(rng.uniform(-10, 10)), float(rng.uniform(-2, 2)))
-            assert abs(np.linalg.det(tangent_step(s, m)) - 1.0) < 1e-14
+            n = int(rng.integers(1, 9))
+            (a, b), (c, d) = state_block(rng.uniform(-10, 10, 10), rng.uniform(-2, 2, 10), m, n)
+            bound = 1e-14 if n == 1 else 1e-13 * (np.abs(a * d) + np.abs(b * c))
+            assert np.all(np.abs(a * d - b * c - 1.0) < bound)
 
     def test_explicit_entries(self):
         m = MapParams(0.1, 0.0, SIN, 0, 1)
-        j = tangent_step(PhaseState(0.0, 0.0), m)
+        j = state_block(0.0, 0.0, m, 1)
         assert np.allclose(j, [[0.9, 1.0], [-0.1, 1.0]], atol=1e-15)
 
 
@@ -112,24 +132,24 @@ class TestIterate:
 class TestRemainders:
     def test_unperturbed(self):
         m = MapParams(0.0, 0.0, SIN, 1, 4)
-        pair = remainders(PhaseState(0.3, 0.25), m, 5)
-        assert pair.R == pytest.approx(5 * 0.25, abs=1e-14)
-        assert pair.S == 0.0
+        r, s = one_point(PhaseState(0.3, 0.25), m, 5)
+        assert r == pytest.approx(5 * 0.25, abs=1e-14)
+        assert s == 0.0
 
     def test_fixed_point_zero(self):
         m = MapParams(0.1, 0.0, SIN, 0, 1)
-        pair = remainders(PhaseState(math.pi, 0.0), m, 1)
-        assert abs(pair.R) < 1e-15
-        assert abs(pair.S) < 1e-15
+        r, s = one_point(PhaseState(math.pi, 0.0), m, 1)
+        assert abs(r) < 1e-15
+        assert abs(s) < 1e-15
 
     def test_formula_equals_definition(self):
         rng = np.random.default_rng(7)
         m = random_params(rng)
         s0 = PhaseState(1.0, 0.3)
-        pair = remainders(s0, m, m.q)
+        r, s = one_point(s0, m, m.q)
         r_direct, s_direct = direct_remainders(s0, m, m.q)
-        assert pair.R == pytest.approx(r_direct, abs=1e-12)
-        assert pair.S == pytest.approx(s_direct, abs=1e-12)
+        assert r == pytest.approx(r_direct, abs=1e-12)
+        assert s == pytest.approx(s_direct, abs=1e-12)
 
     def test_identity_many_random(self):
         # formula vs direct definition, relative agreement with floor 1
@@ -139,10 +159,10 @@ class TestRemainders:
             m = random_params(rng)
             n = int(rng.integers(1, 9))
             s0 = PhaseState(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-1, 1)))
-            pair = remainders(s0, m, n)
+            r, s = one_point(s0, m, n)
             r_direct, s_direct = direct_remainders(s0, m, n)
-            err = max(abs(pair.R - r_direct) / max(1.0, abs(r_direct)),
-                      abs(pair.S - s_direct) / max(1.0, abs(s_direct)))
+            err = max(abs(r - r_direct) / max(1.0, abs(r_direct)),
+                      abs(s - s_direct) / max(1.0, abs(s_direct)))
             worst = max(worst, err)
         assert worst < 1e-12
 
@@ -154,7 +174,7 @@ class TestRemainders:
             m = MapParams(eps, 0.0, SIN, 1, q)
             for grid in (128, 256):
                 xs = np.linspace(0, 2 * math.pi, grid, endpoint=False)
-                avg = np.mean([remainders(PhaseState(float(x), 0.0), m, q).S for x in xs])
+                avg = np.mean([one_point(PhaseState(float(x), 0.0), m, q)[1] for x in xs])
                 assert abs(avg) < bound
 
 
@@ -184,7 +204,12 @@ class TestRemainderJet:
         assert orbit is not None
         first = orbit.states[0]
         _, jac = remainder_jet(first.x, first.y, m_at.delta, m_at, q)
-        assert np.abs(jac[:, :2] + np.eye(2) - monodromy(orbit.states, m_at)).max() < 1e-12
+        reference = monodromy(orbit.states, m_at)
+        assert np.abs(jac[:, :2] + np.eye(2) - reference).max() < 1e-12
+        # the kind, read off the solver's jet, is the class of the reference trace
+        t = abs(float(np.trace(reference)))
+        assert orbit.kind == ("center" if t < 2.0 - TAU_CLS else
+                              "saddle" if t > 2.0 + TAU_CLS else "parabolic")
 
     @settings(max_examples=100, deadline=None)
     @given(map_params(), st.lists(st.tuples(angles, actions), min_size=1, max_size=12),
@@ -194,9 +219,9 @@ class TestRemainderJet:
         res, jac = remainder_jet(xs, ys, m.delta, m, n)
         assert res.shape == (2, len(starts)) and jac.shape == (2, 3, len(starts))
         for k, (x0, y0) in enumerate(starts):
-            pair = remainders(PhaseState(x0, y0), m, n)
-            assert res[0, k] == pytest.approx(pair.R, rel=1e-14, abs=1e-14)
-            assert res[1, k] == pytest.approx(pair.S, rel=1e-14, abs=1e-14)
+            r, s = one_point(PhaseState(x0, y0), m, n)
+            assert res[0, k] == pytest.approx(r, rel=1e-14, abs=1e-14)
+            assert res[1, k] == pytest.approx(s, rel=1e-14, abs=1e-14)
 
 
 class TestMapParams:

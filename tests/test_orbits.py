@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tonguelab import orbits as orbits_module
-from tonguelab.cylmap import MapParams, PhaseState, remainders
-from tonguelab.orbits import (ContinuationError, classify, continue_in_x, monodromy,
-                              solve_delta_y, solve_orbit_fixed_delta)
+from tonguelab.cylmap import MapParams, PhaseState, remainder_jet
+from tonguelab.orbits import (ContinuationError, continue_in_x, monodromy, solve_delta_y,
+                              solve_orbit_fixed_delta)
 from tonguelab.trigpoly import TrigPoly
 
 from orbit_oracle import multistart_orbits, orbit_distance
@@ -136,9 +136,8 @@ class TestImplicitSolve:
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         sol = solve_delta_y(1.1, 0.2, m)
         assert sol.converged
-        pair = remainders(PhaseState(sol.x0, sol.y0),
-                          replace(m, eps=0.2, delta=sol.delta), 3)
-        assert abs(pair.R) < 1e-12 and abs(pair.S) < 1e-12
+        res, _ = remainder_jet(sol.x0, sol.y0, sol.delta, replace(m, eps=0.2), 3)
+        assert np.abs(res).max() < 1e-12
 
     def test_homotopy_reaches_larger_eps(self):
         # continue_in_x's eps ramp: at sin 2x, q=5, eps=0.8 some grid points

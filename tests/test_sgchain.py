@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from tonguelab.cylmap import MapParams, PhaseState, iterate
 from tonguelab.orbits import solve_orbit_fixed_delta
 from tonguelab.sgchain import (DEFAULT_HORIZON, TAU_WAVE, BlowUpError, ChainParams, ChainState,
-                               InvalidBracketError, _settles_or_depins, classify_attractor,
-                               critical_torque, default_dt, integrate, twist_state)
+                               InvalidBracketError, _classify_attractor, _settles_or_depins,
+                               classify_attractor, critical_torque, default_dt, integrate,
+                               twist_state)
 from tonguelab.tongue import width_at
 from tonguelab.trigpoly import TrigPoly
 
@@ -50,8 +51,8 @@ def run_500(s0, c):
 
 
 def settle(s0, c):
-    outcome, state = _settles_or_depins(s0, c, DEFAULT_HORIZON, default_dt(c), escape=math.inf)
-    assert outcome == "equilibrium"
+    report, state = _classify_attractor(s0, c, DEFAULT_HORIZON, default_dt(c))
+    assert report.kind == "equilibrium"
     return ChainState(0.0, state.pos, np.zeros(c.q))
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tonguelab import tongue
+from tonguelab import tongue, trigpoly
 from tonguelab.cylmap import MapParams, PhaseState
 from tonguelab.orbits import (ContinuationError, continue_in_x, solve_delta_y,
                               solve_orbits_fixed_delta)
@@ -173,6 +173,21 @@ class TestOrbitsAt:
                 assert max(abs(orbit.residual.R), abs(orbit.residual.S)) < 1e-10, name
                 if close:
                     assert min(orbit_distance(orbit, o) for o in oracle) < 1e-8, name
+
+    def test_critical_points_solved_once_per_grid(self, monkeypatch):
+        # the width loop's critical points and Newton values bracket the roots
+        passes = []
+        original = trigpoly._critical_points
+
+        def counted(p, n):
+            passes.append(n)
+            return original(p, n)
+
+        monkeypatch.setattr(trigpoly, "_critical_points", counted)
+        monkeypatch.setattr(tongue, "_critical_points", counted)
+        found, _, grid = orbits_at(MapParams(0.2, 1e-4, SIN, 1, 3), 64)
+        assert grid == 64 and sorted(o.kind for o in found) == ["center", "saddle"]
+        assert len(passes) == 1
 
     def test_grid_raised_to_eight_q(self):
         m = MapParams(0.2, 0.0, SIN, 1, 3)
