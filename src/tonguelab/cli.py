@@ -8,6 +8,12 @@ width CSV).  Every numeric knob has both a flag and a config-file key
 (``key=value`` lines, flags win); all outputs carry the tool version and
 the fully resolved configuration.
 
+``chain`` has no step option: :mod:`tonguelab.sgchain` chooses the RK4
+step and checks a classification by step halving.  Its JSON ``meta``
+carries ``diagnostics``: the step the result was obtained at (``dt``) and
+the halvings the check took (``halvings``; 0 for ``--bracket``, which
+bisects at the start step).
+
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
 """
@@ -76,7 +82,6 @@ class RunConfig:
     order: int = 4
     grid: int = 64
     gamma: float = 0.5
-    dt: float = 0.0  # 0 = automatic
     horizon: float = 1e5
     format: str = "csv"
     out: str = ""
@@ -146,13 +151,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _meta(cfg: RunConfig, t_start: float) -> dict:
+def _meta(cfg: RunConfig, t_start: float, **extra) -> dict:
     return {
         "tool": "tonguelab",
         "version": __version__,
         "config": cfg.to_dict(),
         "wallclock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_s": round(time.time() - t_start, 3),
+        **extra,
     }
 
 
@@ -178,9 +184,9 @@ def _write_csv(cfg: RunConfig, t0: float, header: str, rows, path: str) -> None:
                               for v in row) + "\n")
 
 
-def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str) -> None:
+def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str, **meta) -> None:
     with _open_out(path) as fh:
-        json.dump({"meta": _meta(cfg, t0), **payload}, fh, indent=2, sort_keys=False)
+        json.dump({"meta": _meta(cfg, t0, **meta), **payload}, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
 
@@ -270,7 +276,6 @@ def _run_series(cfg: RunConfig, t0: float) -> int:
 
 def _run_chain(cfg: RunConfig, t0: float) -> int:
     c = cfg.chain_params()
-    dt = cfg.dt if cfg.dt > 0 else default_dt(c)
     report: dict = {"kind": None, "mean_velocity": None, "T": None,
                     "delay_error": None, "critical_delta": None}
     if cfg.bracket:
@@ -279,15 +284,17 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         crit = critical_torque(c, (cfg.bracket[0], cfg.bracket[1]),
                                horizon=cfg.horizon)
         report["critical_delta"] = crit
+        # critical_torque bisects at the start step, without halvings
+        step = {"dt": default_dt(c), "halvings": 0}
     else:
-        s0 = twist_state(c)
-        rep = classify_attractor(s0, c, horizon=cfg.horizon, dt=dt)
+        rep = classify_attractor(twist_state(c), c, horizon=cfg.horizon)
         report.update({"kind": rep.kind, "mean_velocity": rep.mean_velocity,
                        "T": rep.wave_period, "delay_error": rep.delay_error})
+        step = {"dt": rep.dt, "halvings": rep.halvings}
         if cfg.out:
             t_end = cfg.t_end if cfg.t_end > 0 else 200.0
-            traj = integrate(twist_state(c), c, dt, t_end,
-                             record_every=max(1, int(round(1.0 / dt))))
+            traj = integrate(twist_state(c), c, rep.dt, t_end,
+                             record_every=max(1, int(round(1.0 / rep.dt))))
             header = ("t," + ",".join(f"x_{k}" for k in range(c.q))
                       + "," + ",".join(f"v_{k}" for k in range(c.q)))
             rows = [tuple([float(tt)] + [float(v) for v in xx] + [float(v) for v in vv])
@@ -298,7 +305,7 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
                 emit_svg(dataset, "trajectory", cfg.out, _svg_meta(cfg))
             else:
                 _write_csv(cfg, t0, header, rows, cfg.out)
-    _write_json(cfg, t0, report, cfg.report)
+    _write_json(cfg, t0, report, cfg.report, diagnostics=step)
     return 0
 
 
@@ -345,7 +352,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--order", type=int, help="series truncation order (default 4)")
     sp.add_argument("--grid", type=int, help="x0 grid size (default 64)")
     sp.add_argument("--gamma", type=float, help="chain damping (default 0.5)")
-    sp.add_argument("--dt", type=float, help="chain time step (default: auto)")
     sp.add_argument("--horizon", type=float,
                     help="chain classification horizon (default 1e5)")
     sp.add_argument("--format", choices=("csv", "json", "svg"),
@@ -366,7 +372,9 @@ def make_parser() -> argparse.ArgumentParser:
         "profile": "drift profile over x0 at fixed eps",
         "tongue": "tongue width sweep over an eps list",
         "series": "eps-series expansion of the drift profile (JSON)",
-        "chain": "integrate / classify the twisted sine-Gordon chain",
+        "chain": "classify the twisted sine-Gordon chain's attractor, or measure "
+                 "its critical torque with --bracket; the RK4 step is chosen "
+                 "and checked by step halving, and the JSON meta reports it",
         "fit": "power-law fit of a width CSV",
     }
     for name, desc in descriptions.items():

@@ -12,22 +12,49 @@ are in bijection with p/q periodic orbits of the drifted cylinder map
 (take second differences), so the critical torque measured here can be
 cross-checked against the tongue edge max of the drift profile.
 
-Integration is fixed-step classical 4th order: runs are short and the
-bisection logic on top needs deterministic reproducibility.  A chain has
-only a few sites, so a step written site by site is dominated by the
-fixed cost of each numpy call, not by arithmetic.  :func:`integrate`
-therefore writes each RK4 stage as one matrix product on a work vector
-holding the state, the stage sines and the constants: 9 numpy calls per
-step whatever q is.
+Integration is fixed-step classical 4th order within each run: runs are
+short and the bisection logic on top needs deterministic
+reproducibility.  The step is chosen, not set:
+
+* **Start step.**  :func:`default_dt` takes ``h * omega_max = 0.8`` with
+  ``omega_max = sqrt(eps + 4)`` the chain's highest linear frequency,
+  capped at half of RK4's stability limit for the linearized chain
+  (:func:`stability_limit`, which also bounds every ``dt`` that
+  :func:`integrate` accepts).
+* **Checked classification.**  :func:`classify_attractor` repeats the
+  classification at ``h, h/2, h/4, ...`` until two consecutive runs agree
+  on the kind and, for a traveling wave, on the period within
+  ``PERIOD_STEP_RTOL``; it reports the finer run, its step and the
+  number of halvings (step doubling, as in Hairer, Norsett and Wanner,
+  *Solving ODEs I*, II.4).
+* **Bisection at the start step.**  An equilibrium of the chain makes
+  every RK4 stage vanish, so it is a fixed point of the RK4 step for any
+  ``h``: the pinned branch that :func:`critical_torque` follows does not
+  move with the step.
+
+A chain has only a few sites, so a step written site by site is
+dominated by the fixed cost of each numpy call, not by arithmetic.
+:func:`integrate` therefore writes each RK4 stage as one matrix product
+on a work vector holding the state, the stage sines and the constants:
+9 numpy calls per step whatever q is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
+# Start step: h * omega_max, with omega_max = sqrt(eps + 4).
+STEP_OMEGA = 0.8
+# Two runs at h and h/2 agree on a wave period when it moves by at most this.
+PERIOD_STEP_RTOL = 1e-8
+# Step halvings classify_attractor may take before it gives up.
+MAX_HALVINGS = 5
+# RK4's stability interval on the negative real axis is [-2.785..., 0].
+_RK4_REAL_LIMIT = 2.785293563405282
 # Equilibrium when every |velocity| stays below this over a window.
 TAU_EQ = 1e-8
 # Traveling wave when the neighbor-delay identity holds this tightly.
@@ -42,6 +69,10 @@ _ESCAPE = 0.5
 
 class BlowUpError(RuntimeError):
     """Integration left the physically meaningful region."""
+
+
+class StepRefinementError(RuntimeError):
+    """Classifications at successive step halvings kept disagreeing."""
 
 
 @dataclass(frozen=True)
@@ -83,6 +114,8 @@ class AttractorReport:
     mean_velocity: float
     wave_period: float | None
     delay_error: float | None
+    dt: float  # the RK4 step of the run that gave this report
+    halvings: int = 0  # step halvings the check took to confirm it
 
 
 @dataclass(frozen=True)
@@ -102,8 +135,61 @@ def twist_state(c: ChainParams) -> ChainState:
 
 
 def default_dt(c: ChainParams) -> float:
-    """Largest step satisfying the stability budget ``dt <= 0.1/sqrt(eps + 4)``."""
-    return 0.1 / math.sqrt(max(1.0, c.eps + 4.0))
+    """The start step: ``h * sqrt(eps + 4) = STEP_OMEGA``, capped at half of
+    :func:`stability_limit`.
+
+    ``sqrt(eps + 4)`` bounds the chain's linear frequencies, so the step
+    resolves the fastest oscillation with about 8 steps per period.  The
+    cap binds only at strong damping, ``gamma > 1.74 sqrt(eps + 4)``,
+    where the overdamped mode near ``-gamma`` sets the limit.  The step is
+    coarse on purpose: :func:`classify_attractor` checks its result by step
+    halving, and :func:`critical_torque` follows equilibria, which do not
+    move with the step.
+    """
+    return min(STEP_OMEGA / math.sqrt(c.eps + 4.0), 0.5 * stability_limit(c))
+
+
+def stability_limit(c: ChainParams) -> float:
+    """Largest RK4 step that is stable for the chain linearized anywhere.
+
+    Damping is ``gamma`` times the identity, so the linearization splits
+    into modes ``x'' + gamma x' + omega^2 x = 0``, each with roots
+    ``lambda^2 + gamma lambda + omega^2 = 0``.  ``omega^2`` is an
+    eigenvalue of the coupling ``4 sin^2(pi j / q)`` plus
+    ``eps cos x_k``, so ``omega^2 <= eps + 4``; modes with ``omega^2 < 0``
+    are unstable in the chain itself and set no limit.  As ``omega^2``
+    runs over ``[0, eps + 4]`` the roots fill the real interval
+    ``[-gamma, 0)`` and the segment ``Re = -gamma/2`` up to the top root
+    ``-gamma/2 + i sqrt(eps + 4 - gamma^2/4)``.  In the left half-plane
+    RK4's stability region is star-shaped about 0 and meets every
+    vertical line in one interval through the real axis, so the limit is
+    the smaller of the real root's ``2.785/gamma`` and the step at which
+    ``h`` times the top root leaves the region
+    (``test_stability_limit_is_the_least_over_the_root_locus`` checks
+    this against a scan of the whole locus).
+    """
+    return _stability_limit(c.gamma, c.eps)
+
+
+@lru_cache(maxsize=64)
+def _stability_limit(gamma: float, eps: float) -> float:
+    a = 0.5 * gamma
+    top = complex(-a, math.sqrt(max(eps + 4.0 - a * a, 0.0)))
+    # bisect along the ray through the top root: it leaves the star-shaped
+    # region once, before |h top| = 3, where |R| > 1.1 all round
+    inside, outside = 0.0, 3.0 / abs(top)
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        if abs(_rk4_gain(mid * top)) <= 1.0:
+            inside = mid
+        else:
+            outside = mid
+    return min(_RK4_REAL_LIMIT / gamma, inside)
+
+
+def _rk4_gain(z: complex) -> complex:
+    """RK4's amplification factor ``R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24``."""
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
 
 def _rk4_matrices(c: ChainParams, h: float):
@@ -164,8 +250,8 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt > default_dt(c) * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:g} exceeds the stability budget {default_dt(c):g}")
+    if dt > stability_limit(c) * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:g} exceeds the stability limit {stability_limit(c):g}")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0 else 0
@@ -252,8 +338,31 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     creeping waves just above depinning) and the delay identity
     ``x_k(t) = x_{k+-1}(t + T/q)`` holds to ``TAU_WAVE``.  Otherwise
     undecided at the horizon.
+
+    With ``dt`` given, one run at that step decides.  Without it the
+    result is checked by step halving: runs at ``h = default_dt(c)``,
+    ``h/2``, ``h/4``, ... from ``s0`` until two consecutive runs agree on
+    the kind and, for waves, on T within ``PERIOD_STEP_RTOL`` relative.
+    The finer run's report is returned, with its step and the number of
+    halvings.  RK4's error falls like ``h^4``, so the gap between the two
+    runs estimates the coarse run's error and the finer run's is about a
+    fifteenth of it.  Raises :class:`StepRefinementError` when
+    ``MAX_HALVINGS`` halvings do not produce an agreeing pair.
     """
-    return _classify_attractor(s0, c, horizon, default_dt(c) if dt is None else dt)[0]
+    if dt is not None:
+        return _classify_attractor(s0, c, horizon, dt)[0]
+    fine = _classify_attractor(s0, c, horizon, default_dt(c))[0]
+    for halvings in range(1, MAX_HALVINGS + 1):
+        coarse, fine = fine, _classify_attractor(s0, c, horizon, 0.5 * fine.dt)[0]
+        if fine.kind == coarse.kind and (
+                fine.wave_period is None
+                or abs(fine.wave_period - coarse.wave_period)
+                <= PERIOD_STEP_RTOL * fine.wave_period):
+            return replace(fine, halvings=halvings)
+    raise StepRefinementError(
+        f"no agreement after {MAX_HALVINGS} step halvings: {coarse.kind} "
+        f"(T={coarse.wave_period}) at dt={coarse.dt:g}, {fine.kind} "
+        f"(T={fine.wave_period}) at dt={fine.dt:g}")
 
 
 def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
@@ -273,7 +382,7 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
         elapsed += window
 
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return AttractorReport("equilibrium", 0.0, None, None), state
+            return AttractorReport("equilibrium", 0.0, None, None, dt), state
 
         # full-turn crossings of site 0
         adv = np.floor((traj.pos[:, 0] - ref) / turns).astype(int)
@@ -295,7 +404,7 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
                 crossings = crossings[-1:]
         window = min(window * 2.0, 3200.0)
     omega = (float(state.pos[0]) - ref) / max(elapsed, dt)
-    return AttractorReport("undecided", omega, None, None), state
+    return AttractorReport("undecided", omega, None, None, dt), state
 
 
 def _try_wave(state: ChainState, c: ChainParams, dt: float,
@@ -319,7 +428,7 @@ def _try_wave(state: ChainState, c: ChainParams, dt: float,
         seam = nb * rotation * (np.arange(c.q) == (c.q - 1 if nb > 0 else 0))
         worst = min(worst, float(np.max(np.abs(now - np.roll(later, -nb, axis=1) - seam))))
     if worst < TAU_WAVE:
-        return AttractorReport("traveling_wave", sign * rotation / T, T, worst)
+        return AttractorReport("traveling_wave", sign * rotation / T, T, worst, dt)
     return None
 
 
@@ -374,6 +483,14 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     attractor dichotomy.  Each probe restarts from the last settled
     equilibrium so the continuation follows the pinned branch; the first
     is the state the classification at ``bracket[0]`` settled in.
+
+    Every run uses the start step :func:`default_dt`, with no halving
+    check.  At an equilibrium of the chain every RK4 stage is zero, so
+    each equilibrium is a fixed point of the RK4 step at any ``h``, and a
+    stable one stays stable at every ``h`` below :func:`stability_limit`
+    (its modes are roots on the locus that limit covers).  The pinned
+    branch, and the torque at which it ends, therefore do not move with
+    the step.  The bracket ends need only their kind, not a wave period.
     """
     lo, hi = bracket
     if not lo < hi:
@@ -384,7 +501,7 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
         raise InvalidBracketError(lo, hi, f"no equilibrium at delta={lo:g} "
                                           f"(got {rep_lo.kind})")
     eq_state = ChainState(0.0, settled.pos, np.zeros(c.q))
-    rep_hi = classify_attractor(eq_state, replace(c, delta=hi), horizon=horizon)
+    rep_hi = _classify_attractor(eq_state, replace(c, delta=hi), horizon, dt)[0]
     if rep_hi.kind != "traveling_wave":
         raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} "
                                           f"(got {rep_hi.kind})")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tonguelab
-from tonguelab import cli
+from tonguelab import cli, sgchain
 
 SAMPLE_KEYS = {"eps", "width", "delta_max", "delta_min", "x_argmax", "x_argmin"}
 
@@ -162,6 +162,44 @@ def test_chain_classification(capsys):
     assert out["kind"] == "equilibrium"
     assert out["critical_delta"] is None
     assert set(out) == {"meta", "kind", "mean_velocity", "T", "delay_error", "critical_delta"}
+
+
+def test_chain_reports_its_step(capsys):
+    """The JSON meta says at which RK4 step the result was obtained and how
+    many halvings the check took; the bisection runs at the start step."""
+    chain = sgchain.ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.012)
+    rc, out = run_json(capsys, ["chain", "--q", "3", "--p", "1", "--eps", "0.6",
+                                "--delta", "0.012"])
+    assert rc == 0 and out["kind"] == "traveling_wave"
+    step = out["meta"]["diagnostics"]
+    assert step["halvings"] >= 1
+    assert step["dt"] == sgchain.default_dt(chain) / 2 ** step["halvings"]
+    rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
+                                "--gamma", "0.25", "--bracket", "0.01,0.1"])
+    assert rc == 0 and out["critical_delta"] == 0.04465087890625
+    pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
+    assert out["meta"]["diagnostics"] == {"dt": sgchain.default_dt(pinning), "halvings": 0}
+
+
+def test_chain_halving_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(sgchain, "PERIOD_STEP_RTOL", 0.0)
+    monkeypatch.setattr(sgchain, "MAX_HALVINGS", 1)
+    rc = cli.run(["chain", "--q", "5", "--p", "2", "--eps", "0.8", "--gamma", "0.3",
+                  "--delta", "0.1"])
+    assert rc == 1
+    assert "step halvings" in capsys.readouterr().err
+
+
+def test_chain_step_is_not_an_option(tmp_path, capsys):
+    """sgchain chooses and checks the step, so neither --dt nor a dt key exists."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--dt", "0.01"])
+    assert exc.value.code == 2
+    assert "--dt" in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text("q=2\np=1\neps=0.6\ndt=0.01\n")
+    assert cli.run(["chain", "--config", str(config)]) == 2
+    assert "unknown config key 'dt'" in capsys.readouterr().err
 
 
 def test_jobs_flag_rejected(capsys):

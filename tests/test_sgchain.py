@@ -6,17 +6,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tonguelab import sgchain
 from tonguelab.cylmap import MapParams, PhaseState, iterate
 from tonguelab.orbits import solve_orbit_fixed_delta
 from tonguelab.sgchain import (DEFAULT_HORIZON, TAU_WAVE, BlowUpError, ChainParams, ChainState,
-                               InvalidBracketError, _classify_attractor, _settles_or_depins,
-                               classify_attractor, critical_torque, default_dt, integrate,
-                               twist_state)
+                               InvalidBracketError, StepRefinementError, _classify_attractor,
+                               _settles_or_depins, classify_attractor, critical_torque,
+                               default_dt, integrate, stability_limit, twist_state)
 from tonguelab.tongue import width_at
 from tonguelab.trigpoly import TrigPoly
 
 # The chain of the critical-torque cross-check and the start-dependence test.
 PINNING = ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
+# A q=3 chain just below (0.005) and above (0.012) its critical torque.
+Q3 = ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.0)
+# RK4's stability interval on the negative real axis.
+RK4_REAL_LIMIT = 2.785293563405282
+
+
+def old_dt(c):
+    """The fixed step budget that the chain used before its step was checked."""
+    return 0.1 / math.sqrt(c.eps + 4.0)
+
+
+def rk4_gain(z):
+    """RK4's amplification factor R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
 
 def reference_step(x, v, c, h):
@@ -42,10 +57,10 @@ def reference_step(x, v, c, h):
             v + h6 * (k1v + 2.0 * (k2v + k3v) + k4v))
 
 
-def run_500(s0, c):
-    """``integrate`` over 500 default steps, every step recorded, and its h."""
-    t_end = 500 * default_dt(c)
-    traj = integrate(s0, c, default_dt(c), t_end, record_every=1)
+def run_500(s0, c, dt):
+    """``integrate`` over 500 steps of ``dt``, every step recorded, and its h."""
+    t_end = 500 * dt
+    traj = integrate(s0, c, dt, t_end, record_every=1)
     assert len(traj.times) == 501
     return traj, t_end / 500
 
@@ -81,7 +96,7 @@ class TestIntegrate:
         pos = (lift + twist_state(c).pos
                + np.array(data.draw(st.lists(site, min_size=c.q, max_size=c.q))))
         vel = np.array(data.draw(st.lists(site, min_size=c.q, max_size=c.q)))
-        traj, h = run_500(ChainState(0.0, pos, vel), c)
+        traj, h = run_500(ChainState(0.0, pos, vel), c, default_dt(c))
         x, v = reference_step(traj.pos[:-1], traj.vel[:-1], c, h)
         scale = np.maximum(1.0, np.abs(traj.pos[:-1]).max(axis=1, keepdims=True))
         assert np.all(np.abs(x - traj.pos[1:]) <= 1e-14 * scale)
@@ -96,8 +111,13 @@ class TestIntegrate:
     ])
     def test_whole_run_matches_per_site_rk4(self, c):
         """The lab's chains from the twisted start: 500 steps agree with the
-        site-by-site RK4 run within 1e-11 * max(1, |x|)."""
-        traj, h = run_500(twist_state(c), c)
+        site-by-site RK4 run within 1e-11 * max(1, |x|).
+
+        Run at the old fixed step ``old_dt``, not at the 8 times longer
+        ``default_dt``: over 500 of those longer steps the chaotic q=7,
+        eps=3, gamma=0.1 chain grows ulp-level rounding differences past
+        1e-11.  The step at ``default_dt`` is pinned step by step above."""
+        traj, h = run_500(twist_state(c), c, old_dt(c))
         x, v = twist_state(c).pos, twist_state(c).vel
         for n in range(1, 501):
             x, v = reference_step(x, v, c, h)
@@ -143,8 +163,41 @@ class TestIntegrate:
 
     def test_dt_over_budget(self):
         c = replace(PINNING, delta=0.01)
-        with pytest.raises(ValueError, match="stability budget"):
-            integrate(twist_state(c), c, 1.01 * default_dt(c), 1.0)
+        with pytest.raises(ValueError, match="stability limit"):
+            integrate(twist_state(c), c, 1.01 * stability_limit(c), 1.0)
+
+    @pytest.mark.parametrize("c", [replace(PINNING, delta=0.01),
+                                   ChainParams(q=3, p=1, gamma=10.0, eps=0.0, delta=0.0)])
+    def test_dt_just_above_the_stability_limit(self, c):
+        """Also for the overdamped chain, whose real root -gamma sets the limit."""
+        limit = stability_limit(c)
+        integrate(twist_state(c), c, limit, 1.0)
+        with pytest.raises(ValueError, match="stability limit"):
+            integrate(twist_state(c), c, limit * (1.0 + 1e-9), 1.0)
+
+    @pytest.mark.parametrize("gamma,eps", [(0.25, 0.6), (0.01, 3.0), (2.0, 3.0), (3.5, 0.0),
+                                           (10.0, 0.0), (4.0, 12.0)])
+    def test_stability_limit_is_the_least_over_the_root_locus(self, gamma, eps):
+        """Every root of lambda^2 + gamma lambda + omega^2 = 0, for omega^2
+        on a grid over [0, eps + 4], is stable at every step up to the limit,
+        and some root is unstable just above it."""
+        w2 = np.linspace(0.0, eps + 4.0, 2001)
+        disc = np.sqrt((0.25 * gamma ** 2 - w2).astype(complex))
+        roots = np.concatenate([-0.5 * gamma + disc, -0.5 * gamma - disc])
+        limit = stability_limit(ChainParams(q=3, p=1, gamma=gamma, eps=eps, delta=0.0))
+        steps = np.linspace(0.0, limit * (1.0 - 1e-9), 200)
+        assert np.abs(rk4_gain(np.outer(steps, roots))).max() <= 1.0
+        assert np.abs(rk4_gain(limit * (1.0 + 1e-6) * roots)).max() > 1.0
+
+    def test_strong_damping_runs_at_the_default_step(self):
+        """At gamma = 10 the step h sqrt(eps + 4) = 0.8 would be unstable
+        (h gamma = 4 > 2.785); the cap keeps the default step stable."""
+        c = ChainParams(q=3, p=1, gamma=10.0, eps=0.0, delta=0.0)
+        assert stability_limit(c) == pytest.approx(RK4_REAL_LIMIT / c.gamma, rel=1e-12)
+        assert 0.8 / math.sqrt(c.eps + 4.0) > stability_limit(c)
+        s0 = ChainState(0.0, twist_state(c).pos + [0.5, -0.3, 0.2], np.ones(3))
+        traj = integrate(s0, c, default_dt(c), 200.0)
+        assert np.abs(traj.final.vel).max() < 1e-3
 
     def test_negative_t_end(self):
         c = replace(PINNING, delta=0.01)
@@ -173,6 +226,15 @@ class TestCriticalTorque:
         crit = critical_torque(PINNING, (0.01, 0.1))
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
         assert crit == pytest.approx(edge, rel=1e-3)
+
+    @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
+    def test_does_not_move_with_the_step(self, monkeypatch, c, bracket):
+        """The bisection follows equilibria, which are fixed points of the RK4
+        step at any stable h: halving the start step gives the same torque."""
+        coarse = critical_torque(c, bracket)
+        start = sgchain.default_dt
+        monkeypatch.setattr(sgchain, "default_dt", lambda chain: 0.5 * start(chain))
+        assert critical_torque(c, bracket) == coarse
 
     @pytest.mark.parametrize("bracket", [(0.05, 0.05), (0.1, 0.05)])
     def test_bracket_must_be_ordered(self, bracket):
@@ -223,6 +285,28 @@ class TestAttractors:
         assert rep.delay_error < TAU_WAVE
         assert abs(rep.mean_velocity) * rep.wave_period == pytest.approx(2.0 * math.pi * c.p,
                                                                          abs=1e-9)
+
+    def test_verified_period_matches_a_fine_fixed_run(self):
+        """The step-halving check's q=5 period against one run at a quarter of
+        the old fixed step, 32 times finer than the start step."""
+        c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
+        checked = classify_attractor(twist_state(c), c)
+        fine = classify_attractor(twist_state(c), c, dt=0.25 * old_dt(c))
+        assert checked.dt == default_dt(c) / 2 ** checked.halvings
+        assert checked.kind == fine.kind == "traveling_wave"
+        assert checked.wave_period == pytest.approx(fine.wave_period, rel=1e-8)
+
+    def test_an_explicit_step_is_one_unchecked_run(self):
+        c = replace(Q3, delta=0.005)
+        rep = classify_attractor(twist_state(c), c, dt=default_dt(c))
+        assert (rep.kind, rep.dt, rep.halvings) == ("equilibrium", default_dt(c), 0)
+
+    def test_halvings_are_bounded(self, monkeypatch):
+        c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
+        monkeypatch.setattr(sgchain, "PERIOD_STEP_RTOL", 0.0)
+        monkeypatch.setattr(sgchain, "MAX_HALVINGS", 1)
+        with pytest.raises(StepRefinementError, match="after 1 step halvings"):
+            classify_attractor(twist_state(c), c)
 
     @pytest.mark.parametrize("q,p,gamma,eps,delta,period", [
         (3, 1, 0.5, 0.6, 0.012, 391.20862301), (3, 1, 0.5, 0.6, -0.012, 391.20862301),
