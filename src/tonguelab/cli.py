@@ -11,8 +11,8 @@ the fully resolved configuration.
 ``chain`` has no step option: :mod:`tonguelab.sgchain` chooses the RK4
 step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
-the halvings the check took (``halvings``; 0 for ``--bracket``, which
-bisects at the start step).
+how many times the start step was halved to reach it (``halvings``; 0
+for ``--bracket``, which bisects at the start step).
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.

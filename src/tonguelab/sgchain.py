@@ -21,12 +21,14 @@ reproducibility.  The step is chosen, not set:
   capped at half of RK4's stability limit for the linearized chain
   (:func:`stability_limit`, which also bounds every ``dt`` that
   :func:`integrate` accepts).
-* **Checked classification.**  :func:`classify_attractor` repeats the
-  classification at ``h, h/2, h/4, ...`` until two consecutive runs agree
+* **Checked classification.**  :func:`classify_attractor` compares runs
+  at a step and at half of it, from ``h`` down, until such a pair agrees
   on the kind and, for a traveling wave, on the period within
   ``PERIOD_STEP_RTOL``; it reports the finer run, its step and the
-  number of halvings (step doubling, as in Hairer, Norsett and Wanner,
-  *Solving ODEs I*, II.4).
+  number of halvings from ``h`` (step doubling, as in Hairer, Norsett and
+  Wanner, *Solving ODEs I*, II.4).  After a pair of waves disagrees it
+  skips to the first halving at which RK4's ``h^4`` error law predicts
+  agreement.
 * **Bisection at the start step.**  An equilibrium of the chain makes
   every RK4 stage vanish, so it is a fixed point of the RK4 step for any
   ``h``: the pinned branch that :func:`critical_torque` follows does not
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,7 +52,7 @@ import numpy as np
 STEP_OMEGA = 0.8
 # Two runs at h and h/2 agree on a wave period when it moves by at most this.
 PERIOD_STEP_RTOL = 1e-8
-# Step halvings classify_attractor may take before it gives up.
+# Halvings of the start step classify_attractor may reach before it gives up.
 MAX_HALVINGS = 5
 # RK4's stability interval on the negative real axis is [-2.785..., 0].
 _RK4_REAL_LIMIT = 2.785293563405282
@@ -115,7 +116,7 @@ class AttractorReport:
     wave_period: float | None
     delay_error: float | None
     dt: float  # the RK4 step of the run that gave this report
-    halvings: int = 0  # step halvings the check took to confirm it
+    halvings: int = 0  # dt is the start step halved this many times
 
 
 @dataclass(frozen=True)
@@ -140,41 +141,39 @@ def default_dt(c: ChainParams) -> float:
 
     ``sqrt(eps + 4)`` bounds the chain's linear frequencies, so the step
     resolves the fastest oscillation with about 8 steps per period.  The
-    cap binds only at strong damping, ``gamma > 1.74 sqrt(eps + 4)``,
-    where the overdamped mode near ``-gamma`` sets the limit.  The step is
-    coarse on purpose: :func:`classify_attractor` checks its result by step
-    halving, and :func:`critical_torque` follows equilibria, which do not
-    move with the step.
+    cap binds only at strong damping, where the overdamped real root
+    ``-gamma/2 - sqrt(gamma^2/4 + eps)`` lies beyond ``-1.74 sqrt(eps + 4)``
+    (``gamma > 3.48`` at eps = 0).  The step is coarse on purpose:
+    :func:`classify_attractor` checks its result by step halving, and
+    :func:`critical_torque` follows equilibria, which do not move with the
+    step.
     """
     return min(STEP_OMEGA / math.sqrt(c.eps + 4.0), 0.5 * stability_limit(c))
 
 
 def stability_limit(c: ChainParams) -> float:
-    """Largest RK4 step that is stable for the chain linearized anywhere.
+    """Largest RK4 step that keeps every decaying mode of the chain,
+    linearized anywhere, decaying.
 
     Damping is ``gamma`` times the identity, so the linearization splits
     into modes ``x'' + gamma x' + omega^2 x = 0``, each with roots
-    ``lambda^2 + gamma lambda + omega^2 = 0``.  ``omega^2`` is an
-    eigenvalue of the coupling ``4 sin^2(pi j / q)`` plus
-    ``eps cos x_k``, so ``omega^2 <= eps + 4``; modes with ``omega^2 < 0``
-    are unstable in the chain itself and set no limit.  As ``omega^2``
-    runs over ``[0, eps + 4]`` the roots fill the real interval
-    ``[-gamma, 0)`` and the segment ``Re = -gamma/2`` up to the top root
+    ``lambda^2 + gamma lambda + omega^2 = 0``, where ``omega^2`` runs over
+    the eigenvalues of the stiffness ``-Laplacian + eps diag(cos x_k)``,
+    which lie in ``[-eps, eps + 4]``.  A mode with ``omega^2 < 0`` has one
+    positive root, which grows in the chain itself and sets no limit, and
+    one real root down to ``-r``, ``r = gamma/2 + sqrt(gamma^2/4 + eps)``.
+    So the decaying roots fill the real interval ``[-r, 0]`` and the
+    segment ``Re = -gamma/2`` up to the top root
     ``-gamma/2 + i sqrt(eps + 4 - gamma^2/4)``.  In the left half-plane
     RK4's stability region is star-shaped about 0 and meets every
     vertical line in one interval through the real axis, so the limit is
-    the smaller of the real root's ``2.785/gamma`` and the step at which
-    ``h`` times the top root leaves the region
+    the smaller of ``2.785/r`` and the step at which ``h`` times the top
+    root leaves the region
     (``test_stability_limit_is_the_least_over_the_root_locus`` checks
     this against a scan of the whole locus).
     """
-    return _stability_limit(c.gamma, c.eps)
-
-
-@lru_cache(maxsize=64)
-def _stability_limit(gamma: float, eps: float) -> float:
-    a = 0.5 * gamma
-    top = complex(-a, math.sqrt(max(eps + 4.0 - a * a, 0.0)))
+    a = 0.5 * c.gamma
+    top = complex(-a, math.sqrt(max(c.eps + 4.0 - a * a, 0.0)))
     # bisect along the ray through the top root: it leaves the star-shaped
     # region once, before |h top| = 3, where |R| > 1.1 all round
     inside, outside = 0.0, 3.0 / abs(top)
@@ -184,7 +183,7 @@ def _stability_limit(gamma: float, eps: float) -> float:
             inside = mid
         else:
             outside = mid
-    return min(_RK4_REAL_LIMIT / gamma, inside)
+    return min(_RK4_REAL_LIMIT / (a + math.sqrt(a * a + c.eps)), inside)
 
 
 def _rk4_gain(z: complex) -> complex:
@@ -328,9 +327,9 @@ def _refine_period(at, ts: np.ndarray, t_guess: float, rotation: float) -> float
 
 
 def classify_attractor(s0: ChainState, c: ChainParams,
-                       horizon: float = DEFAULT_HORIZON,
-                       dt: float | None = None) -> AttractorReport:
-    """Integrate in growing windows until the run settles.
+                       horizon: float = DEFAULT_HORIZON) -> AttractorReport:
+    """Integrate in growing windows until the run settles, and check the
+    result by step halving.
 
     Equilibrium: every |velocity| below ``TAU_EQ`` throughout the last
     window.  Traveling wave: site 0 advances by full turns of 2 pi p at a
@@ -339,30 +338,39 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     ``x_k(t) = x_{k+-1}(t + T/q)`` holds to ``TAU_WAVE``.  Otherwise
     undecided at the horizon.
 
-    With ``dt`` given, one run at that step decides.  Without it the
-    result is checked by step halving: runs at ``h = default_dt(c)``,
-    ``h/2``, ``h/4``, ... from ``s0`` until two consecutive runs agree on
-    the kind and, for waves, on T within ``PERIOD_STEP_RTOL`` relative.
-    The finer run's report is returned, with its step and the number of
-    halvings.  RK4's error falls like ``h^4``, so the gap between the two
-    runs estimates the coarse run's error and the finer run's is about a
-    fifteenth of it.  Raises :class:`StepRefinementError` when
-    ``MAX_HALVINGS`` halvings do not produce an agreeing pair.
+    The check compares pairs of runs from ``s0`` at a step and at half of
+    it, starting at ``h = default_dt(c)``, until a pair agrees on the kind
+    and, for waves, on T within ``PERIOD_STEP_RTOL`` relative.  The finer
+    run's report is returned, with its step ``h / 2**halvings``.  RK4's
+    error falls like ``h^4``, so the gap between a pair estimates the
+    coarse run's error and the finer run's is about a fifteenth of it.
+    The same law predicts the next pair: after two waves disagree by a
+    relative gap ``g``, the check skips to the first halving at which
+    ``g / 16**skip`` meets the tolerance (the q=5, p=2, eps 0.8 wave of
+    the tests has ``g = 2e-5`` at ``h`` and agrees at ``h/8, h/16``); after
+    a change of kind it halves once.  Raises :class:`StepRefinementError`
+    when no pair down to ``h / 2**MAX_HALVINGS`` agrees.
     """
-    if dt is not None:
-        return _classify_attractor(s0, c, horizon, dt)[0]
-    fine = _classify_attractor(s0, c, horizon, default_dt(c))[0]
-    for halvings in range(1, MAX_HALVINGS + 1):
-        coarse, fine = fine, _classify_attractor(s0, c, horizon, 0.5 * fine.dt)[0]
-        if fine.kind == coarse.kind and (
-                fine.wave_period is None
-                or abs(fine.wave_period - coarse.wave_period)
-                <= PERIOD_STEP_RTOL * fine.wave_period):
-            return replace(fine, halvings=halvings)
-    raise StepRefinementError(
-        f"no agreement after {MAX_HALVINGS} step halvings: {coarse.kind} "
-        f"(T={coarse.wave_period}) at dt={coarse.dt:g}, {fine.kind} "
-        f"(T={fine.wave_period}) at dt={fine.dt:g}")
+    start = default_dt(c)
+    depth = 0  # the coarse run of the pair is at start / 2**depth
+    coarse = _classify_attractor(s0, c, horizon, start)[0]
+    while True:
+        fine = _classify_attractor(s0, c, horizon, 0.5 * coarse.dt)[0]
+        same = fine.kind == coarse.kind
+        gap = (abs(fine.wave_period - coarse.wave_period) / fine.wave_period
+               if same and fine.wave_period is not None else 0.0)
+        if same and gap <= PERIOD_STEP_RTOL:
+            return replace(fine, halvings=depth + 1)
+        if depth + 1 == MAX_HALVINGS:
+            raise StepRefinementError(
+                f"no agreement after {MAX_HALVINGS} step halvings: {coarse.kind} "
+                f"(T={coarse.wave_period}) at dt={coarse.dt:g}, {fine.kind} "
+                f"(T={fine.wave_period}) at dt={fine.dt:g}")
+        skip = 1
+        while same and depth + skip + 1 < MAX_HALVINGS and gap / 16.0 ** skip > PERIOD_STEP_RTOL:
+            skip += 1
+        depth += skip
+        coarse = fine if skip == 1 else _classify_attractor(s0, c, horizon, start / 2 ** depth)[0]
 
 
 def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,

@@ -167,23 +167,26 @@ class TestIntegrate:
             integrate(twist_state(c), c, 1.01 * stability_limit(c), 1.0)
 
     @pytest.mark.parametrize("c", [replace(PINNING, delta=0.01),
-                                   ChainParams(q=3, p=1, gamma=10.0, eps=0.0, delta=0.0)])
+                                   ChainParams(q=3, p=1, gamma=10.0, eps=0.0, delta=0.0),
+                                   ChainParams(q=3, p=1, gamma=10.0, eps=3.0, delta=0.0)])
     def test_dt_just_above_the_stability_limit(self, c):
-        """Also for the overdamped chain, whose real root -gamma sets the limit."""
+        """Also for overdamped chains, whose real root sets the limit."""
         limit = stability_limit(c)
         integrate(twist_state(c), c, limit, 1.0)
         with pytest.raises(ValueError, match="stability limit"):
             integrate(twist_state(c), c, limit * (1.0 + 1e-9), 1.0)
 
     @pytest.mark.parametrize("gamma,eps", [(0.25, 0.6), (0.01, 3.0), (2.0, 3.0), (3.5, 0.0),
-                                           (10.0, 0.0), (4.0, 12.0)])
+                                           (10.0, 0.0), (10.0, 3.0), (4.0, 12.0)])
     def test_stability_limit_is_the_least_over_the_root_locus(self, gamma, eps):
-        """Every root of lambda^2 + gamma lambda + omega^2 = 0, for omega^2
-        on a grid over [0, eps + 4], is stable at every step up to the limit,
-        and some root is unstable just above it."""
-        w2 = np.linspace(0.0, eps + 4.0, 2001)
+        """Every decaying root of lambda^2 + gamma lambda + omega^2 = 0, for
+        omega^2 on a grid over [-eps, eps + 4] (where cos x_k < 0 the
+        stiffness goes down to -eps), is stable at every step up to the
+        limit, and some root is unstable just above it."""
+        w2 = np.linspace(-eps, eps + 4.0, 2001)
         disc = np.sqrt((0.25 * gamma ** 2 - w2).astype(complex))
         roots = np.concatenate([-0.5 * gamma + disc, -0.5 * gamma - disc])
+        roots = roots[roots.real <= 0.0]  # a positive root grows in the chain too
         limit = stability_limit(ChainParams(q=3, p=1, gamma=gamma, eps=eps, delta=0.0))
         steps = np.linspace(0.0, limit * (1.0 - 1e-9), 200)
         assert np.abs(rk4_gain(np.outer(steps, roots))).max() <= 1.0
@@ -291,15 +294,32 @@ class TestAttractors:
         the old fixed step, 32 times finer than the start step."""
         c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
         checked = classify_attractor(twist_state(c), c)
-        fine = classify_attractor(twist_state(c), c, dt=0.25 * old_dt(c))
+        fine = _classify_attractor(twist_state(c), c, DEFAULT_HORIZON, 0.25 * old_dt(c))[0]
         assert checked.dt == default_dt(c) / 2 ** checked.halvings
         assert checked.kind == fine.kind == "traveling_wave"
         assert checked.wave_period == pytest.approx(fine.wave_period, rel=1e-8)
 
-    def test_an_explicit_step_is_one_unchecked_run(self):
+    def test_a_wave_gap_skips_to_the_predicted_halving(self, monkeypatch):
+        """The q=5 wave's period moves 2e-5 relative from h to h/2; at 16
+        times less per halving the pair h/8, h/16 is the first predicted to
+        agree within 1e-8, so the runs at h/4 are skipped."""
+        c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
+        steps = []
+
+        def recording(s0, chain, horizon, dt):
+            steps.append(dt)
+            return _classify_attractor(s0, chain, horizon, dt)
+
+        monkeypatch.setattr(sgchain, "_classify_attractor", recording)
+        rep = classify_attractor(twist_state(c), c)
+        h = default_dt(c)
+        assert steps == [h, h / 2, h / 8, h / 16]
+        assert (rep.dt, rep.halvings) == (h / 16, 4)
+
+    def test_an_equilibrium_is_confirmed_by_one_halving(self):
         c = replace(Q3, delta=0.005)
-        rep = classify_attractor(twist_state(c), c, dt=default_dt(c))
-        assert (rep.kind, rep.dt, rep.halvings) == ("equilibrium", default_dt(c), 0)
+        rep = classify_attractor(twist_state(c), c)
+        assert (rep.kind, rep.dt, rep.halvings) == ("equilibrium", default_dt(c) / 2, 1)
 
     def test_halvings_are_bounded(self, monkeypatch):
         c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
