@@ -4,9 +4,11 @@ Subcommands map one-to-one onto the library: ``orbit`` (every p/q orbit
 at a drift, from the roots of the drift profile), ``profile`` (drift
 profile over x0), ``tongue`` (width sweep over eps), ``series`` (eps
 expansion), ``chain`` (sine-Gordon runs), and ``fit`` (power-law fit of a
-width CSV).  Every numeric knob has both a flag and a config-file key
-(``key=value`` lines, flags win); all outputs carry the tool version and
-the fully resolved configuration.
+width CSV).  One table, :data:`COMMANDS`, gives each subcommand its
+runner, help text, output formats and the config keys it reads.  A
+subcommand accepts those keys, and no others, as flags and as
+``key=value`` lines of a ``--config`` file (flags win); every output
+carries the tool version and the resolved values of exactly those keys.
 
 ``chain`` has no step option: :mod:`tonguelab.sgchain` chooses the RK4
 step and checks a classification by step halving.  Its JSON ``meta``
@@ -26,20 +28,20 @@ import math
 import re
 import sys
 import time
-from contextlib import nullcontext
+from collections.abc import Callable
+from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
-from .cylmap import MapParams, PhaseState
+from .cylmap import MapParams
 from .orbits import ContinuationError, continue_in_x
 from .series import LeadingIndexNotFound, expand, verify_first_order, verify_periodicity
 from .sgchain import (ChainParams, classify_attractor, critical_torque, default_dt, integrate,
                       twist_state)
 from .svgfig import emit_svg
-from .tongue import (InsufficientDataError, ScalingFit, TongueSample, fit_exponent,
-                     orbits_at, sweep)
+from .tongue import InsufficientDataError, TongueSample, fit_exponent, orbits_at, sweep
 from .trigpoly import TrigPoly
 
 _USAGE_ERROR = 2
@@ -71,7 +73,8 @@ def parse_f(spec: str) -> TrigPoly:
 
 @dataclass
 class RunConfig:
-    """Fully resolved run configuration; every output carries its to_dict."""
+    """Fully resolved run configuration; every output carries its to_dict,
+    which holds the subcommand and the keys it reads."""
 
     subcommand: str
     f: str = "sin"
@@ -91,20 +94,27 @@ class RunConfig:
     t_end: float = 0.0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"subcommand": self.subcommand,
+                **{key: getattr(self, key) for key in COMMANDS[self.subcommand].keys}}
 
-    def map_params(self, eps: float = 0.0, delta: float | None = None) -> MapParams:
-        """The map of ``orbit``, ``profile``, ``tongue``, ``series`` and ``fit``;
-        a p/q orbit needs ``gcd(p, q) = 1``, so a reducible one is a usage error."""
-        m = MapParams(eps=eps, delta=self.delta if delta is None else delta,
-                      f=parse_f(self.f), p=self.p, q=self.q)
+    def one_eps(self) -> float:
+        """The eps of a subcommand that runs at a single strength."""
+        if len(self.eps) != 1:
+            raise UsageError(f"{self.subcommand} takes one eps value, got {len(self.eps)}")
+        return self.eps[0]
+
+    def map_params(self, eps: float = 0.0) -> MapParams:
+        """The map of ``orbit``, ``profile``, ``tongue``, ``series`` and ``fit``
+        (only ``orbit`` reads a drift); a p/q orbit needs ``gcd(p, q) = 1``,
+        so a reducible one is a usage error."""
+        m = MapParams(eps=eps, delta=self.delta, f=parse_f(self.f), p=self.p, q=self.q)
         if not m.coprime():
             raise UsageError(f"{self.subcommand} requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
         return m
 
     def chain_params(self) -> ChainParams:
         return ChainParams(q=self.q, p=self.p, gamma=self.gamma,
-                           eps=self.eps[0], delta=self.delta)
+                           eps=self.one_eps(), delta=self.delta)
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -132,34 +142,30 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-# Each key is coerced by the type of its field's default value.
-_DEFAULTS = asdict(RunConfig(subcommand=""))
-
-
 def build_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, config file, and flags (flags win)."""
+    """Merge defaults, config file, and flags (flags win); a key that the
+    subcommand does not read is a usage error."""
+    cmd = COMMANDS[args.subcommand]
     cfg = RunConfig(subcommand=args.subcommand)
     file_values = read_config_file(args.config) if args.config else {}
-    flag_values = {key: getattr(args, key, None) for key in _DEFAULTS}
+    flag_values = {key: getattr(args, key, None) for key in cmd.keys}
     for key, value in [*file_values.items(), *flag_values.items()]:
-        if key == "subcommand" or value is None:
+        if value is None:
             continue
-        if key not in _DEFAULTS:
-            raise UsageError(f"unknown config key {key!r}")
-        kind = type(_DEFAULTS[key])
+        if key not in cmd.keys:
+            raise UsageError(f"unknown config key {key!r} for {args.subcommand}")
+        kind = type(getattr(cfg, key))  # the type of the field's default
         setattr(cfg, key, _parse_float_list(value) if kind is list else kind(value))
+    if "format" in cmd.keys and cfg.format not in cmd.formats:
+        raise UsageError(f"{args.subcommand} --format must be {'/'.join(cmd.formats)}, "
+                         f"not {cfg.format!r}")
     return cfg
 
 
 def _meta(cfg: RunConfig, t_start: float, **extra) -> dict:
-    return {
-        "tool": "tonguelab",
-        "version": __version__,
-        "config": cfg.to_dict(),
-        "wallclock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "elapsed_s": round(time.time() - t_start, 3),
-        **extra,
-    }
+    return {"tool": "tonguelab", "version": __version__, "config": cfg.to_dict(),
+            "wallclock_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "elapsed_s": round(time.time() - t_start, 3), **extra}
 
 
 def _svg_meta(cfg: RunConfig) -> dict:
@@ -180,8 +186,7 @@ def _write_csv(cfg: RunConfig, t0: float, header: str, rows, path: str) -> None:
         fh.write(f"# wallclock: {meta['wallclock_utc']} elapsed_s={meta['elapsed_s']}\n")
         fh.write(header + "\n")
         for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
 def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str, **meta) -> None:
@@ -193,7 +198,7 @@ def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str, **meta) -> 
 # -- subcommand runners ---------------------------------------------------
 
 def _run_orbit(cfg: RunConfig, t0: float) -> int:
-    orbits, sample, grid = orbits_at(cfg.map_params(eps=cfg.eps[0]), cfg.grid)
+    orbits, sample, grid = orbits_at(cfg.map_params(eps=cfg.one_eps()), cfg.grid)
     _write_json(cfg, t0, {
         "orbits": [{"kind": o.kind, "residual": {"R": o.residual.R, "S": o.residual.S},
                     "states": [{"x": s.x, "y": s.y} for s in o.states]} for o in orbits],
@@ -203,9 +208,8 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_profile(cfg: RunConfig, t0: float) -> int:
-    eps = cfg.eps[0]
-    m = cfg.map_params(eps=eps, delta=0.0)
-    sols = continue_in_x(eps, m, cfg.grid)
+    m = cfg.map_params(eps=cfg.one_eps())
+    sols = continue_in_x(m.eps, m, cfg.grid)
     if cfg.format == "svg":
         dataset = {"x0": [s.x0 for s in sols], "delta": [s.delta for s in sols],
                    "xlabel": "x0", "ylabel": "delta"}
@@ -215,8 +219,7 @@ def _run_profile(cfg: RunConfig, t0: float) -> int:
             {"x0": s.x0, "delta": s.delta, "y0": s.y0, "iterations": s.iterations}
             for s in sols]}, cfg.out)
     else:
-        _write_csv(cfg, t0, "x0,delta,y0",
-                   [(s.x0, s.delta, s.y0) for s in sols], cfg.out)
+        _write_csv(cfg, t0, "x0,delta,y0", [(s.x0, s.delta, s.y0) for s in sols], cfg.out)
     return 0
 
 
@@ -224,23 +227,20 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params()
     result = sweep(m, sorted(cfg.eps), grid=cfg.grid)
     for failure in result.failures:
-        print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}",
-              file=sys.stderr)
+        print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}", file=sys.stderr)
     samples = result.samples
     if cfg.format == "svg":
         if not samples:
             raise ContinuationError(0.0, 0.0, "no tongue samples to plot")
-        fit = _maybe_fit(samples)
         dataset = {"eps": [s.eps for s in samples], "width": [s.width for s in samples],
                    "xlabel": "eps", "ylabel": "width"}
-        if fit is not None:
-            dataset["slope"] = fit.exponent
-            dataset["intercept"] = fit.log_prefactor
+        with suppress(InsufficientDataError):
+            fit = fit_exponent(samples)
+            dataset.update(slope=fit.exponent, intercept=fit.log_prefactor)
         emit_svg(dataset, "loglog", cfg.out or "tongue.svg", _svg_meta(cfg))
     elif cfg.format == "json":
         _write_json(cfg, t0, {"samples": [asdict(s) for s in samples],
-                              "failures": [asdict(f) for f in result.failures]},
-                    cfg.out)
+                              "failures": [asdict(f) for f in result.failures]}, cfg.out)
     else:
         _write_csv(cfg, t0, "eps,width,delta_max,delta_min,x_argmax,x_argmin",
                    [(s.eps, s.width, s.delta_max, s.delta_min, s.x_argmax, s.x_argmin)
@@ -248,28 +248,17 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
     return 0 if samples else 1
 
 
-def _maybe_fit(samples) -> ScalingFit | None:
-    try:
-        return fit_exponent(samples)
-    except InsufficientDataError:
-        return None
-
-
 def _run_series(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params()
     sol = expand(m, cfg.order)
     first = verify_first_order(sol, m)
     payload = dict(sol.to_dict())
-    payload["first_order_check"] = {"delta1_error": first.delta1_error,
-                                    "y1_error": first.y1_error}
+    payload["first_order_check"] = {"delta1_error": first.delta1_error, "y1_error": first.y1_error}
     if sol.r is not None:
         per = verify_periodicity(sol, m)
         payload["periodicity_check"] = {
-            "shift_residual": per.shift_residual,
-            "norm": per.norm,
-            "support": sorted(per.support),
-            "support_multiples_of_q": per.support_multiples_of_q,
-        }
+            "shift_residual": per.shift_residual, "norm": per.norm,
+            "support": sorted(per.support), "support_multiples_of_q": per.support_multiples_of_q}
     _write_json(cfg, t0, payload, cfg.out)
     return 0
 
@@ -281,9 +270,12 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
     if cfg.bracket:
         if len(cfg.bracket) != 2:
             raise UsageError("--bracket needs exactly two values lo,hi")
-        crit = critical_torque(c, (cfg.bracket[0], cfg.bracket[1]),
-                               horizon=cfg.horizon)
-        report["critical_delta"] = crit
+        dropped = [flag for flag, value in (("--out", cfg.out), ("--t-end", cfg.t_end),
+                                            ("--delta", cfg.delta)) if value]
+        if dropped:
+            raise UsageError("--bracket bisects over the drift and writes no trajectory, "
+                             f"so it takes no {', '.join(dropped)}")
+        report["critical_delta"] = critical_torque(c, tuple(cfg.bracket), horizon=cfg.horizon)
         # critical_torque bisects at the start step, without halvings
         step = {"dt": default_dt(c), "halvings": 0}
     else:
@@ -295,15 +287,12 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
             t_end = cfg.t_end if cfg.t_end > 0 else 200.0
             traj = integrate(twist_state(c), c, rep.dt, t_end,
                              record_every=max(1, int(round(1.0 / rep.dt))))
-            header = ("t," + ",".join(f"x_{k}" for k in range(c.q))
-                      + "," + ",".join(f"v_{k}" for k in range(c.q)))
-            rows = [tuple([float(tt)] + [float(v) for v in xx] + [float(v) for v in vv])
-                    for tt, xx, vv in zip(traj.times, traj.pos, traj.vel)]
             if cfg.format == "svg":
-                dataset = {"t": [float(v) for v in traj.times],
-                           "x": [list(map(float, traj.pos[:, k])) for k in range(c.q)]}
-                emit_svg(dataset, "trajectory", cfg.out, _svg_meta(cfg))
+                emit_svg({"t": traj.times.tolist(), "x": traj.pos.T.tolist()},
+                         "trajectory", cfg.out, _svg_meta(cfg))
             else:
+                header = ",".join(["t", *(f"{v}_{k}" for v in "xv" for k in range(c.q))])
+                rows = np.column_stack([traj.times, traj.pos, traj.vel]).tolist()
                 _write_csv(cfg, t0, header, rows, cfg.out)
     _write_json(cfg, t0, report, cfg.report, diagnostics=step)
     return 0
@@ -327,36 +316,65 @@ def _run_fit(cfg: RunConfig, t0: float) -> int:
             samples.append(TongueSample(eps, width, *[math.nan] * 4))
     fit = fit_exponent(samples)
     expected_r = None
-    try:
-        sol = expand(cfg.map_params(), cfg.order)
-        expected_r = sol.r
-    except (ValueError, LeadingIndexNotFound):
-        pass
+    with suppress(ValueError, LeadingIndexNotFound):
+        expected_r = expand(cfg.map_params(), cfg.order).r
     _write_json(cfg, t0, {"exponent": fit.exponent, "residual": fit.residual,
-                          "expected_r": expected_r,
-                          "log_prefactor": fit.log_prefactor,
+                          "expected_r": expected_r, "log_prefactor": fit.log_prefactor,
                           "eps_range": list(fit.eps_range)}, cfg.out)
     return 0
 
 
-# -- argument parsing -----------------------------------------------------
+# -- the subcommand table ------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", help="key=value config file; flags override it")
-    sp.add_argument("--f", help="forcing term: sin, cos, 'sin 2x', or "
-                                '{"cos":[...],"sin":[...]} (default sin)')
-    sp.add_argument("--q", type=int, help="orbit period / chain length (default 1)")
-    sp.add_argument("--p", type=int, help="winding number / chain twist (default 0)")
-    sp.add_argument("--eps", help="perturbation strength, comma list (default 0.1)")
-    sp.add_argument("--delta", type=float, help="drift / torque (default 0)")
-    sp.add_argument("--order", type=int, help="series truncation order (default 4)")
-    sp.add_argument("--grid", type=int, help="x0 grid size (default 64)")
-    sp.add_argument("--gamma", type=float, help="chain damping (default 0.5)")
-    sp.add_argument("--horizon", type=float,
-                    help="chain classification horizon (default 1e5)")
-    sp.add_argument("--format", choices=("csv", "json", "svg"),
-                    help="output format (default csv)")
-    sp.add_argument("--out", help="output path (default: stdout)")
+@dataclass(frozen=True)
+class Subcommand:
+    """A subcommand's runner, help, config keys (each also a flag) and formats."""
+
+    run: Callable[[RunConfig, float], int]
+    help: str
+    keys: tuple[str, ...]
+    formats: tuple[str, ...] = ()
+
+
+COMMANDS = {
+    "orbit": Subcommand(_run_orbit, "all p/q orbits at fixed drift, from the roots of the "
+                        "drift profile; the profile's range is reported with them (JSON)",
+                        ("f", "q", "p", "eps", "delta", "grid", "out")),
+    "profile": Subcommand(_run_profile, "drift profile over x0 at fixed eps",
+                          ("f", "q", "p", "eps", "grid", "format", "out"),
+                          ("csv", "json", "svg")),
+    "tongue": Subcommand(_run_tongue, "tongue width sweep over an eps list",
+                         ("f", "q", "p", "eps", "grid", "format", "out"),
+                         ("csv", "json", "svg")),
+    "series": Subcommand(_run_series, "eps-series expansion of the drift profile (JSON)",
+                         ("f", "q", "p", "order", "out")),
+    "chain": Subcommand(_run_chain, "classify the twisted sine-Gordon chain's attractor, "
+                        "or measure its critical torque with --bracket; the RK4 step is "
+                        "chosen and checked by step halving, and the JSON meta reports it",
+                        ("q", "p", "eps", "delta", "gamma", "horizon", "bracket", "report",
+                         "t_end", "format", "out"), ("csv", "svg")),
+    "fit": Subcommand(_run_fit, "power-law fit of a width CSV (JSON)",
+                      ("f", "q", "p", "order", "input", "out")),
+}
+
+# Flag help per config key; the flag is the key with '_' written '-'.
+_HELP = {
+    "f": "forcing term: sin, cos, 'sin 2x', or {\"cos\":[...],\"sin\":[...]} (default sin)",
+    "q": "orbit period / chain length (default 1)",
+    "p": "winding number / chain twist (default 0)",
+    "eps": "perturbation strength; tongue takes a comma list (default 0.1)",
+    "delta": "drift / torque (default 0)",
+    "order": "series truncation order (default 4)",
+    "grid": "x0 grid size, at least 8q (default 64)",
+    "gamma": "chain damping (default 0.5)",
+    "horizon": "chain classification horizon (default 1e5)",
+    "format": "output format (default csv):",
+    "out": "output path (default: stdout)",
+    "bracket": "lo,hi torque bracket: measure the critical torque instead of classifying",
+    "report": "path for the JSON report (default: stdout)",
+    "t_end": "trajectory length in time units (default 200)",
+    "input": "width CSV produced by the tongue command",
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -366,43 +384,23 @@ def make_parser() -> argparse.ArgumentParser:
                     "maps, plus the damped sine-Gordon chain.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    descriptions = {
-        "orbit": "all p/q orbits at fixed drift, from the roots of the drift "
-                 "profile; the profile's range is reported with them (JSON)",
-        "profile": "drift profile over x0 at fixed eps",
-        "tongue": "tongue width sweep over an eps list",
-        "series": "eps-series expansion of the drift profile (JSON)",
-        "chain": "classify the twisted sine-Gordon chain's attractor, or measure "
-                 "its critical torque with --bracket; the RK4 step is chosen "
-                 "and checked by step halving, and the JSON meta reports it",
-        "fit": "power-law fit of a width CSV",
-    }
-    for name, desc in descriptions.items():
-        sp = subs.add_parser(name, help=desc, description=desc)
-        _add_common(sp)
-        if name == "chain":
-            sp.add_argument("--bracket", help="lo,hi torque bracket: measure the "
-                                              "critical torque instead of classifying")
-            sp.add_argument("--report", help="path for the JSON report "
-                                             "(default: stdout)")
-            sp.add_argument("--t-end", dest="t_end", type=float,
-                            help="trajectory CSV length in time units (default 200)")
-        if name == "fit":
-            sp.add_argument("--input", help="width CSV produced by the tongue command")
+    for name, cmd in COMMANDS.items():
+        # no abbreviations: --f would otherwise stand for --format where --f is not read
+        sp = subs.add_parser(name, help=cmd.help, description=cmd.help, allow_abbrev=False)
+        sp.add_argument("--config", help="key=value file of the keys below; flags override it")
+        for key in cmd.keys:
+            help_ = f"{_HELP[key]} {', '.join(cmd.formats)}" if key == "format" else _HELP[key]
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, help=help_)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     t0 = time.time()
     try:
         cfg = build_config(args)
-        runner = {"orbit": _run_orbit, "profile": _run_profile,
-                  "tongue": _run_tongue, "series": _run_series,
-                  "chain": _run_chain, "fit": _run_fit}[cfg.subcommand]
-        return runner(cfg, t0)
+        return COMMANDS[cfg.subcommand].run(cfg, t0)
     except (UsageError, ValueError) as exc:
         print(f"tonguelab: usage error: {exc}", file=sys.stderr)
         return _USAGE_ERROR

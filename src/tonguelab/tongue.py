@@ -77,8 +77,9 @@ class SweepResult:
 def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     """Measure the tongue cross-section at ``eps``.
 
-    Interpolates the :func:`continue_in_x` profile's ``delta`` and ``y0``
-    by trigonometric polynomials of degree ``(grid - 1) // 2`` and solves
+    Interpolates the :func:`continue_in_x` profile's ``delta`` and ``y0``,
+    on a grid raised to at least ``8 * q`` points, by trigonometric
+    polynomials of degree ``(grid - 1) // 2`` and solves
     for ``(delta, y0)``, seeded from both, at every critical point of the
     ``delta`` interpolant in one batch; the largest and smallest of these
     Newton values, bounded by the grid extrema, are the edges.  The
@@ -96,9 +97,10 @@ def _resolved_profile(m: MapParams, eps: float, grid: int
     """The loop of :func:`width_at`: its sample, the ``delta`` and ``y0``
     interpolants of the profile, the critical points of the ``delta``
     interpolant with the profile's Newton ``delta`` there, and the grid
-    that resolved it."""
+    that resolved it, which starts at ``max(grid, 8 * q)``."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
+    grid = max(grid, 8 * m.q)
     if eps == 0.0:
         none = np.zeros(0)
         return (TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), TrigPoly.zero(), TrigPoly.zero(),
@@ -140,13 +142,13 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
     """Every p/q orbit at drift ``m.delta`` and strength ``m.eps``, the
     profile's cross-section (the evidence when there is none), and the grid.
 
-    The profile is resolved as in :func:`width_at`, from at least ``8 * q``
-    points.  Inside its range, each root ``x_i`` of ``D(x_i, eps) = delta``
-    seeds :func:`solve_orbits_fixed_delta` with ``(x_i, Y(x_i, eps))``, and
+    The profile is resolved as in :func:`width_at`.  Inside its range,
+    each root ``x_i`` of ``D(x_i, eps) = delta`` seeds
+    :func:`solve_orbits_fixed_delta` with ``(x_i, Y(x_i, eps))``, and
     orbits through the same roots are one.  At ``eps = 0`` and
     ``delta = 0`` each grid point gives one parabolic orbit.
     """
-    sample, d_fit, y_fit, crit, d_crit, grid = _resolved_profile(m, m.eps, max(grid, 8 * m.q))
+    sample, d_fit, y_fit, crit, d_crit, grid = _resolved_profile(m, m.eps, grid)
     if not sample.delta_min <= m.delta <= sample.delta_max:
         return [], sample, grid
     if m.eps == 0.0:
@@ -171,8 +173,8 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:
-    """One tongue sample per eps, ascending; failures are recorded and
-    the sweep continues."""
+    """One :func:`width_at` sample per eps, ascending; failures are
+    recorded and the sweep continues."""
     eps_sorted = list(eps_list)
     if eps_sorted != sorted(eps_sorted):
         raise ValueError("eps_list must be sorted ascending")

@@ -68,7 +68,9 @@ def test_profile_svg(tmp_path):
 
 @pytest.mark.parametrize("cmd", ["profile", "tongue", "orbit", "series"])
 def test_reducible_is_usage_error(capsys, cmd):
-    assert cli.run([cmd, "--q", "4", "--p", "2", "--eps", "0.1", "--grid", "32"]) == 2
+    # each subcommand gets only the flags it reads: series reads no eps or grid
+    extra = [] if cmd == "series" else ["--eps", "0.1", "--grid", "32"]
+    assert cli.run([cmd, "--q", "4", "--p", "2", *extra]) == 2
     assert "gcd(p, q) = 1" in capsys.readouterr().err
 
 
@@ -217,16 +219,21 @@ def test_jobs_config_key_rejected(tmp_path, capsys):
 
 
 def test_config_keys_take_their_field_types(tmp_path):
-    names = [f.name for f in fields(cli.RunConfig) if f.name != "subcommand"]
+    """Each subcommand's own keys; together they cover every RunConfig field."""
+    names = {f.name for f in fields(cli.RunConfig) if f.name != "subcommand"}
+    assert set().union(*(cmd.keys for cmd in cli.COMMANDS.values())) == names
     config = tmp_path / "run.cfg"
-    config.write_text("".join(f"{name}=3\n" for name in names))
-    cfg = cli.build_config(argparse.Namespace(subcommand="chain", config=str(config)))
-    default = cli.RunConfig(subcommand="chain")
-    for name in names:
-        value = getattr(cfg, name)
-        assert type(value) is type(getattr(default, name)), name
-        if isinstance(value, list):
-            assert value == [3.0], name
+    for sub, cmd in cli.COMMANDS.items():
+        # a format must be one the subcommand writes
+        config.write_text("".join(f"{name}={'csv' if name == 'format' else 3}\n"
+                                  for name in cmd.keys))
+        cfg = cli.build_config(argparse.Namespace(subcommand=sub, config=str(config)))
+        default = cli.RunConfig(subcommand=sub)
+        for name in cmd.keys:
+            value = getattr(cfg, name)
+            assert type(value) is type(getattr(default, name)), (sub, name)
+            if isinstance(value, list):
+                assert value == [3.0], (sub, name)
 
 
 def test_cli_import_leaves_out_scipy():
@@ -236,3 +243,139 @@ def test_cli_import_leaves_out_scipy():
     out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def exit_code(argv):
+    """Exit code of one CLI run, whether argparse or cli.run sets it."""
+    try:
+        return cli.run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_each_subcommand_accepts_its_table_row():
+    actions = cli.make_parser()._actions
+    subs = next(a for a in actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert list(subs) == list(cli.COMMANDS)
+    for name, sp in subs.items():
+        dests = [a.dest for a in sp._actions if a.option_strings and a.dest != "help"]
+        assert dests == ["config", *cli.COMMANDS[name].keys], name
+        assert bool(cli.COMMANDS[name].formats) == ("format" in cli.COMMANDS[name].keys), name
+
+
+@pytest.mark.parametrize("argv", [["chain", "--f", "cos"], ["series", "--eps", "0.1"],
+                                  ["orbit", "--format", "csv"], ["chain", "--format", "json"]],
+                         ids=" ".join)
+def test_unread_flag_is_usage_error(capsys, argv):
+    assert exit_code([*argv, "--q", "3", "--p", "1"]) == 2
+    assert argv[1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", list(cli.COMMANDS))
+def test_unread_config_key_is_usage_error(tmp_path, capsys, cmd):
+    key = next(f.name for f in fields(cli.RunConfig)
+               if f.name not in cli.COMMANDS[cmd].keys and f.name != "subcommand")
+    config = tmp_path / "run.cfg"
+    config.write_text(f"q=3\np=1\n{key}=1\n")
+    assert cli.run([cmd, "--config", str(config)]) == 2
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_format_must_be_written_by_the_subcommand(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("q=2\np=1\neps=0.6\nformat=json\n")
+    assert cli.run(["chain", "--config", str(config)]) == 2
+    assert "chain --format must be csv/svg, not 'json'" in capsys.readouterr().err
+
+
+@pytest.fixture
+def widths_csv(tmp_path):
+    path = tmp_path / "widths.csv"
+    path.write_text("".join(f"{e},{1e-3 * e ** 2}\n" for e in (0.1, 0.2, 0.3, 0.4, 0.5)))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "8"],
+    ["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "24", "--format", "json"],
+    ["tongue", "--q", "3", "--p", "1", "--eps", "0.1", "--grid", "24", "--format", "json"],
+    ["series", "--q", "3", "--p", "1", "--order", "2"],
+    ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005"],
+    ["fit", "--q", "2", "--p", "1"]], ids=lambda argv: argv[0])
+def test_meta_config_is_the_table_row(capsys, widths_csv, argv):
+    if argv[0] == "fit":
+        argv = [*argv, "--input", str(widths_csv)]
+    rc, out = run_json(capsys, argv)
+    assert rc == 0
+    assert list(out["meta"]["config"]) == ["subcommand", *cli.COMMANDS[argv[0]].keys]
+
+
+def test_csv_and_svg_record_the_table_row(tmp_path, capsys):
+    assert cli.run(["tongue", "--q", "3", "--p", "1", "--eps", "0.1", "--grid", "24"]) == 0
+    header = next(line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("# config: "))
+    assert set(json.loads(header[len("# config: "):])) == {"subcommand",
+                                                           *cli.COMMANDS["tongue"].keys}
+    svg = tmp_path / "profile.svg"
+    assert cli.run(["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "24",
+                    "--format", "svg", "--out", str(svg)]) == 0
+    line = next(line for line in svg.read_text().splitlines() if line.startswith("config="))
+    assert set(json.loads(line[len("config="):])) == {"subcommand", *cli.COMMANDS["profile"].keys}
+
+
+@pytest.mark.parametrize("cmd", ["orbit", "profile", "chain"])
+def test_single_eps_subcommand_rejects_a_list(capsys, cmd):
+    assert cli.run([cmd, "--q", "3", "--p", "1", "--eps", "0.1,0.2"]) == 2
+    assert f"{cmd} takes one eps value, got 2" in capsys.readouterr().err
+
+
+def test_tongue_grid_below_eight_q_is_raised(capsys):
+    rc = cli.run(["tongue", "--q", "5", "--p", "1", "--eps", "0.2", "--grid", "24"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert len(csv_rows(captured.out)) == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--out", "t.csv"), ("--t-end", "20"),
+                                        ("--delta", "0.3")])
+def test_bracket_rejects_what_it_drops(tmp_path, capsys, flag, value):
+    """--bracket writes no trajectory and bisects over the drift itself."""
+    if flag == "--out":
+        value = str(tmp_path / value)
+    rc = cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--bracket", "0.01,0.1",
+                  flag, value])
+    assert rc == 2
+    assert f"takes no {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_chain_trajectory_csv(tmp_path, capsys):
+    traj, report = tmp_path / "t.csv", tmp_path / "r.json"
+    assert cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005",
+                    "--out", str(traj), "--t-end", "20", "--report", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    rows = csv_rows(traj.read_text())
+    assert rows[0] == ["t", "x_0", "x_1", "v_0", "v_1"]
+    values = [[float(v) for v in row] for row in rows[1:]]
+    start = sgchain.twist_state(sgchain.ChainParams(q=2, p=1, gamma=0.5, eps=0.6, delta=0.005))
+    assert values[0] == [0.0, *start.pos, *start.vel]
+    out = json.loads(report.read_text())
+    assert out["kind"] == "equilibrium"
+    dt = out["meta"]["diagnostics"]["dt"]
+    times = [row[0] for row in values]
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert times[-1] == 20.0
+    assert all(g == pytest.approx(gaps[0], rel=1e-9) for g in gaps[:-1])
+    assert abs(gaps[0] - 1.0) <= dt
+
+
+def test_chain_trajectory_svg_is_deterministic(tmp_path):
+    out = tmp_path / "t.svg"
+    argv = ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005",
+            "--format", "svg", "--out", str(out), "--t-end", "20",
+            "--report", str(tmp_path / "r.json")]
+    assert cli.run(argv) == 0
+    first = out.read_bytes()
+    assert first.startswith(b"<svg") and first.endswith(b"</svg>\n")
+    assert cli.run(argv) == 0
+    assert out.read_bytes() == first

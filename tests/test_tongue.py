@@ -206,6 +206,13 @@ class TestOrbitsAt:
 
 
 class TestSweepAndFit:
+    def test_grid_raised_to_eight_q(self):
+        """width_at and sweep start from at least 8q points, as orbits_at does."""
+        m = MapParams(0.0, 0.0, SIN, 1, 5)
+        sample = width_at(m, 0.2, 40)
+        assert width_at(m, 0.2, 24) == sample
+        assert sweep(m, [0.2], grid=24).samples == (sample,)
+
     def test_empty_sweep(self):
         m = MapParams(0.0, 0.0, SIN, 1, 2)
         result = sweep(m, [])
