@@ -14,7 +14,14 @@ carries the tool version and the resolved values of exactly those keys.
 step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
-for ``--bracket``, which bisects at the start step).
+for ``--bracket``, which bisects at the start step).  A classification
+adds the test that ended its run (``decided_by``: ``trap`` for the
+energy trap certificate, ``velocity`` for velocities below ``TAU_EQ``,
+``wave`` for the delay identity, ``horizon`` when undecided) and the RK4
+steps of every run of the halving check (``rk4_steps``).  ``--t-end`` and
+``--format`` shape the trajectory that ``--out`` writes, so ``chain``
+takes them only with ``--out``; for a whole-number ``--t-end`` the
+trajectory's rows are one time unit apart.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
@@ -209,7 +216,8 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 
 def _run_profile(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params(eps=cfg.one_eps())
-    sols = continue_in_x(m.eps, m, cfg.grid)
+    # the 8q grid floor of tongue and orbit, without their grid doubling
+    sols = continue_in_x(m.eps, m, max(cfg.grid, 8 * m.q))
     if cfg.format == "svg":
         dataset = {"x0": [s.x0 for s in sols], "delta": [s.delta for s in sols],
                    "xlabel": "x0", "ylabel": "delta"}
@@ -267,10 +275,12 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
     c = cfg.chain_params()
     report: dict = {"kind": None, "mean_velocity": None, "T": None,
                     "delay_error": None, "critical_delta": None}
+    # options that only shape the trajectory --out writes
+    shaping = [("--t-end", cfg.t_end), ("--format", cfg.format != "csv")]
     if cfg.bracket:
         if len(cfg.bracket) != 2:
             raise UsageError("--bracket needs exactly two values lo,hi")
-        dropped = [flag for flag, value in (("--out", cfg.out), ("--t-end", cfg.t_end),
+        dropped = [flag for flag, value in (("--out", cfg.out), *shaping,
                                             ("--delta", cfg.delta)) if value]
         if dropped:
             raise UsageError("--bracket bisects over the drift and writes no trajectory, "
@@ -279,14 +289,20 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         # critical_torque bisects at the start step, without halvings
         step = {"dt": default_dt(c), "halvings": 0}
     else:
+        dropped = [flag for flag, value in shaping if value]
+        if dropped and not cfg.out:
+            raise UsageError("without --out chain writes no trajectory, "
+                             f"so it takes no {', '.join(dropped)}")
         rep = classify_attractor(twist_state(c), c, horizon=cfg.horizon)
         report.update({"kind": rep.kind, "mean_velocity": rep.mean_velocity,
                        "T": rep.wave_period, "delay_error": rep.delay_error})
-        step = {"dt": rep.dt, "halvings": rep.halvings}
+        step = {"dt": rep.dt, "halvings": rep.halvings, "decided_by": rep.decided_by,
+                "rk4_steps": rep.rk4_steps}
         if cfg.out:
             t_end = cfg.t_end if cfg.t_end > 0 else 200.0
-            traj = integrate(twist_state(c), c, rep.dt, t_end,
-                             record_every=max(1, int(round(1.0 / rep.dt))))
+            # n steps of 1/n per time unit, never coarser than the checked step
+            n = math.ceil(1.0 / rep.dt)
+            traj = integrate(twist_state(c), c, 1.0 / n, t_end, record_every=n)
             if cfg.format == "svg":
                 emit_svg({"t": traj.times.tolist(), "x": traj.pos.T.tolist()},
                          "trajectory", cfg.out, _svg_meta(cfg))

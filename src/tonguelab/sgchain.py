@@ -34,6 +34,18 @@ reproducibility.  The step is chosen, not set:
   ``h``: the pinned branch that :func:`critical_torque` follows does not
   move with the step.
 
+A run is checked at the end of each of its doubling windows.  It has
+settled to an equilibrium once the energy trap certificate
+(:func:`_trap`) holds: the damped chain's energy ``E = sum v^2/2 + V(x)``
+never increases, and Newton on the equilibrium equations finds a stable
+equilibrium ``x_e`` whose well the state cannot leave with the energy it
+has left, so the run converges to ``x_e``.  The settled state is then
+``x_e`` itself at rest, and :func:`critical_torque` continues the pinned
+branch from that exact equilibrium.  The certificate ends a pinned run
+long before its velocities die out; the older test, every |velocity|
+below ``TAU_EQ`` over a whole window, remains for chains where it finds
+no certificate (``eps = 0``, a flat well, Newton not converging).
+
 A chain has only a few sites, so a step written site by site is
 dominated by the fixed cost of each numpy call, not by arithmetic.
 :func:`integrate` therefore writes each RK4 stage as one matrix product
@@ -58,6 +70,10 @@ MAX_HALVINGS = 5
 _RK4_REAL_LIMIT = 2.785293563405282
 # Equilibrium when every |velocity| stays below this over a window.
 TAU_EQ = 1e-8
+# Newton iterations the trap certificate may take to reach its equilibrium.
+_TRAP_NEWTON_ITERS = 8
+# Bound on the rounding of one force entry or Cholesky step, per unit of its scale.
+_ROUND = 8.0 * np.finfo(float).eps
 # Traveling wave when the neighbor-delay identity holds this tightly.
 TAU_WAVE = 1e-4
 # Give up and report "undecided" after this much integrated time.
@@ -116,7 +132,9 @@ class AttractorReport:
     wave_period: float | None
     delay_error: float | None
     dt: float  # the RK4 step of the run that gave this report
+    decided_by: str  # "trap" | "velocity" | "wave" | "horizon": the test that ended the run
     halvings: int = 0  # dt is the start step halved this many times
+    rk4_steps: int = 0  # RK4 steps over every run that went into this report
 
 
 @dataclass(frozen=True)
@@ -127,6 +145,7 @@ class Trajectory:
     pos: np.ndarray  # shape (n_samples, q)
     vel: np.ndarray
     final: ChainState
+    steps: int  # RK4 steps taken
 
 
 def twist_state(c: ChainParams) -> ChainState:
@@ -191,6 +210,18 @@ def _rk4_gain(z: complex) -> complex:
     return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
 
+def _coupling(c: ChainParams) -> tuple[np.ndarray, np.ndarray]:
+    """The ring's Laplacian and the constant terms ``wrap`` by which the
+    twisted boundary ``x_{k+q} = x_k + 2 pi p`` enters it: the coupling
+    force on the sites is ``lap @ x + wrap``."""
+    q = c.q
+    lap = -2.0 * np.eye(q) + np.roll(np.eye(q), 1, axis=0) + np.roll(np.eye(q), -1, axis=0)
+    wrap = np.zeros(q)
+    wrap[0] -= 2.0 * math.pi * c.p
+    wrap[-1] += 2.0 * math.pi * c.p
+    return lap, wrap
+
+
 def _rk4_matrices(c: ChainParams, h: float):
     """Stage matrices ``(G2, G3, G4)`` and step matrix ``P`` of one RK4 step.
 
@@ -205,11 +236,7 @@ def _rk4_matrices(c: ChainParams, h: float):
     basis = np.eye(6 * q + 2)
     x, v = basis[:, :q], basis[:, q:2 * q]
     s = [basis[:, (2 + i) * q:(3 + i) * q] for i in range(4)]
-    lap = -2.0 * np.eye(q) + np.roll(np.eye(q), 1, axis=0) + np.roll(np.eye(q), -1, axis=0)
-    # the twisted boundary x_{k+q} = x_k + 2 pi p as constant terms
-    wrap = np.zeros(q)
-    wrap[0] -= 2.0 * math.pi * c.p
-    wrap[-1] += 2.0 * math.pi * c.p
+    lap, wrap = _coupling(c)
     const = np.outer(basis[:, -2], wrap) + np.outer(basis[:, -1], np.ones(q))
 
     def vdot(xs, vs, sines):
@@ -289,7 +316,7 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
             row += 1
     rec[-1] = z
     final = ChainState(float(times[-1]), w[:q].copy(), w[q:2 * q].copy())
-    return Trajectory(times, rec[:, :q], rec[:, q:], final)
+    return Trajectory(times, rec[:, :q], rec[:, q:], final, steps)
 
 
 def _hermite(traj: Trajectory):
@@ -331,12 +358,16 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     """Integrate in growing windows until the run settles, and check the
     result by step halving.
 
-    Equilibrium: every |velocity| below ``TAU_EQ`` throughout the last
-    window.  Traveling wave: site 0 advances by full turns of 2 pi p at a
-    steady interval (that interval is the period T, robust even for the
-    creeping waves just above depinning) and the delay identity
+    Equilibrium: at the end of a window every |velocity| stayed below
+    ``TAU_EQ`` throughout it, or the energy trap certificate of
+    :func:`_trap` proves the run held in the well of a stable equilibrium.
+    Traveling wave: site 0 advances by full turns of 2 pi p at a steady
+    interval (that interval is the period T, robust even for the creeping
+    waves just above depinning) and the delay identity
     ``x_k(t) = x_{k+-1}(t + T/q)`` holds to ``TAU_WAVE``.  Otherwise
-    undecided at the horizon.
+    undecided at the horizon.  The report names the test that ended the
+    run (``decided_by``: "trap", "velocity", "wave" or "horizon") and
+    counts the RK4 steps of every run of the check (``rk4_steps``).
 
     The check compares pairs of runs from ``s0`` at a step and at half of
     it, starting at ``h = default_dt(c)``, until a pair agrees on the kind
@@ -354,13 +385,15 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     start = default_dt(c)
     depth = 0  # the coarse run of the pair is at start / 2**depth
     coarse = _classify_attractor(s0, c, horizon, start)[0]
+    steps = coarse.rk4_steps
     while True:
         fine = _classify_attractor(s0, c, horizon, 0.5 * coarse.dt)[0]
+        steps += fine.rk4_steps
         same = fine.kind == coarse.kind
         gap = (abs(fine.wave_period - coarse.wave_period) / fine.wave_period
                if same and fine.wave_period is not None else 0.0)
         if same and gap <= PERIOD_STEP_RTOL:
-            return replace(fine, halvings=depth + 1)
+            return replace(fine, halvings=depth + 1, rk4_steps=steps)
         if depth + 1 == MAX_HALVINGS:
             raise StepRefinementError(
                 f"no agreement after {MAX_HALVINGS} step halvings: {coarse.kind} "
@@ -370,12 +403,18 @@ def classify_attractor(s0: ChainState, c: ChainParams,
         while same and depth + skip + 1 < MAX_HALVINGS and gap / 16.0 ** skip > PERIOD_STEP_RTOL:
             skip += 1
         depth += skip
-        coarse = fine if skip == 1 else _classify_attractor(s0, c, horizon, start / 2 ** depth)[0]
+        if skip == 1:
+            coarse = fine
+        else:
+            coarse = _classify_attractor(s0, c, horizon, start / 2 ** depth)[0]
+            steps += coarse.rk4_steps
 
 
 def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
                         dt: float) -> tuple[AttractorReport, ChainState]:
-    """:func:`classify_attractor` together with the state its run ended in."""
+    """:func:`classify_attractor` for one run at step ``dt``, together with
+    the state the run ended in: for a trapped run the certified
+    equilibrium at rest."""
     state = s0
     elapsed = 0.0
     window = 50.0
@@ -383,14 +422,21 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
     turns = 2.0 * math.pi * max(c.p, 1)
     crossings: list[float] = []
     last_turn = 0
+    steps = 0
     while elapsed < horizon:
         window = min(window, max(horizon - elapsed, 2 * dt))
         traj = integrate(state, c, dt, window, record_every=1)
         state = traj.final
         elapsed += window
+        steps += traj.steps
 
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return AttractorReport("equilibrium", 0.0, None, None, dt), state
+            return AttractorReport("equilibrium", 0.0, None, None, dt, "velocity",
+                                   rk4_steps=steps), state
+        trapped = _trap(state, c)
+        if trapped is not None:
+            return (AttractorReport("equilibrium", 0.0, None, None, dt, "trap", rk4_steps=steps),
+                    ChainState(state.t, trapped[0], np.zeros(c.q)))
 
         # full-turn crossings of site 0
         adv = np.floor((traj.pos[:, 0] - ref) / turns).astype(int)
@@ -406,29 +452,32 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
             t_b = crossings[-1] - crossings[-2]
             if t_a > 0 and t_b > 0 and abs(t_a - t_b) < 0.02 * t_b:
                 sign = 1.0 if state.pos[0] >= ref else -1.0
-                report = _try_wave(state, c, dt, t_b, sign)
+                report, spent = _try_wave(state, c, dt, t_b, sign)
+                steps += spent
                 if report is not None:
-                    return report, state
+                    return replace(report, rk4_steps=steps), state
                 crossings = crossings[-1:]
         window = min(window * 2.0, 3200.0)
     omega = (float(state.pos[0]) - ref) / max(elapsed, dt)
-    return AttractorReport("undecided", omega, None, None, dt), state
+    return AttractorReport("undecided", omega, None, None, dt, "horizon", rk4_steps=steps), state
 
 
-def _try_wave(state: ChainState, c: ChainParams, dt: float,
-              t_guess: float, sign: float) -> AttractorReport | None:
+def _try_wave(state: ChainState, c: ChainParams, dt: float, t_guess: float,
+              sign: float) -> tuple[AttractorReport | None, int]:
     """Record a dense stretch, read it through :func:`_hermite`, refine the
     period T from ``t_guess`` (:func:`_refine_period`) and test the delay
     identity ``x_k(t) = x_{k+-1}(t + T/q)`` for either direction of travel,
-    up to the ring seam ``x_{k+q} = x_k + 2 pi p``, against ``TAU_WAVE``."""
+    up to the ring seam ``x_{k+q} = x_k + 2 pi p``, against ``TAU_WAVE``.
+    Returns the wave's report, if any, and the RK4 steps spent."""
     if c.p == 0 or not 0 < t_guess < 2e5:
-        return None
+        return None, 0
     rotation = 2.0 * math.pi * c.p
-    at = _hermite(integrate(state, c, dt, 1.6 * t_guess + 10.0, record_every=1))
+    dense = integrate(state, c, dt, 1.6 * t_guess + 10.0, record_every=1)
+    at = _hermite(dense)
     ts = state.t + np.linspace(0.0, 0.25 * t_guess, 257)
     T = _refine_period(at, ts[::8], t_guess, sign * rotation)
     if T is None:
-        return None
+        return None, dense.steps
     now, later = at(ts)[0], at(ts + T / c.q)[0]
     worst = math.inf
     for nb in (-1, +1):  # the wave may run either way around the ring
@@ -436,7 +485,108 @@ def _try_wave(state: ChainState, c: ChainParams, dt: float,
         seam = nb * rotation * (np.arange(c.q) == (c.q - 1 if nb > 0 else 0))
         worst = min(worst, float(np.max(np.abs(now - np.roll(later, -nb, axis=1) - seam))))
     if worst < TAU_WAVE:
-        return AttractorReport("traveling_wave", sign * rotation / T, T, worst, dt)
+        return AttractorReport("traveling_wave", sign * rotation / T, T, worst, dt,
+                               "wave"), dense.steps
+    return None, dense.steps
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of ``a``; ``None`` when ``a`` is not
+    positive definite."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``low @ low.T @ s = b`` by forward and back substitution."""
+    s = b.copy()
+    for i in range(len(s)):
+        s[i] = (s[i] - low[i, :i] @ s[:i]) / low[i, i]
+    for i in reversed(range(len(s))):
+        s[i] = (s[i] - low[i + 1:, i] @ s[i + 1:]) / low[i, i]
+    return s
+
+
+def _trap(state: ChainState, c: ChainParams) -> tuple[np.ndarray, float] | None:
+    """Energy trap certificate: the stable equilibrium ``x_e`` to which the
+    run from ``state`` provably converges, and the radius ``r`` of the ball
+    about ``x_e`` that the run never leaves; ``None`` when no certificate
+    is found.
+
+    The damped chain has the Lyapunov function ``E = sum v^2/2 + V(x)``,
+    ``V = -x.(lap x/2 + wrap) - eps sum cos x - delta sum x`` (see
+    :func:`_coupling`), with ``dE/dt = -gamma sum v^2 <= 0``.  Newton on
+    the equilibrium equations ``lap x + wrap + delta - eps sin x = 0``,
+    started from the current positions, gives ``x_e`` with a residual of
+    norm ``rho``; ``lam > 0`` bounds the smallest eigenvalue of the Hessian
+    ``H = -lap + eps diag(cos x_e)`` of ``V`` there from below, and
+    ``r = lam/(2 eps)``.  As ``|cos a - cos b| <= |a - b|``,
+    ``H >= lam - eps r = lam/2`` on the ball ``|x - x_e|_2 <= r``, so by
+    Taylor's theorem ``V(x) >= V(x_e) - rho |x - x_e| + lam |x - x_e|^2/4``
+    on the ball and ``V >= V(x_e) + lam r^2/4 - rho r`` on its sphere.  A
+    state inside the ball with ``E < V(x_e) + lam r^2/4 - rho r``
+    therefore never reaches the sphere, since ``E`` never increases and
+    ``V <= E``.  ``V`` is strictly convex on the ball, so the ball holds
+    exactly one equilibrium, within ``2 rho/lam`` of ``x_e``, and by
+    LaSalle's invariance principle the run converges to it.
+
+    ``E - V(x_e)`` is evaluated without cancellation, from
+    ``cos x - cos x_e = -2 sin((x + x_e)/2) sin((x - x_e)/2)``, and
+    ``rho`` is widened by a bound on its rounding.  The only LAPACK
+    routine used is Cholesky's: with numpy 2.4 the first call of
+    ``eigh`` grows the process by about 0.8 MB of resident memory, a
+    first Cholesky call by none measurable.  Each Newton step solves with
+    the Cholesky factor of ``H``, which also stops Newton where ``H`` is
+    not positive definite.  ``lam`` starts from the Rayleigh quotient of
+    the soft mode, found by inverse iteration from the constant vector,
+    which bounds the smallest eigenvalue from above; shrunk by 1/64, it is
+    a lower bound once ``H - lam I`` has a Cholesky factor too, less that
+    factorization's rounding.  Degenerate chains get no certificate (at
+    ``eps = 0`` or ``lam <= 0`` the ball is empty, or Newton does not
+    converge); the velocity test decides those.
+    """
+    if c.eps <= 0.0:
+        return None
+    lap, wrap = _coupling(c)
+    x = state.pos
+    for _ in range(_TRAP_NEWTON_ITERS):
+        force = lap @ x + wrap + c.delta - c.eps * np.sin(x)
+        hess = c.eps * np.diag(np.cos(x)) - lap
+        low = _cholesky(hess)
+        if low is None:
+            return None
+        scale = 4.0 * float(np.max(np.abs(x))) + 2.0 * math.pi * abs(c.p) + abs(c.delta) + c.eps
+        rho = math.sqrt(float(force @ force)) + _ROUND * math.sqrt(c.q) * scale
+        if rho <= 1e-14 * (1.0 + scale):
+            break
+        x = x + _cholesky_solve(low, force)
+        # r <= 1/2 (lam is at most eps, by the Rayleigh quotient of the
+        # constant vector), so an iterate this far away leads to no trap
+        if float(np.max(np.abs(x - state.pos))) > 1.0:
+            return None
+    else:
+        return None
+    mode = np.ones(c.q)
+    for _ in range(3):
+        mode = _cholesky_solve(low, mode)
+        mode /= math.sqrt(float(mode @ mode))
+    lam = (1.0 - 1.0 / 64.0) * float(mode @ hess @ mode)
+    if _cholesky(hess - lam * np.eye(c.q)) is None:
+        return None
+    lam -= _ROUND * c.q * c.q * (4.0 + c.eps)
+    if lam <= 0.0:
+        return None
+    r = lam / (2.0 * c.eps)
+    d = state.pos - x
+    if math.sqrt(float(d @ d)) >= r:
+        return None
+    mid = state.pos + x
+    excess = (0.5 * float(state.vel @ state.vel) - float(d @ (0.5 * (lap @ mid) + wrap + c.delta))
+              + 2.0 * c.eps * float(np.sin(0.5 * mid) @ np.sin(0.5 * d)))
+    if excess < 0.25 * lam * r * r - rho * r:
+        return x, r
     return None
 
 
@@ -451,14 +601,16 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
                        dt: float) -> tuple[str, ChainState]:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
-    "equilibrium" when all velocities drop below ``TAU_EQ`` over a
-    window; "depinned" when any site travels more than ``_ESCAPE`` (half
-    a radian) from its start.  Warm-started from a settled pinned shape,
-    the pinned-side transient stays well below that, while one slip
-    event moves a site by a full site spacing; so the test decides after
-    a single bottleneck passage instead of waiting out a whole wave
-    period, which diverges at the depinning threshold.  Returns the
-    outcome together with the final state.
+    At each window end: "equilibrium" when all velocities stayed below
+    ``TAU_EQ`` over the window; "depinned" when any site travels more
+    than ``_ESCAPE`` (half a radian) from its start; "equilibrium" when
+    the energy trap certificate of :func:`_trap` holds.  Warm-started
+    from a settled pinned shape, the pinned-side transient stays well
+    below the escape distance, while one slip event moves a site by a
+    full site spacing; so the test decides after a single bottleneck
+    passage instead of waiting out a whole wave period, which diverges at
+    the depinning threshold.  Returns the outcome together with the final
+    state, which for a trapped run is the certified equilibrium at rest.
     """
     ref = s0.pos.copy()
     state = s0
@@ -473,6 +625,9 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
             return "equilibrium", state
         if float(np.max(np.abs(state.pos - ref))) > _ESCAPE:
             return "depinned", state
+        trapped = _trap(state, c)
+        if trapped is not None:
+            return "equilibrium", ChainState(state.t, trapped[0], np.zeros(c.q))
         window = min(window * 2.0, 4000.0)
     return "undecided", state
 
@@ -488,9 +643,11 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     the threshold the wave period diverges, so waiting for a full period
     there would turn each probe into an hours-long run, while escape by a
     full turn decides "no equilibrium" just as rigorously given the
-    attractor dichotomy.  Each probe restarts from the last settled
+    attractor dichotomy.  Each probe restarts at rest from the last settled
     equilibrium so the continuation follows the pinned branch; the first
-    is the state the classification at ``bracket[0]`` settled in.
+    is the one the classification at ``bracket[0]`` settled in.  A probe
+    settled by the energy trap certificate hands on its Newton
+    equilibrium, which solves the equilibrium equations to rounding.
 
     Every run uses the start step :func:`default_dt`, with no halving
     check.  At an equilibrium of the chain every RK4 stage is zero, so

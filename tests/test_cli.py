@@ -336,8 +336,16 @@ def test_tongue_grid_below_eight_q_is_raised(capsys):
     assert len(csv_rows(captured.out)) == 2
 
 
+def test_profile_grid_below_eight_q_is_raised(capsys):
+    """profile shares the 8q floor of tongue and orbit, without doubling it."""
+    rc = cli.run(["profile", "--q", "5", "--p", "1", "--eps", "0.2", "--grid", "24"])
+    captured = capsys.readouterr()
+    assert rc == 0 and captured.err == ""
+    assert len(csv_rows(captured.out)) == 1 + 40
+
+
 @pytest.mark.parametrize("flag,value", [("--out", "t.csv"), ("--t-end", "20"),
-                                        ("--delta", "0.3")])
+                                        ("--delta", "0.3"), ("--format", "svg")])
 def test_bracket_rejects_what_it_drops(tmp_path, capsys, flag, value):
     """--bracket writes no trajectory and bisects over the drift itself."""
     if flag == "--out":
@@ -347,6 +355,31 @@ def test_bracket_rejects_what_it_drops(tmp_path, capsys, flag, value):
     assert rc == 2
     assert f"takes no {flag}" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("extra", [["--t-end", "5"], ["--format", "svg"],
+                                   ["--t-end", "5", "--format", "svg"]])
+def test_chain_without_out_rejects_trajectory_options(capsys, extra):
+    """--t-end and --format shape the trajectory that only --out writes."""
+    rc = cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005", *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"takes no {', '.join(extra[::2])}" in captured.err
+
+
+@pytest.mark.parametrize("delta,kind,decided_by", [("0.005", "equilibrium", "trap"),
+                                                   ("0.012", "traveling_wave", "wave")])
+def test_chain_reports_what_decided(capsys, delta, kind, decided_by):
+    """A classification's diagnostics name the test that ended its runs and
+    count the RK4 steps of all of them, at least two runs' worth."""
+    rc, out = run_json(capsys, ["chain", "--q", "3", "--p", "1", "--eps", "0.6",
+                                "--delta", delta])
+    assert rc == 0 and out["kind"] == kind
+    diag = out["meta"]["diagnostics"]
+    assert set(diag) == {"dt", "halvings", "decided_by", "rk4_steps"}
+    assert diag["decided_by"] == decided_by
+    start = sgchain.default_dt(sgchain.ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.0))
+    assert diag["rk4_steps"] >= 3 * 50.0 / start  # a 50-unit window at h and at h/2
 
 
 def test_chain_trajectory_csv(tmp_path, capsys):
@@ -361,12 +394,10 @@ def test_chain_trajectory_csv(tmp_path, capsys):
     assert values[0] == [0.0, *start.pos, *start.vel]
     out = json.loads(report.read_text())
     assert out["kind"] == "equilibrium"
-    dt = out["meta"]["diagnostics"]["dt"]
     times = [row[0] for row in values]
     gaps = [b - a for a, b in zip(times, times[1:])]
-    assert times[-1] == 20.0
-    assert all(g == pytest.approx(gaps[0], rel=1e-9) for g in gaps[:-1])
-    assert abs(gaps[0] - 1.0) <= dt
+    assert times[-1] == 20.0 and len(gaps) == 20
+    assert all(abs(g - 1.0) <= 1e-9 for g in gaps)
 
 
 def test_chain_trajectory_svg_is_deterministic(tmp_path):

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tonguelab import sgchain
@@ -339,3 +339,127 @@ class TestAttractors:
         assert rep.kind == "traveling_wave"
         assert rep.wave_period == pytest.approx(period, rel=1e-6)
         assert math.copysign(1.0, rep.mean_velocity) == math.copysign(1.0, delta)
+
+
+def equilibrium_residual(x, c):
+    """``x_{k+1} - 2 x_k + x_{k-1} + delta - eps sin x_k`` on the twisted ring, site by site."""
+    turn = 2.0 * math.pi * c.p
+    ring = np.concatenate([[x[-1] - turn], x, [x[0] + turn]])
+    return ring[2:] - 2.0 * ring[1:-1] + ring[:-2] + c.delta - c.eps * np.sin(x)
+
+
+@st.composite
+def pinned_chains(draw):
+    """Short chains at a drift far inside their pinning range (the critical
+    drift is 0.12 eps^2 at q=2 and about 0.05 eps^3 at q=3)."""
+    q = draw(st.integers(2, 3))
+    eps = draw(st.floats(0.6, 2.0))
+    return ChainParams(q=q, p=draw(st.integers(0, q - 1)), gamma=draw(st.floats(0.2, 1.0)),
+                       eps=eps, delta=draw(st.floats(-1.0, 1.0)) * 0.02 * eps ** q)
+
+
+class TestTrapCertificate:
+    @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
+    def test_verdicts_match_the_velocity_criterion(self, monkeypatch, c, bracket):
+        """Every probe of the bisection, and both bracket-end classifications,
+        run again from the same start with the certificate switched off:
+        the velocity criterion reaches the same verdict, and the bisection
+        the same torque."""
+        probe, classify, trap = sgchain._settles_or_depins, sgchain._classify_attractor, sgchain._trap
+        runs, certified = [], []
+
+        def recording_probe(s0, chain, horizon, dt):
+            outcome, final = probe(s0, chain, horizon, dt)
+            runs.append((probe, s0, chain, dt, outcome))
+            return outcome, final
+
+        def recording_classify(s0, chain, horizon, dt):
+            report, final = classify(s0, chain, horizon, dt)
+            runs.append((classify, s0, chain, dt, report.kind))
+            return report, final
+
+        def recording_trap(state, chain):
+            found = trap(state, chain)
+            certified.append(found is not None)
+            return found
+
+        monkeypatch.setattr(sgchain, "_settles_or_depins", recording_probe)
+        monkeypatch.setattr(sgchain, "_classify_attractor", recording_classify)
+        monkeypatch.setattr(sgchain, "_trap", recording_trap)
+        crit = critical_torque(c, bracket)
+        assert any(certified) and len(runs) > 5
+        monkeypatch.setattr(sgchain, "_trap", lambda state, chain: None)
+        for run, s0, chain, dt, verdict in runs:
+            result = run(s0, chain, DEFAULT_HORIZON, dt)[0]
+            assert (result if isinstance(result, str) else result.kind) == verdict
+        assert critical_torque(c, bracket) == crit
+
+    @pytest.mark.parametrize("c", [replace(Q3, delta=0.005), replace(PINNING, delta=0.0325),
+                                   replace(PINNING, delta=-0.02)])
+    def test_certified_equilibrium_solves_the_equations(self, c):
+        report, state = _classify_attractor(twist_state(c), c, DEFAULT_HORIZON, default_dt(c))
+        assert (report.kind, report.decided_by) == ("equilibrium", "trap")
+        assert np.abs(equilibrium_residual(state.pos, c)).max() <= 1e-12
+        assert np.array_equal(state.vel, np.zeros(c.q))
+
+    @settings(max_examples=50, deadline=None)
+    @given(pinned_chains(), st.data())
+    def test_a_certified_run_stays_in_its_ball_and_settles(self, c, data):
+        """From the first certified state of a run, the run stays within r
+        of the certified equilibrium and its velocities fall below TAU_EQ."""
+        offsets = st.lists(st.floats(-0.5, 0.5), min_size=c.q, max_size=c.q)
+        state = ChainState(0.0, twist_state(c).pos + np.array(data.draw(offsets)),
+                           np.array(data.draw(offsets)))
+        dt = default_dt(c)
+        for _ in range(16):
+            state = integrate(state, c, dt, 25.0).final
+            trapped = sgchain._trap(state, c)
+            if trapped is not None:
+                break
+        assume(trapped is not None)
+        x_e, r = trapped
+        assert np.abs(equilibrium_residual(x_e, c)).max() <= 1e-12
+        for _ in range(40):
+            traj = integrate(state, c, dt, 100.0, record_every=1)
+            assert np.linalg.norm(traj.pos - x_e, axis=1).max() < r
+            state = traj.final
+            if np.abs(traj.vel).max() < sgchain.TAU_EQ:
+                break
+        assert np.abs(state.vel).max() < sgchain.TAU_EQ
+
+    def test_no_certificate_on_the_wave(self):
+        """Above its critical drift the q=3 chain has no equilibrium to trap it."""
+        c = replace(Q3, delta=0.012)
+        traj = integrate(twist_state(c), c, default_dt(c), 1200.0, record_every=16)
+        for t, pos, vel in zip(traj.times, traj.pos, traj.vel):
+            assert sgchain._trap(ChainState(t, pos, vel), c) is None
+
+    @pytest.mark.parametrize("c,s0,horizon,decided_by", [
+        (replace(Q3, delta=0.005), None, DEFAULT_HORIZON, "trap"),
+        (replace(Q3, delta=0.012), None, DEFAULT_HORIZON, "wave"),
+        (replace(Q3, delta=0.012), None, 20.0, "horizon"),
+        # eps = 0: the twisted chain can slide, so no equilibrium is isolated
+        (replace(Q3, eps=0.0), ChainState(0.0, [0.3, 2.0, 4.5], [0.1, 0.0, -0.2]),
+         DEFAULT_HORIZON, "velocity"),
+    ])
+    def test_report_names_the_deciding_test_and_counts_every_step(self, monkeypatch, c, s0,
+                                                                  horizon, decided_by):
+        steps = []
+
+        def counting(state, chain, dt, t_end, record_every=0):
+            traj = integrate(state, chain, dt, t_end, record_every)
+            steps.append(traj.steps)
+            return traj
+
+        monkeypatch.setattr(sgchain, "integrate", counting)
+        rep = classify_attractor(s0 or twist_state(c), c, horizon)
+        assert rep.decided_by == decided_by
+        assert rep.rk4_steps == sum(steps)
+
+    def test_the_q3_equilibrium_is_certified_cheaply(self):
+        """The velocity criterion ran this classification to t = 750 at both
+        steps, 6038 RK4 steps; the certificate ends it at t = 150."""
+        c = replace(Q3, delta=0.005)
+        rep = classify_attractor(twist_state(c), c)
+        assert (rep.kind, rep.decided_by) == ("equilibrium", "trap")
+        assert rep.rk4_steps <= 2000
