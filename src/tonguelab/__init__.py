@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 from .cylmap import MapParams, PhaseState, RemainderPair
 from .orbits import ImplicitSolution, PeriodicOrbit
 from .series import EpsSeries, SeriesSolution
-from .sgchain import AttractorReport, ChainParams, ChainState
+from .sgchain import AttractorReport, ChainParams, ChainState, CriticalTorque
 from .tongue import ScalingFit, TongueSample
 from .trigpoly import TrigPoly
 
@@ -34,4 +34,5 @@ __all__ = [
     "ChainParams",
     "ChainState",
     "AttractorReport",
+    "CriticalTorque",
 ]

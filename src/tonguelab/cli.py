@@ -18,10 +18,16 @@ for ``--bracket``, which bisects at the start step).  A classification
 adds the test that ended its run (``decided_by``: ``trap`` for the
 energy trap certificate, ``velocity`` for velocities below ``TAU_EQ``,
 ``wave`` for the delay identity, ``horizon`` when undecided) and the RK4
-steps of every run of the halving check (``rk4_steps``).  ``--t-end`` and
+steps of every run of the halving check (``rk4_steps``).  A bisection
+adds the RK4 steps of all its runs (``rk4_steps``) and how many probes
+each test decided (``probes_decided_by``: ``trap``, ``velocity``, or
+``escape`` for a site that moved off the pinned branch).  ``--t-end`` and
 ``--format`` shape the trajectory that ``--out`` writes, so ``chain``
 takes them only with ``--out``; for a whole-number ``--t-end`` the
-trajectory's rows are one time unit apart.
+trajectory's rows are one time unit apart.  These guards, like the ones
+of ``--bracket``, look at which options were given, by flag or by
+``--config``, not at their values: an option given at its default value
+is still one the run would not read.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
@@ -100,6 +106,11 @@ class RunConfig:
     bracket: list[float] = field(default_factory=list)
     t_end: float = 0.0
 
+    def __post_init__(self):
+        # the keys given by flag or by --config, at whatever value; a record
+        # of the run, not a key of its own
+        self.given: set[str] = set()
+
     def to_dict(self) -> dict:
         return {"subcommand": self.subcommand,
                 **{key: getattr(self, key) for key in COMMANDS[self.subcommand].keys}}
@@ -163,6 +174,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"unknown config key {key!r} for {args.subcommand}")
         kind = type(getattr(cfg, key))  # the type of the field's default
         setattr(cfg, key, _parse_float_list(value) if kind is list else kind(value))
+        cfg.given.add(key)
     if "format" in cmd.keys and cfg.format not in cmd.formats:
         raise UsageError(f"{args.subcommand} --format must be {'/'.join(cmd.formats)}, "
                          f"not {cfg.format!r}")
@@ -262,34 +274,46 @@ def _run_series(cfg: RunConfig, t0: float) -> int:
     first = verify_first_order(sol, m)
     payload = dict(sol.to_dict())
     payload["first_order_check"] = {"delta1_error": first.delta1_error, "y1_error": first.y1_error}
+    passed = True
     if sol.r is not None:
         per = verify_periodicity(sol, m)
         payload["periodicity_check"] = {
             "shift_residual": per.shift_residual, "norm": per.norm,
-            "support": sorted(per.support), "support_multiples_of_q": per.support_multiples_of_q}
+            "support": sorted(per.support), "support_multiples_of_q": per.support_multiples_of_q,
+            "residual_tol": per.residual_tol, "passed": per.passed}
+        passed = per.passed
     _write_json(cfg, t0, payload, cfg.out)
-    return 0
+    if not passed:
+        print(f"tonguelab: numerical failure: D_{sol.r} fails its periodicity check",
+              file=sys.stderr)
+    return 0 if passed else _NUMERIC_ERROR
 
 
 def _run_chain(cfg: RunConfig, t0: float) -> int:
     c = cfg.chain_params()
     report: dict = {"kind": None, "mean_velocity": None, "T": None,
                     "delay_error": None, "critical_delta": None}
-    # options that only shape the trajectory --out writes
-    shaping = [("--t-end", cfg.t_end), ("--format", cfg.format != "csv")]
+
+    def given(*keys: str) -> list[str]:
+        # the flags of those keys that were given, even at their default values
+        return [f"--{key.replace('_', '-')}" for key in keys if key in cfg.given]
+
     if cfg.bracket:
         if len(cfg.bracket) != 2:
             raise UsageError("--bracket needs exactly two values lo,hi")
-        dropped = [flag for flag, value in (("--out", cfg.out), *shaping,
-                                            ("--delta", cfg.delta)) if value]
+        dropped = given("out", "t_end", "format", "delta")
         if dropped:
             raise UsageError("--bracket bisects over the drift and writes no trajectory, "
                              f"so it takes no {', '.join(dropped)}")
-        report["critical_delta"] = critical_torque(c, tuple(cfg.bracket), horizon=cfg.horizon)
+        torque = critical_torque(c, tuple(cfg.bracket), horizon=cfg.horizon)
+        report["critical_delta"] = torque.critical_delta
         # critical_torque bisects at the start step, without halvings
-        step = {"dt": default_dt(c), "halvings": 0}
+        step = {"dt": default_dt(c), "halvings": 0, "rk4_steps": torque.rk4_steps,
+                "probes_decided_by": {test: sum(p.decided_by == test for p in torque.probes)
+                                      for test in ("trap", "velocity", "escape")}}
     else:
-        dropped = [flag for flag, value in shaping if value]
+        # --t-end and --format only shape the trajectory --out writes
+        dropped = given("t_end", "format")
         if dropped and not cfg.out:
             raise UsageError("without --out chain writes no trajectory, "
                              f"so it takes no {', '.join(dropped)}")

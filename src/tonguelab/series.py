@@ -41,8 +41,10 @@ from .trigpoly import (TrigPoly, product, range_extrema, reconstruct, shift_aver
                        weighted_shift_average)
 
 # A coefficient D_n counts as constant when every harmonic above 0 is
-# below this tolerance relative to the coefficient's own size; the
-# relative form separates structural zeros from round-off.
+# below this tolerance relative to the coefficient's own size, or below
+# the round-off of the sums that make D_n (SeriesSolution.roundoff),
+# whichever is larger; the two together separate structural zeros from
+# round-off.
 R_DETECT_TOL = 1e-10
 
 
@@ -108,6 +110,13 @@ class SeriesSolution:
     ``a_coeffs[n]`` is the constant part of the drift coefficient at
     order ``n < r``: together they give
     ``D(x, eps) = A(eps) + D_r(x) eps^r + O(eps^{r+1})``.
+
+    ``roundoff[n]`` bounds the rounding in the harmonics of ``D_n``:
+    ``D_n`` is a sum of q values of the forcing jet, and at the small
+    divisors of ``mu = 2 pi p/q`` those values grow far larger than
+    ``D_n`` itself (at q = 12, p = 1 to about 1e7 at order 11, where
+    ``D_11`` is zero by structure), so its rounding is the largest summed
+    value times q times the machine epsilon, not a fraction of ``D_n``.
     """
 
     params: MapParams
@@ -116,6 +125,7 @@ class SeriesSolution:
     y: EpsSeries
     r: int | None
     a_coeffs: np.ndarray
+    roundoff: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -128,11 +138,17 @@ class SeriesSolution:
         }
 
 
-def _is_constant(poly: TrigPoly) -> bool:
+def _harmonic_tol(poly: TrigPoly, roundoff: float) -> float:
+    """Below this a harmonic of ``poly`` is round-off: ``R_DETECT_TOL``
+    relative to its size, or the round-off of the sums it came from."""
+    return max(R_DETECT_TOL * (1.0 + poly.coeff_norm()), roundoff)
+
+
+def _is_constant(poly: TrigPoly, roundoff: float) -> bool:
     mag = np.maximum(np.abs(poly.cos_coeffs), np.abs(np.concatenate([[0.0], poly.sin_coeffs])))
     if len(mag) <= 1:
         return True
-    return bool(np.max(mag[1:]) <= R_DETECT_TOL * (1.0 + poly.coeff_norm()))
+    return bool(np.max(mag[1:]) <= _harmonic_tol(poly, roundoff))
 
 
 def expand(m: MapParams, order: int) -> SeriesSolution:
@@ -164,6 +180,7 @@ def expand(m: MapParams, order: int) -> SeriesSolution:
     i = np.arange(1, q)[:, None]
     delta_vals = np.zeros((order + 1, n_pts))
     y_vals = np.zeros((order + 1, n_pts))
+    roundoff = np.zeros(order + 1)
     f_prev = m.f.eval(theta)
     for n in range(1, order + 1):
         if n > 1:
@@ -175,6 +192,7 @@ def expand(m: MapParams, order: int) -> SeriesSolution:
         # g_i = -D_n - F_{i,n-1}; the D,Y-free parts of eta_1..eta_q and
         # xi_1..xi_q are its running sums, and S = R = 0 fixes (D_n, Y_n).
         eta = -np.cumsum(f_prev, axis=0)
+        roundoff[n] = q * np.finfo(float).eps * float(np.max(np.abs(f_prev)))
         x = np.cumsum(eta, axis=0)
         dn = eta[-1] / q
         yn = (q + 1) / 2.0 * dn - x[-1] / q
@@ -189,12 +207,12 @@ def expand(m: MapParams, order: int) -> SeriesSolution:
 
     r = None
     for n in range(1, order + 1):
-        if not _is_constant(delta.coeff(n)):
+        if not _is_constant(delta.coeff(n), roundoff[n]):
             r = n
             break
     upto = r if r is not None else order + 1
     a_coeffs = np.array([float(delta.coeff(n).cos_coeffs[0]) for n in range(upto)])
-    return SeriesSolution(m, order, delta, y, r, a_coeffs)
+    return SeriesSolution(m, order, delta, y, r, a_coeffs, roundoff)
 
 
 @dataclass(frozen=True)
@@ -226,18 +244,21 @@ def verify_first_order(sol: SeriesSolution, m: MapParams) -> FirstOrderReport:
 @dataclass(frozen=True)
 class PeriodicityReport:
     """Invariance of the leading x-dependent coefficient under the shift
-    by mu, and its harmonic support."""
+    by mu, and its harmonic support.  ``residual_tol`` is what round-off
+    allows the shift residual: 1e-10 of ``norm``, or twice the coefficient's
+    round-off (a harmonic off the support moves by up to twice its size
+    under the shift)."""
 
     r: int
     shift_residual: float
     norm: float
     support: frozenset[int]
     support_multiples_of_q: bool
+    residual_tol: float
 
     @property
     def passed(self) -> bool:
-        return (self.shift_residual < 1e-10 * self.norm
-                and self.support_multiples_of_q)
+        return self.shift_residual < self.residual_tol and self.support_multiples_of_q
 
 
 def verify_periodicity(sol: SeriesSolution, m: MapParams) -> PeriodicityReport:
@@ -249,13 +270,14 @@ def verify_periodicity(sol: SeriesSolution, m: MapParams) -> PeriodicityReport:
     dr = sol.delta.coeff(sol.r)
     norm = dr.coeff_norm()
     residual = dr.shift(m.mu).coeff_distance(dr)
-    support = dr.support(R_DETECT_TOL * (1.0 + norm))
+    support = dr.support(_harmonic_tol(dr, sol.roundoff[sol.r]))
     return PeriodicityReport(
         r=sol.r,
         shift_residual=residual,
         norm=norm,
         support=frozenset(support),
         support_multiples_of_q=all(k % m.q == 0 for k in support),
+        residual_tol=max(1e-10 * norm, 2.0 * float(sol.roundoff[sol.r])),
     )
 
 

@@ -34,16 +34,19 @@ reproducibility.  The step is chosen, not set:
   ``h``: the pinned branch that :func:`critical_torque` follows does not
   move with the step.
 
-A run is checked at the end of each of its doubling windows.  It has
-settled to an equilibrium once the energy trap certificate
-(:func:`_trap`) holds: the damped chain's energy ``E = sum v^2/2 + V(x)``
-never increases, and Newton on the equilibrium equations finds a stable
-equilibrium ``x_e`` whose well the state cannot leave with the energy it
-has left, so the run converges to ``x_e``.  The settled state is then
-``x_e`` itself at rest, and :func:`critical_torque` continues the pinned
-branch from that exact equilibrium.  The certificate ends a pinned run
-long before its velocities die out; the older test, every |velocity|
-below ``TAU_EQ`` over a whole window, remains for chains where it finds
+A run stops at the first check that decides it.  The checks come every
+``CHECK_EVERY`` time units, so a run ends within that span of the moment
+its criterion first holds.  It has settled to an equilibrium once the
+energy trap certificate (:func:`_trap`) holds: the damped chain's energy
+``E = sum v^2/2 + V(x)`` never increases, and Newton on the equilibrium
+equations finds a stable equilibrium ``x_e`` whose well the state cannot
+leave with the energy it has left, so the run converges to ``x_e``.  The
+settled state is then ``x_e`` itself at rest, and :func:`critical_torque`
+continues the pinned branch from that exact equilibrium.  A run keeps the
+last well it found and, while the state stays inside it, re-evaluates
+only the energy inequality, not Newton.  The certificate ends a pinned
+run long before its velocities die out; the older test, every |velocity|
+below ``TAU_EQ`` over the last span, remains for chains where it finds
 no certificate (``eps = 0``, a flat well, Newton not converging).
 
 A chain has only a few sites, so a step written site by site is
@@ -55,6 +58,7 @@ on a work vector holding the state, the stage sines and the constants:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -68,7 +72,9 @@ PERIOD_STEP_RTOL = 1e-8
 MAX_HALVINGS = 5
 # RK4's stability interval on the negative real axis is [-2.785..., 0].
 _RK4_REAL_LIMIT = 2.785293563405282
-# Equilibrium when every |velocity| stays below this over a window.
+# A run tests its stop criteria after every this many time units.
+CHECK_EVERY = 50.0
+# Equilibrium when every |velocity| stays below this over one check's span.
 TAU_EQ = 1e-8
 # Newton iterations the trap certificate may take to reach its equilibrium.
 _TRAP_NEWTON_ITERS = 8
@@ -210,16 +216,22 @@ def _rk4_gain(z: complex) -> complex:
     return 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
 
 
-def _coupling(c: ChainParams) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=64)
+def _coupling(q: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """The ring's Laplacian and the constant terms ``wrap`` by which the
     twisted boundary ``x_{k+q} = x_k + 2 pi p`` enters it: the coupling
-    force on the sites is ``lap @ x + wrap``."""
-    q = c.q
+    force on the sites is ``lap @ x + wrap``.  Both are read-only."""
     lap = -2.0 * np.eye(q) + np.roll(np.eye(q), 1, axis=0) + np.roll(np.eye(q), -1, axis=0)
     wrap = np.zeros(q)
-    wrap[0] -= 2.0 * math.pi * c.p
-    wrap[-1] += 2.0 * math.pi * c.p
-    return lap, wrap
+    wrap[0] -= 2.0 * math.pi * p
+    wrap[-1] += 2.0 * math.pi * p
+    return _read_only(lap, wrap)
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _rk4_matrices(c: ChainParams, h: float):
@@ -236,7 +248,7 @@ def _rk4_matrices(c: ChainParams, h: float):
     basis = np.eye(6 * q + 2)
     x, v = basis[:, :q], basis[:, q:2 * q]
     s = [basis[:, (2 + i) * q:(3 + i) * q] for i in range(4)]
-    lap, wrap = _coupling(c)
+    lap, wrap = _coupling(c.q, c.p)
     const = np.outer(basis[:, -2], wrap) + np.outer(basis[:, -1], np.ones(q))
 
     def vdot(xs, vs, sines):
@@ -259,6 +271,16 @@ def _rk4_matrices(c: ChainParams, h: float):
     return g2, g3, g4, step
 
 
+@functools.lru_cache(maxsize=64)
+def _stepper(q: int, p: int, gamma: float, eps: float, h: float):
+    """:func:`stability_limit` and the read-only :func:`_rk4_matrices` at step
+    ``h``, built once per chain and step.  Neither depends on the torque,
+    which enters the step through the work vector, so the probes of a
+    bisection share them."""
+    c = ChainParams(q, p, gamma, eps, 0.0)
+    return stability_limit(c), _read_only(*_rk4_matrices(c, h))
+
+
 def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
               record_every: int = 0) -> Trajectory:
     """Fixed-step classical RK4 from ``s0.t`` to exactly ``s0.t + t_end``.
@@ -272,18 +294,20 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     holds the state, the stage sines and the constants (see
     :func:`_rk4_matrices`).  A step is then 9 numpy calls on length-q
     arrays: at chain lengths of a few sites the cost of a step is the
-    per-call overhead, not the arithmetic.
+    per-call overhead, not the arithmetic.  The matrices, and the stability
+    limit, are built once per chain and step (:func:`_stepper`), so a run
+    cut into many short calls pays for them once.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt > stability_limit(c) * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:g} exceeds the stability limit {stability_limit(c):g}")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0 else 0
     h = t_end / steps if steps else dt
+    limit, (g2, g3, g4, step) = _stepper(c.q, c.p, c.gamma, c.eps, h)
+    if dt > limit * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
     q = c.q
-    g2, g3, g4, step = _rk4_matrices(c, h)
     w = np.empty(6 * q + 2)
     w[:q], w[q:2 * q], w[-2:] = s0.pos, s0.vel, (1.0, c.delta)
     x, z = w[:q], w[:2 * q]
@@ -355,11 +379,11 @@ def _refine_period(at, ts: np.ndarray, t_guess: float, rotation: float) -> float
 
 def classify_attractor(s0: ChainState, c: ChainParams,
                        horizon: float = DEFAULT_HORIZON) -> AttractorReport:
-    """Integrate in growing windows until the run settles, and check the
-    result by step halving.
+    """Integrate until the run settles, testing every ``CHECK_EVERY`` time
+    units, and check the result by step halving.
 
-    Equilibrium: at the end of a window every |velocity| stayed below
-    ``TAU_EQ`` throughout it, or the energy trap certificate of
+    Equilibrium: every |velocity| stayed below ``TAU_EQ`` over the last
+    ``CHECK_EVERY`` time units, or the energy trap certificate of
     :func:`_trap` proves the run held in the well of a stable equilibrium.
     Traveling wave: site 0 advances by full turns of 2 pi p at a steady
     interval (that interval is the period T, robust even for the creeping
@@ -414,29 +438,35 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
                         dt: float) -> tuple[AttractorReport, ChainState]:
     """:func:`classify_attractor` for one run at step ``dt``, together with
     the state the run ended in: for a trapped run the certified
-    equilibrium at rest."""
+    equilibrium at rest.
+
+    After every ``CHECK_EVERY`` time units the run tests, in this order:
+    every |velocity| over the span below ``TAU_EQ``; the energy trap
+    certificate; three full-turn crossings of site 0 at a steady interval,
+    which start the wave test of :func:`_try_wave`.  The first test that
+    holds ends the run."""
     state = s0
     elapsed = 0.0
-    window = 50.0
     ref = float(s0.pos[0])
     turns = 2.0 * math.pi * max(c.p, 1)
     crossings: list[float] = []
     last_turn = 0
     steps = 0
+    well = None
     while elapsed < horizon:
-        window = min(window, max(horizon - elapsed, 2 * dt))
-        traj = integrate(state, c, dt, window, record_every=1)
+        span = min(CHECK_EVERY, max(horizon - elapsed, 2 * dt))
+        traj = integrate(state, c, dt, span, record_every=1)
         state = traj.final
-        elapsed += window
+        elapsed += span
         steps += traj.steps
 
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
             return AttractorReport("equilibrium", 0.0, None, None, dt, "velocity",
                                    rk4_steps=steps), state
-        trapped = _trap(state, c)
-        if trapped is not None:
+        well, trapped = _trap(state, c, well)
+        if trapped:
             return (AttractorReport("equilibrium", 0.0, None, None, dt, "trap", rk4_steps=steps),
-                    ChainState(state.t, trapped[0], np.zeros(c.q)))
+                    ChainState(state.t, well.x, np.zeros(c.q)))
 
         # full-turn crossings of site 0
         adv = np.floor((traj.pos[:, 0] - ref) / turns).astype(int)
@@ -457,7 +487,6 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
                 if report is not None:
                     return replace(report, rk4_steps=steps), state
                 crossings = crossings[-1:]
-        window = min(window * 2.0, 3200.0)
     omega = (float(state.pos[0]) - ref) / max(elapsed, dt)
     return AttractorReport("undecided", omega, None, None, dt, "horizon", rk4_steps=steps), state
 
@@ -509,31 +538,58 @@ def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return s
 
 
-def _trap(state: ChainState, c: ChainParams) -> tuple[np.ndarray, float] | None:
-    """Energy trap certificate: the stable equilibrium ``x_e`` to which the
-    run from ``state`` provably converges, and the radius ``r`` of the ball
-    about ``x_e`` that the run never leaves; ``None`` when no certificate
-    is found.
+@dataclass(frozen=True)
+class _Well:
+    """A stable equilibrium ``x`` of the chain, within ``rho`` of solving the
+    equilibrium equations, whose potential's Hessian is at least ``lam``
+    there: the data of the trap certificate, valid on the ball of radius
+    ``r`` about ``x``."""
+
+    x: np.ndarray
+    lam: float
+    r: float
+    rho: float
+
+
+def _trap(state: ChainState, c: ChainParams,
+          well: _Well | None = None) -> tuple[_Well | None, bool]:
+    """Energy trap certificate: whether the run from ``state`` provably
+    converges to a stable equilibrium of the chain, and the well
+    (:class:`_Well`) that shows it; the well is ``None`` when none is
+    found.
+
+    A given ``well`` is reused while ``state`` lies inside its ball, so
+    that only the energy inequality of :func:`_holds` is evaluated;
+    otherwise :func:`_well` runs Newton from the current positions.  Both
+    are equally rigorous: the certificate's hypotheses concern only the
+    well's ``(x, lam, r, rho)``, not where Newton started.
+    """
+    if well is None or np.linalg.norm(state.pos - well.x) >= well.r:
+        well = _well(state.pos, c)
+        if well is None:
+            return None, False
+    return well, _holds(state, c, well)
+
+
+def _well(pos: np.ndarray, c: ChainParams) -> _Well | None:
+    """The stable equilibrium ``x_e`` that Newton reaches from ``pos`` and the
+    ball about it on which the trap certificate of :func:`_holds` holds;
+    ``None`` when no certificate can be built.
 
     The damped chain has the Lyapunov function ``E = sum v^2/2 + V(x)``,
     ``V = -x.(lap x/2 + wrap) - eps sum cos x - delta sum x`` (see
     :func:`_coupling`), with ``dE/dt = -gamma sum v^2 <= 0``.  Newton on
     the equilibrium equations ``lap x + wrap + delta - eps sin x = 0``,
-    started from the current positions, gives ``x_e`` with a residual of
-    norm ``rho``; ``lam > 0`` bounds the smallest eigenvalue of the Hessian
+    started from ``pos``, gives ``x_e`` with a residual of norm ``rho``;
+    ``lam > 0`` bounds the smallest eigenvalue of the Hessian
     ``H = -lap + eps diag(cos x_e)`` of ``V`` there from below, and
     ``r = lam/(2 eps)``.  As ``|cos a - cos b| <= |a - b|``,
     ``H >= lam - eps r = lam/2`` on the ball ``|x - x_e|_2 <= r``, so by
     Taylor's theorem ``V(x) >= V(x_e) - rho |x - x_e| + lam |x - x_e|^2/4``
-    on the ball and ``V >= V(x_e) + lam r^2/4 - rho r`` on its sphere.  A
-    state inside the ball with ``E < V(x_e) + lam r^2/4 - rho r``
-    therefore never reaches the sphere, since ``E`` never increases and
-    ``V <= E``.  ``V`` is strictly convex on the ball, so the ball holds
-    exactly one equilibrium, within ``2 rho/lam`` of ``x_e``, and by
-    LaSalle's invariance principle the run converges to it.
+    on the ball and ``V >= V(x_e) + lam r^2/4 - rho r`` on its sphere.
+    ``V`` is strictly convex on the ball, so the ball holds exactly one
+    equilibrium, within ``2 rho/lam`` of ``x_e``.
 
-    ``E - V(x_e)`` is evaluated without cancellation, from
-    ``cos x - cos x_e = -2 sin((x + x_e)/2) sin((x - x_e)/2)``, and
     ``rho`` is widened by a bound on its rounding.  The only LAPACK
     routine used is Cholesky's: with numpy 2.4 the first call of
     ``eigh`` grows the process by about 0.8 MB of resident memory, a
@@ -543,14 +599,14 @@ def _trap(state: ChainState, c: ChainParams) -> tuple[np.ndarray, float] | None:
     the soft mode, found by inverse iteration from the constant vector,
     which bounds the smallest eigenvalue from above; shrunk by 1/64, it is
     a lower bound once ``H - lam I`` has a Cholesky factor too, less that
-    factorization's rounding.  Degenerate chains get no certificate (at
+    factorization's rounding.  Degenerate chains get no well (at
     ``eps = 0`` or ``lam <= 0`` the ball is empty, or Newton does not
     converge); the velocity test decides those.
     """
     if c.eps <= 0.0:
         return None
-    lap, wrap = _coupling(c)
-    x = state.pos
+    lap, wrap = _coupling(c.q, c.p)
+    x = pos
     for _ in range(_TRAP_NEWTON_ITERS):
         force = lap @ x + wrap + c.delta - c.eps * np.sin(x)
         hess = c.eps * np.diag(np.cos(x)) - lap
@@ -564,7 +620,7 @@ def _trap(state: ChainState, c: ChainParams) -> tuple[np.ndarray, float] | None:
         x = x + _cholesky_solve(low, force)
         # r <= 1/2 (lam is at most eps, by the Rayleigh quotient of the
         # constant vector), so an iterate this far away leads to no trap
-        if float(np.max(np.abs(x - state.pos))) > 1.0:
+        if float(np.max(np.abs(x - pos))) > 1.0:
             return None
     else:
         return None
@@ -578,16 +634,28 @@ def _trap(state: ChainState, c: ChainParams) -> tuple[np.ndarray, float] | None:
     lam -= _ROUND * c.q * c.q * (4.0 + c.eps)
     if lam <= 0.0:
         return None
-    r = lam / (2.0 * c.eps)
-    d = state.pos - x
-    if math.sqrt(float(d @ d)) >= r:
-        return None
-    mid = state.pos + x
+    return _Well(x, lam, lam / (2.0 * c.eps), rho)
+
+
+def _holds(state: ChainState, c: ChainParams, well: _Well) -> bool:
+    """The energy inequality of the trap certificate: ``state`` lies inside
+    the ball of radius ``r`` about ``x_e`` (:func:`_well`) and
+    ``E < V(x_e) + lam r^2/4 - rho r``.  Such a state never reaches the
+    sphere, where ``V`` is at least that bound, since ``E`` never
+    increases and ``V <= E``; by LaSalle's invariance principle the run
+    then converges to the ball's one equilibrium.
+
+    ``E - V(x_e)`` is evaluated without cancellation, from
+    ``cos x - cos x_e = -2 sin((x + x_e)/2) sin((x - x_e)/2)``.
+    """
+    d = state.pos - well.x
+    if math.sqrt(float(d @ d)) >= well.r:
+        return False
+    lap, wrap = _coupling(c.q, c.p)
+    mid = state.pos + well.x
     excess = (0.5 * float(state.vel @ state.vel) - float(d @ (0.5 * (lap @ mid) + wrap + c.delta))
               + 2.0 * c.eps * float(np.sin(0.5 * mid) @ np.sin(0.5 * d)))
-    if excess < 0.25 * lam * r * r - rho * r:
-        return x, r
-    return None
+    return excess < 0.25 * well.lam * well.r ** 2 - well.rho * well.r
 
 
 class InvalidBracketError(RuntimeError):
@@ -597,44 +665,70 @@ class InvalidBracketError(RuntimeError):
         self.hi = hi
 
 
+@dataclass(frozen=True)
+class TorqueProbe:
+    """One bisection probe of :func:`critical_torque`."""
+
+    delta: float
+    outcome: str  # "equilibrium" | "depinned" | "undecided"
+    decided_by: str  # "trap" | "velocity" | "escape" | "horizon": the test that ended the run
+    rk4_steps: int
+
+
+@dataclass(frozen=True)
+class CriticalTorque:
+    """The critical torque and how the bisection reached it."""
+
+    critical_delta: float
+    rk4_steps: int  # over both bracket-end classifications and every probe
+    probes: tuple[TorqueProbe, ...]
+
+
 def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
-                       dt: float) -> tuple[str, ChainState]:
+                       dt: float) -> tuple[TorqueProbe, ChainState]:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
-    At each window end: "equilibrium" when all velocities stayed below
-    ``TAU_EQ`` over the window; "depinned" when any site travels more
-    than ``_ESCAPE`` (half a radian) from its start; "equilibrium" when
-    the energy trap certificate of :func:`_trap` holds.  Warm-started
-    from a settled pinned shape, the pinned-side transient stays well
-    below the escape distance, while one slip event moves a site by a
-    full site spacing; so the test decides after a single bottleneck
-    passage instead of waiting out a whole wave period, which diverges at
-    the depinning threshold.  Returns the outcome together with the final
-    state, which for a trapped run is the certified equilibrium at rest.
+    After every ``CHECK_EVERY`` time units, in this order: "equilibrium"
+    when all velocities stayed below ``TAU_EQ`` over the span; "depinned"
+    when any site travels more than ``_ESCAPE`` (half a radian) from its
+    start; "equilibrium" when the energy trap certificate of :func:`_trap`
+    holds.  Warm-started from a settled pinned shape, the pinned-side
+    transient stays well below the escape distance, while one slip event
+    moves a site by a full site spacing; so the test decides after a
+    single bottleneck passage instead of waiting out a whole wave period,
+    which diverges at the depinning threshold.  Returns the probe's
+    outcome, the test that decided it and its RK4 steps, together with
+    the final state, which for a trapped run is the certified equilibrium
+    at rest.
     """
     ref = s0.pos.copy()
     state = s0
     elapsed = 0.0
-    window = 50.0
+    steps = 0
+    well = None
+
+    def probe(outcome: str, decided_by: str) -> TorqueProbe:
+        return TorqueProbe(c.delta, outcome, decided_by, steps)
+
     while elapsed < horizon:
-        window = min(window, max(horizon - elapsed, 2 * dt))
-        traj = integrate(state, c, dt, window, record_every=8)
+        span = min(CHECK_EVERY, max(horizon - elapsed, 2 * dt))
+        traj = integrate(state, c, dt, span, record_every=8)
         state = traj.final
-        elapsed += window
+        elapsed += span
+        steps += traj.steps
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return "equilibrium", state
+            return probe("equilibrium", "velocity"), state
         if float(np.max(np.abs(state.pos - ref))) > _ESCAPE:
-            return "depinned", state
-        trapped = _trap(state, c)
-        if trapped is not None:
-            return "equilibrium", ChainState(state.t, trapped[0], np.zeros(c.q))
-        window = min(window * 2.0, 4000.0)
-    return "undecided", state
+            return probe("depinned", "escape"), state
+        well, trapped = _trap(state, c, well)
+        if trapped:
+            return probe("equilibrium", "trap"), ChainState(state.t, well.x, np.zeros(c.q))
+    return probe("undecided", "horizon"), state
 
 
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
                     rel_tol: float = 1e-3,
-                    horizon: float = DEFAULT_HORIZON) -> float:
+                    horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
     """Bisect the torque between pinned and running behavior.
 
     The bracket ends are validated with the full attractor classifier
@@ -656,6 +750,9 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     (its modes are roots on the locus that limit covers).  The pinned
     branch, and the torque at which it ends, therefore do not move with
     the step.  The bracket ends need only their kind, not a wave period.
+
+    Returns the midpoint of the final bracket with every probe in order
+    and the RK4 steps of every run.
     """
     lo, hi = bracket
     if not lo < hi:
@@ -670,16 +767,18 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     if rep_hi.kind != "traveling_wave":
         raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} "
                                           f"(got {rep_hi.kind})")
+    probes = []
     while (hi - lo) > rel_tol * max(abs(hi), abs(lo), 1e-12):
         mid = 0.5 * (lo + hi)
-        cm = replace(c, delta=mid)
-        outcome, final = _settles_or_depins(eq_state, cm, horizon, dt)
-        if outcome == "equilibrium":
+        probe, final = _settles_or_depins(eq_state, replace(c, delta=mid), horizon, dt)
+        probes.append(probe)
+        if probe.outcome == "equilibrium":
             lo = mid
             eq_state = ChainState(0.0, final.pos, np.zeros(c.q))
-        elif outcome == "depinned":
+        elif probe.outcome == "depinned":
             hi = mid
         else:
             raise RuntimeError(f"undecided at delta={mid:g} within horizon "
                                f"{horizon:g}; raise the horizon")
-    return 0.5 * (lo + hi)
+    steps = rep_lo.rk4_steps + rep_hi.rk4_steps + sum(p.rk4_steps for p in probes)
+    return CriticalTorque(0.5 * (lo + hi), steps, tuple(probes))

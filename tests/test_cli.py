@@ -2,7 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -118,6 +118,18 @@ def test_series(capsys):
     assert len(out["Delta"]) == len(out["Y"]) == 5
     assert max(out["first_order_check"].values()) < 1e-10
     assert out["periodicity_check"]["support_multiples_of_q"]
+    assert out["periodicity_check"]["passed"]
+
+
+def test_series_failed_periodicity_check_exits_1(capsys, monkeypatch):
+    """The JSON is still written, with the failed check in it."""
+    check = cli.verify_periodicity
+    monkeypatch.setattr(cli, "verify_periodicity",
+                        lambda sol, m: replace(check(sol, m), support_multiples_of_q=False))
+    rc = cli.run(["series", "--q", "3", "--p", "1", "--order", "4"])
+    captured = capsys.readouterr()
+    assert rc == 1 and "D_3 fails its periodicity check" in captured.err
+    assert json.loads(captured.out)["periodicity_check"]["passed"] is False
 
 
 def test_fit_on_tongue_csv(tmp_path, capsys):
@@ -180,7 +192,26 @@ def test_chain_reports_its_step(capsys):
                                 "--gamma", "0.25", "--bracket", "0.01,0.1"])
     assert rc == 0 and out["critical_delta"] == 0.04465087890625
     pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
-    assert out["meta"]["diagnostics"] == {"dt": sgchain.default_dt(pinning), "halvings": 0}
+    diag = out["meta"]["diagnostics"]
+    assert (diag["dt"], diag["halvings"]) == (sgchain.default_dt(pinning), 0)
+
+
+def test_bracket_reports_how_it_decided(capsys):
+    """The bisection's diagnostics count its RK4 steps and the test that
+    decided each probe, as the record critical_torque returns."""
+    rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
+                                "--gamma", "0.25", "--bracket", "0.01,0.1"])
+    assert rc == 0
+    pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
+    torque = sgchain.critical_torque(pinning, (0.01, 0.1))
+    assert out["critical_delta"] == torque.critical_delta
+    diag = out["meta"]["diagnostics"]
+    assert set(diag) == {"dt", "halvings", "rk4_steps", "probes_decided_by"}
+    assert diag["rk4_steps"] == torque.rk4_steps
+    counts = diag["probes_decided_by"]
+    assert set(counts) == {"trap", "velocity", "escape"}
+    assert sum(counts.values()) == len(torque.probes)
+    assert counts["trap"] > 0 and counts["escape"] > 0
 
 
 def test_chain_halving_failure_exits_1(capsys, monkeypatch):
@@ -355,6 +386,27 @@ def test_bracket_rejects_what_it_drops(tmp_path, capsys, flag, value):
     assert rc == 2
     assert f"takes no {flag}" in capsys.readouterr().err
     assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--delta", "0.005", "--format", "csv"],
+    ["--delta", "0.005", "--t-end", "0"],
+    ["--bracket", "0.01,0.1", "--delta", "0"],
+    ["--bracket", "0.01,0.1", "--format", "csv"],
+], ids=["format-csv", "t-end-0", "bracket-delta-0", "bracket-format-csv"])
+def test_an_option_at_its_default_is_still_given(capsys, argv):
+    """The guards look at which options were given, not at their values."""
+    rc = cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", *argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"takes no {argv[2]}" in captured.err
+
+
+def test_a_config_file_option_at_its_default_is_still_given(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("q=2\np=1\neps=0.6\nbracket=0.01,0.1\ndelta=0\n")
+    assert cli.run(["chain", "--config", str(config)]) == 2
+    assert "takes no --delta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra", [["--t-end", "5"], ["--format", "svg"],

@@ -142,6 +142,23 @@ class TestLeadingIndex:
         assert verify_periodicity(sol, m).passed
         assert verify_first_order(sol, m).max_error < 1e-12
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("q", range(2, 14))
+    def test_r_is_ceil_q_over_d(self, d, q):
+        """For f = sum_{k<=d} sin(kx)/k the first x-dependent order is
+        ceil(q/d), at p = 1 and at each coprime p in {2, 3, 5}, and D_r
+        passes its periodicity check.  At p = 1, q = 12 and 13, the small
+        divisors make the sums behind D_n far larger than D_n, and their
+        round-off in the constant D_11 (q = 12) and D_9 (q = 13) once read
+        as x-dependence."""
+        f = TrigPoly(np.zeros(d + 1), [1.0 / k for k in range(1, d + 1)])
+        r = math.ceil(q / d)
+        for p in [p for p in (1, 2, 3, 5) if p == 1 or (p < q and math.gcd(p, q) == 1)]:
+            m = MapParams(0.0, 0.0, f, p, q)
+            sol = expand(m, r + 1)
+            assert sol.r == r, f"p={p}"
+            assert verify_periodicity(sol, m).passed, f"p={p}"
+
     def test_constant_drift_coefficients_recorded(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         sol = expand(m, 3)

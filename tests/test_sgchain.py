@@ -222,11 +222,11 @@ class TestCriticalTorque:
         near = settle(low, replace(PINNING, delta=0.0325))
         probe = replace(PINNING, delta=0.04375)
         dt = default_dt(probe)
-        assert _settles_or_depins(low, probe, DEFAULT_HORIZON, dt)[0] == "depinned"
-        assert _settles_or_depins(near, probe, DEFAULT_HORIZON, dt)[0] == "equilibrium"
+        assert _settles_or_depins(low, probe, DEFAULT_HORIZON, dt)[0].outcome == "depinned"
+        assert _settles_or_depins(near, probe, DEFAULT_HORIZON, dt)[0].outcome == "equilibrium"
 
     def test_matches_newton_tongue_edge(self):
-        crit = critical_torque(PINNING, (0.01, 0.1))
+        crit = critical_torque(PINNING, (0.01, 0.1)).critical_delta
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
         assert crit == pytest.approx(edge, rel=1e-3)
 
@@ -234,10 +234,10 @@ class TestCriticalTorque:
     def test_does_not_move_with_the_step(self, monkeypatch, c, bracket):
         """The bisection follows equilibria, which are fixed points of the RK4
         step at any stable h: halving the start step gives the same torque."""
-        coarse = critical_torque(c, bracket)
+        coarse = critical_torque(c, bracket).critical_delta
         start = sgchain.default_dt
         monkeypatch.setattr(sgchain, "default_dt", lambda chain: 0.5 * start(chain))
-        assert critical_torque(c, bracket) == coarse
+        assert critical_torque(c, bracket).critical_delta == coarse
 
     @pytest.mark.parametrize("bracket", [(0.05, 0.05), (0.1, 0.05)])
     def test_bracket_must_be_ordered(self, bracket):
@@ -362,37 +362,38 @@ class TestTrapCertificate:
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_verdicts_match_the_velocity_criterion(self, monkeypatch, c, bracket):
         """Every probe of the bisection, and both bracket-end classifications,
-        run again from the same start with the certificate switched off:
-        the velocity criterion reaches the same verdict, and the bisection
-        the same torque."""
+        run again from the same start with the certificate switched off (no
+        well is ever found): the velocity criterion reaches the same
+        verdict, and the bisection the same torque."""
         probe, classify, trap = sgchain._settles_or_depins, sgchain._classify_attractor, sgchain._trap
         runs, certified = [], []
 
         def recording_probe(s0, chain, horizon, dt):
-            outcome, final = probe(s0, chain, horizon, dt)
-            runs.append((probe, s0, chain, dt, outcome))
-            return outcome, final
+            result, final = probe(s0, chain, horizon, dt)
+            runs.append((probe, s0, chain, dt, result.outcome))
+            return result, final
 
         def recording_classify(s0, chain, horizon, dt):
             report, final = classify(s0, chain, horizon, dt)
             runs.append((classify, s0, chain, dt, report.kind))
             return report, final
 
-        def recording_trap(state, chain):
-            found = trap(state, chain)
-            certified.append(found is not None)
-            return found
+        def recording_trap(state, chain, well=None):
+            well, trapped = trap(state, chain, well)
+            certified.append(trapped)
+            return well, trapped
 
         monkeypatch.setattr(sgchain, "_settles_or_depins", recording_probe)
         monkeypatch.setattr(sgchain, "_classify_attractor", recording_classify)
         monkeypatch.setattr(sgchain, "_trap", recording_trap)
-        crit = critical_torque(c, bracket)
+        crit = critical_torque(c, bracket).critical_delta
         assert any(certified) and len(runs) > 5
-        monkeypatch.setattr(sgchain, "_trap", lambda state, chain: None)
+        monkeypatch.setattr(sgchain, "_trap", trap)
+        monkeypatch.setattr(sgchain, "_well", lambda pos, chain: None)
         for run, s0, chain, dt, verdict in runs:
             result = run(s0, chain, DEFAULT_HORIZON, dt)[0]
-            assert (result if isinstance(result, str) else result.kind) == verdict
-        assert critical_torque(c, bracket) == crit
+            assert (result.outcome if run is probe else result.kind) == verdict
+        assert critical_torque(c, bracket).critical_delta == crit
 
     @pytest.mark.parametrize("c", [replace(Q3, delta=0.005), replace(PINNING, delta=0.0325),
                                    replace(PINNING, delta=-0.02)])
@@ -413,11 +414,11 @@ class TestTrapCertificate:
         dt = default_dt(c)
         for _ in range(16):
             state = integrate(state, c, dt, 25.0).final
-            trapped = sgchain._trap(state, c)
-            if trapped is not None:
+            well, trapped = sgchain._trap(state, c)
+            if trapped:
                 break
-        assume(trapped is not None)
-        x_e, r = trapped
+        assume(trapped)
+        x_e, r = well.x, well.r
         assert np.abs(equilibrium_residual(x_e, c)).max() <= 1e-12
         for _ in range(40):
             traj = integrate(state, c, dt, 100.0, record_every=1)
@@ -432,7 +433,7 @@ class TestTrapCertificate:
         c = replace(Q3, delta=0.012)
         traj = integrate(twist_state(c), c, default_dt(c), 1200.0, record_every=16)
         for t, pos, vel in zip(traj.times, traj.pos, traj.vel):
-            assert sgchain._trap(ChainState(t, pos, vel), c) is None
+            assert sgchain._trap(ChainState(t, pos, vel), c) == (None, False)
 
     @pytest.mark.parametrize("c,s0,horizon,decided_by", [
         (replace(Q3, delta=0.005), None, DEFAULT_HORIZON, "trap"),
@@ -458,8 +459,100 @@ class TestTrapCertificate:
 
     def test_the_q3_equilibrium_is_certified_cheaply(self):
         """The velocity criterion ran this classification to t = 750 at both
-        steps, 6038 RK4 steps; the certificate ends it at t = 150."""
+        steps, 6038 RK4 steps; the certificate ends it by t = 100."""
         c = replace(Q3, delta=0.005)
         rep = classify_attractor(twist_state(c), c)
         assert (rep.kind, rep.decided_by) == ("equilibrium", "trap")
         assert rep.rk4_steps <= 2000
+
+    @pytest.mark.parametrize("c,t_end", [(replace(Q3, delta=0.005), 400.0),
+                                         (replace(PINNING, delta=0.0325), 600.0)])
+    def test_a_reused_well_gives_the_fresh_verdict(self, c, t_end):
+        """Along a pinned run, every 5 time units: the certificate from the
+        well a run carries agrees with the one from a fresh Newton, both
+        wells hold the same equilibrium, and the carried well is reused, not
+        rebuilt, once the run is inside it."""
+        dt = default_dt(c)
+        traj = integrate(twist_state(c), c, dt, t_end, record_every=round(5.0 / dt))
+        well, verdicts, reused = None, [], 0
+        for t, pos, vel in zip(traj.times, traj.pos, traj.vel):
+            state = ChainState(t, pos, vel)
+            carried, trapped = sgchain._trap(state, c, well)
+            fresh, fresh_trapped = sgchain._trap(state, c)
+            assert trapped == fresh_trapped
+            assert (carried is None) == (fresh is None)
+            if carried is not None:
+                # each ball's one equilibrium lies within 2 rho/lam of its centre
+                gap = 2.0 * (carried.rho / carried.lam + fresh.rho / fresh.lam)
+                assert np.linalg.norm(carried.x - fresh.x) <= gap
+            reused += carried is not None and carried is well
+            well = carried
+            verdicts.append(trapped)
+        assert not verdicts[0] and verdicts[-1] and reused > 5
+
+    def test_the_q3_equilibrium_ends_at_the_first_check_that_holds(self, monkeypatch):
+        """Trapped from t = 71 on, the runs at both steps end at the check at
+        t = 100 (at the end of a doubling window the certificate came at
+        t = 150)."""
+        c = replace(Q3, delta=0.005)
+        ends = []
+
+        def recording(s0, chain, horizon, dt):
+            report, final = _classify_attractor(s0, chain, horizon, dt)
+            ends.append(final.t)
+            return report, final
+
+        monkeypatch.setattr(sgchain, "_classify_attractor", recording)
+        rep = classify_attractor(twist_state(c), c)
+        assert (rep.kind, rep.decided_by, rep.halvings) == ("equilibrium", "trap", 1)
+        assert len(ends) == 2 and max(ends) <= 100.0
+
+    def test_the_q3_wave_is_tested_soon_after_its_crossings_steady(self):
+        """Its third steady crossing comes at t = 1176 at both steps; tested
+        at the end of a doubling window (t = 1550) it took 17588 RK4 steps."""
+        c = replace(Q3, delta=0.012)
+        rep = classify_attractor(twist_state(c), c)
+        assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
+        assert rep.rk4_steps <= 15500
+
+
+class TestBisectionRecord:
+    def test_the_record_counts_every_step_and_names_each_probe(self, monkeypatch):
+        """The bench's critical-torque bisection: the record holds every
+        probe in order, with the test that decided it, and counts the RK4
+        steps of every run; fewer than 7000 of them (9100 when the runs were
+        checked at the ends of doubling windows)."""
+        steps = []
+
+        def counting(state, chain, dt, t_end, record_every=0):
+            traj = integrate(state, chain, dt, t_end, record_every)
+            steps.append(traj.steps)
+            return traj
+
+        monkeypatch.setattr(sgchain, "integrate", counting)
+        result = critical_torque(PINNING, (0.01, 0.1))
+        assert result.critical_delta == 0.04465087890625
+        assert result.rk4_steps == sum(steps) <= 7000
+        lo, hi = 0.01, 0.1
+        for probe in result.probes:
+            assert probe.delta == 0.5 * (lo + hi)
+            assert (probe.outcome, probe.decided_by) in {
+                ("equilibrium", "trap"), ("equilibrium", "velocity"), ("depinned", "escape")}
+            lo, hi = (probe.delta, hi) if probe.outcome == "equilibrium" else (lo, probe.delta)
+        assert result.critical_delta == 0.5 * (lo + hi)
+        assert sum(p.rk4_steps for p in result.probes) < result.rk4_steps
+
+
+class TestStepper:
+    def test_matrices_are_built_once_and_read_only(self):
+        c = replace(Q3, delta=0.005)
+        dt = default_dt(c)
+        first = integrate(twist_state(c), c, dt, 50.0, record_every=1)
+        # a different torque shares the matrices: it enters through the work vector
+        limit, matrices = sgchain._stepper(c.q, c.p, c.gamma, c.eps, 50.0 / first.steps)
+        assert limit == stability_limit(c)
+        assert not any(m.flags.writeable for m in matrices)
+        for m in sgchain._coupling(c.q, c.p):
+            assert not m.flags.writeable
+        again = integrate(twist_state(c), c, dt, 50.0, record_every=1)
+        assert np.array_equal(first.pos, again.pos) and np.array_equal(first.vel, again.vel)
