@@ -228,7 +228,7 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 
 def _run_profile(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params(eps=cfg.one_eps())
-    # the 8q grid floor of tongue and orbit, without their grid doubling
+    # the 8q grid floor of tongue and orbit
     sols = continue_in_x(m.eps, m, max(cfg.grid, 8 * m.q))
     if cfg.format == "svg":
         dataset = {"x0": [s.x0 for s in sols], "delta": [s.delta for s in sols],

@@ -19,7 +19,9 @@ once: the Jacobian degenerates at the saddle-node on the tongue
 boundary, where a plain Newton step overshoots.  A fixed-delta orbit is
 read off that iteration's final jet: its residual is the last ``(R, S)``,
 and its stability kind comes from the trace of the monodromy, which is
-the identity plus the jet's ``(x0, y0)`` block.
+the identity plus the jet's ``(x0, y0)`` block.  A profile point is read
+off it too: the implicit solve returns, with ``D`` and ``Y``, their exact
+slopes ``(D', Y') = -J_(delta, y0)^{-1} J_x0`` from the final jet.
 """
 
 from __future__ import annotations
@@ -66,12 +68,15 @@ class PeriodicOrbit:
 
 @dataclass(frozen=True)
 class ImplicitSolution:
-    """One sample of the implicit functions (delta, y0) at fixed x0."""
+    """One sample of the implicit functions (delta, y0) at fixed x0, with
+    their slopes ``dD/dx0`` and ``dY/dx0`` there."""
 
     x0: float
     eps: float
     delta: float
     y0: float
+    delta_slope: float
+    y0_slope: float
     converged: bool
     iterations: int
 
@@ -207,11 +212,17 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
 
 def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
                     max_iter: int = 50) -> tuple[np.ndarray, ...]:
-    """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the arrays
-    ``(delta, y0, converged, iterations)``."""
+    """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the rows
+    ``(delta, y0, D', Y')`` of each point, whether it converged, and its
+    iterations.  The slopes solve ``J_(delta, y0) (D', Y') = -J_x0`` on the
+    final jet (implicit function theorem)."""
     u = np.array(np.broadcast_arrays(x0, y0, delta), dtype=float)
-    status, iterations, _, _ = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
-    return u[2], u[1], status == _CONVERGED, iterations
+    status, iterations, _, jac = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
+    (rx, ry, rd), (sx, sy, sd) = jac
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det = rd * sy - ry * sd
+        slopes = np.array([ry * sx - rx * sy, rx * sd - rd * sx]) / det
+    return np.vstack([u[2], u[1], slopes]), status == _CONVERGED, iterations
 
 
 def solve_delta_y(x0: float, eps: float, m: MapParams,
@@ -224,8 +235,8 @@ def solve_delta_y(x0: float, eps: float, m: MapParams,
     expected to lower eps or refine its seed.
     """
     delta, y0 = (0.0, 0.0) if seed is None else seed
-    d, y, ok, its = _solve_implicit([x0], eps, m, [delta], [y0], max_iter)
-    return ImplicitSolution(x0, eps, float(d[0]), float(y[0]), bool(ok[0]), int(its[0]))
+    sol, ok, its = _solve_implicit([x0], eps, m, [delta], [y0], max_iter)
+    return ImplicitSolution(x0, eps, *map(float, sol[:, 0]), bool(ok[0]), int(its[0]))
 
 
 def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolution]:
@@ -238,29 +249,29 @@ def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolu
     first failing point in grid order is ramped alone, so that when it
     fails every ramp :class:`ContinuationError` names it at once; the
     rest are then ramped as one batch, and the error names the first of
-    them that still fails.
+    them that still fails.  Every point carries the exact slopes ``D'``
+    and ``Y'`` of its last solve.
     """
     if grid_size < 8 * m.q:
         raise ValueError(f"grid_size must be >= 8*q = {8 * m.q}")
     xs = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    delta, y0, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
+    sol, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
     failing = np.flatnonzero(~ok)
     for ramp in (failing[:1], failing[1:]):
         splits = 2
         while ramp.size and splits <= _MAX_RAMP_SPLITS:
-            d, y = np.zeros(ramp.size), np.zeros(ramp.size)
+            d = np.zeros((4, ramp.size))
             alive = np.ones(ramp.size, dtype=bool)
             for step in range(1, splits + 1):
-                d[alive], y[alive], conv, its = _solve_implicit(
-                    xs[ramp[alive]], eps * step / splits, m, d[alive], y[alive])
+                d[:, alive], conv, its = _solve_implicit(
+                    xs[ramp[alive]], eps * step / splits, m, d[0, alive], d[1, alive])
                 iterations[ramp[alive]] = its
                 alive[alive] = conv
                 if not alive.any():
                     break
-            done = ramp[alive]
-            delta[done], y0[done] = d[alive], y[alive]
+            sol[:, ramp[alive]] = d[:, alive]
             ramp, splits = ramp[~alive], 2 * splits
         if ramp.size:
             raise ContinuationError(float(xs[ramp[0]]), eps)
-    return [ImplicitSolution(float(x), eps, float(d), float(y), True, int(n))
-            for x, d, y, n in zip(xs, delta, y0, iterations)]
+    return [ImplicitSolution(x, eps, *s, True, n)
+            for x, s, n in zip(xs.tolist(), sol.T.tolist(), iterations.tolist())]

@@ -7,9 +7,12 @@ Measuring the width as ``max - min`` of the profile turns existence
 scanning into extremum finding, which stays well conditioned even when
 the width is exponentially small.
 
-:func:`orbits_at` puts the same fact to use: each point ``x_i`` of a p/q
-orbit at drift ``delta`` is a root of ``D(x_i, eps) = delta``, with
-``y_i = Y(x_i, eps)``, so the orbits are built from the profile's roots.
+Each profile point carries the exact slopes ``D'`` and ``Y'``: the edges
+are zeros of ``D'``, and :func:`orbits_at` finds each point ``x_i`` of a
+p/q orbit at drift ``delta`` as a root of ``D(x_i, eps) = delta``, with
+``y_i = Y(x_i, eps)``, between two critical points, where ``D`` is monotone.
+Both searches take one batched implicit Newton per pass, seeded by the
+Taylor step ``(D + D' dx, Y + Y' dx)`` from a point already solved.
 """
 
 from __future__ import annotations
@@ -19,21 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylmap import MapParams
-from .orbits import (TAU_NEWTON, ContinuationError, PeriodicOrbit, _solve_implicit,
-                     continue_in_x, solve_orbits_fixed_delta)
-from .trigpoly import _SCAN_DENSITY, TrigPoly, _bisect, _critical_points, _scan, reconstruct
+from .cylmap import MapParams, PhaseState
+from .orbits import (TAU_NEWTON, ContinuationError, PeriodicOrbit, SingularJacobianError,
+                     _solve_implicit, continue_in_x, solve_orbit_fixed_delta)
 
 # Samples thinner than this are excluded from scaling fits: their widths
 # sit too close to the Newton residual floor to be trusted.
 MIN_FIT_WIDTH = 1e3 * TAU_NEWTON
-
-# Largest interpolant-vs-Newton gap at a profile extremum, relative to the
-# width: the width is then low by about GAP_RTOL**2 of itself (see width_at).
-GAP_RTOL = 1e-5
-MAX_GRID = 1024  # width_at doubles its grid at most up to this size
-
-_ROOT_XTOL = 1e-12  # orbits_at bisects each root on the profile down to this width
 
 
 class InsufficientDataError(RuntimeError):
@@ -77,99 +72,153 @@ class SweepResult:
 def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     """Measure the tongue cross-section at ``eps``.
 
-    Interpolates the :func:`continue_in_x` profile's ``delta`` and ``y0``,
-    on a grid raised to at least ``8 * q`` points, by trigonometric
-    polynomials of degree ``(grid - 1) // 2`` and solves
-    for ``(delta, y0)``, seeded from both, at every critical point of the
-    ``delta`` interpolant in one batch; the largest and smallest of these
-    Newton values, bounded by the grid extrema, are the edges.  The
-    Newton value at the interpolant's argmax is low by about
-    ``gap**2 / width``, ``gap`` being the interpolant's miss there, and
-    an aliasing profile misses by far more than a resolved one: the grid
-    doubles until the gaps at both edges are within ``GAP_RTOL * width``,
-    and past ``MAX_GRID`` :class:`ContinuationError` is raised.
+    Solves the :func:`continue_in_x` profile, with its exact slopes, on
+    ``max(grid, 8 * q)`` points.  A cell whose end slopes share a sign but
+    whose cubic Hermite through ``(D, D')`` has two slope roots inside is
+    split at its midpoint, until none is.  Each sign change of ``D'`` then
+    holds one critical point, found from the root of the cell's Hermite
+    slope by secant passes on ``D'`` (:func:`_bracketed`).  The edges are
+    the largest and smallest ``D`` over the grid and the critical points.
     """
-    return _resolved_profile(m, eps, grid)[0]
+    return _profile(m, eps, grid)[0]
 
 
-def _resolved_profile(m: MapParams, eps: float, grid: int
-                      ) -> tuple[TongueSample, TrigPoly, TrigPoly, np.ndarray, np.ndarray, int]:
-    """The loop of :func:`width_at`: its sample, the ``delta`` and ``y0``
-    interpolants of the profile, the critical points of the ``delta``
-    interpolant with the profile's Newton ``delta`` there, and the grid
-    that resolved it, which starts at ``max(grid, 8 * q)``."""
+def _profile(m: MapParams, eps: float, grid: int
+             ) -> tuple[TongueSample, np.ndarray, np.ndarray, int]:
+    """The work of :func:`width_at`: its sample, every profile point solved
+    as rows ``(x, D, Y, D', Y')`` in ascending x over ``[0, 2 pi]``, the
+    critical points, and the grid."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     grid = max(grid, 8 * m.q)
-    if eps == 0.0:
-        none = np.zeros(0)
-        return (TongueSample(0.0, 0.0, 0.0, 0.0, 0.0, 0.0), TrigPoly.zero(), TrigPoly.zero(),
-                none, none, grid)
+    pts = np.array([[s.x0, s.delta, s.y0, s.delta_slope, s.y0_slope]
+                    for s in continue_in_x(eps, m, grid)]).T
+    # the grid starts at x = 0; a copy of its first point at 2 pi closes the period
+    pts = np.hstack([pts, pts[:, :1] + [[2.0 * math.pi], [0.0], [0.0], [0.0], [0.0]]])
     while True:
-        sols = continue_in_x(eps, m, grid)
-        deltas = np.array([s.delta for s in sols])
-        d_fit = reconstruct(deltas, (grid - 1) // 2)
-        y_fit = reconstruct([s.y0 for s in sols], (grid - 1) // 2)
-        crit = _critical_points(d_fit, _SCAN_DENSITY * (d_fit.capacity + 1))
-        if not crit.size:  # a flat interpolant: 0 stands for its critical points
-            crit = np.zeros(1)
-        d_crit = _on_profile(crit, eps, m, d_fit, y_fit)[0]
-        ext = [d_crit.argmax(), d_crit.argmin()]
-        x_ext, d_ext = crit[ext], d_crit[ext]
-        d_hi, d_lo = float(max(d_ext[0], deltas.max())), float(min(d_ext[1], deltas.min()))
-        gaps = np.abs(d_fit(x_ext) - d_ext)
-        if gaps.max() <= GAP_RTOL * (d_hi - d_lo):
-            sample = TongueSample(eps, d_hi - d_lo, d_hi, d_lo, *map(float, x_ext))
-            return sample, d_fit, y_fit, crit, d_crit, grid
-        if 2 * grid > MAX_GRID:
-            raise ContinuationError(float(x_ext[gaps.argmax()]), eps,
-                                    f"profile interpolant misses Newton by {gaps.max():.3g} "
-                                    f"at grid {grid}, width {d_hi - d_lo:.3g}")
-        grid *= 2
+        lo, hi = pts[:, :-1], pts[:, 1:]
+        t1, t2 = _hermite_slope_roots(lo, hi)
+        mid = 0.5 * (lo[0] + hi[0])
+        split = (lo[3] * hi[3] > 0) & (0 < t1) & (t2 < 1) & (lo[0] < mid) & (mid < hi[0])
+        if not split.any():
+            break
+        mid = _solve_at(mid[split], eps, m, lo[:, split], hi[:, split])
+        pts = np.hstack([pts, mid])[:, np.argsort(np.append(pts[0], mid[0]))]
+    change = (lo[3] >= 0) != (hi[3] >= 0)
+    lo, hi, t = lo[:, change], hi[:, change], np.where(t1 >= 0, t1, t2)[change]
+    crit = _bracketed(eps, m, lo, hi, lo[0] + t * (hi[0] - lo[0]))
+    pts = np.hstack([pts, crit])[:, np.argsort(np.append(pts[0], crit[0]))]
+    (x_hi, x_lo), (d_hi, d_lo) = pts[:2, [pts[1].argmax(), pts[1].argmin()]]
+    return TongueSample(eps, *map(float, (d_hi - d_lo, d_hi, d_lo, x_hi, x_lo))), pts, crit, grid
 
 
-def _on_profile(x: np.ndarray, eps: float, m: MapParams, d_fit: TrigPoly,
-                y_fit: TrigPoly) -> tuple[np.ndarray, np.ndarray]:
-    """``D(x, eps)`` and ``Y(x, eps)`` by one batched implicit solve seeded
-    from the interpolants."""
-    delta, y0, ok, _ = _solve_implicit(x, eps, m, d_fit(x), y_fit(x))
-    if not ok.all():
-        raise ContinuationError(float(x[~ok][0]), eps, "profile solve failed to converge")
-    return delta, y0
+def _hermite_slope_roots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The roots, ascending and as fractions of the cell (NaN if complex),
+    of the slope of the cubic Hermite through ``(D, D')`` at the cell ends."""
+    secant = (hi[1] - lo[1]) / (hi[0] - lo[0])
+    a, b, c = 3.0 * (lo[3] + hi[3]) - 6.0 * secant, 6.0 * secant - 4.0 * lo[3] - 2.0 * hi[3], lo[3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+        return np.sort([half / a, c / half], axis=0)
+
+
+def _solve_at(x: np.ndarray, eps: float, m: MapParams, near: np.ndarray,
+              far: np.ndarray) -> np.ndarray:
+    """The profile points at ``x`` by one batched implicit solve, seeded by
+    the Taylor step ``(D + D' dx, Y + Y' dx)`` from the points ``near``; a
+    point that fails, as past a fold where the profile jumps between
+    branches of orbits, is solved again from ``far``."""
+    out, todo = np.empty((5, x.size)), np.arange(x.size)
+    for seed in (near, far):
+        dx = x[todo] - seed[0, todo]
+        sol, ok, _ = _solve_implicit(x[todo], eps, m, seed[1, todo] + seed[3, todo] * dx,
+                                     seed[2, todo] + seed[4, todo] * dx)
+        out[:, todo[ok]] = np.vstack([x[todo[ok]], sol[:, ok]])
+        todo = todo[~ok]
+        if not todo.size:
+            return out
+    raise ContinuationError(float(x[todo[0]]), eps, "profile solve failed to converge")
+
+
+def _bracketed(eps: float, m: MapParams, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+               level: float | None = None) -> np.ndarray:
+    """The zeros inside the brackets ``[lo, hi]`` from the first points
+    ``x``, one batched solve per pass, seeded from the nearer bracket end:
+    of ``D'`` by secant passes when ``level`` is None, until the next step
+    has ``|D''| * step**2`` below ``TAU_NEWTON`` (``D''`` from the
+    secant); else of ``D - level`` by Newton on the exact slope, the last
+    pass a step below the solve's own x-resolution ``TAU_NEWTON / |D'|``.
+    Until then a step out of the bracket goes to its midpoint, and a
+    bracket that cannot shrink ends."""
+    lo, hi, cur, last = lo.copy(), hi.copy(), np.empty_like(lo), np.zeros(x.size, bool)
+    prev = np.where(x - lo[0] <= hi[0] - x, lo, hi)
+    row, zero = (3, 0.0) if level is None else (1, level)
+    todo = np.arange(x.size)
+    while todo.size:
+        far = np.where(prev[0, todo] == lo[0, todo], hi[:, todo], lo[:, todo])
+        cur[:, todo] = _solve_at(x, eps, m, prev[:, todo], far)
+        todo = todo[~last[todo]]
+        c, p = cur[:, todo], prev[:, todo]
+        left = (c[row] >= zero) == (lo[row, todo] >= zero)
+        lo[:, todo[left]], hi[:, todo[~left]] = c[:, left], c[:, ~left]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if level is None:
+                curvature = (c[3] - p[3]) / (c[0] - p[0])
+                step = -c[3] / curvature
+                last[todo] = np.abs(curvature) * step * step < TAU_NEWTON
+                # D there differs from D here by only |D''| step**2 / 2: stay
+                step[last[todo]] = 0.0
+            else:
+                step = -(c[1] - level) / c[3]
+                last[todo] = np.abs(step) < TAU_NEWTON / np.abs(c[3])
+        a, b, x = lo[0, todo], hi[0, todo], c[0] + step
+        inside, mid = (a < x) & (x < b), 0.5 * (a + b)
+        take = inside | (~last[todo] & (a < mid) & (mid < b))
+        prev[:, todo] = c
+        todo, x = todo[take], np.where(inside, x, mid)[take]
+    return cur
 
 
 def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSample, int]:
     """Every p/q orbit at drift ``m.delta`` and strength ``m.eps``, the
     profile's cross-section (the evidence when there is none), and the grid.
 
-    The profile is resolved as in :func:`width_at`.  Inside its range,
-    each root ``x_i`` of ``D(x_i, eps) = delta`` seeds
-    :func:`solve_orbits_fixed_delta` with ``(x_i, Y(x_i, eps))``, and
-    orbits through the same roots are one.  At ``eps = 0`` and
-    ``delta = 0`` each grid point gives one parabolic orbit.
+    The profile is solved as in :func:`width_at`.  Inside its range, each
+    root of ``D(x, eps) = delta`` lies between two consecutive points of
+    the grid and the critical points, and Newton on the exact slope solves
+    it there (see :func:`_bracketed`).  Walking the roots in order, each
+    one that no orbit has reached yet seeds :func:`solve_orbit_fixed_delta`
+    with ``(x_i, Y(x_i, eps))``, and the roots nearest that orbit's q
+    states are its own.  At ``eps = 0`` and ``delta = 0`` each grid point
+    gives one parabolic orbit, which meets the grid ``gcd(grid, q)`` times.
     """
-    sample, d_fit, y_fit, crit, d_crit, grid = _resolved_profile(m, m.eps, grid)
+    sample, pts, _, grid = _profile(m, m.eps, grid)
     if not sample.delta_min <= m.delta <= sample.delta_max:
         return [], sample, grid
     if m.eps == 0.0:
-        roots, ys = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False), np.zeros(grid)
-    else:
-        # the critical points join the scan with their Newton values, since
-        # a pair of roots near an extremum can sit inside one scan cell
-        n = _SCAN_DENSITY * (d_fit.capacity + 1)
-        x = np.concatenate([2.0 * math.pi * np.arange(n) / n, crit])
-        v = np.concatenate([_scan(d_fit, n), d_crit])
-        order = np.argsort(x, kind="stable")
-        roots = _bisect(lambda z: _on_profile(z, m.eps, m, d_fit, y_fit)[0] - m.delta,
-                        x[order], v[order] - m.delta, _ROOT_XTOL)
-        ys = _on_profile(roots, m.eps, m, d_fit, y_fit)[1]
-    found = solve_orbits_fixed_delta(np.column_stack([roots, ys]), m) if roots.size else []
-    unique: dict[frozenset, PeriodicOrbit] = {}
-    for orbit in filter(None, found):
-        gaps = np.array([[s.x] for s in orbit.states]) - roots  # orbit points x roots
+        xs = 2.0 * math.pi * np.arange(grid // math.gcd(grid, m.q)) / grid
+        return [solve_orbit_fixed_delta(PhaseState(float(x), 0.0), m) for x in xs], sample, grid
+    lo, hi = pts[:, :-1], pts[:, 1:]
+    cross = (lo[1] >= m.delta) != (hi[1] >= m.delta)
+    lo, hi = lo[:, cross], hi[:, cross]
+    x = lo[0] + (m.delta - lo[1]) / (hi[1] - lo[1]) * (hi[0] - lo[0])
+    roots = _bracketed(m.eps, m, lo, hi, x, m.delta)
+    xs, assigned, found = roots[0] % (2.0 * math.pi), np.zeros(roots.shape[1], bool), []
+    for i in range(xs.size):
+        if assigned[i]:
+            continue
+        try:
+            orbit = solve_orbit_fixed_delta(PhaseState(float(xs[i]), float(roots[2, i])), m)
+        except SingularJacobianError:
+            continue
+        if orbit is None:
+            continue
+        gaps = np.array([[s.x] for s in orbit.states]) - xs  # orbit points x roots
         nearest = np.argmin(np.abs((gaps + math.pi) % (2.0 * math.pi) - math.pi), axis=1)
-        unique.setdefault(frozenset(nearest.tolist()), orbit)
-    return list(unique.values()), sample, grid
+        if not assigned[nearest].any():
+            found.append(orbit)
+        assigned[nearest] = True
+    return found, sample, grid
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:

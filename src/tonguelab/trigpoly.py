@@ -341,27 +341,19 @@ def _scan(p: TrigPoly, n: int) -> np.ndarray:
     return np.fft.irfft(spec, size, norm="forward")[::size // n]
 
 
-def _bisect(fun, x: np.ndarray, v: np.ndarray, xtol: float = 0.0) -> np.ndarray:
-    """Zeros of the periodic ``fun`` in each cell where the signs ``v >= 0``
-    of its samples at ``x`` (ascending in ``[0, 2 pi)``) flip.  All cells
-    are bisected on ``fun`` at once, down to ``xtol`` or to rounding."""
-    above = v >= 0
-    i = np.flatnonzero(above != np.roll(above, -1))
-    lo, lo_above = x[i], above[i]
-    hi = np.where(i + 1 < x.size, x[(i + 1) % x.size], x[0] + 2.0 * math.pi)
-    mid = 0.5 * (lo + hi)
-    while np.any((mid > lo) & (mid < hi) & (hi - lo > xtol)):
-        same = (fun(mid) >= 0) == lo_above
-        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
-        mid = 0.5 * (lo + hi)
-    return mid % (2.0 * math.pi)
-
-
 def _critical_points(p: TrigPoly, n: int) -> np.ndarray:
-    """Zeros of ``p'``: its sign changes on n equispaced points, bisected
-    to 1e-13, where ``p`` is flat to far below its rounding."""
+    """Zeros of ``p'``: its sign changes on n equispaced points, all
+    bisected at once to 1e-13, where ``p`` is flat to far below its
+    rounding."""
     dp = p.derivative()
-    return _bisect(dp, 2.0 * math.pi * np.arange(n) / n, _scan(dp, n), 1e-13)
+    above = _scan(dp, n) >= 0
+    i = np.flatnonzero(above != np.roll(above, -1))
+    lo, hi, lo_above = 2.0 * math.pi * i / n, 2.0 * math.pi * (i + 1) / n, above[i]
+    while np.any(hi - lo > 1e-13):
+        mid = 0.5 * (lo + hi)
+        same = (dp(mid) >= 0) == lo_above
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi) % (2.0 * math.pi)
 
 
 def reconstruct(samples: Iterable[float], capacity: int) -> TrigPoly:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tonguelab import orbits as orbits_module
 from tonguelab.cylmap import MapParams, PhaseState, remainder_jet
@@ -129,6 +131,30 @@ class TestImplicitSolve:
         series_val = expand(m, 4).delta.eval(0.3, 0.1)
         assert sol.converged
         assert abs(sol.delta - series_val) < 5 * 0.1 ** 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda q: st.tuples(
+               st.just(q), st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))),
+           st.floats(0.05, 0.4), st.floats(0.0, 2 * math.pi))
+    def test_slopes_match_central_differences(self, qp, eps, x0):
+        # D' and Y' against central differences of D and Y at x0 +- h and
+        # x0 +- h/2; the gap between the two differences is three times the
+        # truncation error of the finer one, and each D, Y is exact to about
+        # TAU_NEWTON, which the difference divides by h
+        m = MapParams(0.0, 0.0, SIN, qp[1], qp[0])
+        sol = solve_delta_y(x0, eps, m)
+        assume(sol.converged)
+        h = 1e-3
+
+        def central(step):
+            lo, hi = (solve_delta_y(x0 + s, eps, m, seed=(sol.delta, sol.y0))
+                      for s in (-step, step))
+            assert lo.converged and hi.converged
+            return np.array([hi.delta - lo.delta, hi.y0 - lo.y0]) / (2 * step)
+
+        coarse, fine = central(h), central(h / 2)
+        bound = np.abs(coarse - fine) + 4 * orbits_module.TAU_NEWTON / h
+        assert np.all(np.abs(np.array([sol.delta_slope, sol.y0_slope]) - fine) <= bound)
 
     def test_converged_residuals_vanish(self):
         from dataclasses import replace

@@ -4,10 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tonguelab import tongue, trigpoly
+from tonguelab import tongue
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import (ContinuationError, continue_in_x, solve_delta_y,
-                              solve_orbits_fixed_delta)
+from tonguelab.orbits import continue_in_x, solve_delta_y, solve_orbits_fixed_delta
 from tonguelab.series import expand, predicted_width
 from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent, orbits_at,
                               sweep, width_at)
@@ -111,8 +110,11 @@ class TestGlobalExtremum:
         (TrigPoly.sine(2), 5, 2, 0.5, 40),
         (TrigPoly.sine(2), 5, 2, 0.5, 64),
         (SIN, 7, 1, 0.5, 64),
-        (TrigPoly([0, 0.3], [1, 0, 0.2]), 5, 1, 0.4, 40)],
-        ids=["sin2x-q5p2-grid40", "sin2x-q5p2-grid64", "sin-q7p1-grid64", "mixed-q5p1-grid40"])
+        (TrigPoly([0, 0.3], [1, 0, 0.2]), 5, 1, 0.4, 40),
+        (TrigPoly([0, 0.3], [1, 0, 0.2]), 6, 1, 1.0, 48),
+        (TrigPoly.sine(3), 8, 5, 0.2, 64)],
+        ids=["sin2x-q5p2-grid40", "sin2x-q5p2-grid64", "sin-q7p1-grid64", "mixed-q5p1-grid40",
+             "mixed-q6p1-grid48", "sin3x-q8p5-grid64"])
     def test_edges_bound_a_dense_profile(self, f, q, p, eps, grid):
         m = MapParams(0.0, 0.0, f, p, q)
         sample = width_at(m, eps, grid)
@@ -120,10 +122,13 @@ class TestGlobalExtremum:
         assert sample.delta_max >= dense.max() - 1e-12
         assert sample.delta_min <= dense.min() + 1e-12
 
-    def test_unresolved_profile_raises_at_the_grid_cap(self, monkeypatch):
-        monkeypatch.setattr(tongue, "MAX_GRID", 64)
-        with pytest.raises(ContinuationError, match="misses Newton"):
-            width_at(MapParams(0.0, 0.0, TrigPoly.sine(2), 2, 5), 0.5, 40)
+    def test_cells_with_two_hidden_critical_points_are_split(self):
+        # at 8q = 64 points, 8 cells of this profile hold two critical points
+        # between end slopes of one sign: 32 sign changes of D' for 48
+        m = MapParams(0.0, 0.0, TrigPoly.sine(3), 5, 8)
+        _, pts, crit, grid = tongue._profile(m, 0.2, 64)
+        assert grid == 64 and crit.shape[1] == 48
+        assert np.all(np.diff(pts[0]) > 0)
 
 
 class TestBisectionOracle:
@@ -174,20 +179,18 @@ class TestOrbitsAt:
                 if close:
                     assert min(orbit_distance(orbit, o) for o in oracle) < 1e-8, name
 
-    def test_critical_points_solved_once_per_grid(self, monkeypatch):
-        # the width loop's critical points and Newton values bracket the roots
-        passes = []
-        original = trigpoly._critical_points
+    def test_profile_solved_once(self, monkeypatch):
+        # the roots are bracketed by the profile that gave the width
+        calls = []
 
-        def counted(p, n):
-            passes.append(n)
-            return original(p, n)
+        def counted(*args):
+            calls.append(args)
+            return continue_in_x(*args)
 
-        monkeypatch.setattr(trigpoly, "_critical_points", counted)
-        monkeypatch.setattr(tongue, "_critical_points", counted)
+        monkeypatch.setattr(tongue, "continue_in_x", counted)
         found, _, grid = orbits_at(MapParams(0.2, 1e-4, SIN, 1, 3), 64)
         assert grid == 64 and sorted(o.kind for o in found) == ["center", "saddle"]
-        assert len(passes) == 1
+        assert len(calls) == 1
 
     def test_grid_raised_to_eight_q(self):
         m = MapParams(0.2, 0.0, SIN, 1, 3)
