@@ -13,7 +13,7 @@ equilibria giving way to traveling waves.
 __version__ = "0.1.0"
 
 from .cylmap import MapParams, PhaseState, RemainderPair
-from .orbits import ImplicitSolution, PeriodicOrbit
+from .orbits import PeriodicOrbit
 from .series import EpsSeries, SeriesSolution
 from .sgchain import AttractorReport, ChainParams, ChainState, CriticalTorque
 from .tongue import ScalingFit, TongueSample
@@ -26,7 +26,6 @@ __all__ = [
     "PhaseState",
     "RemainderPair",
     "PeriodicOrbit",
-    "ImplicitSolution",
     "EpsSeries",
     "SeriesSolution",
     "TongueSample",

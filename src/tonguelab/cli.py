@@ -78,7 +78,7 @@ def parse_f(spec: str) -> TrigPoly:
     if spec.startswith("{"):
         try:
             return TrigPoly.from_json(spec)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:  # bad JSON, or entries that are not numbers
             raise UsageError(f"bad coefficient object for --f: {exc}") from exc
     raise UsageError(f"cannot parse --f {spec!r}: use sin, cos, 'sin 2x', or a "
                      '{"cos":[...],"sin":[...]} object')
@@ -229,17 +229,17 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 def _run_profile(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params(eps=cfg.one_eps())
     # the 8q grid floor of tongue and orbit
-    sols = continue_in_x(m.eps, m, max(cfg.grid, 8 * m.q))
+    pts, iterations = continue_in_x(m.eps, m, max(cfg.grid, 8 * m.q))
+    x0, delta, y0 = pts[:3].tolist()
     if cfg.format == "svg":
-        dataset = {"x0": [s.x0 for s in sols], "delta": [s.delta for s in sols],
-                   "xlabel": "x0", "ylabel": "delta"}
+        dataset = {"x0": x0, "delta": delta, "xlabel": "x0", "ylabel": "delta"}
         emit_svg(dataset, "profile", cfg.out or "profile.svg", _svg_meta(cfg))
     elif cfg.format == "json":
         _write_json(cfg, t0, {"profile": [
-            {"x0": s.x0, "delta": s.delta, "y0": s.y0, "iterations": s.iterations}
-            for s in sols]}, cfg.out)
+            {"x0": x, "delta": d, "y0": y, "iterations": n}
+            for x, d, y, n in zip(x0, delta, y0, iterations.tolist())]}, cfg.out)
     else:
-        _write_csv(cfg, t0, "x0,delta,y0", [(s.x0, s.delta, s.y0) for s in sols], cfg.out)
+        _write_csv(cfg, t0, "x0,delta,y0", zip(x0, delta, y0), cfg.out)
     return 0
 
 

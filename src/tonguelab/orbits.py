@@ -6,10 +6,13 @@ Every solver here works on the same q-step equations ``(R, S) = 0``
 exact Jacobian from the one batched kernel
 :func:`~tonguelab.cylmap.remainder_jet`.  Two pairs of unknowns are used:
 
-* :func:`solve_delta_y` and :func:`continue_in_x` keep the initial angle
-  ``x_0`` fixed and solve for ``(delta, y_0)``; the result samples the
-  implicit functions ``delta = D(x_0, eps)`` and ``y_0 = Y(x_0, eps)``
-  whose range in delta is the Arnold tongue.
+* :func:`continue_in_x` keeps the initial angle ``x_0`` fixed on a grid
+  and solves for ``(delta, y_0)``; the result samples the implicit
+  functions ``delta = D(x_0, eps)`` and ``y_0 = Y(x_0, eps)`` whose range
+  in delta is the Arnold tongue.  It returns the profile as one array of
+  rows ``(x_0, D, Y, D', Y')``, the layout of :func:`_solve_implicit`,
+  which :mod:`tonguelab.tongue` also calls to solve points between the
+  grid's.
 * :func:`solve_orbit_fixed_delta` and :func:`solve_orbits_fixed_delta`
   keep the drift fixed and solve for the initial point ``(x_0, y_0)``;
   :func:`tonguelab.tongue.orbits_at` seeds them from the profile's roots.
@@ -64,21 +67,6 @@ class PeriodicOrbit:
     params: MapParams
     residual: RemainderPair
     kind: str  # "center" | "saddle" | "parabolic"
-
-
-@dataclass(frozen=True)
-class ImplicitSolution:
-    """One sample of the implicit functions (delta, y0) at fixed x0, with
-    their slopes ``dD/dx0`` and ``dY/dx0`` there."""
-
-    x0: float
-    eps: float
-    delta: float
-    y0: float
-    delta_slope: float
-    y0_slope: float
-    converged: bool
-    iterations: int
 
 
 def monodromy(states, m: MapParams) -> np.ndarray:
@@ -169,6 +157,15 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
     return status, iterations, res, jac
 
 
+def _orbit(m: MapParams, u: np.ndarray, res: np.ndarray, jac: np.ndarray) -> PeriodicOrbit:
+    """The orbit through the converged point ``u = (x0, y0, delta)``: its
+    residual is the final remainders ``res``, its kind the class of the
+    monodromy trace read off their Jacobian ``jac``."""
+    states = tuple(iterate(PhaseState(float(u[0]), float(u[1])), m, m.q)[:-1])
+    return PeriodicOrbit(states, m, RemainderPair(float(res[0]), float(res[1])),
+                         _kind(2.0 + float(jac[0, 0] + jac[1, 1])))
+
+
 def solve_orbits_fixed_delta(starts, m: MapParams,
                              max_iter: int = 50) -> list[PeriodicOrbit | None]:
     """Damped Newton on the periodicity conditions at fixed drift, for a
@@ -176,15 +173,14 @@ def solve_orbits_fixed_delta(starts, m: MapParams,
 
     Returns one entry per start: ``None`` when the start does not converge
     within ``max_iter``, diverges, or meets a singular Newton system, and
-    otherwise the orbit that :func:`solve_orbit_fixed_delta` confirms and
-    builds from the converged point (normally one jet evaluation, no step).
+    otherwise the orbit built from the batch's own final jet at the
+    converged point.
     """
     pts = np.asarray(starts, dtype=float).reshape(-1, 2)
     u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta)])
-    status = _newton(u, m, _FIXED_DELTA, max_iter)[0]
-    return [solve_orbit_fixed_delta(PhaseState(float(x0), float(y0)), m, max_iter)
-            if st == _CONVERGED else None
-            for x0, y0, st in zip(u[0], u[1], status)]
+    status, _, res, jac = _newton(u, m, _FIXED_DELTA, max_iter)
+    return [_orbit(m, u[:, k], res[:, k], jac[..., k]) if status[k] == _CONVERGED else None
+            for k in range(len(pts))]
 
 
 def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
@@ -195,8 +191,8 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     converge within ``max_iter`` or diverges.  Raises
     :class:`SingularJacobianError` when the Newton system degenerates,
     which signals proximity to the saddle-node at the tongue edge.  The
-    orbit's residual and kind come from the Newton's final jet, its
-    states from :func:`~tonguelab.cylmap.iterate`.
+    orbit's residual and kind come from the Newton's final jet
+    (:func:`_orbit`), its states from :func:`~tonguelab.cylmap.iterate`.
     """
     u = np.array([[guess.x], [guess.y], [m.delta]])
     status, _, res, jac = _newton(u, m, _FIXED_DELTA, max_iter)
@@ -205,73 +201,56 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
             f"periodicity Jacobian determinant below {TAU_SINGULAR:g}")
     if status[0] != _CONVERGED:
         return None
-    states = tuple(iterate(PhaseState(float(u[0, 0]), float(u[1, 0])), m, m.q)[:-1])
-    return PeriodicOrbit(states, m, RemainderPair(float(res[0, 0]), float(res[1, 0])),
-                         _kind(2.0 + float(jac[0, 0, 0] + jac[1, 1, 0])))
+    return _orbit(m, u[:, 0], res[:, 0], jac[..., 0])
 
 
 def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
                     max_iter: int = 50) -> tuple[np.ndarray, ...]:
-    """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the rows
-    ``(delta, y0, D', Y')`` of each point, whether it converged, and its
-    iterations.  The slopes solve ``J_(delta, y0) (D', Y') = -J_x0`` on the
-    final jet (implicit function theorem)."""
+    """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the
+    profile rows ``(x0, D, Y, D', Y')`` of each point, whether it
+    converged, and its iterations.  Every profile in the package is an
+    array of these rows.  The slopes solve ``J_(delta, y0) (D', Y') =
+    -J_x0`` on the final jet (implicit function theorem)."""
     u = np.array(np.broadcast_arrays(x0, y0, delta), dtype=float)
     status, iterations, _, jac = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
     (rx, ry, rd), (sx, sy, sd) = jac
     with np.errstate(divide="ignore", invalid="ignore"):
         det = rd * sy - ry * sd
         slopes = np.array([ry * sx - rx * sy, rx * sd - rd * sx]) / det
-    return np.vstack([u[2], u[1], slopes]), status == _CONVERGED, iterations
+    return np.vstack([u[0], u[2], u[1], slopes]), status == _CONVERGED, iterations
 
 
-def solve_delta_y(x0: float, eps: float, m: MapParams,
-                  seed: tuple[float, float] | None = None,
-                  max_iter: int = 50) -> ImplicitSolution:
-    """Newton in ``(delta, y0)`` on the q-step remainders at fixed ``x0``.
-
-    Without a seed the iteration starts from the unperturbed solution
-    ``(0, 0)``.  Non-convergence is flagged, not raised: the caller is
-    expected to lower eps or refine its seed.
-    """
-    delta, y0 = (0.0, 0.0) if seed is None else seed
-    sol, ok, its = _solve_implicit([x0], eps, m, [delta], [y0], max_iter)
-    return ImplicitSolution(x0, eps, *map(float, sol[:, 0]), bool(ok[0]), int(its[0]))
-
-
-def continue_in_x(eps: float, m: MapParams, grid_size: int) -> list[ImplicitSolution]:
+def continue_in_x(eps: float, m: MapParams, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the drift profile ``D(x0, eps)`` on a uniform x0 grid over [0, 2 pi).
 
-    The whole grid is solved in one batch from the unperturbed seed
-    ``(0, 0)``.  Points that fail get an eps ramp from 0: each ramp step
-    is seeded from the previous one, and the ramp doubles its number of
-    steps, up to ``_MAX_RAMP_SPLITS``, until the point converges.  The
-    first failing point in grid order is ramped alone, so that when it
-    fails every ramp :class:`ContinuationError` names it at once; the
-    rest are then ramped as one batch, and the error names the first of
-    them that still fails.  Every point carries the exact slopes ``D'``
-    and ``Y'`` of its last solve.
+    Returns the ``(5, grid_size)`` rows ``(x0, D, Y, D', Y')`` of
+    :func:`_solve_implicit`, in grid order, and each point's Newton
+    iterations in its last solve.  The whole grid is solved in one batch
+    from the unperturbed seed ``(0, 0)``.  The points that fail get an eps
+    ramp from 0, all in one batch: each ramp step is seeded from the
+    previous one, and the ramp doubles its number of steps, up to
+    ``_MAX_RAMP_SPLITS``, until every point converges.  Each point's
+    Newton runs on its own, so the batch does not change its values; the
+    :class:`ContinuationError` names the first point in grid order that
+    still fails.
     """
     if grid_size < 8 * m.q:
         raise ValueError(f"grid_size must be >= 8*q = {8 * m.q}")
     xs = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    sol, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
-    failing = np.flatnonzero(~ok)
-    for ramp in (failing[:1], failing[1:]):
-        splits = 2
-        while ramp.size and splits <= _MAX_RAMP_SPLITS:
-            d = np.zeros((4, ramp.size))
-            alive = np.ones(ramp.size, dtype=bool)
-            for step in range(1, splits + 1):
-                d[:, alive], conv, its = _solve_implicit(
-                    xs[ramp[alive]], eps * step / splits, m, d[0, alive], d[1, alive])
-                iterations[ramp[alive]] = its
-                alive[alive] = conv
-                if not alive.any():
-                    break
-            sol[:, ramp[alive]] = d[:, alive]
-            ramp, splits = ramp[~alive], 2 * splits
-        if ramp.size:
-            raise ContinuationError(float(xs[ramp[0]]), eps)
-    return [ImplicitSolution(x, eps, *s, True, n)
-            for x, s, n in zip(xs.tolist(), sol.T.tolist(), iterations.tolist())]
+    pts, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
+    ramp, splits = np.flatnonzero(~ok), 2
+    while ramp.size and splits <= _MAX_RAMP_SPLITS:
+        d = np.zeros((5, ramp.size))
+        alive = np.ones(ramp.size, dtype=bool)
+        for step in range(1, splits + 1):
+            d[:, alive], conv, its = _solve_implicit(
+                xs[ramp[alive]], eps * step / splits, m, d[1, alive], d[2, alive])
+            iterations[ramp[alive]] = its
+            alive[alive] = conv
+            if not alive.any():
+                break
+        pts[:, ramp[alive]] = d[:, alive]
+        ramp, splits = ramp[~alive], 2 * splits
+    if ramp.size:
+        raise ContinuationError(float(xs[ramp[0]]), eps)
+    return pts, iterations

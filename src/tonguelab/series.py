@@ -70,7 +70,7 @@ class EpsSeries:
     def coeff(self, n: int) -> TrigPoly:
         return self.coeffs[n]
 
-    def mul(self, other: "EpsSeries", max_degree: int | None = None) -> "EpsSeries":
+    def mul(self, other: "EpsSeries") -> "EpsSeries":
         n = min(self.order, other.order)
         out = [TrigPoly.zero() for _ in range(n + 1)]
         for i, ci in enumerate(self.coeffs[:n + 1]):
@@ -80,13 +80,8 @@ class EpsSeries:
                 cj = other.coeffs[j]
                 if cj.coeff_norm() == 0.0:
                     continue
-                out[i + j] = out[i + j] + product(ci, cj, max_degree=max_degree)
+                out[i + j] = out[i + j] + product(ci, cj)
         return EpsSeries(out)
-
-    def __mul__(self, other):
-        if isinstance(other, EpsSeries):
-            return self.mul(other)
-        return NotImplemented
 
     def eval(self, x, eps: float):
         """Sum of ``coeff_n(x) * eps^n`` over the stored orders."""

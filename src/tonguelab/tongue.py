@@ -85,14 +85,14 @@ def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
 
 def _profile(m: MapParams, eps: float, grid: int
              ) -> tuple[TongueSample, np.ndarray, np.ndarray, int]:
-    """The work of :func:`width_at`: its sample, every profile point solved
-    as rows ``(x, D, Y, D', Y')`` in ascending x over ``[0, 2 pi]``, the
-    critical points, and the grid."""
+    """The work of :func:`width_at`: its sample, every profile point solved,
+    in ascending x over ``[0, 2 pi]``, the critical points, and the grid.
+    Points are columns of the rows ``(x, D, Y, D', Y')`` that
+    :func:`~tonguelab.orbits.continue_in_x` returns."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     grid = max(grid, 8 * m.q)
-    pts = np.array([[s.x0, s.delta, s.y0, s.delta_slope, s.y0_slope]
-                    for s in continue_in_x(eps, m, grid)]).T
+    pts = continue_in_x(eps, m, grid)[0]
     # the grid starts at x = 0; a copy of its first point at 2 pi closes the period
     pts = np.hstack([pts, pts[:, :1] + [[2.0 * math.pi], [0.0], [0.0], [0.0], [0.0]]])
     while True:
@@ -133,7 +133,7 @@ def _solve_at(x: np.ndarray, eps: float, m: MapParams, near: np.ndarray,
         dx = x[todo] - seed[0, todo]
         sol, ok, _ = _solve_implicit(x[todo], eps, m, seed[1, todo] + seed[3, todo] * dx,
                                      seed[2, todo] + seed[4, todo] * dx)
-        out[:, todo[ok]] = np.vstack([x[todo[ok]], sol[:, ok]])
+        out[:, todo[ok]] = sol[:, ok]
         todo = todo[~ok]
         if not todo.size:
             return out

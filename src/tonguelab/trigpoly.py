@@ -27,18 +27,9 @@ import numpy as np
 # max(|a_k|, |b_k|) > TAU_DEG.
 TAU_DEG = 1e-12
 
-# Default cap on the degree a product may reach.  Exceeding a cap means a
-# computation (typically a series expansion) asked for more resolution
-# than was budgeted, and is an error rather than a silent truncation.
-DEFAULT_MAX_DEGREE = 4096
-
 # Critical points and roots are bracketed on a scan of this many points per
 # harmonic of the polynomial.
 _SCAN_DENSITY = 64
-
-
-class CapacityError(RuntimeError):
-    """A product would exceed the configured maximum degree."""
 
 
 class TrigPoly:
@@ -219,8 +210,6 @@ class TrigPoly:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return TrigPoly._from_arrays(self._a * other, self._b * other)
-        if isinstance(other, TrigPoly):
-            return product(self, other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -239,9 +228,6 @@ class TrigPoly:
     def from_dict(cls, d: dict) -> "TrigPoly":
         return cls(d.get("cos", [0.0]), d.get("sin", []))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_json(cls, s: str) -> "TrigPoly":
         return cls.from_dict(json.loads(s))
@@ -250,16 +236,8 @@ class TrigPoly:
         return f"TrigPoly(cos={list(self._a)!r}, sin={list(self._b[1:])!r})"
 
 
-def product(p: TrigPoly, q: TrigPoly, max_degree: int | None = None) -> TrigPoly:
-    """Product of two trigonometric polynomials by product-to-sum identities.
-
-    Raises :class:`CapacityError` when the effective degrees would exceed
-    ``max_degree`` (default :data:`DEFAULT_MAX_DEGREE`).
-    """
-    cap = DEFAULT_MAX_DEGREE if max_degree is None else max_degree
-    if p.degree() + q.degree() > cap:
-        raise CapacityError(
-            f"product degree {p.degree()} + {q.degree()} exceeds capacity {cap}")
+def product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
+    """Product of two trigonometric polynomials by product-to-sum identities."""
     a1, b1 = p._a, p._b
     a2, b2 = q._a, q._b
     n1, n2 = len(a1), len(a2)

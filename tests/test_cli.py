@@ -55,6 +55,26 @@ def test_profile_json(capsys):
     assert max(deltas) == pytest.approx(-min(deltas), rel=1e-6)
 
 
+def test_profile_csv_rows_are_the_json_rows(capsys):
+    argv = ["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "24"]
+    rc, out = run_json(capsys, [*argv, "--format", "json"])
+    assert rc == 0
+    assert all(type(pt["iterations"]) is int for pt in out["profile"])
+    assert cli.run([*argv, "--format", "csv"]) == 0
+    header, *rows = csv_rows(capsys.readouterr().out)
+    assert header == ["x0", "delta", "y0"]
+    assert [[float(v) for v in row] for row in rows] == [
+        [pt["x0"], pt["delta"], pt["y0"]] for pt in out["profile"]]
+
+
+@pytest.mark.parametrize("spec", ['{"sin": 5}', '{"cos": {"a": 1}}', '{"cos": [0, "x"]}'])
+def test_malformed_coefficient_object_is_usage_error(capsys, spec):
+    rc = cli.run(["series", "--q", "3", "--p", "1", "--order", "2", "--f", spec])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        "tonguelab: usage error: bad coefficient object for --f")
+
+
 def test_profile_svg(tmp_path):
     out = tmp_path / "profile.svg"
     argv = ["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "24",

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tonguelab.cylmap import MapParams, PhaseState, iterate, remainder_jet, step
-from tonguelab.orbits import TAU_CLS, monodromy, solve_delta_y, solve_orbit_fixed_delta
+from tonguelab.orbits import TAU_CLS, _solve_implicit, monodromy, solve_orbit_fixed_delta
 from tonguelab.trigpoly import TrigPoly
 
 SIN = TrigPoly.sine()
@@ -197,10 +197,11 @@ class TestRemainderJet:
     @given(st.integers(1, 5), st.floats(0.05, 0.3), angles)
     def test_state_block_is_monodromy_minus_identity(self, q, eps, x0):
         m = MapParams(0.0, 0.0, SIN, 1 if q > 1 else 0, q)
-        sol = solve_delta_y(x0, eps, m)
-        assume(sol.converged)
-        m_at = replace(m, eps=eps, delta=sol.delta)
-        orbit = solve_orbit_fixed_delta(PhaseState(sol.x0, sol.y0), m_at)
+        pts, ok, _ = _solve_implicit([x0], eps, m, [0.0], [0.0])
+        assume(ok[0])
+        x0, delta, y0 = pts[:3, 0].tolist()
+        m_at = replace(m, eps=eps, delta=delta)
+        orbit = solve_orbit_fixed_delta(PhaseState(x0, y0), m_at)
         assert orbit is not None
         first = orbit.states[0]
         _, jac = remainder_jet(first.x, first.y, m_at.delta, m_at, q)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tonguelab import orbits as orbits_module
 from tonguelab.cylmap import MapParams, PhaseState, remainder_jet
-from tonguelab.orbits import (ContinuationError, continue_in_x, monodromy, solve_delta_y,
+from tonguelab.orbits import (ContinuationError, _solve_implicit, continue_in_x, monodromy,
                               solve_orbit_fixed_delta)
 from tonguelab.trigpoly import TrigPoly
 
@@ -16,30 +16,36 @@ from orbit_oracle import multistart_orbits, orbit_distance
 SIN = TrigPoly.sine()
 
 
+def implicit(x0, eps, m, seed=(0.0, 0.0)):
+    """One implicit solve from the seed ``(delta, y0)``: the point's
+    profile rows ``(x0, D, Y, D', Y')`` and whether it converged."""
+    pts, ok, _ = _solve_implicit([x0], eps, m, [seed[0]], [seed[1]])
+    return pts[:, 0], bool(ok[0])
+
+
 def sequential_profile(eps, m, grid_size):
     """Reference profile from one-point solves: the first grid point is
     reached by an eps ramp, every later one is seeded from its predecessor."""
     xs = np.linspace(0.0, 2 * math.pi, grid_size, endpoint=False)
-    seed = None
+    seed = (0.0, 0.0)
     for e in np.linspace(0.0, eps, 17)[1:]:
-        sol = solve_delta_y(float(xs[0]), float(e), m, seed=seed)
-        assert sol.converged
-        seed = (sol.delta, sol.y0)
-    sols = [sol]
+        pt, ok = implicit(float(xs[0]), float(e), m, seed)
+        assert ok
+        seed = pt[1:3]
+    cols = [pt]
     for x0 in xs[1:]:
-        sol = solve_delta_y(float(x0), eps, m, seed=seed)
-        assert sol.converged
-        sols.append(sol)
-        seed = (sol.delta, sol.y0)
-    return sols
+        pt, ok = implicit(float(x0), eps, m, seed)
+        assert ok
+        cols.append(pt)
+        seed = pt[1:3]
+    return np.array(cols).T
 
 
 def assert_profiles_match(batched, sequential):
-    assert len(batched) == len(sequential)
-    for a, b in zip(batched, sequential):
-        assert a.converged and a.x0 == b.x0
-        assert abs(a.delta - b.delta) < 1e-9
-        assert abs(a.y0 - b.y0) < 1e-9
+    # continue_in_x returns only converged profiles; it raises otherwise
+    assert batched.shape == sequential.shape
+    assert np.array_equal(batched[0], sequential[0])
+    assert np.all(np.abs(batched[1:3] - sequential[1:3]) < 1e-9)
 
 
 class TestFixedDeltaNewton:
@@ -110,27 +116,27 @@ class TestImplicitSolve:
     def test_unperturbed_trivial(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         for x0 in (0.0, 1.0, 4.0):
-            sol = solve_delta_y(x0, 0.0, m)
-            assert sol.converged
-            assert sol.delta == 0.0
-            assert sol.y0 == 0.0
+            (_, delta, y0, *_), ok = implicit(x0, 0.0, m)
+            assert ok
+            assert delta == 0.0
+            assert y0 == 0.0
 
     def test_one_step_closed_form(self):
         m = MapParams(0.0, 0.0, SIN, 0, 1)
         for x0 in np.linspace(0, 2 * math.pi, 11):
-            sol = solve_delta_y(float(x0), 0.3, m)
-            assert sol.converged
-            assert sol.delta == pytest.approx(-0.3 * math.sin(x0), abs=1e-13)
-            assert sol.y0 == pytest.approx(0.0, abs=1e-13)
+            (_, delta, y0, *_), ok = implicit(float(x0), 0.3, m)
+            assert ok
+            assert delta == pytest.approx(-0.3 * math.sin(x0), abs=1e-13)
+            assert y0 == pytest.approx(0.0, abs=1e-13)
 
     def test_matches_series_through_order_four(self):
         from tonguelab.series import expand
 
         m = MapParams(0.0, 0.0, SIN, 1, 2)
-        sol = solve_delta_y(0.3, 0.1, m)
+        (_, delta, *_), ok = implicit(0.3, 0.1, m)
         series_val = expand(m, 4).delta.eval(0.3, 0.1)
-        assert sol.converged
-        assert abs(sol.delta - series_val) < 5 * 0.1 ** 5
+        assert ok
+        assert abs(delta - series_val) < 5 * 0.1 ** 5
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 7).flatmap(lambda q: st.tuples(
@@ -142,71 +148,70 @@ class TestImplicitSolve:
         # truncation error of the finer one, and each D, Y is exact to about
         # TAU_NEWTON, which the difference divides by h
         m = MapParams(0.0, 0.0, SIN, qp[1], qp[0])
-        sol = solve_delta_y(x0, eps, m)
-        assume(sol.converged)
+        pt, ok = implicit(x0, eps, m)
+        assume(ok)
         h = 1e-3
 
         def central(step):
-            lo, hi = (solve_delta_y(x0 + s, eps, m, seed=(sol.delta, sol.y0))
-                      for s in (-step, step))
-            assert lo.converged and hi.converged
-            return np.array([hi.delta - lo.delta, hi.y0 - lo.y0]) / (2 * step)
+            (lo, lo_ok), (hi, hi_ok) = (implicit(x0 + s, eps, m, seed=pt[1:3])
+                                        for s in (-step, step))
+            assert lo_ok and hi_ok
+            return (hi[1:3] - lo[1:3]) / (2 * step)
 
         coarse, fine = central(h), central(h / 2)
         bound = np.abs(coarse - fine) + 4 * orbits_module.TAU_NEWTON / h
-        assert np.all(np.abs(np.array([sol.delta_slope, sol.y0_slope]) - fine) <= bound)
+        assert np.all(np.abs(pt[3:] - fine) <= bound)
 
     def test_converged_residuals_vanish(self):
         from dataclasses import replace
 
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        sol = solve_delta_y(1.1, 0.2, m)
-        assert sol.converged
-        res, _ = remainder_jet(sol.x0, sol.y0, sol.delta, replace(m, eps=0.2), 3)
+        (x0, delta, y0, *_), ok = implicit(1.1, 0.2, m)
+        assert ok
+        res, _ = remainder_jet(x0, y0, delta, replace(m, eps=0.2), 3)
         assert np.abs(res).max() < 1e-12
 
-    def test_homotopy_reaches_larger_eps(self):
+    def test_eps_ramp_reaches_larger_eps(self):
         # continue_in_x's eps ramp: at sin 2x, q=5, eps=0.8 some grid points
         # do not converge from the cold seed at the full eps
         f2 = TrigPoly.sine(2)
         for f, q, p, eps, grid, cold_misses in ((f2, 5, 2, 0.8, 64, True),
                                                 (SIN, 6, 1, 0.5, 48, False)):
             m = MapParams(0.0, 0.0, f, p, q)
-            sols = continue_in_x(eps, m, grid)
-            cold = [solve_delta_y(s.x0, eps, m).converged for s in sols]
+            pts, _ = continue_in_x(eps, m, grid)
+            cold = [implicit(x0, eps, m)[1] for x0 in pts[0]]
             assert (not all(cold)) == cold_misses
-            assert_profiles_match(sols, sequential_profile(eps, m, grid))
+            assert_profiles_match(pts, sequential_profile(eps, m, grid))
 
 
 class TestContinuation:
     def test_unperturbed_all_zero(self):
         m = MapParams(0.0, 0.0, SIN, 1, 2)
-        sols = continue_in_x(0.0, m, 16)
-        assert all(s.delta == 0.0 and s.converged for s in sols)
+        pts, _ = continue_in_x(0.0, m, 16)
+        assert np.all(pts[1] == 0.0)
 
     def test_one_step_profile(self):
         m = MapParams(0.0, 0.0, SIN, 0, 1)
-        sols = continue_in_x(0.1, m, 32)
-        for s in sols:
-            assert s.delta == pytest.approx(-0.1 * math.sin(s.x0), abs=1e-12)
+        pts, _ = continue_in_x(0.1, m, 32)
+        for x0, delta in zip(pts[0], pts[1]):
+            assert delta == pytest.approx(-0.1 * math.sin(x0), abs=1e-12)
 
     def test_wraparound_periodicity(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        sols = continue_in_x(0.15, m, 24)
-        last = sols[-1]
-        wrapped = solve_delta_y(2 * math.pi, 0.15, m, seed=(last.delta, last.y0))
-        assert wrapped.converged
-        assert abs(wrapped.delta - sols[0].delta) < 1e-10
+        pts, _ = continue_in_x(0.15, m, 24)
+        wrapped, ok = implicit(2 * math.pi, 0.15, m, seed=pts[1:3, -1])
+        assert ok
+        assert abs(wrapped[1] - pts[1, 0]) < 1e-10
 
     def test_grid_size_validated(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         with pytest.raises(ValueError):
             continue_in_x(0.1, m, 16)  # < 8q
 
-    def test_modes_agree(self):
+    def test_batched_matches_sequential(self):
         # the batched cold-start profile against sequential one-point continuation
         m = MapParams(0.0, 0.0, SIN, 1, 2)
-        assert_profiles_match(continue_in_x(0.12, m, 16), sequential_profile(0.12, m, 16))
+        assert_profiles_match(continue_in_x(0.12, m, 16)[0], sequential_profile(0.12, m, 16))
 
     def test_failed_ramp_stops(self, monkeypatch):
         # once every point of an eps ramp has failed, no further ramp step
@@ -239,13 +244,13 @@ class TestCrossValidation:
         from dataclasses import replace
 
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        sol = solve_delta_y(0.8, 0.2, m)
-        assert sol.converged
-        m_at = replace(m, eps=0.2, delta=sol.delta)
-        orbit = solve_orbit_fixed_delta(PhaseState(sol.x0, sol.y0), m_at)
+        (x0, delta, y0, *_), ok = implicit(0.8, 0.2, m)
+        assert ok
+        m_at = replace(m, eps=0.2, delta=delta)
+        orbit = solve_orbit_fixed_delta(PhaseState(x0, y0), m_at)
         assert orbit is not None
-        assert orbit.states[0].x == pytest.approx(sol.x0, abs=1e-10)
-        assert orbit.states[0].y == pytest.approx(sol.y0, abs=1e-10)
+        assert orbit.states[0].x == pytest.approx(x0, abs=1e-10)
+        assert orbit.states[0].y == pytest.approx(y0, abs=1e-10)
 
     def test_orbit_point_consistency(self):
         # the image point of an implicit solution carries the same drift
@@ -254,13 +259,13 @@ class TestCrossValidation:
         from tonguelab.cylmap import step
 
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        sol = solve_delta_y(0.8, 0.2, m)
-        m_at = replace(m, eps=0.2, delta=sol.delta)
-        s1 = step(PhaseState(sol.x0, sol.y0), m_at)
-        sol1 = solve_delta_y(s1.x, 0.2, m, seed=(sol.delta, s1.y))
-        assert sol1.converged
-        assert abs(sol1.delta - sol.delta) < 1e-10
-        assert abs(sol1.y0 - s1.y) < 1e-10
+        (x0, delta, y0, *_), _ = implicit(0.8, 0.2, m)
+        m_at = replace(m, eps=0.2, delta=delta)
+        s1 = step(PhaseState(x0, y0), m_at)
+        (_, delta1, y1, *_), ok = implicit(s1.x, 0.2, m, seed=(delta, s1.y))
+        assert ok
+        assert abs(delta1 - delta) < 1e-10
+        assert abs(y1 - s1.y) < 1e-10
 
 
 class TestMultistart:

@@ -6,7 +6,7 @@ import pytest
 
 from tonguelab import tongue
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import continue_in_x, solve_delta_y, solve_orbits_fixed_delta
+from tonguelab.orbits import _solve_implicit, continue_in_x, solve_orbits_fixed_delta
 from tonguelab.series import expand, predicted_width
 from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent, orbits_at,
                               sweep, width_at)
@@ -118,7 +118,7 @@ class TestGlobalExtremum:
     def test_edges_bound_a_dense_profile(self, f, q, p, eps, grid):
         m = MapParams(0.0, 0.0, f, p, q)
         sample = width_at(m, eps, grid)
-        dense = np.array([s.delta for s in continue_in_x(eps, m, 1024)])
+        dense = continue_in_x(eps, m, 1024)[0][1]
         assert sample.delta_max >= dense.max() - 1e-12
         assert sample.delta_min <= dense.min() + 1e-12
 
@@ -325,9 +325,10 @@ class TestSaddleNode:
 
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         sample = width_at(m, 0.2, 48)
-        sol = solve_delta_y(sample.x_argmax, 0.2, m)
-        assert sol.converged
-        m_at = replace(m, eps=0.2, delta=sol.delta)
-        states = iterate(PhaseState(sol.x0, sol.y0), m_at, 2)
+        pts, ok, _ = _solve_implicit([sample.x_argmax], 0.2, m, [0.0], [0.0])
+        assert ok[0]
+        x0, delta, y0 = pts[:3, 0].tolist()
+        m_at = replace(m, eps=0.2, delta=delta)
+        states = iterate(PhaseState(x0, y0), m_at, 2)
         trace = float(np.trace(monodromy(states, m_at)))
         assert abs(trace - 2.0) < 1e-4
