@@ -23,11 +23,15 @@ adds the RK4 steps of all its runs (``rk4_steps``) and how many probes
 each test decided (``probes_decided_by``: ``trap``, ``velocity``, or
 ``escape`` for a site that moved off the pinned branch).  ``--t-end`` and
 ``--format`` shape the trajectory that ``--out`` writes, so ``chain``
-takes them only with ``--out``; for a whole-number ``--t-end`` the
-trajectory's rows are one time unit apart.  These guards, like the ones
-of ``--bracket``, look at which options were given, by flag or by
-``--config``, not at their values: an option given at its default value
-is still one the run would not read.
+takes them only with ``--out``; for a whole-number ``--t-end`` (200 time
+units by default) the trajectory's rows are one time unit apart.  These
+guards, like the ones of ``--bracket``, look at which options were
+given, by flag or by ``--config``, not at their values: an option given
+at its default value is still one the run would not read.  The values
+are checked after the guards and before any run: ``--t-end`` must be
+finite and positive, ``--bracket`` two finite values ``lo < hi``, and
+:class:`~tonguelab.sgchain.ChainParams` and the horizon checks of
+:mod:`tonguelab.sgchain` reject the rest, each naming its parameter.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
@@ -51,8 +55,7 @@ from . import __version__
 from .cylmap import MapParams
 from .orbits import ContinuationError, continue_in_x
 from .series import LeadingIndexNotFound, expand, verify_first_order, verify_periodicity
-from .sgchain import (ChainParams, classify_attractor, critical_torque, default_dt, integrate,
-                      twist_state)
+from .sgchain import ChainParams, classify_attractor, critical_torque, integrate, twist_state
 from .svgfig import emit_svg
 from .tongue import InsufficientDataError, TongueSample, fit_exponent, orbits_at, sweep
 from .trigpoly import TrigPoly
@@ -104,7 +107,7 @@ class RunConfig:
     report: str = ""
     input: str = ""
     bracket: list[float] = field(default_factory=list)
-    t_end: float = 0.0
+    t_end: float = 200.0
 
     def __post_init__(self):
         # the keys given by flag or by --config, at whatever value; a record
@@ -228,8 +231,7 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 
 def _run_profile(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params(eps=cfg.one_eps())
-    # the 8q grid floor of tongue and orbit
-    pts, iterations = continue_in_x(m.eps, m, max(cfg.grid, 8 * m.q))
+    pts, iterations = continue_in_x(m.eps, m, cfg.grid)
     x0, delta, y0 = pts[:3].tolist()
     if cfg.format == "svg":
         dataset = {"x0": x0, "delta": delta, "xlabel": "x0", "ylabel": "delta"}
@@ -299,16 +301,18 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         return [f"--{key.replace('_', '-')}" for key in keys if key in cfg.given]
 
     if cfg.bracket:
-        if len(cfg.bracket) != 2:
-            raise UsageError("--bracket needs exactly two values lo,hi")
         dropped = given("out", "t_end", "format", "delta")
         if dropped:
             raise UsageError("--bracket bisects over the drift and writes no trajectory, "
                              f"so it takes no {', '.join(dropped)}")
+        if len(cfg.bracket) != 2 or not all(map(math.isfinite, cfg.bracket)) \
+                or not cfg.bracket[0] < cfg.bracket[1]:
+            raise UsageError("--bracket needs two finite values lo,hi with lo < hi, got "
+                             + ",".join(f"{v:g}" for v in cfg.bracket))
         torque = critical_torque(c, tuple(cfg.bracket), horizon=cfg.horizon)
         report["critical_delta"] = torque.critical_delta
         # critical_torque bisects at the start step, without halvings
-        step = {"dt": default_dt(c), "halvings": 0, "rk4_steps": torque.rk4_steps,
+        step = {"dt": torque.dt, "halvings": 0, "rk4_steps": torque.rk4_steps,
                 "probes_decided_by": {test: sum(p.decided_by == test for p in torque.probes)
                                       for test in ("trap", "velocity", "escape")}}
     else:
@@ -317,16 +321,17 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         if dropped and not cfg.out:
             raise UsageError("without --out chain writes no trajectory, "
                              f"so it takes no {', '.join(dropped)}")
+        if not (math.isfinite(cfg.t_end) and cfg.t_end > 0):
+            raise UsageError(f"--t-end must be finite and > 0, got {cfg.t_end:g}")
         rep = classify_attractor(twist_state(c), c, horizon=cfg.horizon)
         report.update({"kind": rep.kind, "mean_velocity": rep.mean_velocity,
                        "T": rep.wave_period, "delay_error": rep.delay_error})
         step = {"dt": rep.dt, "halvings": rep.halvings, "decided_by": rep.decided_by,
                 "rk4_steps": rep.rk4_steps}
         if cfg.out:
-            t_end = cfg.t_end if cfg.t_end > 0 else 200.0
             # n steps of 1/n per time unit, never coarser than the checked step
             n = math.ceil(1.0 / rep.dt)
-            traj = integrate(twist_state(c), c, 1.0 / n, t_end, record_every=n)
+            traj = integrate(twist_state(c), c, 1.0 / n, cfg.t_end, record_every=n)
             if cfg.format == "svg":
                 emit_svg({"t": traj.times.tolist(), "x": traj.pos.T.tolist()},
                          "trajectory", cfg.out, _svg_meta(cfg))
@@ -410,9 +415,10 @@ _HELP = {
     "horizon": "chain classification horizon (default 1e5)",
     "format": "output format (default csv):",
     "out": "output path (default: stdout)",
-    "bracket": "lo,hi torque bracket: measure the critical torque instead of classifying",
+    "bracket": "lo,hi torque bracket, finite with lo < hi: measure the critical torque "
+               "instead of classifying",
     "report": "path for the JSON report (default: stdout)",
-    "t_end": "trajectory length in time units (default 200)",
+    "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",
 }
 

@@ -64,7 +64,6 @@ class PeriodicOrbit:
     """A converged p/q orbit: its q states, residual, and stability kind."""
 
     states: tuple[PhaseState, ...]
-    params: MapParams
     residual: RemainderPair
     kind: str  # "center" | "saddle" | "parabolic"
 
@@ -98,7 +97,7 @@ _ACTIVE, _CONVERGED, _FAILED, _SINGULAR = range(4)
 _FIXED_DELTA = (0, 1)
 _IMPLICIT = (2, 1)
 
-# Finest eps ramp tried for a profile point that fails from the cold seed.
+# Finest eps ramp tried for a profile point.
 _MAX_RAMP_SPLITS = 64
 
 
@@ -162,7 +161,7 @@ def _orbit(m: MapParams, u: np.ndarray, res: np.ndarray, jac: np.ndarray) -> Per
     residual is the final remainders ``res``, its kind the class of the
     monodromy trace read off their Jacobian ``jac``."""
     states = tuple(iterate(PhaseState(float(u[0]), float(u[1])), m, m.q)[:-1])
-    return PeriodicOrbit(states, m, RemainderPair(float(res[0]), float(res[1])),
+    return PeriodicOrbit(states, RemainderPair(float(res[0]), float(res[1])),
                          _kind(2.0 + float(jac[0, 0] + jac[1, 1])))
 
 
@@ -223,22 +222,22 @@ def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
 def continue_in_x(eps: float, m: MapParams, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample the drift profile ``D(x0, eps)`` on a uniform x0 grid over [0, 2 pi).
 
-    Returns the ``(5, grid_size)`` rows ``(x0, D, Y, D', Y')`` of
+    The grid has ``grid_size`` points, raised to ``8 q`` when smaller: the
+    floor that every profile, tongue width and orbit search shares.
+    Returns the ``(5, n)`` rows ``(x0, D, Y, D', Y')`` of
     :func:`_solve_implicit`, in grid order, and each point's Newton
-    iterations in its last solve.  The whole grid is solved in one batch
-    from the unperturbed seed ``(0, 0)``.  The points that fail get an eps
-    ramp from 0, all in one batch: each ramp step is seeded from the
-    previous one, and the ramp doubles its number of steps, up to
-    ``_MAX_RAMP_SPLITS``, until every point converges.  Each point's
+    iterations in its last solve.  One loop solves the grid as an eps ramp
+    from the unperturbed seed ``(0, 0)``, all points in one batch, each
+    ramp step seeded from the previous one.  Its first level is one step,
+    the cold solve at eps itself; the points that still fail get a ramp
+    of twice as many steps, up to ``_MAX_RAMP_SPLITS``.  Each point's
     Newton runs on its own, so the batch does not change its values; the
     :class:`ContinuationError` names the first point in grid order that
     still fails.
     """
-    if grid_size < 8 * m.q:
-        raise ValueError(f"grid_size must be >= 8*q = {8 * m.q}")
-    xs = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    pts, ok, iterations = _solve_implicit(xs, eps, m, 0.0, 0.0)
-    ramp, splits = np.flatnonzero(~ok), 2
+    xs = np.linspace(0.0, 2.0 * math.pi, max(grid_size, 8 * m.q), endpoint=False)
+    pts, iterations = np.empty((5, xs.size)), np.empty(xs.size, dtype=int)
+    ramp, splits = np.arange(xs.size), 1
     while ramp.size and splits <= _MAX_RAMP_SPLITS:
         d = np.zeros((5, ramp.size))
         alive = np.ones(ramp.size, dtype=bool)

@@ -139,13 +139,6 @@ def _harmonic_tol(poly: TrigPoly, roundoff: float) -> float:
     return max(R_DETECT_TOL * (1.0 + poly.coeff_norm()), roundoff)
 
 
-def _is_constant(poly: TrigPoly, roundoff: float) -> bool:
-    mag = np.maximum(np.abs(poly.cos_coeffs), np.abs(np.concatenate([[0.0], poly.sin_coeffs])))
-    if len(mag) <= 1:
-        return True
-    return bool(np.max(mag[1:]) <= _harmonic_tol(poly, roundoff))
-
-
 def expand(m: MapParams, order: int) -> SeriesSolution:
     """Solve the vanishing-remainder equations through ``eps^order``.
 
@@ -202,7 +195,8 @@ def expand(m: MapParams, order: int) -> SeriesSolution:
 
     r = None
     for n in range(1, order + 1):
-        if not _is_constant(delta.coeff(n), roundoff[n]):
+        dn = delta.coeff(n)
+        if dn.degree(_harmonic_tol(dn, roundoff[n])) > 0:
             r = n
             break
     upto = r if r is not None else order + 1

@@ -84,6 +84,8 @@ _ROUND = 8.0 * np.finfo(float).eps
 TAU_WAVE = 1e-4
 # Give up and report "undecided" after this much integrated time.
 DEFAULT_HORIZON = 1e5
+# critical_torque bisects until the bracket is this narrow relative to its ends.
+BISECTION_RTOL = 1e-3
 # Positions beyond this magnitude abort the run as a blow-up.
 BLOWUP_LIMIT = 1e8
 # A torque probe has depinned once a site moves this far from its start.
@@ -109,6 +111,9 @@ class ChainParams:
     delta: float
 
     def __post_init__(self):
+        for name in ("gamma", "eps", "delta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"chain {name} must be finite, got {getattr(self, name)}")
         if self.q < 2:
             raise ValueError("chain length q must be >= 2")
         if self.gamma <= 0:
@@ -404,8 +409,10 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     ``g / 16**skip`` meets the tolerance (the q=5, p=2, eps 0.8 wave of
     the tests has ``g = 2e-5`` at ``h`` and agrees at ``h/8, h/16``); after
     a change of kind it halves once.  Raises :class:`StepRefinementError`
-    when no pair down to ``h / 2**MAX_HALVINGS`` agrees.
+    when no pair down to ``h / 2**MAX_HALVINGS`` agrees, and
+    :class:`ValueError` when ``horizon`` is not finite and positive.
     """
+    _check_horizon(horizon)
     start = default_dt(c)
     depth = 0  # the coarse run of the pair is at start / 2**depth
     coarse = _classify_attractor(s0, c, horizon, start)[0]
@@ -432,6 +439,11 @@ def classify_attractor(s0: ChainState, c: ChainParams,
         else:
             coarse = _classify_attractor(s0, c, horizon, start / 2 ** depth)[0]
             steps += coarse.rk4_steps
+
+
+def _check_horizon(horizon: float) -> None:
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {horizon:g}")
 
 
 def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
@@ -677,9 +689,12 @@ class TorqueProbe:
 
 @dataclass(frozen=True)
 class CriticalTorque:
-    """The critical torque and how the bisection reached it."""
+    """The critical torque and how the bisection reached it: ``dt`` is the
+    start step :func:`default_dt` at which every run of the bisection
+    integrated, with no halving."""
 
     critical_delta: float
+    dt: float
     rk4_steps: int  # over both bracket-end classifications and every probe
     probes: tuple[TorqueProbe, ...]
 
@@ -727,7 +742,6 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
 
 
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
-                    rel_tol: float = 1e-3,
                     horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
     """Bisect the torque between pinned and running behavior.
 
@@ -751,9 +765,14 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     branch, and the torque at which it ends, therefore do not move with
     the step.  The bracket ends need only their kind, not a wave period.
 
-    Returns the midpoint of the final bracket with every probe in order
-    and the RK4 steps of every run.
+    The bisection stops once the bracket is narrower than
+    ``BISECTION_RTOL`` relative to its larger end.  Returns the midpoint of
+    the final bracket, the step, every probe in order and the RK4 steps
+    of every run.  Raises :class:`InvalidBracketError` when the bracket
+    does not have ``lo < hi`` or its ends are not of the two kinds, and
+    :class:`ValueError` when ``horizon`` is not finite and positive.
     """
+    _check_horizon(horizon)
     lo, hi = bracket
     if not lo < hi:
         raise InvalidBracketError(lo, hi, "bracket must satisfy lo < hi")
@@ -768,7 +787,7 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
         raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} "
                                           f"(got {rep_hi.kind})")
     probes = []
-    while (hi - lo) > rel_tol * max(abs(hi), abs(lo), 1e-12):
+    while (hi - lo) > BISECTION_RTOL * max(abs(hi), abs(lo), 1e-12):
         mid = 0.5 * (lo + hi)
         probe, final = _settles_or_depins(eq_state, replace(c, delta=mid), horizon, dt)
         probes.append(probe)
@@ -781,4 +800,4 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
             raise RuntimeError(f"undecided at delta={mid:g} within horizon "
                                f"{horizon:g}; raise the horizon")
     steps = rep_lo.rk4_steps + rep_hi.rk4_steps + sum(p.rk4_steps for p in probes)
-    return CriticalTorque(0.5 * (lo + hi), steps, tuple(probes))
+    return CriticalTorque(0.5 * (lo + hi), dt, steps, tuple(probes))

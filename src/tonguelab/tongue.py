@@ -73,9 +73,9 @@ def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
     """Measure the tongue cross-section at ``eps``.
 
     Solves the :func:`continue_in_x` profile, with its exact slopes, on
-    ``max(grid, 8 * q)`` points.  A cell whose end slopes share a sign but
-    whose cubic Hermite through ``(D, D')`` has two slope roots inside is
-    split at its midpoint, until none is.  Each sign change of ``D'`` then
+    ``grid`` points, raised to its ``8 q`` floor.  A cell whose end slopes
+    share a sign but whose cubic Hermite through ``(D, D')`` has two slope
+    roots inside is split at its midpoint, until none is.  Each sign change of ``D'`` then
     holds one critical point, found from the root of the cell's Hermite
     slope by secant passes on ``D'`` (:func:`_bracketed`).  The edges are
     the largest and smallest ``D`` over the grid and the critical points.
@@ -86,13 +86,13 @@ def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
 def _profile(m: MapParams, eps: float, grid: int
              ) -> tuple[TongueSample, np.ndarray, np.ndarray, int]:
     """The work of :func:`width_at`: its sample, every profile point solved,
-    in ascending x over ``[0, 2 pi]``, the critical points, and the grid.
-    Points are columns of the rows ``(x, D, Y, D', Y')`` that
-    :func:`~tonguelab.orbits.continue_in_x` returns."""
+    in ascending x over ``[0, 2 pi]``, the critical points, and the grid
+    size :func:`~tonguelab.orbits.continue_in_x` used, read off the width of
+    the rows ``(x, D, Y, D', Y')`` it returns; points are their columns."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
-    grid = max(grid, 8 * m.q)
     pts = continue_in_x(eps, m, grid)[0]
+    grid = pts.shape[1]
     # the grid starts at x = 0; a copy of its first point at 2 pi closes the period
     pts = np.hstack([pts, pts[:, :1] + [[2.0 * math.pi], [0.0], [0.0], [0.0], [0.0]]])
     while True:
@@ -237,17 +237,17 @@ def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:
     return SweepResult(tuple(samples), tuple(failures))
 
 
-def fit_exponent(samples, min_width: float = MIN_FIT_WIDTH) -> ScalingFit:
+def fit_exponent(samples) -> ScalingFit:
     """Least squares on log(width) vs log(eps).
 
-    Needs at least 5 samples whose width exceeds ``min_width``; the
+    Needs at least 5 samples whose width exceeds ``MIN_FIT_WIDTH``; the
     maximum log-log deviation is reported alongside the exponent, never
     hidden.
     """
-    usable = [s for s in samples if s.width > min_width and s.eps > 0]
+    usable = [s for s in samples if s.width > MIN_FIT_WIDTH and s.eps > 0]
     if len(usable) < 5:
         raise InsufficientDataError(
-            f"need >= 5 samples with width > {min_width:g}, have {len(usable)}")
+            f"need >= 5 samples with width > {MIN_FIT_WIDTH:g}, have {len(usable)}")
     loge = np.log([s.eps for s in usable])
     logw = np.log([s.width for s in usable])
     slope, intercept = np.polyfit(loge, logw, 1)

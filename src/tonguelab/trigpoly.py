@@ -141,8 +141,6 @@ class TrigPoly:
 
     def coeff_norm(self) -> float:
         """Max absolute coefficient (sup norm on the coefficient vector)."""
-        if len(self._a) == 0:
-            return 0.0
         return float(max(np.max(np.abs(self._a)), np.max(np.abs(self._b))))
 
     # -- evaluation ----------------------------------------------------
@@ -237,32 +235,14 @@ class TrigPoly:
 
 
 def product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
-    """Product of two trigonometric polynomials by product-to-sum identities."""
-    a1, b1 = p._a, p._b
-    a2, b2 = q._a, q._b
-    n1, n2 = len(a1), len(a2)
-    nout = n1 + n2 - 1
-
-    j = np.arange(n1)[:, None]
-    k = np.arange(n2)[None, :]
-    isum = (j + k).ravel()
-    idif = np.abs(j - k).ravel()
-    sgn = np.sign(j - k).ravel().astype(float)
-
-    aa = np.outer(a1, a2).ravel()
-    bb = np.outer(b1, b2).ravel()
-    ab = np.outer(a1, b2).ravel()
-    ba = np.outer(b1, a2).ravel()
-
-    # cos j * cos k = (cos(j-k) + cos(j+k))/2
-    # sin j * sin k = (cos(j-k) - cos(j+k))/2
-    # cos j * sin k = (sin(j+k) - sin(j-k))/2
-    # sin j * cos k = (sin(j+k) + sin(j-k))/2,  sin(-m) = -sin(m)
-    a_out = (np.bincount(isum, weights=0.5 * (aa - bb), minlength=nout)
-             + np.bincount(idif, weights=0.5 * (aa + bb), minlength=nout))
-    b_out = (np.bincount(isum, weights=0.5 * (ab + ba), minlength=nout)
-             + np.bincount(idif, weights=0.5 * sgn * (ba - ab), minlength=nout))
-    return TrigPoly._from_arrays(a_out, b_out)
+    """Product of two trigonometric polynomials, of capacity ``D = d1 + d2``
+    for the factors' capacities: the factors' values on ``2 D + 2``
+    equispaced points (:func:`_scan`) multiplied pointwise, and the
+    product's coefficients recovered from them by :func:`reconstruct`.
+    That many points resolve every harmonic up to ``D`` without aliasing."""
+    capacity = p.capacity + q.capacity
+    n = 2 * capacity + 2
+    return reconstruct(_scan(p, n) * _scan(q, n), capacity)
 
 
 def shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:

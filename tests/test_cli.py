@@ -439,6 +439,31 @@ def test_chain_without_out_rejects_trajectory_options(capsys, extra):
     assert f"takes no {', '.join(extra[::2])}" in captured.err
 
 
+@pytest.mark.parametrize("extra,name", [
+    (["--eps", "nan"], "eps"),
+    (["--eps", "0.6", "--gamma", "inf"], "gamma"),
+    (["--eps", "0.6", "--gamma", "nan"], "gamma"),
+    (["--eps", "0.6", "--delta", "inf"], "delta"),
+    (["--eps", "0.6", "--horizon", "nan"], "horizon"),
+    (["--eps", "0.6", "--horizon", "-5"], "horizon"),
+    (["--eps", "0.6", "--delta", "0.005", "--out", "t.csv", "--t-end", "-3"], "--t-end"),
+    (["--eps", "0.6", "--delta", "0.005", "--out", "t.csv", "--t-end", "nan"], "--t-end"),
+    (["--eps", "0.6", "--delta", "0.005", "--out", "t.csv", "--t-end", "0"], "--t-end"),
+    (["--eps", "0.6", "--bracket", "0.01,nan"], "--bracket"),
+    (["--eps", "0.6", "--bracket", "0.1,0.01"], "--bracket"),
+], ids=["eps-nan", "gamma-inf", "gamma-nan", "delta-inf", "horizon-nan", "horizon-negative",
+        "t-end-negative", "t-end-nan", "t-end-0", "bracket-nan", "bracket-reversed"])
+def test_malformed_chain_input_is_usage_error(tmp_path, capsys, monkeypatch, extra, name):
+    """Each chain parameter is checked where it enters, before any run: the
+    error names it, exits 2 and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.run(["chain", "--q", "2", "--p", "1", *extra])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not (tmp_path / "t.csv").exists()
+    assert captured.err.startswith("tonguelab: usage error: ")
+    assert name in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("delta,kind,decided_by", [("0.005", "equilibrium", "trap"),
                                                    ("0.012", "traveling_wave", "wave")])
 def test_chain_reports_what_decided(capsys, delta, kind, decided_by):

@@ -204,9 +204,11 @@ class TestContinuation:
         assert abs(wrapped[1] - pts[1, 0]) < 1e-10
 
     def test_grid_size_validated(self):
+        """A grid below 8q is raised to 8q: q=3 at grid 16 gives 24 points."""
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        with pytest.raises(ValueError):
-            continue_in_x(0.1, m, 16)  # < 8q
+        pts, iterations = continue_in_x(0.1, m, 16)
+        assert pts.shape == (5, 24) and iterations.shape == (24,)
+        assert np.array_equal(pts[0], np.linspace(0.0, 2 * math.pi, 24, endpoint=False))
 
     def test_batched_matches_sequential(self):
         # the batched cold-start profile against sequential one-point continuation

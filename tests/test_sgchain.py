@@ -244,6 +244,13 @@ class TestCriticalTorque:
         with pytest.raises(InvalidBracketError, match="lo < hi"):
             critical_torque(PINNING, bracket)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -5.0])
+    def test_horizon_must_be_finite_and_positive(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            critical_torque(PINNING, (0.01, 0.1), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            classify_attractor(twist_state(PINNING), PINNING, horizon=horizon)
+
     def test_no_equilibrium_at_lo(self):
         with pytest.raises(InvalidBracketError, match="no equilibrium at delta=0.1") as info:
             critical_torque(PINNING, (0.1, 0.2))
@@ -532,6 +539,7 @@ class TestBisectionRecord:
         monkeypatch.setattr(sgchain, "integrate", counting)
         result = critical_torque(PINNING, (0.01, 0.1))
         assert result.critical_delta == 0.04465087890625
+        assert result.dt == default_dt(PINNING)
         assert result.rk4_steps == sum(steps) <= 7000
         lo, hi = 0.01, 0.1
         for probe in result.probes:
