@@ -15,16 +15,17 @@ step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
 for ``--bracket``, which bisects at the start step).  A classification
-adds the test that ended its run (``decided_by``: ``trap`` for the
-energy trap certificate, ``velocity`` for velocities below ``TAU_EQ``,
-``wave`` for the delay identity, ``horizon`` when undecided) and the RK4
-steps of every run of the halving check (``rk4_steps``).  A bisection
-adds the RK4 steps of all its runs (``rk4_steps``) and how many probes
-each test decided (``probes_decided_by``: ``trap``, ``velocity``, or
-``escape`` for a site that moved off the pinned branch).  ``--t-end`` and
-``--format`` shape the trajectory that ``--out`` writes, so ``chain``
-takes them only with ``--out``; for a whole-number ``--t-end`` (200 time
-units by default) the trajectory's rows are one time unit apart.  These
+adds the test that ended its run from the start state (``decided_by``:
+``trap`` for the energy trap certificate, ``velocity`` for velocities
+below ``TAU_EQ``, ``wave`` for the delay identity, ``horizon`` when
+undecided) and the RK4 steps of every run of the halving check
+(``rk4_steps``).  A bisection adds the RK4 steps of all its runs
+(``rk4_steps``) and how many probes each test decided
+(``probes_decided_by``: ``trap``, ``velocity``, or ``escape`` for a site
+that moved off the pinned branch).  ``--t-end`` and ``--format`` shape
+the trajectory that ``--out`` writes, so ``chain`` takes them only with
+``--out``; for a whole-number ``--t-end`` (200 time units by default)
+the trajectory's rows are one time unit apart.  These
 guards, like the ones of ``--bracket``, look at which options were
 given, by flag or by ``--config``, not at their values: an option given
 at its default value is still one the run would not read.  The values
@@ -32,6 +33,8 @@ are checked after the guards and before any run: ``--t-end`` must be
 finite and positive, ``--bracket`` two finite values ``lo < hi``, and
 :class:`~tonguelab.sgchain.ChainParams` and the horizon checks of
 :mod:`tonguelab.sgchain` reject the rest, each naming its parameter.
+``tongue`` likewise checks its ``--eps`` list, every value finite and
+>= 0, before it solves anything.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
@@ -247,6 +250,9 @@ def _run_profile(cfg: RunConfig, t0: float) -> int:
 
 def _run_tongue(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params()
+    if not all(math.isfinite(eps) and eps >= 0.0 for eps in cfg.eps):
+        raise UsageError("--eps needs finite values >= 0, got "
+                         + ",".join(f"{eps:g}" for eps in cfg.eps))
     result = sweep(m, sorted(cfg.eps), grid=cfg.grid)
     for failure in result.failures:
         print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}", file=sys.stderr)

@@ -68,18 +68,6 @@ class PeriodicOrbit:
     kind: str  # "center" | "saddle" | "parabolic"
 
 
-def monodromy(states, m: MapParams) -> np.ndarray:
-    """Product of the tangent maps ``[[1 + g', 1], [g', 1]]`` along the orbit
-    states (last factor first): the tests' reference for the monodromy that
-    the solvers read off :func:`~tonguelab.cylmap.remainder_jet`."""
-    fp = m.f.derivative()
-    mat = np.eye(2)
-    for s in states:
-        gp = -m.eps * fp.eval(s.x)
-        mat = np.array([[1.0 + gp, 1.0], [gp, 1.0]]) @ mat
-    return mat
-
-
 def _kind(trace: float) -> str:
     """Stability from the monodromy trace t: center (|t| < 2), saddle
     (|t| > 2), parabolic inside the ``TAU_CLS`` band around |t| = 2."""

@@ -26,9 +26,12 @@ reproducibility.  The step is chosen, not set:
   on the kind and, for a traveling wave, on the period within
   ``PERIOD_STEP_RTOL``; it reports the finer run, its step and the
   number of halvings from ``h`` (step doubling, as in Hairer, Norsett and
-  Wanner, *Solving ODEs I*, II.4).  After a pair of waves disagrees it
-  skips to the first halving at which RK4's ``h^4`` error law predicts
-  agreement.
+  Wanner, *Solving ODEs I*, II.4).  Only the first run integrates the
+  transient from the start state: each finer run starts on the attractor
+  where the run before it ended, so the check is that the attractor
+  persists at the finer step with the same period.  After a pair of
+  waves disagrees it skips to the first halving at which RK4's ``h^4``
+  error law predicts agreement.
 * **Bisection at the start step.**  An equilibrium of the chain makes
   every RK4 stage vanish, so it is a fixed point of the RK4 step for any
   ``h``: the pinned branch that :func:`critical_torque` follows does not
@@ -395,16 +398,22 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     waves just above depinning) and the delay identity
     ``x_k(t) = x_{k+-1}(t + T/q)`` holds to ``TAU_WAVE``.  Otherwise
     undecided at the horizon.  The report names the test that ended the
-    run (``decided_by``: "trap", "velocity", "wave" or "horizon") and
-    counts the RK4 steps of every run of the check (``rk4_steps``).
+    run from ``s0`` (``decided_by``: "trap", "velocity", "wave" or
+    "horizon") and counts the RK4 steps of every run of the check
+    (``rk4_steps``).
 
-    The check compares pairs of runs from ``s0`` at a step and at half of
-    it, starting at ``h = default_dt(c)``, until a pair agrees on the kind
-    and, for waves, on T within ``PERIOD_STEP_RTOL`` relative.  The finer
-    run's report is returned, with its step ``h / 2**halvings``.  RK4's
-    error falls like ``h^4``, so the gap between a pair estimates the
-    coarse run's error and the finer run's is about a fifteenth of it.
-    The same law predicts the next pair: after two waves disagree by a
+    The check compares pairs of runs at a step and at half of it, starting
+    at ``h = default_dt(c)``, until a pair agrees on the kind and, for
+    waves, on T within ``PERIOD_STEP_RTOL`` relative.  The finer run's
+    report is returned, with its step ``h / 2**halvings``.  Only the run
+    at ``h`` starts at ``s0``; each later run starts where the one before
+    it ended (:func:`_rerun`), and only an undecided run replays the
+    transient from ``s0``.  So the check does not show that ``s0``'s
+    transient reaches the same attractor at the finer step, only that the
+    attractor persists there with the same period.  RK4's error falls
+    like ``h^4``, so the gap between a pair estimates the coarse run's
+    error and the finer run's is about a fifteenth of it.  The same law
+    predicts the next pair: after two waves disagree by a
     relative gap ``g``, the check skips to the first halving at which
     ``g / 16**skip`` meets the tolerance (the q=5, p=2, eps 0.8 wave of
     the tests has ``g = 2e-5`` at ``h`` and agrees at ``h/8, h/16``); after
@@ -415,10 +424,10 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     _check_horizon(horizon)
     start = default_dt(c)
     depth = 0  # the coarse run of the pair is at start / 2**depth
-    coarse = _classify_attractor(s0, c, horizon, start)[0]
+    coarse, end = _classify_attractor(s0, c, horizon, start)
     steps = coarse.rk4_steps
     while True:
-        fine = _classify_attractor(s0, c, horizon, 0.5 * coarse.dt)[0]
+        fine, fine_end = _rerun(coarse, end, s0, c, horizon, 0.5 * coarse.dt)
         steps += fine.rk4_steps
         same = fine.kind == coarse.kind
         gap = (abs(fine.wave_period - coarse.wave_period) / fine.wave_period
@@ -435,10 +444,40 @@ def classify_attractor(s0: ChainState, c: ChainParams,
             skip += 1
         depth += skip
         if skip == 1:
-            coarse = fine
+            coarse, end = fine, fine_end
         else:
-            coarse = _classify_attractor(s0, c, horizon, start / 2 ** depth)[0]
+            coarse, end = _rerun(fine, fine_end, s0, c, horizon, start / 2 ** depth)
             steps += coarse.rk4_steps
+
+
+def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParams,
+           horizon: float, dt: float) -> tuple[AttractorReport, ChainState]:
+    """One run of :func:`classify_attractor`'s check at step ``dt``, started
+    on the attractor that the run reported by ``prev`` ended at ``end``,
+    together with the state it ended in.
+
+    A wave settles at ``dt`` for ``CHECK_EVERY`` time units and goes
+    straight to :func:`_try_wave`, with ``prev``'s period as the guess and
+    its direction as the sign; if that test fails the run goes on as
+    :func:`_classify_attractor` from the settled state.  An equilibrium
+    runs :func:`_classify_attractor` from ``end``, for a trapped run the
+    certified equilibrium at rest, which the RK4 step at any ``dt`` leaves
+    in place, so the velocity test decides it at its first check; the
+    report keeps ``prev``'s ``decided_by``, the test that found it.  An
+    undecided run starts again from ``s0``."""
+    if prev.kind == "undecided":
+        return _classify_attractor(s0, c, horizon, dt)
+    if prev.kind == "equilibrium":
+        report, state = _classify_attractor(end, c, horizon, dt)
+        return replace(report, decided_by=prev.decided_by), state
+    settle = integrate(end, c, dt, CHECK_EVERY)
+    report, spent = _try_wave(settle.final, c, dt, prev.wave_period,
+                              math.copysign(1.0, prev.mean_velocity))
+    spent += settle.steps
+    if report is None:
+        report, state = _classify_attractor(settle.final, c, horizon, dt)
+        return replace(report, rk4_steps=spent + report.rk4_steps), state
+    return replace(report, rk4_steps=spent), settle.final
 
 
 def _check_horizon(horizon: float) -> None:

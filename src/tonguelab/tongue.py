@@ -222,18 +222,24 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:
-    """One :func:`width_at` sample per eps, ascending; failures are
-    recorded and the sweep continues."""
-    eps_sorted = list(eps_list)
+    """One :func:`width_at` sample per eps, ascending; an eps whose profile
+    fails (:class:`ContinuationError`) is recorded as a failure and the
+    sweep continues.  A list that is not ascending, or holds an eps that
+    is not finite and >= 0, is a :class:`ValueError` before anything is
+    solved."""
+    eps_sorted = [float(eps) for eps in eps_list]
+    bad = [eps for eps in eps_sorted if not (math.isfinite(eps) and eps >= 0.0)]
+    if bad:
+        raise ValueError(f"eps must be finite and >= 0, got {', '.join(f'{e:g}' for e in bad)}")
     if eps_sorted != sorted(eps_sorted):
         raise ValueError("eps_list must be sorted ascending")
     samples: list[TongueSample] = []
     failures: list[SweepFailure] = []
     for eps in eps_sorted:
         try:
-            samples.append(width_at(m, float(eps), grid))
-        except (ContinuationError, ValueError) as exc:
-            failures.append(SweepFailure(float(eps), str(exc)))
+            samples.append(width_at(m, eps, grid))
+        except ContinuationError as exc:
+            failures.append(SweepFailure(eps, str(exc)))
     return SweepResult(tuple(samples), tuple(failures))
 
 

@@ -1,8 +1,11 @@
-"""Fixed-drift orbit search from a grid of Newton starts: the tests' oracle.
+"""The tests' oracles for periodic orbits.
 
-It never evaluates the drift profile, so it checks
+:func:`multistart_orbits` is a fixed-drift orbit search from a grid of
+Newton starts.  It never evaluates the drift profile, so it checks
 :func:`tonguelab.tongue.orbits_at`, which builds its orbits from the
-profile's roots, by an independent route.
+profile's roots, by an independent route.  :func:`monodromy` multiplies
+the tangent maps along an orbit one step at a time, independently of
+the jet that the solvers read the monodromy off.
 """
 
 import math
@@ -11,6 +14,18 @@ import numpy as np
 
 from tonguelab.cylmap import MapParams
 from tonguelab.orbits import PeriodicOrbit, solve_orbits_fixed_delta
+
+
+def monodromy(states, m: MapParams) -> np.ndarray:
+    """Product of the tangent maps ``[[1 + g', 1], [g', 1]]`` along the orbit
+    states (last factor first): the reference for the monodromy that the
+    solvers read off :func:`~tonguelab.cylmap.remainder_jet`."""
+    fp = m.f.derivative()
+    mat = np.eye(2)
+    for s in states:
+        gp = -m.eps * fp.eval(s.x)
+        mat = np.array([[1.0 + gp, 1.0], [gp, 1.0]]) @ mat
+    return mat
 
 
 def orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:

@@ -44,6 +44,17 @@ def test_tongue_without_samples_exits_1(capsys):
     assert csv_rows(captured.out) == ["eps,width,delta_max,delta_min,x_argmax,x_argmin".split(",")]
 
 
+@pytest.mark.parametrize("eps", ["nan", "-0.1,0.1", "0.1,inf"])
+def test_malformed_tongue_eps_is_usage_error(capsys, eps):
+    """A malformed eps is rejected where it enters, before any profile is
+    solved: exit 2 with a usage error naming --eps, not a per-eps failure."""
+    rc = cli.run(["tongue", "--q", "3", "--p", "1", f"--eps={eps}"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("tonguelab: usage error: --eps")
+    assert "failed" not in captured.err and "Traceback" not in captured.err
+
+
 def test_profile_json(capsys):
     rc, out = run_json(capsys, ["profile", "--q", "3", "--p", "1", "--eps", "0.2",
                                 "--grid", "24", "--format", "json"])
@@ -467,8 +478,9 @@ def test_malformed_chain_input_is_usage_error(tmp_path, capsys, monkeypatch, ext
 @pytest.mark.parametrize("delta,kind,decided_by", [("0.005", "equilibrium", "trap"),
                                                    ("0.012", "traveling_wave", "wave")])
 def test_chain_reports_what_decided(capsys, delta, kind, decided_by):
-    """A classification's diagnostics name the test that ended its runs and
-    count the RK4 steps of all of them, at least two runs' worth."""
+    """A classification's diagnostics name the test that ended its run from
+    the start state and count the RK4 steps of every run, at least two
+    runs' worth."""
     rc, out = run_json(capsys, ["chain", "--q", "3", "--p", "1", "--eps", "0.6",
                                 "--delta", delta])
     assert rc == 0 and out["kind"] == kind

@@ -8,8 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tonguelab.cylmap import MapParams, PhaseState, iterate, remainder_jet, step
-from tonguelab.orbits import TAU_CLS, _solve_implicit, monodromy, solve_orbit_fixed_delta
+from tonguelab.orbits import TAU_CLS, _solve_implicit, solve_orbit_fixed_delta
 from tonguelab.trigpoly import TrigPoly
+
+from orbit_oracle import monodromy
 
 SIN = TrigPoly.sine()
 

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from tonguelab import orbits as orbits_module
 from tonguelab.cylmap import MapParams, PhaseState, remainder_jet
-from tonguelab.orbits import (ContinuationError, _solve_implicit, continue_in_x, monodromy,
+from tonguelab.orbits import (ContinuationError, _solve_implicit, continue_in_x,
                               solve_orbit_fixed_delta)
 from tonguelab.trigpoly import TrigPoly
 
-from orbit_oracle import multistart_orbits, orbit_distance
+from orbit_oracle import monodromy, multistart_orbits, orbit_distance
 
 SIN = TrigPoly.sine()
 

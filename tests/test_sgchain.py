@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from tonguelab import sgchain
 from tonguelab.cylmap import MapParams, PhaseState, iterate
 from tonguelab.orbits import solve_orbit_fixed_delta
-from tonguelab.sgchain import (DEFAULT_HORIZON, TAU_WAVE, BlowUpError, ChainParams, ChainState,
-                               InvalidBracketError, StepRefinementError, _classify_attractor,
+from tonguelab.sgchain import (DEFAULT_HORIZON, PERIOD_STEP_RTOL, TAU_WAVE, BlowUpError,
+                               ChainParams, ChainState, InvalidBracketError,
+                               StepRefinementError, _classify_attractor,
                                _settles_or_depins, classify_attractor, critical_torque,
                                default_dt, integrate, stability_limit, twist_state)
 from tonguelab.tongue import width_at
@@ -313,11 +314,12 @@ class TestAttractors:
         c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
         steps = []
 
-        def recording(s0, chain, horizon, dt):
-            steps.append(dt)
-            return _classify_attractor(s0, chain, horizon, dt)
+        def recording(state, chain, dt, t_end, record_every=0):
+            if not steps or steps[-1] != dt:  # a run integrates at one step throughout
+                steps.append(dt)
+            return integrate(state, chain, dt, t_end, record_every)
 
-        monkeypatch.setattr(sgchain, "_classify_attractor", recording)
+        monkeypatch.setattr(sgchain, "integrate", recording)
         rep = classify_attractor(twist_state(c), c)
         h = default_dt(c)
         assert steps == [h, h / 2, h / 8, h / 16]
@@ -346,6 +348,20 @@ class TestAttractors:
         assert rep.kind == "traveling_wave"
         assert rep.wave_period == pytest.approx(period, rel=1e-6)
         assert math.copysign(1.0, rep.mean_velocity) == math.copysign(1.0, delta)
+
+    @pytest.mark.parametrize("q,p,gamma,eps,delta", [
+        (3, 1, 0.5, 0.6, 0.012), (3, 1, 0.5, 0.6, -0.012),
+        (5, 2, 0.3, 0.8, 0.1), (5, 2, 0.3, 0.8, -0.1)])
+    def test_wave_checked_on_the_attractor_matches_a_run_from_the_start(self, q, p, gamma,
+                                                                         eps, delta):
+        """The finer runs of the check start on the attractor the coarser run
+        found, not at s0; their period is the one a whole run from s0 at the
+        same step reaches, within the tolerance of the check itself."""
+        c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
+        rep = classify_attractor(twist_state(c), c)
+        full = _classify_attractor(twist_state(c), c, DEFAULT_HORIZON, rep.dt)[0]
+        assert rep.kind == full.kind == "traveling_wave"
+        assert rep.wave_period == pytest.approx(full.wave_period, rel=PERIOD_STEP_RTOL, abs=0.0)
 
 
 def equilibrium_residual(x, c):
@@ -498,29 +514,35 @@ class TestTrapCertificate:
         assert not verdicts[0] and verdicts[-1] and reused > 5
 
     def test_the_q3_equilibrium_ends_at_the_first_check_that_holds(self, monkeypatch):
-        """Trapped from t = 71 on, the runs at both steps end at the check at
-        t = 100 (at the end of a doubling window the certificate came at
-        t = 150)."""
+        """Trapped from t = 71 on, the run from s0 ends at the check at t = 100
+        (at the end of a doubling window the certificate came at t = 150).
+        The confirming run at h/2 starts from the certified equilibrium at
+        rest, which the RK4 step leaves in place, and ends at its own first
+        check."""
         c = replace(Q3, delta=0.005)
-        ends = []
+        spans = []
 
         def recording(s0, chain, horizon, dt):
             report, final = _classify_attractor(s0, chain, horizon, dt)
-            ends.append(final.t)
+            spans.append((s0.t, final.t))
             return report, final
 
         monkeypatch.setattr(sgchain, "_classify_attractor", recording)
         rep = classify_attractor(twist_state(c), c)
         assert (rep.kind, rep.decided_by, rep.halvings) == ("equilibrium", "trap", 1)
-        assert len(ends) == 2 and max(ends) <= 100.0
+        assert len(spans) == 2
+        (start, end), (fine_start, fine_end) = spans
+        assert start == 0.0 and end <= 100.0
+        assert fine_start == end and fine_end - fine_start == sgchain.CHECK_EVERY
 
     def test_the_q3_wave_is_tested_soon_after_its_crossings_steady(self):
-        """Its third steady crossing comes at t = 1176 at both steps; tested
-        at the end of a doubling window (t = 1550) it took 17588 RK4 steps."""
+        """Its third steady crossing comes at t = 1176 at h; tested at the end
+        of a doubling window (t = 1550) it took 17588 RK4 steps, and 14811
+        when the run at h/2 replayed the transient from s0."""
         c = replace(Q3, delta=0.012)
         rep = classify_attractor(twist_state(c), c)
         assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
-        assert rep.rk4_steps <= 15500
+        assert rep.rk4_steps <= 9000
 
 
 class TestBisectionRecord:

@@ -12,7 +12,7 @@ from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent,
                               sweep, width_at)
 from tonguelab.trigpoly import TrigPoly, range_extrema
 
-from orbit_oracle import multistart_orbits, orbit_distance
+from orbit_oracle import monodromy, multistart_orbits, orbit_distance
 
 SIN = TrigPoly.sine()
 
@@ -103,8 +103,9 @@ class TestWidthClosedForm:
 
 
 class TestGlobalExtremum:
-    """On coarse grids an aliased interpolant's extremum misses the
-    profile's; the reported edges must still bound a dense profile."""
+    """On coarse grids an extremum can fall inside a cell, between grid
+    points; the edges, read off the critical points of the exact slope
+    ``D'``, must still bound a dense profile."""
 
     @pytest.mark.parametrize("f,q,p,eps,grid", [
         (TrigPoly.sine(2), 5, 2, 0.5, 40),
@@ -226,6 +227,16 @@ class TestSweepAndFit:
         with pytest.raises(ValueError):
             sweep(m, [0.2, 0.1])
 
+    @pytest.mark.parametrize("eps_list", [[math.nan], [-0.1, 0.1], [0.1, math.inf]])
+    def test_malformed_eps_rejected_before_solving(self, monkeypatch, eps_list):
+        """A non-finite or negative eps is an input error of the whole sweep,
+        not a failure of one eps, and no profile is solved for it."""
+        solved = []
+        monkeypatch.setattr(tongue, "width_at", lambda *args: solved.append(args))
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            sweep(MapParams(0.0, 0.0, SIN, 1, 3), eps_list)
+        assert solved == []
+
     def test_one_step_closed_form_sweep(self):
         m = MapParams(0.0, 0.0, SIN, 0, 1)
         eps_list = [0.05, 0.1, 0.2, 0.3, 0.4]
@@ -321,7 +332,6 @@ class TestSaddleNode:
 
     def test_trace_two_at_merge(self):
         from tonguelab.cylmap import iterate
-        from tonguelab.orbits import monodromy
 
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         sample = width_at(m, 0.2, 48)
