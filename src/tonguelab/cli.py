@@ -34,7 +34,8 @@ finite and positive, ``--bracket`` two finite values ``lo < hi``, and
 :class:`~tonguelab.sgchain.ChainParams` and the horizon checks of
 :mod:`tonguelab.sgchain` reject the rest, each naming its parameter.
 ``tongue`` likewise checks its ``--eps`` list, every value finite and
->= 0, before it solves anything.
+>= 0, before it solves anything, and ``fit`` every eps and width it
+reads, each finite.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.
@@ -364,6 +365,9 @@ def _run_fit(cfg: RunConfig, t0: float) -> int:
             except ValueError:
                 raise UsageError(f"{cfg.input}:{lineno}: expected eps,width,... numbers, "
                                  f"got {line!r}") from None
+            if not (math.isfinite(eps) and math.isfinite(width)):
+                raise UsageError(f"{cfg.input}:{lineno}: eps and width must be finite, "
+                                 f"got {line!r}")
             samples.append(TongueSample(eps, width, *[math.nan] * 4))
     fit = fit_exponent(samples)
     expected_r = None
@@ -412,7 +416,7 @@ COMMANDS = {
 _HELP = {
     "f": "forcing term: sin, cos, 'sin 2x', or {\"cos\":[...],\"sin\":[...]} (default sin)",
     "q": "orbit period / chain length (default 1)",
-    "p": "winding number / chain twist (default 0)",
+    "p": "winding number / chain twist, >= 0 (default 0)",
     "eps": "perturbation strength; tongue takes a comma list (default 0.1)",
     "delta": "drift / torque (default 0)",
     "order": "series truncation order (default 4)",

@@ -10,10 +10,10 @@ the rotation number ``mu = 2 pi p / q``:
 the winding ``2 pi p`` in the periodicity condition ``x_q = x_0 + 2 pi p``
 stays explicit.  The q-step remainders (R, S) measure the deviation of the
 q-th iterate from the pure rotation; their common zero is a p/q periodic
-orbit.  :func:`remainder_jet` evaluates them for a batch of starts together
-with their exact Jacobian, whose block in ``(x0, y0)`` is the monodromy
-minus the identity; :func:`step` and :func:`iterate` give the points of an
-orbit one at a time.  All functions here are pure.
+orbit.  :func:`remainder_jet` is the one kernel that iterates the map: one
+pass over a batch of starts gives the points of their orbits, the
+remainders, and their exact Jacobian, whose block in ``(x0, y0)`` is the
+monodromy minus the identity.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class MapParams:
     def mu(self) -> float:
         return 2.0 * math.pi * self.p / self.q
 
-    def g(self, x: float) -> float:
-        """Kick ``g(x) = -delta - eps * f(x)``."""
-        return -self.delta - self.eps * self.f.eval(x)
-
     def coprime(self) -> bool:
         return math.gcd(self.p, self.q) == 1
 
@@ -84,26 +80,8 @@ class RemainderPair:
     S: float
 
 
-def step(s: PhaseState, m: MapParams) -> PhaseState:
-    """One application of the map."""
-    g = m.g(s.x)
-    return PhaseState(s.x + s.y + m.mu + g, s.y + g)
-
-
-def iterate(s0: PhaseState, m: MapParams, n: int) -> list[PhaseState]:
-    """States ``[s0, step(s0), ..., step^n(s0)]`` (length n + 1)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = [s0]
-    s = s0
-    for _ in range(n):
-        s = step(s, m)
-        out.append(s)
-    return out
-
-
-def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The remainders of a batch of starts and their exact Jacobian.
+def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, ...]:
+    """The points, remainders and exact Jacobian of a batch of starts.
 
     The n-step remainders are accumulated along the orbit,
 
@@ -112,25 +90,27 @@ def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, np.n
     equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.
     ``x0``, ``y0`` and ``delta`` broadcast to one batch shape ``b`` (the
     drift comes from ``delta``, not ``m.delta``).  All starts go through
-    the n map steps together, and the derivatives with respect to
-    ``(x0, y0, delta)`` are pushed through the same steps by forward-mode
-    tangent propagation.  Returns ``res`` of shape ``(2, *b)`` holding
-    ``(R, S)`` and ``jac`` of shape ``(2, 3, *b)`` with
-    ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]``.
+    the n map steps together, with ``f`` and ``f'`` from one trig pass
+    per step, and the derivatives with respect to ``(x0, y0, delta)`` are
+    pushed through the same steps by forward-mode tangent propagation.
+    Returns ``res`` of shape ``(2, *b)`` holding ``(R, S)``, ``jac`` of
+    shape ``(2, 3, *b)`` with ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]``
+    and ``path`` of shape ``(n, 2, *b)`` holding the points ``(x_k, y_k)``.
     """
     x, y, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, delta)))
-    fp = m.f.derivative()
     # tangents of x and y, and the seed direction of delta
     dx, dy, ddelta = (np.zeros((3,) + x.shape) for _ in range(3))
     dx[0], dy[1], ddelta[2] = 1.0, 1.0, 1.0
     r, dr = n * y, n * dy
     ssum, dssum = np.zeros(x.shape), np.zeros(dx.shape)
+    path = np.empty((n, 2) + x.shape)
     for k in range(n):
-        g = -delta - m.eps * m.f.eval(x)
-        dg = -ddelta - m.eps * fp.eval(x) * dx
+        path[k] = x, y
+        f, fp = m.f.jet(x)
+        g = -delta - m.eps * f
+        dg = -ddelta - m.eps * fp * dx
         r, dr = r + (n - k) * g, dr + (n - k) * dg
         ssum, dssum = ssum + g, dssum + dg
         x, y = x + y + m.mu + g, y + g
         dx, dy = dx + dy + dg, dy + dg
-    return np.stack([r, ssum]), np.stack([dr, dssum])
-
+    return np.stack([r, ssum]), np.stack([dr, dssum]), path

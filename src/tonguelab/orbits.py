@@ -20,11 +20,12 @@ exact Jacobian from the one batched kernel
 One damped Newton iteration serves both, on any number of points at
 once: the Jacobian degenerates at the saddle-node on the tongue
 boundary, where a plain Newton step overshoots.  A fixed-delta orbit is
-read off that iteration's final jet: its residual is the last ``(R, S)``,
-and its stability kind comes from the trace of the monodromy, which is
-the identity plus the jet's ``(x0, y0)`` block.  A profile point is read
-off it too: the implicit solve returns, with ``D`` and ``Y``, their exact
-slopes ``(D', Y') = -J_(delta, y0)^{-1} J_x0`` from the final jet.
+read off that iteration's final kernel pass: its states are the
+pass's points, its residual the last ``(R, S)``, and its stability kind
+the class of the monodromy trace, the monodromy being the identity plus
+the jet's ``(x0, y0)`` block.  A profile point is read off it too: the
+implicit solve returns, with ``D`` and ``Y``, their exact slopes
+``(D', Y') = -J_(delta, y0)^{-1} J_x0`` from the final jet.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cylmap import MapParams, PhaseState, RemainderPair, iterate, remainder_jet
+from .cylmap import MapParams, PhaseState, RemainderPair, remainder_jet
 
 # Residual threshold below which an orbit counts as converged.
 TAU_NEWTON = 1e-12
@@ -100,11 +101,11 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
     determinant is below ``TAU_SINGULAR``, and takes a step only when the
     residual drops, halving it at most ``_MAX_DAMPING_HALVINGS`` times; a
     non-finite residual fails it.  Returns each point's status, the
-    number of Newton steps it took, and the remainders and their Jacobian
-    (as from :func:`~tonguelab.cylmap.remainder_jet`) at its final point.
+    number of Newton steps it took, and the kernel's ``res, jac, path``
+    (:func:`~tonguelab.cylmap.remainder_jet`) at its final point.
     """
     i, j = unknowns
-    res, jac = remainder_jet(u[0], u[1], u[2], m, m.q)
+    res, jac, path = remainder_jet(u[0], u[1], u[2], m, m.q)
     norm = np.hypot(res[0], res[1])
     status = np.full(u.shape[1], _ACTIVE)
     iterations = np.full(u.shape[1], max_iter)
@@ -129,26 +130,27 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
         for _ in range(_MAX_DAMPING_HALVINGS):
             trial = u[:, todo].copy()
             trial[[i, j]] += lam * step
-            t_res, t_jac = remainder_jet(trial[0], trial[1], trial[2], m, m.q)
+            t_res, t_jac, t_path = remainder_jet(trial[0], trial[1], trial[2], m, m.q)
             t_norm = np.hypot(t_res[0], t_res[1])
             ok = (t_norm < norm[todo]) | (t_norm < TAU_NEWTON)
             take = todo[ok]
             u[:, take] = trial[:, ok]
             res[:, take], jac[..., take], norm[take] = t_res[:, ok], t_jac[..., ok], t_norm[ok]
+            path[..., take] = t_path[..., ok]
             todo, step, lam = todo[~ok], step[:, ~ok], 0.5 * lam[~ok]
             if not todo.size:
                 break
         status[todo], iterations[todo] = _FAILED, it
     active = status == _ACTIVE
     status[active] = np.where(norm[active] < TAU_NEWTON, _CONVERGED, _FAILED)
-    return status, iterations, res, jac
+    return status, iterations, res, jac, path
 
 
-def _orbit(m: MapParams, u: np.ndarray, res: np.ndarray, jac: np.ndarray) -> PeriodicOrbit:
-    """The orbit through the converged point ``u = (x0, y0, delta)``: its
-    residual is the final remainders ``res``, its kind the class of the
-    monodromy trace read off their Jacobian ``jac``."""
-    states = tuple(iterate(PhaseState(float(u[0]), float(u[1])), m, m.q)[:-1])
+def _orbit(res: np.ndarray, jac: np.ndarray, path: np.ndarray) -> PeriodicOrbit:
+    """The orbit of a converged point from the Newton's final pass: its
+    states are the points ``path``, its residual the remainders ``res``, its
+    kind the class of the monodromy trace read off their Jacobian ``jac``."""
+    states = tuple(PhaseState(x, y) for x, y in path.tolist())
     return PeriodicOrbit(states, RemainderPair(float(res[0]), float(res[1])),
                          _kind(2.0 + float(jac[0, 0] + jac[1, 1])))
 
@@ -165,8 +167,8 @@ def solve_orbits_fixed_delta(starts, m: MapParams,
     """
     pts = np.asarray(starts, dtype=float).reshape(-1, 2)
     u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta)])
-    status, _, res, jac = _newton(u, m, _FIXED_DELTA, max_iter)
-    return [_orbit(m, u[:, k], res[:, k], jac[..., k]) if status[k] == _CONVERGED else None
+    status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
+    return [_orbit(res[:, k], jac[..., k], path[..., k]) if status[k] == _CONVERGED else None
             for k in range(len(pts))]
 
 
@@ -178,17 +180,17 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     converge within ``max_iter`` or diverges.  Raises
     :class:`SingularJacobianError` when the Newton system degenerates,
     which signals proximity to the saddle-node at the tongue edge.  The
-    orbit's residual and kind come from the Newton's final jet
-    (:func:`_orbit`), its states from :func:`~tonguelab.cylmap.iterate`.
+    orbit's states, residual and kind come from the Newton's final pass
+    (:func:`_orbit`).
     """
     u = np.array([[guess.x], [guess.y], [m.delta]])
-    status, _, res, jac = _newton(u, m, _FIXED_DELTA, max_iter)
+    status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
     if status[0] == _SINGULAR:
         raise SingularJacobianError(
             f"periodicity Jacobian determinant below {TAU_SINGULAR:g}")
     if status[0] != _CONVERGED:
         return None
-    return _orbit(m, u[:, 0], res[:, 0], jac[..., 0])
+    return _orbit(res[:, 0], jac[..., 0], path[..., 0])
 
 
 def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
@@ -199,7 +201,7 @@ def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
     array of these rows.  The slopes solve ``J_(delta, y0) (D', Y') =
     -J_x0`` on the final jet (implicit function theorem)."""
     u = np.array(np.broadcast_arrays(x0, y0, delta), dtype=float)
-    status, iterations, _, jac = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
+    status, iterations, _, jac, _ = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
     (rx, ry, rd), (sx, sy, sd) = jac
     with np.errstate(divide="ignore", invalid="ignore"):
         det = rd * sy - ry * sd

@@ -105,7 +105,7 @@ class StepRefinementError(RuntimeError):
 
 @dataclass(frozen=True)
 class ChainParams:
-    """Chain length q, twist p, damping, gravity, and torque."""
+    """Chain length q, twist p >= 0 (as for the map), damping, gravity, torque."""
 
     q: int
     p: int
@@ -119,6 +119,8 @@ class ChainParams:
                 raise ValueError(f"chain {name} must be finite, got {getattr(self, name)}")
         if self.q < 2:
             raise ValueError("chain length q must be >= 2")
+        if self.p < 0:
+            raise ValueError(f"chain twist p must be >= 0, got {self.p}")
         if self.gamma <= 0:
             raise ValueError("damping gamma must be > 0 (the attractor "
                              "dichotomy needs dissipation)")
@@ -664,7 +666,7 @@ def _well(pos: np.ndarray, c: ChainParams) -> _Well | None:
         low = _cholesky(hess)
         if low is None:
             return None
-        scale = 4.0 * float(np.max(np.abs(x))) + 2.0 * math.pi * abs(c.p) + abs(c.delta) + c.eps
+        scale = 4.0 * float(np.max(np.abs(x))) + 2.0 * math.pi * c.p + abs(c.delta) + c.eps
         rho = math.sqrt(float(force @ force)) + _ROUND * math.sqrt(c.q) * scale
         if rho <= 1e-14 * (1.0 + scale):
             break

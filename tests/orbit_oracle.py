@@ -1,9 +1,12 @@
 """The tests' oracles for periodic orbits.
 
-:func:`multistart_orbits` is a fixed-drift orbit search from a grid of
-Newton starts.  It never evaluates the drift profile, so it checks
-:func:`tonguelab.tongue.orbits_at`, which builds its orbits from the
-profile's roots, by an independent route.  :func:`monodromy` multiplies
+:func:`step` and :func:`iterate` walk the map one scalar step at a time,
+independently of the batched kernel :func:`~tonguelab.cylmap.remainder_jet`
+that the package iterates the map with; :func:`is_walk` checks the
+kernel's points against them.  :func:`multistart_orbits` is a fixed-drift
+orbit search from a grid of Newton starts.  It never evaluates the drift
+profile, so it checks :func:`tonguelab.tongue.orbits_at`, which builds
+its orbits from the profile's roots, by an independent route.  :func:`monodromy` multiplies
 the tangent maps along an orbit one step at a time, independently of
 the jet that the solvers read the monodromy off.
 """
@@ -12,8 +15,43 @@ import math
 
 import numpy as np
 
-from tonguelab.cylmap import MapParams
+from tonguelab.cylmap import MapParams, PhaseState
 from tonguelab.orbits import PeriodicOrbit, solve_orbits_fixed_delta
+
+
+def kick(m: MapParams, x: float) -> float:
+    """The kick ``g(x) = -delta - eps * f(x)`` at the map's own drift."""
+    return -m.delta - m.eps * m.f.eval(x)
+
+
+def step(s: PhaseState, m: MapParams) -> PhaseState:
+    """One application of the map."""
+    g = kick(m, s.x)
+    return PhaseState(s.x + s.y + m.mu + g, s.y + g)
+
+
+def iterate(s0: PhaseState, m: MapParams, n: int) -> list[PhaseState]:
+    """States ``[s0, step(s0), ..., step^n(s0)]`` (length n + 1)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    out = [s0]
+    s = s0
+    for _ in range(n):
+        s = step(s, m)
+        out.append(s)
+    return out
+
+
+def is_walk(states, m: MapParams) -> bool:
+    """Whether each state is the :func:`step` of the one before it, to
+    ``1e-14 * max(1, |coordinate|)``.  A whole walk from the first state
+    is no reference: numpy's batched and scalar sums of the same terms
+    may differ in the last bit, and the map's stretching amplifies that
+    step after step (to about 2e-13 relative in 9 steps at eps 0.5)."""
+    def close(a, b):
+        return abs(a - b) <= 1e-14 * max(1.0, abs(a))
+    steps = [step(s, m) for s in states[:-1]]
+    return all(close(s.x, b.x) and close(s.y, b.y) for s, b in zip(steps, states[1:]))
 
 
 def monodromy(states, m: MapParams) -> np.ndarray:

@@ -193,6 +193,21 @@ def test_fit_needs_eps_and_width_per_row(tmp_path, capsys):
     assert f"{widths}:6: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", ["eps", "width"])
+def test_fit_rejects_non_finite_rows(tmp_path, capsys, value, column):
+    """A non-finite eps or width is a usage error that names its line,
+    not a NaN exponent or a row dropped without a word."""
+    widths = tmp_path / "widths.csv"
+    rows = [f"{e},{1e-3 * e ** 2}" for e in (0.1, 0.2, 0.3, 0.4, 0.5)]
+    rows[2] = f"{value},0.3" if column == "eps" else f"0.3,{value}"
+    widths.write_text("\n".join(rows) + "\n")
+    rc = cli.run(["fit", "--q", "2", "--p", "1", "--input", str(widths)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert f"{widths}:3: eps and width must be finite" in captured.err
+
+
 @pytest.mark.parametrize("cmd", ["orbit", "profile", "chain"])
 @pytest.mark.parametrize("eps", ["", ","])
 def test_empty_eps_is_usage_error(capsys, cmd, eps):
@@ -452,6 +467,7 @@ def test_chain_without_out_rejects_trajectory_options(capsys, extra):
 
 @pytest.mark.parametrize("extra,name", [
     (["--eps", "nan"], "eps"),
+    (["--p", "-2", "--eps", "0.6"], "twist p"),
     (["--eps", "0.6", "--gamma", "inf"], "gamma"),
     (["--eps", "0.6", "--gamma", "nan"], "gamma"),
     (["--eps", "0.6", "--delta", "inf"], "delta"),
@@ -462,8 +478,9 @@ def test_chain_without_out_rejects_trajectory_options(capsys, extra):
     (["--eps", "0.6", "--delta", "0.005", "--out", "t.csv", "--t-end", "0"], "--t-end"),
     (["--eps", "0.6", "--bracket", "0.01,nan"], "--bracket"),
     (["--eps", "0.6", "--bracket", "0.1,0.01"], "--bracket"),
-], ids=["eps-nan", "gamma-inf", "gamma-nan", "delta-inf", "horizon-nan", "horizon-negative",
-        "t-end-negative", "t-end-nan", "t-end-0", "bracket-nan", "bracket-reversed"])
+], ids=["eps-nan", "p-negative", "gamma-inf", "gamma-nan", "delta-inf", "horizon-nan",
+        "horizon-negative", "t-end-negative", "t-end-nan", "t-end-0", "bracket-nan",
+        "bracket-reversed"])
 def test_malformed_chain_input_is_usage_error(tmp_path, capsys, monkeypatch, extra, name):
     """Each chain parameter is checked where it enters, before any run: the
     error names it, exits 2 and writes nothing."""

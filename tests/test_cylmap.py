@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tonguelab.cylmap import MapParams, PhaseState, iterate, remainder_jet, step
+from tonguelab.cylmap import MapParams, PhaseState, remainder_jet
 from tonguelab.orbits import TAU_CLS, _solve_implicit, solve_orbit_fixed_delta
 from tonguelab.trigpoly import TrigPoly
 
-from orbit_oracle import monodromy
+from orbit_oracle import is_walk, iterate, monodromy, step
 
 SIN = TrigPoly.sine()
 
@@ -45,14 +45,14 @@ def direct_remainders(s0, m, n):
 
 def one_point(s0, m, n):
     """``(R, S)`` of one start at the map's own drift."""
-    res, _ = remainder_jet(s0.x, s0.y, m.delta, m, n)
+    res, _, _ = remainder_jet(s0.x, s0.y, m.delta, m, n)
     return float(res[0]), float(res[1])
 
 
 def state_block(x0, y0, m, n):
     """``I + d(R, S)/d(x0, y0)``: the tangent map of n steps, batched over
     the starts."""
-    _, jac = remainder_jet(x0, y0, m.delta, m, n)
+    _, jac, _ = remainder_jet(x0, y0, m.delta, m, n)
     return np.eye(2).reshape((2, 2) + (1,) * (jac.ndim - 2)) + jac[:, :2]
 
 
@@ -185,13 +185,13 @@ class TestRemainderJet:
     @given(map_params(), angles, actions)
     def test_jacobian_matches_central_differences(self, m, x0, y0):
         u = np.array([x0, y0, m.delta])
-        _, jac = remainder_jet(*u, m, m.q)
+        _, jac, _ = remainder_jet(*u, m, m.q)
         h = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            plus, _ = remainder_jet(*(u + e), m, m.q)
-            minus, _ = remainder_jet(*(u - e), m, m.q)
+            plus, _, _ = remainder_jet(*(u + e), m, m.q)
+            minus, _, _ = remainder_jet(*(u - e), m, m.q)
             fd = (plus - minus) / (2 * h)
             assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=1e-6)
 
@@ -206,7 +206,7 @@ class TestRemainderJet:
         orbit = solve_orbit_fixed_delta(PhaseState(x0, y0), m_at)
         assert orbit is not None
         first = orbit.states[0]
-        _, jac = remainder_jet(first.x, first.y, m_at.delta, m_at, q)
+        _, jac, _ = remainder_jet(first.x, first.y, m_at.delta, m_at, q)
         reference = monodromy(orbit.states, m_at)
         assert np.abs(jac[:, :2] + np.eye(2) - reference).max() < 1e-12
         # the kind, read off the solver's jet, is the class of the reference trace
@@ -219,12 +219,26 @@ class TestRemainderJet:
            st.integers(1, 9))
     def test_batch_equals_one_point_remainders(self, m, starts, n):
         xs, ys = np.array(starts).T
-        res, jac = remainder_jet(xs, ys, m.delta, m, n)
+        res, jac, _ = remainder_jet(xs, ys, m.delta, m, n)
         assert res.shape == (2, len(starts)) and jac.shape == (2, 3, len(starts))
         for k, (x0, y0) in enumerate(starts):
             r, s = one_point(PhaseState(x0, y0), m, n)
             assert res[0, k] == pytest.approx(r, rel=1e-14, abs=1e-14)
             assert res[1, k] == pytest.approx(s, rel=1e-14, abs=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(map_params(), st.lists(st.tuples(angles, actions, st.floats(-0.5, 0.5)),
+                                  min_size=1, max_size=12), st.integers(1, 9))
+    def test_points_are_the_reference_walk(self, m, starts, n):
+        """The n points of each start, at its own drift, begin at the start
+        and follow the scalar reference step by step."""
+        xs, ys, drifts = np.array(starts).T
+        _, _, path = remainder_jet(xs, ys, drifts, m, n)
+        assert path.shape == (n, 2, len(starts))
+        assert np.array_equal(path[0], [xs, ys])
+        for k, delta in enumerate(drifts):
+            points = [PhaseState(x, y) for x, y in path[..., k].tolist()]
+            assert is_walk(points, replace(m, delta=delta))
 
 
 class TestMapParams:

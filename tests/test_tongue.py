@@ -12,7 +12,7 @@ from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent,
                               sweep, width_at)
 from tonguelab.trigpoly import TrigPoly, range_extrema
 
-from orbit_oracle import monodromy, multistart_orbits, orbit_distance
+from orbit_oracle import is_walk, iterate, monodromy, multistart_orbits, orbit_distance
 
 SIN = TrigPoly.sine()
 
@@ -163,6 +163,8 @@ class TestOrbitsAt:
         (7, 1, 0.4, SIN), (5, 2, 0.5, TrigPoly.sine(2))],
         ids=["q1p0", "q3p1", "q4p1", "q5p1", "q7p1", "sin2x-q5p2"])
     def test_parity_with_the_oracle(self, q, p, eps, f):
+        """Same kinds as the oracle, and each orbit's q states follow the
+        scalar reference step by step."""
         m = MapParams(eps, 0.0, f, p, q)
         sample = width_at(m, eps, 64)
         drifts = {"center": (0.0, True), "inside": ((1 - 1e-4) * sample.delta_max, True),
@@ -177,6 +179,7 @@ class TestOrbitsAt:
             assert (found != []) == (profile.delta_min <= delta <= profile.delta_max), name
             for orbit in found:
                 assert max(abs(orbit.residual.R), abs(orbit.residual.S)) < 1e-10, name
+                assert len(orbit.states) == q and is_walk(orbit.states, m_at), name
                 if close:
                     assert min(orbit_distance(orbit, o) for o in oracle) < 1e-8, name
 
@@ -331,8 +334,6 @@ class TestSaddleNode:
         assert outside == []
 
     def test_trace_two_at_merge(self):
-        from tonguelab.cylmap import iterate
-
         m = MapParams(0.0, 0.0, SIN, 1, 3)
         sample = width_at(m, 0.2, 48)
         pts, ok, _ = _solve_implicit([sample.x_argmax], 0.2, m, [0.0], [0.0])
