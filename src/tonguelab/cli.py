@@ -29,21 +29,31 @@ the trajectory's rows are one time unit apart.  These
 guards, like the ones of ``--bracket``, look at which options were
 given, by flag or by ``--config``, not at their values: an option given
 at its default value is still one the run would not read.  The values
-are checked after the guards and before any run: ``--t-end`` must be
-finite and positive, ``--bracket`` two finite values ``lo < hi``, and
-:class:`~tonguelab.sgchain.ChainParams` and the horizon checks of
-:mod:`tonguelab.sgchain` reject the rest, each naming its parameter.
-``tongue`` likewise checks its ``--eps`` list, every value finite and
->= 0, before it solves anything, and ``fit`` every eps and width it
-reads, each finite.
+are checked before any run: :class:`~tonguelab.sgchain.ChainParams`
+checks the chain's parameters and ``--horizon`` must be finite and
+positive, both before the guards, then ``--t-end`` must be finite and
+positive and ``--bracket`` two finite values ``lo < hi``; each error
+names its parameter.  ``tongue`` likewise checks its ``--eps`` list,
+every value finite and >= 0 (and > 0 for ``--format svg``, a log-log
+plot), before it solves anything, ``series`` its ``--order`` (>= 1), and
+``fit`` every eps and width it reads, each finite.
+
+The parser is built once per process, on the first :func:`make_parser`
+or :func:`run` call, and every later run parses with it.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
-2 usage error.
+2 usage error.  Outside input is checked where it enters, and only
+those checks raise :class:`UsageError`: a flag or ``--config`` value of
+the wrong type, a map or chain parameter that
+:class:`~tonguelab.cylmap.MapParams` or
+:class:`~tonguelab.sgchain.ChainParams` rejects, and the checks named
+above.  A ``ValueError`` raised inside a route is a numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -81,6 +91,8 @@ def parse_f(spec: str) -> TrigPoly:
     m = _F_SHORTHAND.match(spec)
     if m:
         k = int(m.group(2) or 1)
+        if k < 1:
+            raise UsageError(f"--f {spec!r} needs a harmonic k >= 1")
         return TrigPoly.sine(k) if m.group(1) == "sin" else TrigPoly.cosine(k)
     if spec.startswith("{"):
         try:
@@ -131,15 +143,24 @@ class RunConfig:
     def map_params(self, eps: float = 0.0) -> MapParams:
         """The map of ``orbit``, ``profile``, ``tongue``, ``series`` and ``fit``
         (only ``orbit`` reads a drift); a p/q orbit needs ``gcd(p, q) = 1``,
-        so a reducible one is a usage error."""
-        m = MapParams(eps=eps, delta=self.delta, f=parse_f(self.f), p=self.p, q=self.q)
+        so a reducible one is a usage error, as is any value that
+        :class:`~tonguelab.cylmap.MapParams` rejects."""
+        try:
+            m = MapParams(eps=eps, delta=self.delta, f=parse_f(self.f), p=self.p, q=self.q)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         if not m.coprime():
             raise UsageError(f"{self.subcommand} requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
         return m
 
     def chain_params(self) -> ChainParams:
-        return ChainParams(q=self.q, p=self.p, gamma=self.gamma,
-                           eps=self.one_eps(), delta=self.delta)
+        """The chain of ``chain``; a value that
+        :class:`~tonguelab.sgchain.ChainParams` rejects is a usage error."""
+        try:
+            return ChainParams(q=self.q, p=self.p, gamma=self.gamma,
+                               eps=self.one_eps(), delta=self.delta)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -180,7 +201,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if key not in cmd.keys:
             raise UsageError(f"unknown config key {key!r} for {args.subcommand}")
         kind = type(getattr(cfg, key))  # the type of the field's default
-        setattr(cfg, key, _parse_float_list(value) if kind is list else kind(value))
+        try:
+            setattr(cfg, key, _parse_float_list(value) if kind is list else kind(value))
+        except ValueError:
+            raise UsageError(f"bad value {value!r} for --{key.replace('_', '-')}") from None
         cfg.given.add(key)
     if "format" in cmd.keys and cfg.format not in cmd.formats:
         raise UsageError(f"{args.subcommand} --format must be {'/'.join(cmd.formats)}, "
@@ -254,6 +278,8 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
     if not all(math.isfinite(eps) and eps >= 0.0 for eps in cfg.eps):
         raise UsageError("--eps needs finite values >= 0, got "
                          + ",".join(f"{eps:g}" for eps in cfg.eps))
+    if cfg.format == "svg" and 0.0 in cfg.eps:
+        raise UsageError("--format svg plots the widths log-log, so --eps needs values > 0")
     result = sweep(m, sorted(cfg.eps), grid=cfg.grid)
     for failure in result.failures:
         print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}", file=sys.stderr)
@@ -279,6 +305,8 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
 
 def _run_series(cfg: RunConfig, t0: float) -> int:
     m = cfg.map_params()
+    if cfg.order < 1:
+        raise UsageError(f"--order must be >= 1, got {cfg.order}")
     sol = expand(m, cfg.order)
     first = verify_first_order(sol, m)
     payload = dict(sol.to_dict())
@@ -300,6 +328,8 @@ def _run_series(cfg: RunConfig, t0: float) -> int:
 
 def _run_chain(cfg: RunConfig, t0: float) -> int:
     c = cfg.chain_params()
+    if not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
+        raise UsageError(f"--horizon must be finite and > 0, got {cfg.horizon:g}")
     report: dict = {"kind": None, "mean_velocity": None, "T": None,
                     "delay_error": None, "critical_delta": None}
 
@@ -433,7 +463,10 @@ _HELP = {
 }
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call; each later
+    call, like each :func:`run` in the same process, gets the same one."""
     parser = argparse.ArgumentParser(
         prog="tonguelab",
         description="Periodic orbits and Arnold tongues of drifted standard "
@@ -457,10 +490,10 @@ def run(argv: list[str] | None = None) -> int:
     try:
         cfg = build_config(args)
         return COMMANDS[cfg.subcommand].run(cfg, t0)
-    except (UsageError, ValueError) as exc:
+    except UsageError as exc:
         print(f"tonguelab: usage error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except RuntimeError as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"tonguelab: numerical failure: {exc}", file=sys.stderr)
         return _NUMERIC_ERROR
     except OSError as exc:

@@ -13,7 +13,13 @@ q-th iterate from the pure rotation; their common zero is a p/q periodic
 orbit.  :func:`remainder_jet` is the one kernel that iterates the map: one
 pass over a batch of starts gives the points of their orbits, the
 remainders, and their exact Jacobian, whose block in ``(x0, y0)`` is the
-monodromy minus the identity.  All functions here are pure.
+monodromy minus the identity.  A pass holds the state of all starts as
+one array, x and y each with its tangent in ``(x0, y0, delta)``, and
+accumulates the remainders with their Jacobian in a second array laid
+out the same way; each step takes ``f`` and ``f'`` from one product of
+the starts' ``[cos kx | sin kx]`` rows with the coefficient matrix of
+``(f, f')``, which the pass scales by ``-eps`` once.  All functions here
+are pure.
 """
 
 from __future__ import annotations
@@ -89,28 +95,60 @@ def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, ...]
 
     equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.
     ``x0``, ``y0`` and ``delta`` broadcast to one batch shape ``b`` (the
-    drift comes from ``delta``, not ``m.delta``).  All starts go through
-    the n map steps together, with ``f`` and ``f'`` from one trig pass
-    per step, and the derivatives with respect to ``(x0, y0, delta)`` are
-    pushed through the same steps by forward-mode tangent propagation.
-    Returns ``res`` of shape ``(2, *b)`` holding ``(R, S)``, ``jac`` of
-    shape ``(2, 3, *b)`` with ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]``
-    and ``path`` of shape ``(n, 2, *b)`` holding the points ``(x_k, y_k)``.
+    drift comes from ``delta``, not ``m.delta``), which the pass flattens
+    to ``N`` starts.  The state is one ``(2, 4, N)`` array: ``x`` and
+    ``y``, each as its value followed by its derivatives with respect to
+    ``(x0, y0, delta)``, pushed through the n map steps together by
+    forward-mode tangent propagation.  A second array of the same shape
+    accumulates ``(R, S)`` and their derivatives the same way.  Each step
+    takes ``-eps f`` and ``-eps f'`` from one product of the ``(2, 2K-1)``
+    coefficient matrix, scaled by ``-eps`` once per pass, with the rows
+    ``[cos kx | sin kx]`` of every start (``K - 1`` the capacity of
+    ``f``); all buffers are allocated once per pass.  Returns ``res`` of
+    shape ``(2, *b)`` holding ``(R, S)``, ``jac`` of shape ``(2, 3, *b)``
+    with ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]`` and ``path`` of
+    shape ``(n, 2, *b)`` holding the points ``(x_k, y_k)``.
     """
-    x, y, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, delta)))
-    # tangents of x and y, and the seed direction of delta
-    dx, dy, ddelta = (np.zeros((3,) + x.shape) for _ in range(3))
-    dx[0], dy[1], ddelta[2] = 1.0, 1.0, 1.0
-    r, dr = n * y, n * dy
-    ssum, dssum = np.zeros(x.shape), np.zeros(dx.shape)
-    path = np.empty((n, 2) + x.shape)
-    for k in range(n):
-        path[k] = x, y
-        f, fp = m.f.jet(x)
-        g = -delta - m.eps * f
-        dg = -ddelta - m.eps * fp * dx
-        r, dr = r + (n - k) * g, dr + (n - k) * dg
-        ssum, dssum = ssum + g, dssum + dg
-        x, y = x + y + m.mu + g, y + g
-        dx, dy = dx + dy + dg, dy + dg
-    return np.stack([r, ssum]), np.stack([dr, dssum]), path
+    x0, y0, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, delta)))
+    shape, size = x0.shape, x0.size
+    a, b = m.f.cos_coeffs, m.f.sin_coeffs
+    k = np.arange(len(a), dtype=float)
+    # column j of the product is (-eps f, -eps f') at x_j: the rows of
+    # the cos kx, k >= 0, then of the sin kx, k >= 1
+    coef = -m.eps * np.array([np.concatenate([a, b]),
+                              np.concatenate([[0.0], k[1:] * b, -k[1:] * a[1:]])])
+    # st[0] is x and st[1] is y, each as (value, d/dx0, d/dy0, d/ddelta)
+    st = np.zeros((2, 4, size))
+    st[0, 0], st[1, 0], st[0, 1], st[1, 2] = x0.ravel(), y0.ravel(), 1.0, 1.0
+    # acc[0] is R and acc[1] is S, laid out as st
+    acc = np.zeros_like(st)
+    acc[0] = n * st[1]
+    # the weights (n-k, 1) of g(x_k) in (R, S), and the jet of the drift
+    weights = np.ones((n, 2, 1, 1))
+    weights[:, 0, 0, 0] = np.arange(n, 0, -1)
+    drift = np.zeros((4, size))
+    drift[0], drift[3] = delta.ravel(), 1.0
+    kx, trig = np.empty((len(k), size)), np.empty((2 * len(k) - 1, size))
+    gj, term = np.empty((4, size)), np.empty_like(st)
+    path = np.empty((n, 2, size))
+    # views that the loop writes through
+    k_col, cos_rows, sin_rows, sin_k = k[:, None], trig[:len(k)], trig[len(k):], kx[1:]
+    x, y, x_val, dx, values = st[0], st[1], st[0, 0], st[0, 1:], st[:, 0]
+    for j in range(n):
+        path[j] = values
+        np.multiply(k_col, x_val, out=kx)
+        np.cos(kx, out=cos_rows)
+        np.sin(sin_k, out=sin_rows)
+        # g = -delta - eps f with its tangent -eps f' dx - d(delta); gj[1]
+        # holds -eps f' until the product with dx (numpy buffers the overlap)
+        np.dot(coef, trig, out=gj[:2])
+        np.multiply(gj[1], dx, out=gj[1:])
+        np.subtract(gj, drift, out=gj)
+        np.multiply(weights[j], gj, out=term)
+        np.add(acc, term, out=acc)
+        # x' = x + y + mu + g and y' = y + g
+        np.add(x, y, out=x)
+        np.add(x_val, m.mu, out=x_val)
+        np.add(st, gj, out=st)
+    return (acc[:, 0].reshape((2,) + shape), acc[:, 1:].reshape((2, 3) + shape),
+            path.reshape((n, 2) + shape))

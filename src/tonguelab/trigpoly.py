@@ -156,16 +156,6 @@ class TrigPoly:
         vals = np.cos(kx) @ self._a + np.sin(kx) @ self._b
         return float(vals) if np.isscalar(x) or xs.ndim == 0 else vals
 
-    def jet(self, x):
-        """``(eval(x), derivative().eval(x))`` from one cos/sin pass: the
-        same products in the same order, so the same bits."""
-        xs = np.asarray(x, dtype=float)
-        k = np.arange(len(self._a))
-        kx = np.multiply.outer(xs, k)
-        c, s = np.cos(kx), np.sin(kx)
-        vals, slopes = c @ self._a + s @ self._b, c @ (k * self._b) + s @ (-k * self._a)
-        return (float(vals), float(slopes)) if np.isscalar(x) or xs.ndim == 0 else (vals, slopes)
-
     # -- calculus and shifts --------------------------------------------
 
     def derivative(self) -> "TrigPoly":

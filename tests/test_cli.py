@@ -536,3 +536,59 @@ def test_chain_trajectory_svg_is_deterministic(tmp_path):
     assert first.startswith(b"<svg") and first.endswith(b"</svg>\n")
     assert cli.run(argv) == 0
     assert out.read_bytes() == first
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["orbit", "--q", "x"], "--q"),
+    (["profile", "--q", "3", "--p", "1", "--grid", "2.5"], "--grid"),
+    (["orbit", "--q", "3", "--p", "1", "--delta", "nan"], "finite"),
+    (["profile", "--q", "0"], "q must be >= 1"),
+    (["orbit", "--q", "3", "--p", "1", "--eps", "-0.2"], "eps must be >= 0"),
+    (["series", "--q", "3", "--p", "1", "--order", "0"], "--order"),
+    (["series", "--q", "3", "--p", "1", "--f", "sin 0x"], "--f"),
+    (["tongue", "--q", "3", "--p", "1", "--eps", "0,0.1", "--format", "svg"], "--eps"),
+], ids=["type-q", "type-grid", "delta-nan", "q-0", "eps-negative", "order-0", "f-sin-0x",
+        "svg-eps-0"])
+def test_outside_input_is_usage_error(tmp_path, capsys, monkeypatch, argv, name):
+    """Each value is rejected where it enters, before any route runs."""
+    monkeypatch.chdir(tmp_path)
+    rc = cli.run(argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err.startswith("tonguelab: usage error: ") and name in captured.err
+
+
+def test_value_error_inside_a_route_is_a_numerical_failure(capsys, monkeypatch):
+    """Only a UsageError exits 2: a ValueError raised by the library while a
+    route runs is a numerical failure."""
+    def fail(*args, **kwargs):
+        raise ValueError("singular collocation system")
+
+    monkeypatch.setattr(cli, "expand", fail)
+    rc = cli.run(["series", "--q", "3", "--p", "1", "--order", "2"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "tonguelab: numerical failure: singular collocation system\n"
+
+
+def test_one_parser_serves_every_run(capsys, monkeypatch):
+    """Runs in one process share the parser and give what a fresh parser
+    gives: a flag of one run does not leak into the next."""
+    assert cli.make_parser() is cli.make_parser()
+    runs = [["tongue", "--q", "3", "--p", "1", "--eps", "0.1,0.2", "--grid", "32",
+             "--format", "json"],
+            ["tongue", "--q", "3", "--p", "1", "--eps", "0.1,0.2", "--format", "json"],
+            ["series", "--q", "3", "--p", "1", "--order", "3"],
+            ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005"]]
+
+    def outputs():
+        out = [run_json(capsys, argv) for argv in runs]
+        for _, payload in out:
+            payload["config"] = payload.pop("meta")["config"]
+        return out
+
+    shared = outputs()
+    assert [payload["config"].get("grid") for _, payload in shared] == [32, 64, None, None]
+    monkeypatch.setattr(cli, "make_parser", cli.make_parser.__wrapped__)
+    assert cli.make_parser() is not cli.make_parser()
+    assert outputs() == shared

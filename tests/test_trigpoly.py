@@ -58,15 +58,6 @@ class TestDerivative:
         p = random_poly(rng, 4)
         assert p.derivative().degree() == p.degree()
 
-    @pytest.mark.parametrize("degree", [0, 1, 3, 9])
-    def test_jet_is_eval_and_derivative_bit_for_bit(self, degree):
-        p = random_poly(np.random.default_rng(degree), degree)
-        xs = np.random.default_rng(11).uniform(-20, 20, (4, 7))
-        for x in (xs, xs[0], float(xs[0, 0]), np.float64(xs[1, 1]), np.array(xs[2, 2])):
-            value, slope = p.jet(x)
-            assert np.all(value == p.eval(x)) and np.all(slope == p.derivative().eval(x))
-            assert type(value) is type(p.eval(x))
-
 
 class TestShift:
     def test_half_period_sine(self):
