@@ -36,7 +36,10 @@ positive and ``--bracket`` two finite values ``lo < hi``; each error
 names its parameter.  ``tongue`` likewise checks its ``--eps`` list,
 every value finite and >= 0 (and > 0 for ``--format svg``, a log-log
 plot), before it solves anything, ``series`` its ``--order`` (>= 1), and
-``fit`` every eps and width it reads, each finite.
+``fit`` every eps and width it reads, each finite.  ``tongue --format
+svg`` leaves a sample of width 0 (a forcing without x-dependence) out of
+the plot and names it on stderr; it exits 1 only when no positive width
+is left to plot.
 
 The parser is built once per process, on the first :func:`make_parser`
 or :func:`run` call, and every later run parses with it.
@@ -285,12 +288,17 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
         print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}", file=sys.stderr)
     samples = result.samples
     if cfg.format == "svg":
-        if not samples:
-            raise ContinuationError(0.0, 0.0, "no tongue samples to plot")
-        dataset = {"eps": [s.eps for s in samples], "width": [s.width for s in samples],
+        plotted = [s for s in samples if s.width > 0.0]
+        for s in samples:
+            if s.width <= 0.0:
+                print(f"tonguelab: eps={s.eps:g} left out of the log-log plot: width {s.width:g}",
+                      file=sys.stderr)
+        if not plotted:
+            raise ContinuationError(0.0, 0.0, "no tongue sample with a positive width to plot")
+        dataset = {"eps": [s.eps for s in plotted], "width": [s.width for s in plotted],
                    "xlabel": "eps", "ylabel": "width"}
         with suppress(InsufficientDataError):
-            fit = fit_exponent(samples)
+            fit = fit_exponent(plotted)
             dataset.update(slope=fit.exponent, intercept=fit.log_prefactor)
         emit_svg(dataset, "loglog", cfg.out or "tongue.svg", _svg_meta(cfg))
     elif cfg.format == "json":

@@ -18,8 +18,9 @@ one array, x and y each with its tangent in ``(x0, y0, delta)``, and
 accumulates the remainders with their Jacobian in a second array laid
 out the same way; each step takes ``f`` and ``f'`` from one product of
 the starts' ``[cos kx | sin kx]`` rows with the coefficient matrix of
-``(f, f')``, which the pass scales by ``-eps`` once.  All functions here
-are pure.
+``(f, f')``, then scales them by each start's own ``-eps``: the drift and
+the strength are per start, so one pass can advance starts of several
+eps together.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class RemainderPair:
     S: float
 
 
-def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, ...]:
+def remainder_jet(x0, y0, delta, eps, m: MapParams, n: int) -> tuple[np.ndarray, ...]:
     """The points, remainders and exact Jacobian of a batch of starts.
 
     The n-step remainders are accumulated along the orbit,
@@ -94,46 +95,51 @@ def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, ...]
     ``R = n*y0 + sum_{k<n} (n-k) g(x_k)``,  ``S = sum_{k<n} g(x_k)``,
 
     equivalently ``R = x_n - x_0 - n*mu`` and ``S = y_n - y_0``.
-    ``x0``, ``y0`` and ``delta`` broadcast to one batch shape ``b`` (the
-    drift comes from ``delta``, not ``m.delta``), which the pass flattens
-    to ``N`` starts.  The state is one ``(2, 4, N)`` array: ``x`` and
-    ``y``, each as its value followed by its derivatives with respect to
-    ``(x0, y0, delta)``, pushed through the n map steps together by
+    ``x0``, ``y0``, ``delta`` and ``eps`` broadcast to one batch shape ``b``
+    (the drift and the strength come from them, not from ``m.delta`` and
+    ``m.eps``, so one pass can hold starts of several eps), which the pass
+    flattens to ``N`` starts.  The state is one ``(2, 4, N)`` array: ``x``
+    and ``y``, each as its value followed by its derivatives with respect
+    to ``(x0, y0, delta)``, pushed through the n map steps together by
     forward-mode tangent propagation.  A second array of the same shape
     accumulates ``(R, S)`` and their derivatives the same way.  Each step
-    takes ``-eps f`` and ``-eps f'`` from one product of the ``(2, 2K-1)``
-    coefficient matrix, scaled by ``-eps`` once per pass, with the rows
-    ``[cos kx | sin kx]`` of every start (``K - 1`` the capacity of
-    ``f``); all buffers are allocated once per pass.  Returns ``res`` of
-    shape ``(2, *b)`` holding ``(R, S)``, ``jac`` of shape ``(2, 3, *b)``
-    with ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]`` and ``path`` of
-    shape ``(n, 2, *b)`` holding the points ``(x_k, y_k)``.
+    takes ``f`` and ``f'`` from one product of the ``(2, 2K-1)`` coefficient
+    matrix with the rows ``[cos kx | sin kx]`` of every start (``K - 1`` the
+    capacity of ``f``), then one multiply by each start's ``-eps``; all
+    buffers are allocated once per pass.  Returns ``res`` of shape
+    ``(2, *b)`` holding ``(R, S)``, ``jac`` of shape ``(2, 3, *b)`` with
+    ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]`` and ``path`` of shape
+    ``(n, 2, *b)`` holding the points ``(x_k, y_k)``.
     """
-    x0, y0, delta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x0, y0, delta)))
-    shape, size = x0.shape, x0.size
+    shape = np.broadcast(x0, y0, delta, eps).shape
     a, b = m.f.cos_coeffs, m.f.sin_coeffs
     k = np.arange(len(a), dtype=float)
-    # column j of the product is (-eps f, -eps f') at x_j: the rows of
-    # the cos kx, k >= 0, then of the sin kx, k >= 1
-    coef = -m.eps * np.array([np.concatenate([a, b]),
-                              np.concatenate([[0.0], k[1:] * b, -k[1:] * a[1:]])])
+    # column j of the product is (f, f') at x_j: the rows of the cos kx,
+    # k >= 0, then of the sin kx, k >= 1
+    coef = np.array([np.concatenate([a, b]),
+                     np.concatenate([[0.0], k[1:] * b, -k[1:] * a[1:]])])
     # st[0] is x and st[1] is y, each as (value, d/dx0, d/dy0, d/ddelta)
-    st = np.zeros((2, 4, size))
-    st[0, 0], st[1, 0], st[0, 1], st[1, 2] = x0.ravel(), y0.ravel(), 1.0, 1.0
+    st = np.zeros((2, 4) + shape)
+    st[0, 0], st[1, 0], st[0, 1], st[1, 2] = x0, y0, 1.0, 1.0
+    st = st.reshape(2, 4, -1)
+    size = st.shape[2]
     # acc[0] is R and acc[1] is S, laid out as st
     acc = np.zeros_like(st)
     acc[0] = n * st[1]
-    # the weights (n-k, 1) of g(x_k) in (R, S), and the jet of the drift
+    # the weights (n-k, 1) of g(x_k) in (R, S), the jet of the drift, and
+    # each start's -eps
     weights = np.ones((n, 2, 1, 1))
     weights[:, 0, 0, 0] = np.arange(n, 0, -1)
-    drift = np.zeros((4, size))
-    drift[0], drift[3] = delta.ravel(), 1.0
+    drift = np.zeros((4,) + shape)
+    drift[0], drift[3] = delta, 1.0
+    drift = drift.reshape(4, -1)
+    neg_eps = np.negative(eps, out=np.empty(shape)).reshape(-1)
     kx, trig = np.empty((len(k), size)), np.empty((2 * len(k) - 1, size))
     gj, term = np.empty((4, size)), np.empty_like(st)
     path = np.empty((n, 2, size))
     # views that the loop writes through
     k_col, cos_rows, sin_rows, sin_k = k[:, None], trig[:len(k)], trig[len(k):], kx[1:]
-    x, y, x_val, dx, values = st[0], st[1], st[0, 0], st[0, 1:], st[:, 0]
+    x, y, x_val, dx, values, fj = st[0], st[1], st[0, 0], st[0, 1:], st[:, 0], gj[:2]
     for j in range(n):
         path[j] = values
         np.multiply(k_col, x_val, out=kx)
@@ -141,7 +147,8 @@ def remainder_jet(x0, y0, delta, m: MapParams, n: int) -> tuple[np.ndarray, ...]
         np.sin(sin_k, out=sin_rows)
         # g = -delta - eps f with its tangent -eps f' dx - d(delta); gj[1]
         # holds -eps f' until the product with dx (numpy buffers the overlap)
-        np.dot(coef, trig, out=gj[:2])
+        np.dot(coef, trig, out=fj)
+        np.multiply(fj, neg_eps, out=fj)
         np.multiply(gj[1], dx, out=gj[1:])
         np.subtract(gj, drift, out=gj)
         np.multiply(weights[j], gj, out=term)

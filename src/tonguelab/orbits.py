@@ -12,14 +12,16 @@ exact Jacobian from the one batched kernel
   in delta is the Arnold tongue.  It returns the profile as one array of
   rows ``(x_0, D, Y, D', Y')``, the layout of :func:`_solve_implicit`,
   which :mod:`tonguelab.tongue` also calls to solve points between the
-  grid's.
+  grid's.  Both carry eps per point, like ``x_0`` and the seed, so one
+  batch solves the profiles of a whole eps sweep together.
 * :func:`solve_orbit_fixed_delta` and :func:`solve_orbits_fixed_delta`
   keep the drift fixed and solve for the initial point ``(x_0, y_0)``;
   :func:`tonguelab.tongue.orbits_at` seeds them from the profile's roots.
 
 One damped Newton iteration serves both, on any number of points at
-once: the Jacobian degenerates at the saddle-node on the tongue
-boundary, where a plain Newton step overshoots.  A fixed-delta orbit is
+once, each with its own ``(x0, y0, delta, eps)``: the Jacobian
+degenerates at the saddle-node on the tongue boundary, where a plain
+Newton step overshoots.  A fixed-delta orbit is
 read off that iteration's final kernel pass: its states are the
 pass's points, its residual the last ``(R, S)``, and its stability kind
 the class of the monodromy trace, the monodromy being the identity plus
@@ -31,7 +33,7 @@ implicit solve returns, with ``D`` and ``Y``, their exact slopes
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,18 +96,19 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
             max_iter: int) -> tuple[np.ndarray, ...]:
     """Damped Newton on ``(R, S) = 0`` for a batch of points.
 
-    ``u`` has shape ``(3, n)`` and holds ``(x0, y0, delta)`` per point; the
-    two rows named by ``unknowns`` are solved for, in place, and the third
-    stays fixed.  Each point follows the same rule on its own: it has
-    converged once ``|res| < TAU_NEWTON``, stops when the Newton
-    determinant is below ``TAU_SINGULAR``, and takes a step only when the
-    residual drops, halving it at most ``_MAX_DAMPING_HALVINGS`` times; a
-    non-finite residual fails it.  Returns each point's status, the
+    ``u`` has shape ``(4, n)`` and holds ``(x0, y0, delta, eps)`` per
+    point; the two rows named by ``unknowns`` are solved for, in place, and
+    the others stay fixed; ``m`` gives the forcing and ``p/q``.  Each point
+    follows the same rule on its own: it has converged once
+    ``|res| < TAU_NEWTON``, stops when the Newton determinant is below
+    ``TAU_SINGULAR``, and takes a step only when the residual drops,
+    halving it at most ``_MAX_DAMPING_HALVINGS`` times; a non-finite
+    residual fails it.  Returns each point's status, the
     number of Newton steps it took, and the kernel's ``res, jac, path``
     (:func:`~tonguelab.cylmap.remainder_jet`) at its final point.
     """
     i, j = unknowns
-    res, jac, path = remainder_jet(u[0], u[1], u[2], m, m.q)
+    res, jac, path = remainder_jet(*u, m, m.q)
     norm = np.hypot(res[0], res[1])
     status = np.full(u.shape[1], _ACTIVE)
     iterations = np.full(u.shape[1], max_iter)
@@ -128,9 +131,9 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
         step = np.array([b * s - d * r, c * r - a * s]) / det[todo]
         lam = np.ones(todo.size)
         for _ in range(_MAX_DAMPING_HALVINGS):
-            trial = u[:, todo].copy()
+            trial = u[:, todo]
             trial[[i, j]] += lam * step
-            t_res, t_jac, t_path = remainder_jet(trial[0], trial[1], trial[2], m, m.q)
+            t_res, t_jac, t_path = remainder_jet(*trial, m, m.q)
             t_norm = np.hypot(t_res[0], t_res[1])
             ok = (t_norm < norm[todo]) | (t_norm < TAU_NEWTON)
             take = todo[ok]
@@ -166,7 +169,7 @@ def solve_orbits_fixed_delta(starts, m: MapParams,
     converged point.
     """
     pts = np.asarray(starts, dtype=float).reshape(-1, 2)
-    u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta)])
+    u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta), np.full(len(pts), m.eps)])
     status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
     return [_orbit(res[:, k], jac[..., k], path[..., k]) if status[k] == _CONVERGED else None
             for k in range(len(pts))]
@@ -183,7 +186,7 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     orbit's states, residual and kind come from the Newton's final pass
     (:func:`_orbit`).
     """
-    u = np.array([[guess.x], [guess.y], [m.delta]])
+    u = np.array([[guess.x], [guess.y], [m.delta], [m.eps]])
     status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
     if status[0] == _SINGULAR:
         raise SingularJacobianError(
@@ -193,15 +196,20 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     return _orbit(res[:, 0], jac[..., 0], path[..., 0])
 
 
-def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
+def _solve_implicit(x0, eps, m: MapParams, delta, y0,
                     max_iter: int = 50) -> tuple[np.ndarray, ...]:
     """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the
     profile rows ``(x0, D, Y, D', Y')`` of each point, whether it
-    converged, and its iterations.  Every profile in the package is an
-    array of these rows.  The slopes solve ``J_(delta, y0) (D', Y') =
-    -J_x0`` on the final jet (implicit function theorem)."""
-    u = np.array(np.broadcast_arrays(x0, y0, delta), dtype=float)
-    status, iterations, _, jac, _ = _newton(u, replace(m, eps=eps), _IMPLICIT, max_iter)
+    converged, and its iterations.  ``x0`` is a 1-D array of the points;
+    ``eps`` and the seeds ``delta`` and ``y0`` are numbers or arrays like
+    it, so the points of one batch may belong to profiles at different
+    eps.  Every profile in the package is an array of these rows.  The
+    slopes solve ``J_(delta, y0) (D', Y') = -J_x0`` on the final jet
+    (implicit function theorem)."""
+    x0 = np.asarray(x0, dtype=float)
+    u = np.empty((4, x0.size))
+    u[0], u[1], u[2], u[3] = x0, y0, delta, eps
+    status, iterations, _, jac, _ = _newton(u, m, _IMPLICIT, max_iter)
     (rx, ry, rd), (sx, sy, sd) = jac
     with np.errstate(divide="ignore", invalid="ignore"):
         det = rd * sy - ry * sd
@@ -209,37 +217,46 @@ def _solve_implicit(x0, eps: float, m: MapParams, delta, y0,
     return np.vstack([u[0], u[2], u[1], slopes]), status == _CONVERGED, iterations
 
 
-def continue_in_x(eps: float, m: MapParams, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the drift profile ``D(x0, eps)`` on a uniform x0 grid over [0, 2 pi).
+def continue_in_x(eps, m: MapParams, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample the drift profile ``D(x0, eps)`` on a uniform x0 grid over
+    [0, 2 pi), for one eps or for each of a 1-D array of them at once.
 
     The grid has ``grid_size`` points, raised to ``8 q`` when smaller: the
     floor that every profile, tongue width and orbit search shares.
-    Returns the ``(5, n)`` rows ``(x0, D, Y, D', Y')`` of
-    :func:`_solve_implicit`, in grid order, and each point's Newton
-    iterations in its last solve.  One loop solves the grid as an eps ramp
-    from the unperturbed seed ``(0, 0)``, all points in one batch, each
-    ramp step seeded from the previous one.  Its first level is one step,
-    the cold solve at eps itself; the points that still fail get a ramp
-    of twice as many steps, up to ``_MAX_RAMP_SPLITS``.  Each point's
-    Newton runs on its own, so the batch does not change its values; the
-    :class:`ContinuationError` names the first point in grid order that
-    still fails.
+    Returns the rows ``(x0, D, Y, D', Y')`` of :func:`_solve_implicit`, of
+    shape ``(5, n)`` for one eps and ``(5, E, n)`` for ``E`` of them, in
+    grid order, and each point's Newton iterations in its last solve,
+    shaped as the rows without their first axis.  One loop solves every
+    point of every eps as an eps ramp from the unperturbed seed ``(0, 0)``,
+    all in one batch, each ramp step seeded from the previous one.  Its
+    first level is one step, the cold solve at the point's eps itself; the
+    points that still fail get a ramp of twice as many steps, up to
+    ``_MAX_RAMP_SPLITS``.  Each point's Newton runs on its own, so the
+    batch does not change its values.  A point that fails at the finest
+    ramp keeps its x0 and has NaN in the other rows; for one eps, the
+    :class:`ContinuationError` names the first such point in grid order
+    instead.
     """
+    eps = np.asarray(eps, dtype=float)
     xs = np.linspace(0.0, 2.0 * math.pi, max(grid_size, 8 * m.q), endpoint=False)
-    pts, iterations = np.empty((5, xs.size)), np.empty(xs.size, dtype=int)
-    ramp, splits = np.arange(xs.size), 1
+    shape = eps.shape + xs.shape
+    x, e = np.broadcast_to(xs, shape).ravel(), np.broadcast_to(eps[..., None], shape).ravel()
+    pts, iterations = np.full((5, x.size), np.nan), np.empty(x.size, dtype=int)
+    pts[0] = x
+    ramp, splits = np.arange(x.size), 1
     while ramp.size and splits <= _MAX_RAMP_SPLITS:
         d = np.zeros((5, ramp.size))
         alive = np.ones(ramp.size, dtype=bool)
         for step in range(1, splits + 1):
+            at = ramp[alive]
             d[:, alive], conv, its = _solve_implicit(
-                xs[ramp[alive]], eps * step / splits, m, d[1, alive], d[2, alive])
-            iterations[ramp[alive]] = its
+                x[at], e[at] * step / splits, m, d[1, alive], d[2, alive])
+            iterations[at] = its
             alive[alive] = conv
             if not alive.any():
                 break
         pts[:, ramp[alive]] = d[:, alive]
         ramp, splits = ramp[~alive], 2 * splits
-    if ramp.size:
-        raise ContinuationError(float(xs[ramp[0]]), eps)
-    return pts, iterations
+    if ramp.size and not eps.ndim:
+        raise ContinuationError(float(x[ramp[0]]), float(eps))
+    return pts.reshape((5,) + shape), iterations.reshape(shape)

@@ -12,7 +12,10 @@ are zeros of ``D'``, and :func:`orbits_at` finds each point ``x_i`` of a
 p/q orbit at drift ``delta`` as a root of ``D(x_i, eps) = delta``, with
 ``y_i = Y(x_i, eps)``, between two critical points, where ``D`` is monotone.
 Both searches take one batched implicit Newton per pass, seeded by the
-Taylor step ``(D + D' dx, Y + Y' dx)`` from a point already solved.
+Taylor step ``(D + D' dx, Y + Y' dx)`` from a point already solved.  A
+sweep over eps (:func:`sweep`) runs every pass once for all its eps: the
+grid, the split cells and the secant passes of every eps share one batch,
+points carry the index of their eps, and the edges are reduced per eps.
 """
 
 from __future__ import annotations
@@ -69,47 +72,103 @@ class SweepResult:
     failures: tuple[SweepFailure, ...]
 
 
-def width_at(m: MapParams, eps: float, grid: int) -> TongueSample:
-    """Measure the tongue cross-section at ``eps``.
+def width_at(m: MapParams, eps, grid: int) -> TongueSample | SweepResult:
+    """Measure the tongue cross-section at ``eps``, or at each eps of a tuple.
 
     Solves the :func:`continue_in_x` profile, with its exact slopes, on
     ``grid`` points, raised to its ``8 q`` floor.  A cell whose end slopes
     share a sign but whose cubic Hermite through ``(D, D')`` has two slope
-    roots inside is split at its midpoint, until none is.  Each sign change of ``D'`` then
-    holds one critical point, found from the root of the cell's Hermite
-    slope by secant passes on ``D'`` (:func:`_bracketed`).  The edges are
-    the largest and smallest ``D`` over the grid and the critical points.
+    roots inside is split at its midpoint, until none is.  Each sign change
+    of ``D'`` then holds one critical point, found from the root of the
+    cell's Hermite slope by secant passes on ``D'`` (:func:`_bracketed`).
+    The edges are the largest and smallest ``D`` over the grid and the
+    critical points, each reported at the smallest x whose ``D`` is within
+    ``TAU_NEWTON`` of it: every point of one p/q orbit has the same drift,
+    so an edge is reached at several x that differ only by round-off.
+
+    For one eps it returns the :class:`TongueSample` and raises the
+    :class:`ContinuationError` of a failed profile.  For a tuple of eps
+    every step above, from the grid to the last secant pass, solves the
+    points of all eps in one batch, and it returns the
+    :class:`SweepResult`: an eps whose profile fails is dropped at the
+    step where it fails and recorded with its own error, while the others
+    go on.  Each point's Newton runs on its own, so every sample is the
+    one that eps gives alone.
     """
+    if isinstance(eps, tuple):
+        outcomes = _profiles(m, eps, grid)[0]
+        return SweepResult(
+            tuple(o for o in outcomes if isinstance(o, TongueSample)),
+            tuple(SweepFailure(e, str(o)) for e, o in zip(eps, outcomes)
+                  if isinstance(o, ContinuationError)))
     return _profile(m, eps, grid)[0]
 
 
 def _profile(m: MapParams, eps: float, grid: int
              ) -> tuple[TongueSample, np.ndarray, np.ndarray, int]:
-    """The work of :func:`width_at`: its sample, every profile point solved,
-    in ascending x over ``[0, 2 pi]``, the critical points, and the grid
-    size :func:`~tonguelab.orbits.continue_in_x` used, read off the width of
-    the rows ``(x, D, Y, D', Y')`` it returns; points are their columns."""
+    """:func:`_profiles` at one eps, whose :class:`ContinuationError` it
+    raises."""
+    (outcome,), pts, crit, grid = _profiles(m, (eps,), grid)
+    if isinstance(outcome, ContinuationError):
+        raise outcome
+    return outcome, pts, crit, grid
+
+
+def _profiles(m: MapParams, eps: tuple[float, ...], grid: int
+              ) -> tuple[list[TongueSample | ContinuationError], np.ndarray, np.ndarray, int]:
+    """The work of :func:`width_at` for every eps of ``eps`` at once: each
+    eps's sample or error, every profile point solved and the critical
+    points, and the grid size :func:`~tonguelab.orbits.continue_in_x` used.
+    Points are the columns of rows ``(x, D, Y, D', Y', k)``, ``k`` the index
+    of their eps; those of the eps that did not fail are ordered by ``k``,
+    then by ascending x over ``[0, 2 pi]``, and a cell is two neighbouring
+    points of one ``k``."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
-    pts = continue_in_x(eps, m, grid)[0]
-    grid = pts.shape[1]
+    eps_k = np.array(eps, dtype=float)
+    grid_pts = continue_in_x(eps_k, m, grid)[0]
+    grid = grid_pts.shape[2]
+    errors: dict[int, ContinuationError] = {}
+    for k in np.flatnonzero(np.isnan(grid_pts[1]).any(axis=1)):
+        x0 = grid_pts[0, k, np.isnan(grid_pts[1, k]).argmax()]
+        errors[int(k)] = ContinuationError(float(x0), float(eps_k[k]))
     # the grid starts at x = 0; a copy of its first point at 2 pi closes the period
-    pts = np.hstack([pts, pts[:, :1] + [[2.0 * math.pi], [0.0], [0.0], [0.0], [0.0]]])
+    closing = grid_pts[:, :, :1] + np.reshape([2.0 * math.pi, 0.0, 0.0, 0.0, 0.0], (5, 1, 1))
+    pts = np.vstack([np.concatenate([grid_pts, closing], axis=2).reshape(5, -1),
+                     np.repeat(np.arange(eps_k.size, dtype=float), grid + 1)])
+    pts = _drop_failed(pts, errors)
     while True:
         lo, hi = pts[:, :-1], pts[:, 1:]
         t1, t2 = _hermite_slope_roots(lo, hi)
         mid = 0.5 * (lo[0] + hi[0])
-        split = (lo[3] * hi[3] > 0) & (0 < t1) & (t2 < 1) & (lo[0] < mid) & (mid < hi[0])
+        split = ((lo[5] == hi[5]) & (lo[3] * hi[3] > 0) & (0 < t1) & (t2 < 1)
+                 & (lo[0] < mid) & (mid < hi[0]))
         if not split.any():
             break
-        mid = _solve_at(mid[split], eps, m, lo[:, split], hi[:, split])
-        pts = np.hstack([pts, mid])[:, np.argsort(np.append(pts[0], mid[0]))]
-    change = (lo[3] >= 0) != (hi[3] >= 0)
-    lo, hi, t = lo[:, change], hi[:, change], np.where(t1 >= 0, t1, t2)[change]
-    crit = _bracketed(eps, m, lo, hi, lo[0] + t * (hi[0] - lo[0]))
-    pts = np.hstack([pts, crit])[:, np.argsort(np.append(pts[0], crit[0]))]
-    (x_hi, x_lo), (d_hi, d_lo) = pts[:2, [pts[1].argmax(), pts[1].argmin()]]
-    return TongueSample(eps, *map(float, (d_hi - d_lo, d_hi, d_lo, x_hi, x_lo))), pts, crit, grid
+        mid = _solve_at(mid[split], eps_k, m, lo[:, split], hi[:, split], errors)
+        pts = _drop_failed(np.insert(pts, np.flatnonzero(split) + 1, mid, axis=1), errors)
+    cell = np.flatnonzero((lo[5] == hi[5]) & ((lo[3] >= 0) != (hi[3] >= 0)))
+    t = np.where(t1 >= 0, t1, t2)[cell]
+    lo, hi = lo[:, cell], hi[:, cell]
+    crit = _bracketed(eps_k, m, lo, hi, lo[0] + t * (hi[0] - lo[0]), errors)
+    pts = _drop_failed(np.insert(pts, cell + 1, crit, axis=1), errors)
+    crit = _drop_failed(crit, errors)
+    outcomes: list[TongueSample | ContinuationError] = []
+    bounds = np.searchsorted(pts[5], np.arange(eps_k.size + 1), side="left")
+    for k, e in enumerate(eps):
+        if k in errors:
+            outcomes.append(errors[k])
+            continue
+        x, d = pts[:2, bounds[k]:bounds[k + 1]]
+        d_hi, d_lo = d.max(), d.min()
+        x_hi, x_lo = x[(d >= d_hi - TAU_NEWTON).argmax()], x[(d <= d_lo + TAU_NEWTON).argmax()]
+        outcomes.append(TongueSample(e, *map(float, (d_hi - d_lo, d_hi, d_lo, x_hi, x_lo))))
+    return outcomes, pts, crit, grid
+
+
+def _drop_failed(pts: np.ndarray, errors: dict[int, ContinuationError]) -> np.ndarray:
+    """The points ``(..., k)`` whose eps ``k`` has not failed."""
+    return pts[:, ~np.isin(pts[5], list(errors))] if errors else pts
 
 
 def _hermite_slope_roots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -122,28 +181,39 @@ def _hermite_slope_roots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         return np.sort([half / a, c / half], axis=0)
 
 
-def _solve_at(x: np.ndarray, eps: float, m: MapParams, near: np.ndarray,
-              far: np.ndarray) -> np.ndarray:
-    """The profile points at ``x`` by one batched implicit solve, seeded by
+def _solve_at(x: np.ndarray, eps: np.ndarray, m: MapParams, near: np.ndarray,
+              far: np.ndarray, errors: dict[int, ContinuationError]) -> np.ndarray:
+    """The points ``(x, D, Y, D', Y', k)`` at ``x`` by one batched implicit
+    solve, each at the eps ``eps[k]`` of its seeds ``(..., k)``, seeded by
     the Taylor step ``(D + D' dx, Y + Y' dx)`` from the points ``near``; a
     point that fails, as past a fold where the profile jumps between
-    branches of orbits, is solved again from ``far``."""
-    out, todo = np.empty((5, x.size)), np.arange(x.size)
+    branches of orbits, is solved again from ``far``.  A point that fails
+    from both fails its eps: the first such point of each eps records the
+    eps's :class:`ContinuationError` in ``errors``, and the caller drops
+    the eps (:func:`_drop_failed`)."""
+    out, todo = np.vstack([np.empty((5, x.size)), near[5]]), np.arange(x.size)
+    k = near[5].astype(int)
     for seed in (near, far):
         dx = x[todo] - seed[0, todo]
-        sol, ok, _ = _solve_implicit(x[todo], eps, m, seed[1, todo] + seed[3, todo] * dx,
+        sol, ok, _ = _solve_implicit(x[todo], eps[k[todo]], m,
+                                     seed[1, todo] + seed[3, todo] * dx,
                                      seed[2, todo] + seed[4, todo] * dx)
-        out[:, todo[ok]] = sol[:, ok]
+        out[:5, todo[ok]] = sol[:, ok]
         todo = todo[~ok]
         if not todo.size:
             return out
-    raise ContinuationError(float(x[todo[0]]), eps, "profile solve failed to converge")
+    for i in todo:
+        errors.setdefault(int(k[i]), ContinuationError(float(x[i]), float(eps[k[i]]),
+                                                  "profile solve failed to converge"))
+    return out
 
 
-def _bracketed(eps: float, m: MapParams, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-               level: float | None = None) -> np.ndarray:
+def _bracketed(eps: np.ndarray, m: MapParams, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
+               errors: dict[int, ContinuationError], level: float | None = None) -> np.ndarray:
     """The zeros inside the brackets ``[lo, hi]`` from the first points
-    ``x``, one batched solve per pass, seeded from the nearer bracket end:
+    ``x``, one batched solve per pass (:func:`_solve_at`, whose ``errors``
+    it shares: the brackets of an eps that fails leave the batch), seeded
+    from the nearer bracket end:
     of ``D'`` by secant passes when ``level`` is None, until the next step
     has ``|D''| * step**2`` below ``TAU_NEWTON`` (``D''`` from the
     secant); else of ``D - level`` by Newton on the exact slope, the last
@@ -156,8 +226,10 @@ def _bracketed(eps: float, m: MapParams, lo: np.ndarray, hi: np.ndarray, x: np.n
     todo = np.arange(x.size)
     while todo.size:
         far = np.where(prev[0, todo] == lo[0, todo], hi[:, todo], lo[:, todo])
-        cur[:, todo] = _solve_at(x, eps, m, prev[:, todo], far)
+        cur[:, todo] = _solve_at(x, eps, m, prev[:, todo], far, errors)
         todo = todo[~last[todo]]
+        if errors:
+            todo = todo[~np.isin(lo[5, todo], list(errors))]
         c, p = cur[:, todo], prev[:, todo]
         left = (c[row] >= zero) == (lo[row, todo] >= zero)
         lo[:, todo[left]], hi[:, todo[~left]] = c[:, left], c[:, ~left]
@@ -202,7 +274,10 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
     cross = (lo[1] >= m.delta) != (hi[1] >= m.delta)
     lo, hi = lo[:, cross], hi[:, cross]
     x = lo[0] + (m.delta - lo[1]) / (hi[1] - lo[1]) * (hi[0] - lo[0])
-    roots = _bracketed(m.eps, m, lo, hi, x, m.delta)
+    errors: dict[int, ContinuationError] = {}
+    roots = _bracketed(np.array([m.eps]), m, lo, hi, x, errors, m.delta)
+    if errors:
+        raise errors[0]
     xs, assigned, found = roots[0] % (2.0 * math.pi), np.zeros(roots.shape[1], bool), []
     for i in range(xs.size):
         if assigned[i]:
@@ -222,25 +297,18 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
 
 
 def sweep(m: MapParams, eps_list, grid: int = 64) -> SweepResult:
-    """One :func:`width_at` sample per eps, ascending; an eps whose profile
-    fails (:class:`ContinuationError`) is recorded as a failure and the
-    sweep continues.  A list that is not ascending, or holds an eps that
-    is not finite and >= 0, is a :class:`ValueError` before anything is
-    solved."""
-    eps_sorted = [float(eps) for eps in eps_list]
+    """One :func:`width_at` sample per eps, ascending, all eps solved in the
+    same batches; an eps whose profile fails (:class:`ContinuationError`)
+    is recorded as a failure and the others go on.  A list that is not
+    ascending, or holds an eps that is not finite and >= 0, is a
+    :class:`ValueError` before anything is solved."""
+    eps_sorted = tuple(float(eps) for eps in eps_list)
     bad = [eps for eps in eps_sorted if not (math.isfinite(eps) and eps >= 0.0)]
     if bad:
         raise ValueError(f"eps must be finite and >= 0, got {', '.join(f'{e:g}' for e in bad)}")
-    if eps_sorted != sorted(eps_sorted):
+    if list(eps_sorted) != sorted(eps_sorted):
         raise ValueError("eps_list must be sorted ascending")
-    samples: list[TongueSample] = []
-    failures: list[SweepFailure] = []
-    for eps in eps_sorted:
-        try:
-            samples.append(width_at(m, eps, grid))
-        except ContinuationError as exc:
-            failures.append(SweepFailure(eps, str(exc)))
-    return SweepResult(tuple(samples), tuple(failures))
+    return width_at(m, eps_sorted, grid)
 
 
 def fit_exponent(samples) -> ScalingFit:

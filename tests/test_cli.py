@@ -44,6 +44,57 @@ def test_tongue_without_samples_exits_1(capsys):
     assert csv_rows(captured.out) == ["eps,width,delta_max,delta_min,x_argmax,x_argmin".split(",")]
 
 
+def test_partly_failing_tongue_sweep(capsys):
+    """At this strong forcing eps=3 fails on the grid and eps=0.1 does
+    not: the sweep reports the one failure on stderr, keeps the other
+    sample as that eps gives it alone, and exits 0."""
+    argv = ["tongue", "--q", "3", "--p", "1", "--grid", "24", "--f", '{"cos":[0],"sin":[50]}',
+            "--format", "json", "--eps"]
+    rc = cli.run(argv + ["0.1,3"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err == ("tonguelab: eps=3 failed: "
+                            "continuation failed at x0=0.000000, eps=3\n")
+    out = json.loads(captured.out)
+    assert out["failures"] == [{"eps": 3.0,
+                                "reason": "continuation failed at x0=0.000000, eps=3"}]
+    rc, alone = run_json(capsys, argv + ["0.1"])
+    assert rc == 0 and out["samples"] == alone["samples"]
+    (sample,) = out["samples"]
+    for name, value in (("width", 3.9660809024873545), ("delta_max", 1.9830404512436788),
+                        ("delta_min", -1.9830404512436757)):
+        assert sample[name] == pytest.approx(value, rel=1e-12), name
+
+
+def test_tongue_svg_leaves_out_zero_widths(tmp_path, capsys):
+    """A width of 0 has no place on a log-log plot: the sample is named on
+    stderr and the others are plotted.  At eps = 5e-324 every Newton
+    residual is below the floor at the seed, so the profile is flat."""
+    out = tmp_path / "tongue.svg"
+    rc = cli.run(["tongue", "--q", "3", "--p", "1", "--eps", "5e-324,0.1", "--grid", "24",
+                  "--format", "svg", "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "tonguelab: eps=4.94066e-324 left out of the log-log plot: width 0\n")
+    assert out.read_text().count("<circle") == 1
+
+
+def test_tongue_svg_without_a_positive_width_exits_1(tmp_path, capsys):
+    """A forcing without x-dependence gives width 0 at every eps (its CSV
+    says so); with nothing left to plot the SVG run is a numerical
+    failure."""
+    out = tmp_path / "tongue.svg"
+    rc = cli.run(["tongue", "--q", "3", "--p", "1", "--eps", "0.1", "--f", '{"cos":[1]}',
+                  "--format", "svg", "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        "tonguelab: eps=0.1 left out of the log-log plot: width 0\n"
+        "tonguelab: numerical failure: no tongue sample with a positive width to plot\n")
+    rc = cli.run(["tongue", "--q", "3", "--p", "1", "--eps", "0.1", "--f", '{"cos":[1]}'])
+    assert rc == 0
+    assert csv_rows(capsys.readouterr().out)[1][1] == "0"
+
+
 @pytest.mark.parametrize("eps", ["nan", "-0.1,0.1", "0.1,inf"])
 def test_malformed_tongue_eps_is_usage_error(capsys, eps):
     """A malformed eps is rejected where it enters, before any profile is

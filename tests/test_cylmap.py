@@ -45,14 +45,14 @@ def direct_remainders(s0, m, n):
 
 def one_point(s0, m, n):
     """``(R, S)`` of one start at the map's own drift."""
-    res, _, _ = remainder_jet(s0.x, s0.y, m.delta, m, n)
+    res, _, _ = remainder_jet(s0.x, s0.y, m.delta, m.eps, m, n)
     return float(res[0]), float(res[1])
 
 
 def state_block(x0, y0, m, n):
     """``I + d(R, S)/d(x0, y0)``: the tangent map of n steps, batched over
     the starts."""
-    _, jac, _ = remainder_jet(x0, y0, m.delta, m, n)
+    _, jac, _ = remainder_jet(x0, y0, m.delta, m.eps, m, n)
     return np.eye(2).reshape((2, 2) + (1,) * (jac.ndim - 2)) + jac[:, :2]
 
 
@@ -185,13 +185,13 @@ class TestRemainderJet:
     @given(map_params(), angles, actions)
     def test_jacobian_matches_central_differences(self, m, x0, y0):
         u = np.array([x0, y0, m.delta])
-        _, jac, _ = remainder_jet(*u, m, m.q)
+        _, jac, _ = remainder_jet(*u, m.eps, m, m.q)
         h = 1e-6
         for j in range(3):
             e = np.zeros(3)
             e[j] = h
-            plus, _, _ = remainder_jet(*(u + e), m, m.q)
-            minus, _, _ = remainder_jet(*(u - e), m, m.q)
+            plus, _, _ = remainder_jet(*(u + e), m.eps, m, m.q)
+            minus, _, _ = remainder_jet(*(u - e), m.eps, m, m.q)
             fd = (plus - minus) / (2 * h)
             assert np.allclose(jac[:, j], fd, rtol=1e-6, atol=1e-6)
 
@@ -206,7 +206,7 @@ class TestRemainderJet:
         orbit = solve_orbit_fixed_delta(PhaseState(x0, y0), m_at)
         assert orbit is not None
         first = orbit.states[0]
-        _, jac, _ = remainder_jet(first.x, first.y, m_at.delta, m_at, q)
+        _, jac, _ = remainder_jet(first.x, first.y, m_at.delta, eps, m_at, q)
         reference = monodromy(orbit.states, m_at)
         assert np.abs(jac[:, :2] + np.eye(2) - reference).max() < 1e-12
         # the kind, read off the solver's jet, is the class of the reference trace
@@ -225,7 +225,7 @@ class TestRemainderJet:
         map that the kernel returns.  It stays far below an O(1)
         mismatch."""
         xs, ys = np.array(starts).T
-        res, jac, _ = remainder_jet(xs, ys, m.delta, m, n)
+        res, jac, _ = remainder_jet(xs, ys, m.delta, m.eps, m, n)
         assert res.shape == (2, len(starts)) and jac.shape == (2, 3, len(starts))
         for k, (x0, y0) in enumerate(starts):
             growth = 1.0 + np.abs(jac[:, :2, k]).max()
@@ -235,12 +235,36 @@ class TestRemainderJet:
             assert res[0, k] == pytest.approx(r, rel=rel, abs=rel)
             assert res[1, k] == pytest.approx(s, rel=rel, abs=rel)
 
+    @settings(max_examples=100, deadline=None)
+    @given(map_params(), st.lists(st.tuples(angles, actions, st.sampled_from((0.0, 0.15, 0.4))),
+                                  min_size=1, max_size=12),
+           st.integers(1, 9), st.sampled_from((None, SIN, TrigPoly([0.0, 0.0, -0.7]))))
+    def test_mixed_eps_batch_is_its_one_eps_batches(self, m, starts, n, one_harmonic):
+        """Each start's eps scales only its own column.  For a forcing of one
+        harmonic the product with the coefficient matrix adds exact zeros,
+        so a mixed batch is bit for bit its one-eps batches; for a general
+        forcing the sum may run in another order, within the bound of
+        ``test_batch_equals_one_point_remainders``."""
+        m = replace(m, f=m.f if one_harmonic is None else one_harmonic)
+        xs, ys, eps = np.array(starts).T
+        res, jac, path = remainder_jet(xs, ys, m.delta, eps, m, n)
+        for e in np.unique(eps):
+            at = eps == e
+            e_res, e_jac, e_path = remainder_jet(xs[at], ys[at], m.delta, e, m, n)
+            if one_harmonic is not None:
+                assert np.array_equal(res[:, at], e_res) and np.array_equal(jac[..., at], e_jac)
+                assert np.array_equal(path[..., at], e_path)
+                continue
+            growth = 1.0 + np.abs(e_jac[:, :2]).max()
+            rel = 64 * np.finfo(float).eps * n ** 2 * growth
+            assert np.allclose(res[:, at], e_res, rtol=rel, atol=rel)
+
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_scalar_start_is_the_batch_of_one_column(self, n):
         m = MapParams(0.4, 0.01, TrigPoly([0.0, 0.3], [1.0, 0.0, 0.2]), 1, 5)
-        res, jac, path = remainder_jet(0.7, -0.2, 0.02, m, n)
+        res, jac, path = remainder_jet(0.7, -0.2, 0.02, m.eps, m, n)
         assert (res.shape, jac.shape, path.shape) == ((2,), (2, 3), (n, 2))
-        b_res, b_jac, b_path = remainder_jet(np.array([0.7]), np.array([-0.2]), 0.02, m, n)
+        b_res, b_jac, b_path = remainder_jet(np.array([0.7]), np.array([-0.2]), 0.02, m.eps, m, n)
         assert np.array_equal(res, b_res[:, 0]) and np.array_equal(jac, b_jac[..., 0])
         assert np.array_equal(path, b_path[..., 0])
 
@@ -251,7 +275,7 @@ class TestRemainderJet:
         """The n points of each start, at its own drift, begin at the start
         and follow the scalar reference step by step."""
         xs, ys, drifts = np.array(starts).T
-        _, _, path = remainder_jet(xs, ys, drifts, m, n)
+        _, _, path = remainder_jet(xs, ys, drifts, m.eps, m, n)
         assert path.shape == (n, 2, len(starts))
         assert np.array_equal(path[0], [xs, ys])
         for k, delta in enumerate(drifts):

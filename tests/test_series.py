@@ -236,7 +236,7 @@ class TestNumericConsistency:
         worst = {}
         x0 = np.linspace(0, 2 * math.pi, 16, endpoint=False)
         for eps in (0.04, 0.02):
-            res, _, _ = remainder_jet(x0, sol.y.eval(x0, eps), sol.delta.eval(x0, eps),
+            res, _, _ = remainder_jet(x0, sol.y.eval(x0, eps), sol.delta.eval(x0, eps), eps,
                                       MapParams(eps, 0.0, f, p, q), q)
             worst[eps] = np.abs(res).max()
         assert worst[0.04] / worst[0.02] > 2 ** (order + 0.5)

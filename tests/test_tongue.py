@@ -3,13 +3,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tonguelab import tongue
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import _solve_implicit, continue_in_x, solve_orbits_fixed_delta
+from tonguelab.orbits import (ContinuationError, _solve_implicit, continue_in_x,
+                              solve_orbits_fixed_delta)
 from tonguelab.series import expand, predicted_width
-from tonguelab.tongue import (InsufficientDataError, TongueSample, fit_exponent, orbits_at,
-                              sweep, width_at)
+from tonguelab.tongue import (InsufficientDataError, SweepFailure, SweepResult, TongueSample,
+                              fit_exponent, orbits_at, sweep, width_at)
 from tonguelab.trigpoly import TrigPoly, range_extrema
 
 from orbit_oracle import is_walk, iterate, monodromy, multistart_orbits, orbit_distance
@@ -80,6 +83,33 @@ def bisect_edge(m, eps, upward, tol):
         else:
             outside = probe
     return sign * 0.5 * (inside + outside)
+
+
+@st.composite
+def sweep_cases(draw, mixed):
+    """A map and an ascending eps list whose widths stay far above the
+    Newton floor (q <= 5, eps >= 0.1), where the split of cells does not
+    chase round-off in ``D'``, with a forcing of ``sin kx`` (k = 1, 2) or,
+    when ``mixed``, ``sin x`` plus smaller harmonics."""
+    q = draw(st.integers(2, 5))
+    p = draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
+    small = st.floats(-0.3, 0.3)
+    f = (TrigPoly([draw(small), draw(small)], [1.0, draw(small)]) if mixed
+         else TrigPoly.sine(draw(st.integers(1, 2))))
+    eps = sorted(draw(st.lists(st.floats(0.1, 0.5), min_size=1, max_size=4)))
+    return MapParams(0.0, 0.0, f, p, q), eps, draw(st.sampled_from([16, 32]))
+
+
+def one_at_a_time(m, eps_list, grid):
+    """The samples and failures of the sweep, each eps solved alone by
+    :func:`width_at`."""
+    samples, failures = [], []
+    for eps in eps_list:
+        try:
+            samples.append(width_at(m, eps, grid))
+        except ContinuationError as exc:
+            failures.append(SweepFailure(eps, str(exc)))
+    return tuple(samples), tuple(failures)
 
 
 class TestWidthClosedForm:
@@ -239,6 +269,42 @@ class TestSweepAndFit:
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
             sweep(MapParams(0.0, 0.0, SIN, 1, 3), eps_list)
         assert solved == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases(mixed=False))
+    def test_sine_sweep_is_width_at_per_eps_bit_for_bit(self, case):
+        """The batched sweep gives each eps the sample it gets alone: every
+        point's Newton runs on its own, and for a single harmonic the kernel
+        is bit for bit the same in any batch."""
+        m, eps_list, grid = case
+        assert sweep(m, eps_list, grid) == SweepResult(*one_at_a_time(m, eps_list, grid))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sweep_cases(mixed=True))
+    def test_mixed_sweep_is_width_at_per_eps(self, case):
+        """For a forcing of several harmonics the kernel's product with the
+        coefficient matrix may sum in another order in another batch, so
+        the samples agree to round-off."""
+        m, eps_list, grid = case
+        result = sweep(m, eps_list, grid)
+        alone, failures = one_at_a_time(m, eps_list, grid)
+        assert result.failures == failures and len(result.samples) == len(alone)
+        for batched, single in zip(result.samples, alone):
+            assert batched.eps == single.eps
+            for name in ("width", "delta_max", "delta_min", "x_argmax", "x_argmin"):
+                value = getattr(single, name)
+                assert getattr(batched, name) == pytest.approx(value, rel=1e-12), name
+
+    def test_partly_failing_sweep(self):
+        """An eps whose profile fails is dropped with its own error; the
+        eps solved in the same batches keeps the sample it has alone."""
+        m = MapParams(0.0, 0.0, TrigPoly([0.0], [50.0]), 1, 3)
+        result = sweep(m, [0.1, 3.0], grid=24)
+        assert result.samples == (width_at(m, 0.1, 24),)
+        assert result.failures == (
+            SweepFailure(3.0, "continuation failed at x0=0.000000, eps=3"),)
+        with pytest.raises(ContinuationError, match="x0=0.000000, eps=3"):
+            width_at(m, 3.0, 24)
 
     def test_one_step_closed_form_sweep(self):
         m = MapParams(0.0, 0.0, SIN, 0, 1)
