@@ -15,7 +15,8 @@ Both searches take one batched implicit Newton per pass, seeded by the
 Taylor step ``(D + D' dx, Y + Y' dx)`` from a point already solved.  A
 sweep over eps (:func:`sweep`) runs every pass once for all its eps: the
 grid, the split cells and the secant passes of every eps share one batch,
-points carry the index of their eps, and the edges are reduced per eps.
+points carry the index of their eps, and the edges are reduced per eps: a
+point that failed stays a NaN row until then, and there fails its eps alone.
 """
 
 from __future__ import annotations
@@ -78,22 +79,23 @@ def width_at(m: MapParams, eps, grid: int) -> TongueSample | SweepResult:
     Solves the :func:`continue_in_x` profile, with its exact slopes, on
     ``grid`` points, raised to its ``8 q`` floor.  A cell whose end slopes
     share a sign but whose cubic Hermite through ``(D, D')`` has two slope
-    roots inside is split at its midpoint, until none is.  Each sign change
-    of ``D'`` then holds one critical point, found from the root of the
-    cell's Hermite slope by secant passes on ``D'`` (:func:`_bracketed`).
-    The edges are the largest and smallest ``D`` over the grid and the
-    critical points, each reported at the smallest x whose ``D`` is within
-    ``TAU_NEWTON`` of it: every point of one p/q orbit has the same drift,
-    so an edge is reached at several x that differ only by round-off.
+    roots inside, at drifts more than ``TAU_NEWTON`` apart, is split at its
+    midpoint, until none is.  Each sign change of ``D'`` then holds one
+    critical point, found from the root of the cell's Hermite slope by
+    secant passes on ``D'`` (:func:`_bracketed`).  The edges are the
+    largest and smallest ``D`` over the grid and the critical points, each
+    reported at the smallest x whose ``D`` is within ``TAU_NEWTON`` of it:
+    every point of one p/q orbit has the same drift, so an edge is reached
+    at several x that differ only by round-off.
 
-    For one eps it returns the :class:`TongueSample` and raises the
-    :class:`ContinuationError` of a failed profile.  For a tuple of eps
+    For one eps it returns the :class:`TongueSample`; for a tuple of eps
     every step above, from the grid to the last secant pass, solves the
-    points of all eps in one batch, and it returns the
-    :class:`SweepResult`: an eps whose profile fails is dropped at the
-    step where it fails and recorded with its own error, while the others
-    go on.  Each point's Newton runs on its own, so every sample is the
-    one that eps gives alone.
+    points of all eps in one batch, and it returns the :class:`SweepResult`.
+    A point that fails stays a NaN row, its cells neither split nor
+    bracketed, until the edges are reduced: its eps then fails with the
+    :class:`ContinuationError` of its first such point in x (raised for
+    one eps), and the others keep their samples.  Each point's Newton runs
+    on its own, so every sample is the one that eps gives alone.
     """
     if isinstance(eps, tuple):
         outcomes = _profiles(m, eps, grid)[0]
@@ -120,78 +122,72 @@ def _profiles(m: MapParams, eps: tuple[float, ...], grid: int
     eps's sample or error, every profile point solved and the critical
     points, and the grid size :func:`~tonguelab.orbits.continue_in_x` used.
     Points are the columns of rows ``(x, D, Y, D', Y', k)``, ``k`` the index
-    of their eps; those of the eps that did not fail are ordered by ``k``,
-    then by ascending x over ``[0, 2 pi]``, and a cell is two neighbouring
-    points of one ``k``."""
+    of their eps, ordered by ``k``, then by ascending x over ``[0, 2 pi]``;
+    a cell is two neighbouring points of one ``k``, and a failed point is
+    NaN but in its x and ``k``."""
     if not m.coprime():
         raise ValueError(f"tongue analysis requires gcd(p, q) = 1, got p={m.p}, q={m.q}")
     eps_k = np.array(eps, dtype=float)
     grid_pts = continue_in_x(eps_k, m, grid)[0]
     grid = grid_pts.shape[2]
-    errors: dict[int, ContinuationError] = {}
-    for k in np.flatnonzero(np.isnan(grid_pts[1]).any(axis=1)):
-        x0 = grid_pts[0, k, np.isnan(grid_pts[1, k]).argmax()]
-        errors[int(k)] = ContinuationError(float(x0), float(eps_k[k]))
     # the grid starts at x = 0; a copy of its first point at 2 pi closes the period
     closing = grid_pts[:, :, :1] + np.reshape([2.0 * math.pi, 0.0, 0.0, 0.0, 0.0], (5, 1, 1))
     pts = np.vstack([np.concatenate([grid_pts, closing], axis=2).reshape(5, -1),
                      np.repeat(np.arange(eps_k.size, dtype=float), grid + 1)])
-    pts = _drop_failed(pts, errors)
     while True:
         lo, hi = pts[:, :-1], pts[:, 1:]
-        t1, t2 = _hermite_slope_roots(lo, hi)
+        t1, t2, gap = _hermite_slope_roots(lo, hi)
         mid = 0.5 * (lo[0] + hi[0])
+        # a hidden max/min pair closer than the Newton floor moves no edge
         split = ((lo[5] == hi[5]) & (lo[3] * hi[3] > 0) & (0 < t1) & (t2 < 1)
-                 & (lo[0] < mid) & (mid < hi[0]))
+                 & (gap > TAU_NEWTON) & (lo[0] < mid) & (mid < hi[0]))
         if not split.any():
             break
-        mid = _solve_at(mid[split], eps_k, m, lo[:, split], hi[:, split], errors)
-        pts = _drop_failed(np.insert(pts, np.flatnonzero(split) + 1, mid, axis=1), errors)
-    cell = np.flatnonzero((lo[5] == hi[5]) & ((lo[3] >= 0) != (hi[3] >= 0)))
+        mid = _solve_at(mid[split], eps_k, m, lo[:, split], hi[:, split])
+        pts = np.insert(pts, np.flatnonzero(split) + 1, mid, axis=1)
+    # NaN >= 0 is False: without its guard a failed end reads as a sign change
+    cell = np.flatnonzero((lo[5] == hi[5]) & ~np.isnan(lo[3]) & ~np.isnan(hi[3])
+                          & ((lo[3] >= 0) != (hi[3] >= 0)))
     t = np.where(t1 >= 0, t1, t2)[cell]
     lo, hi = lo[:, cell], hi[:, cell]
-    crit = _bracketed(eps_k, m, lo, hi, lo[0] + t * (hi[0] - lo[0]), errors)
-    pts = _drop_failed(np.insert(pts, cell + 1, crit, axis=1), errors)
-    crit = _drop_failed(crit, errors)
+    crit = _bracketed(eps_k, m, lo, hi, lo[0] + t * (hi[0] - lo[0]))
+    pts = np.insert(pts, cell + 1, crit, axis=1)
     outcomes: list[TongueSample | ContinuationError] = []
     bounds = np.searchsorted(pts[5], np.arange(eps_k.size + 1), side="left")
     for k, e in enumerate(eps):
-        if k in errors:
-            outcomes.append(errors[k])
-            continue
         x, d = pts[:2, bounds[k]:bounds[k + 1]]
+        failed = np.isnan(d)
+        if failed.any():
+            outcomes.append(ContinuationError(float(x[failed.argmax()]), float(e)))
+            continue
         d_hi, d_lo = d.max(), d.min()
         x_hi, x_lo = x[(d >= d_hi - TAU_NEWTON).argmax()], x[(d <= d_lo + TAU_NEWTON).argmax()]
         outcomes.append(TongueSample(e, *map(float, (d_hi - d_lo, d_hi, d_lo, x_hi, x_lo))))
     return outcomes, pts, crit, grid
 
 
-def _drop_failed(pts: np.ndarray, errors: dict[int, ContinuationError]) -> np.ndarray:
-    """The points ``(..., k)`` whose eps ``k`` has not failed."""
-    return pts[:, ~np.isin(pts[5], list(errors))] if errors else pts
-
-
-def _hermite_slope_roots(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The roots, ascending and as fractions of the cell (NaN if complex),
-    of the slope of the cubic Hermite through ``(D, D')`` at the cell ends."""
+def _hermite_slope_roots(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The roots ``t1 <= t2`` of the slope ``a t**2 + b t + c`` of the cubic
+    Hermite through ``(D, D')`` at the ends of a cell of width ``h``, as
+    fractions of it (NaN if complex), and the drift between them,
+    ``|a| h (t2 - t1)**3 / 6``."""
     secant = (hi[1] - lo[1]) / (hi[0] - lo[0])
     a, b, c = 3.0 * (lo[3] + hi[3]) - 6.0 * secant, 6.0 * secant - 4.0 * lo[3] - 2.0 * hi[3], lo[3]
     with np.errstate(divide="ignore", invalid="ignore"):
         half = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
-        return np.sort([half / a, c / half], axis=0)
+        t1, t2 = np.sort([half / a, c / half], axis=0)
+        return t1, t2, np.abs(a) * (hi[0] - lo[0]) * (t2 - t1) ** 3 / 6.0
 
 
 def _solve_at(x: np.ndarray, eps: np.ndarray, m: MapParams, near: np.ndarray,
-              far: np.ndarray, errors: dict[int, ContinuationError]) -> np.ndarray:
+              far: np.ndarray) -> np.ndarray:
     """The points ``(x, D, Y, D', Y', k)`` at ``x`` by one batched implicit
     solve, each at the eps ``eps[k]`` of its seeds ``(..., k)``, seeded by
     the Taylor step ``(D + D' dx, Y + Y' dx)`` from the points ``near``; a
     point that fails, as past a fold where the profile jumps between
     branches of orbits, is solved again from ``far``.  A point that fails
-    from both fails its eps: the first such point of each eps records the
-    eps's :class:`ContinuationError` in ``errors``, and the caller drops
-    the eps (:func:`_drop_failed`)."""
-    out, todo = np.vstack([np.empty((5, x.size)), near[5]]), np.arange(x.size)
+    from both keeps its x and ``k`` and has NaN in the other rows."""
+    out, todo = np.vstack([x, np.full((4, x.size), np.nan), near[5]]), np.arange(x.size)
     k = near[5].astype(int)
     for seed in (near, far):
         dx = x[todo] - seed[0, todo]
@@ -201,35 +197,29 @@ def _solve_at(x: np.ndarray, eps: np.ndarray, m: MapParams, near: np.ndarray,
         out[:5, todo[ok]] = sol[:, ok]
         todo = todo[~ok]
         if not todo.size:
-            return out
-    for i in todo:
-        errors.setdefault(int(k[i]), ContinuationError(float(x[i]), float(eps[k[i]]),
-                                                  "profile solve failed to converge"))
+            break
     return out
 
 
 def _bracketed(eps: np.ndarray, m: MapParams, lo: np.ndarray, hi: np.ndarray, x: np.ndarray,
-               errors: dict[int, ContinuationError], level: float | None = None) -> np.ndarray:
+               level: float | None = None) -> np.ndarray:
     """The zeros inside the brackets ``[lo, hi]`` from the first points
-    ``x``, one batched solve per pass (:func:`_solve_at`, whose ``errors``
-    it shares: the brackets of an eps that fails leave the batch), seeded
-    from the nearer bracket end:
+    ``x``, one batched solve per pass (:func:`_solve_at`), seeded from the
+    nearer bracket end:
     of ``D'`` by secant passes when ``level`` is None, until the next step
     has ``|D''| * step**2`` below ``TAU_NEWTON`` (``D''`` from the
     secant); else of ``D - level`` by Newton on the exact slope, the last
     pass a step below the solve's own x-resolution ``TAU_NEWTON / |D'|``.
-    Until then a step out of the bracket goes to its midpoint, and a
-    bracket that cannot shrink ends."""
+    Until then a step out of the bracket goes to its midpoint; a bracket
+    that cannot shrink, or whose point fails (a NaN zero), ends."""
     lo, hi, cur, last = lo.copy(), hi.copy(), np.empty_like(lo), np.zeros(x.size, bool)
     prev = np.where(x - lo[0] <= hi[0] - x, lo, hi)
     row, zero = (3, 0.0) if level is None else (1, level)
     todo = np.arange(x.size)
     while todo.size:
         far = np.where(prev[0, todo] == lo[0, todo], hi[:, todo], lo[:, todo])
-        cur[:, todo] = _solve_at(x, eps, m, prev[:, todo], far, errors)
-        todo = todo[~last[todo]]
-        if errors:
-            todo = todo[~np.isin(lo[5, todo], list(errors))]
+        cur[:, todo] = _solve_at(x, eps, m, prev[:, todo], far)
+        todo = todo[~last[todo] & ~np.isnan(cur[1, todo])]
         c, p = cur[:, todo], prev[:, todo]
         left = (c[row] >= zero) == (lo[row, todo] >= zero)
         lo[:, todo[left]], hi[:, todo[~left]] = c[:, left], c[:, ~left]
@@ -274,10 +264,10 @@ def orbits_at(m: MapParams, grid: int) -> tuple[list[PeriodicOrbit], TongueSampl
     cross = (lo[1] >= m.delta) != (hi[1] >= m.delta)
     lo, hi = lo[:, cross], hi[:, cross]
     x = lo[0] + (m.delta - lo[1]) / (hi[1] - lo[1]) * (hi[0] - lo[0])
-    errors: dict[int, ContinuationError] = {}
-    roots = _bracketed(np.array([m.eps]), m, lo, hi, x, errors, m.delta)
-    if errors:
-        raise errors[0]
+    roots = _bracketed(np.array([m.eps]), m, lo, hi, x, m.delta)
+    failed = np.isnan(roots[1])
+    if failed.any():
+        raise ContinuationError(float(roots[0, failed.argmax()]), float(m.eps))
     xs, assigned, found = roots[0] % (2.0 * math.pi), np.zeros(roots.shape[1], bool), []
     for i in range(xs.size):
         if assigned[i]:

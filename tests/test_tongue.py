@@ -87,16 +87,15 @@ def bisect_edge(m, eps, upward, tol):
 
 @st.composite
 def sweep_cases(draw, mixed):
-    """A map and an ascending eps list whose widths stay far above the
-    Newton floor (q <= 5, eps >= 0.1), where the split of cells does not
-    chase round-off in ``D'``, with a forcing of ``sin kx`` (k = 1, 2) or,
-    when ``mixed``, ``sin x`` plus smaller harmonics."""
-    q = draw(st.integers(2, 5))
+    """A map and an ascending eps list, q <= 8 and eps >= 1e-3, so that
+    widths reach down to the Newton floor, with a forcing of ``sin kx``
+    (k = 1, 2) or, when ``mixed``, ``sin x`` plus smaller harmonics."""
+    q = draw(st.integers(2, 8))
     p = draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
     small = st.floats(-0.3, 0.3)
     f = (TrigPoly([draw(small), draw(small)], [1.0, draw(small)]) if mixed
          else TrigPoly.sine(draw(st.integers(1, 2))))
-    eps = sorted(draw(st.lists(st.floats(0.1, 0.5), min_size=1, max_size=4)))
+    eps = sorted(draw(st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=4)))
     return MapParams(0.0, 0.0, f, p, q), eps, draw(st.sampled_from([16, 32]))
 
 
@@ -160,6 +159,26 @@ class TestGlobalExtremum:
         _, pts, crit, grid = tongue._profile(m, 0.2, 64)
         assert grid == 64 and crit.shape[1] == 48
         assert np.all(np.diff(pts[0]) > 0)
+
+    @pytest.mark.parametrize("f,q,eps,grid", [
+        (SIN, 3, 1e-20, 24), (SIN, 3, 1e-100, 24),
+        (TrigPoly([0.07309136242653802, -0.06978616236248625], [-0.081695349979101]),
+         6, 0.0666, 48)],
+        ids=["sin-q3-eps1e-20", "sin-q3-eps1e-100", "mixed-q6-eps0.0666"])
+    def test_splitting_ends_at_the_newton_floor(self, monkeypatch, f, q, eps, grid):
+        """At the Newton floor ``D'`` is round-off, and cell after cell holds
+        a hidden max/min pair; a pair closer than ``TAU_NEWTON`` moves no
+        edge and is not split, so the refinement solves few points."""
+        solve_at, solved = tongue._solve_at, []
+
+        def counted(x, *args):
+            solved.append(x.size)
+            assert sum(solved) <= grid, "refinement does not end"
+            return solve_at(x, *args)
+
+        monkeypatch.setattr(tongue, "_solve_at", counted)
+        sample = width_at(MapParams(0.0, 0.0, f, 1, q), eps, grid)
+        assert 0.0 <= sample.width < tongue.TAU_NEWTON
 
 
 class TestBisectionOracle:
@@ -305,6 +324,57 @@ class TestSweepAndFit:
             SweepFailure(3.0, "continuation failed at x0=0.000000, eps=3"),)
         with pytest.raises(ContinuationError, match="x0=0.000000, eps=3"):
             width_at(m, 3.0, 24)
+
+    # the second window holds only the midpoint of a split cell
+    @pytest.mark.parametrize("f,q,p,grid,window", [
+        (SIN, 3, 1, 24, (0.3, 2.5)), (TrigPoly.sine(3), 8, 5, 64, (0.92, 0.95))],
+        ids=["sin-q3p1", "sin3x-q8p5-split-midpoint"])
+    def test_failed_refinement_point_fails_its_eps(self, monkeypatch, f, q, p, grid, window):
+        """A point between grid points that fails from both seeds stays a NaN
+        row until the edges are reduced, and a cell with a failed end is
+        not bracketed: its eps fails with the error of its smallest failed
+        x, and the other eps keeps its sample."""
+        m, bad = MapParams(0.0, 0.0, f, p, q), 0.2
+        alone, failed = width_at(m, 0.1, grid), []
+
+        def faulty(x0, eps, *args):
+            sol, ok, iterations = _solve_implicit(x0, eps, *args)
+            hit = (eps == bad) & (window[0] < x0) & (x0 < window[1])
+            failed.extend(x0[hit])
+            return sol, ok & ~hit, iterations
+
+        monkeypatch.setattr(tongue, "_solve_implicit", faulty)
+        result = sweep(m, [0.1, bad], grid=grid)
+        assert failed and result.samples == (alone,)
+        message = str(ContinuationError(min(failed), bad))
+        assert result.failures == (SweepFailure(bad, message),)
+        with pytest.raises(ContinuationError, match=message):
+            width_at(m, bad, grid)
+        with pytest.raises(ContinuationError, match=message):
+            orbits_at(replace(m, eps=bad), grid)
+
+    def test_failed_root_fails_orbits_at(self, monkeypatch):
+        """With the profile solved, a root of ``D = delta`` that fails from
+        both bracket ends fails :func:`orbits_at` at its x."""
+        m, failed, armed = MapParams(0.2, 0.0, SIN, 1, 3), [], []
+        profile = tongue._profile
+
+        def faulty(x0, eps, *args):
+            sol, ok, iterations = _solve_implicit(x0, eps, *args)
+            hit = bool(armed) & (0.3 < x0) & (x0 < 2.5)
+            failed.extend(x0[hit])
+            return sol, ok & ~hit, iterations
+
+        def arming_profile(*args):
+            solved = profile(*args)
+            armed.append(True)
+            return solved
+
+        monkeypatch.setattr(tongue, "_solve_implicit", faulty)
+        monkeypatch.setattr(tongue, "_profile", arming_profile)
+        with pytest.raises(ContinuationError) as raised:
+            orbits_at(m, 24)
+        assert failed and str(raised.value) == str(ContinuationError(min(failed), 0.2))
 
     def test_one_step_closed_form_sweep(self):
         m = MapParams(0.0, 0.0, SIN, 0, 1)
