@@ -14,15 +14,22 @@ carries the tool version and the resolved values of exactly those keys.
 step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
-for ``--bracket``, which bisects at the start step).  A classification
-adds the test that ended its run from the start state (``decided_by``:
-``trap`` for the energy trap certificate, ``velocity`` for velocities
-below ``TAU_EQ``, ``wave`` for the delay identity, ``horizon`` when
-undecided) and the RK4 steps of every run of the halving check
-(``rk4_steps``).  A bisection adds the RK4 steps of all its runs
-(``rk4_steps``) and how many probes each test decided
+for ``--bracket``, whose probes run at the start step).  A
+classification adds the test that ended its run from the start state
+(``decided_by``: ``trap`` for the energy trap certificate, ``velocity``
+for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
+``horizon`` when undecided) and the RK4 steps of every run of the
+halving check (``rk4_steps``).  ``--bracket`` solves for the fold of the
+pinned branch and confirms it by a probe just below it, which must
+settle, and one just above it, which must depin; where the fold solve
+fails or a probe disagrees it bisects the bracket.  It adds the RK4
+steps of all its runs (``rk4_steps``), how many probes each test decided
 (``probes_decided_by``: ``trap``, ``velocity``, or ``escape`` for a site
-that moved off the pinned branch).  ``--t-end`` and ``--format`` shape
+that moved off the pinned branch), the fold's torque (``fold_delta``,
+null when its solve failed) and the steps of that solve
+(``fold_newton_iters``), the final bracket (``bracket``) and the number
+of bisection probes (``bisection_probes``, 0 when both fold probes
+agreed and ``critical_delta`` is the fold).  ``--t-end`` and ``--format`` shape
 the trajectory that ``--out`` writes, so ``chain`` takes them only with
 ``--out``; for a whole-number ``--t-end`` (200 time units by default)
 the trajectory's rows are one time unit apart.  These
@@ -348,7 +355,7 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
     if cfg.bracket:
         dropped = given("out", "t_end", "format", "delta")
         if dropped:
-            raise UsageError("--bracket bisects over the drift and writes no trajectory, "
+            raise UsageError("--bracket searches the drift itself and writes no trajectory, "
                              f"so it takes no {', '.join(dropped)}")
         if len(cfg.bracket) != 2 or not all(map(math.isfinite, cfg.bracket)) \
                 or not cfg.bracket[0] < cfg.bracket[1]:
@@ -356,10 +363,12 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
                              + ",".join(f"{v:g}" for v in cfg.bracket))
         torque = critical_torque(c, tuple(cfg.bracket), horizon=cfg.horizon)
         report["critical_delta"] = torque.critical_delta
-        # critical_torque bisects at the start step, without halvings
+        # critical_torque probes at the start step, without halvings
         step = {"dt": torque.dt, "halvings": 0, "rk4_steps": torque.rk4_steps,
                 "probes_decided_by": {test: sum(p.decided_by == test for p in torque.probes)
-                                      for test in ("trap", "velocity", "escape")}}
+                                      for test in ("trap", "velocity", "escape")},
+                "fold_delta": torque.fold_delta, "fold_newton_iters": torque.fold_iterations,
+                "bracket": list(torque.bracket), "bisection_probes": torque.bisection_probes}
     else:
         # --t-end and --format only shape the trajectory --out writes
         dropped = given("t_end", "format")
@@ -464,7 +473,8 @@ _HELP = {
     "format": "output format (default csv):",
     "out": "output path (default: stdout)",
     "bracket": "lo,hi torque bracket, finite with lo < hi: measure the critical torque "
-               "instead of classifying",
+               "instead of classifying, as the fold of the pinned branch confirmed by "
+               "a probe on each side of it, bisecting where they disagree",
     "report": "path for the JSON report (default: stdout)",
     "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",

@@ -14,9 +14,9 @@ exact Jacobian from the one batched kernel
   which :mod:`tonguelab.tongue` also calls to solve points between the
   grid's.  Both carry eps per point, like ``x_0`` and the seed, so one
   batch solves the profiles of a whole eps sweep together.
-* :func:`solve_orbit_fixed_delta` and :func:`solve_orbits_fixed_delta`
-  keep the drift fixed and solve for the initial point ``(x_0, y_0)``;
-  :func:`tonguelab.tongue.orbits_at` seeds them from the profile's roots.
+* :func:`solve_orbit_fixed_delta` keeps the drift fixed and solves for
+  the initial point ``(x_0, y_0)``; :func:`tonguelab.tongue.orbits_at`
+  seeds it from the profile's roots.
 
 One damped Newton iteration serves both, on any number of points at
 once, each with its own ``(x0, y0, delta, eps)``: the Jacobian
@@ -156,23 +156,6 @@ def _orbit(res: np.ndarray, jac: np.ndarray, path: np.ndarray) -> PeriodicOrbit:
     states = tuple(PhaseState(x, y) for x, y in path.tolist())
     return PeriodicOrbit(states, RemainderPair(float(res[0]), float(res[1])),
                          _kind(2.0 + float(jac[0, 0] + jac[1, 1])))
-
-
-def solve_orbits_fixed_delta(starts, m: MapParams,
-                             max_iter: int = 50) -> list[PeriodicOrbit | None]:
-    """Damped Newton on the periodicity conditions at fixed drift, for a
-    batch of ``(x0, y0)`` starts solved together.
-
-    Returns one entry per start: ``None`` when the start does not converge
-    within ``max_iter``, diverges, or meets a singular Newton system, and
-    otherwise the orbit built from the batch's own final jet at the
-    converged point.
-    """
-    pts = np.asarray(starts, dtype=float).reshape(-1, 2)
-    u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta), np.full(len(pts), m.eps)])
-    status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
-    return [_orbit(res[:, k], jac[..., k], path[..., k]) if status[k] == _CONVERGED else None
-            for k in range(len(pts))]
 
 
 def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,

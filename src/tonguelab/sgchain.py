@@ -13,7 +13,7 @@ are in bijection with p/q periodic orbits of the drifted cylinder map
 cross-checked against the tongue edge max of the drift profile.
 
 Integration is fixed-step classical 4th order within each run: runs are
-short and the bisection logic on top needs deterministic
+short and the torque probes on top need deterministic
 reproducibility.  The step is chosen, not set:
 
 * **Start step.**  :func:`default_dt` takes ``h * omega_max = 0.8`` with
@@ -32,10 +32,12 @@ reproducibility.  The step is chosen, not set:
   persists at the finer step with the same period.  After a pair of
   waves disagrees it skips to the first halving at which RK4's ``h^4``
   error law predicts agreement.
-* **Bisection at the start step.**  An equilibrium of the chain makes
-  every RK4 stage vanish, so it is a fixed point of the RK4 step for any
-  ``h``: the pinned branch that :func:`critical_torque` follows does not
-  move with the step.
+* **Critical torque at the start step.**  :func:`critical_torque` solves
+  for the fold at which the pinned branch ends and confirms it by two
+  probes just below and above it, falling back to bisection where they
+  disagree.  An equilibrium of the chain makes every RK4 stage vanish, so
+  it is a fixed point of the RK4 step for any ``h``: the pinned branch
+  and its fold do not move with the step.
 
 A run stops at the first check that decides it.  The checks come every
 ``CHECK_EVERY`` time units, so a run ends within that span of the moment
@@ -44,13 +46,14 @@ energy trap certificate (:func:`_trap`) holds: the damped chain's energy
 ``E = sum v^2/2 + V(x)`` never increases, and Newton on the equilibrium
 equations finds a stable equilibrium ``x_e`` whose well the state cannot
 leave with the energy it has left, so the run converges to ``x_e``.  The
-settled state is then ``x_e`` itself at rest, and :func:`critical_torque`
-continues the pinned branch from that exact equilibrium.  A run keeps the
-last well it found and, while the state stays inside it, re-evaluates
-only the energy inequality, not Newton.  The certificate ends a pinned
-run long before its velocities die out; the older test, every |velocity|
-below ``TAU_EQ`` over the last span, remains for chains where it finds
-no certificate (``eps = 0``, a flat well, Newton not converging).
+settled state is then ``x_e`` itself at rest, from which
+:func:`critical_torque` follows the pinned branch to its fold.  A run
+keeps the last well it found and, while the state stays inside it,
+re-evaluates only the energy inequality, not Newton.  The certificate
+ends a pinned run long before its velocities die out; the older test,
+every |velocity| below ``TAU_EQ`` over the last span, remains for chains
+where it finds no certificate (``eps = 0``, a flat well, Newton not
+converging).
 
 A chain has only a few sites, so a step written site by site is
 dominated by the fixed cost of each numpy call, not by arithmetic.
@@ -79,15 +82,21 @@ _RK4_REAL_LIMIT = 2.785293563405282
 CHECK_EVERY = 50.0
 # Equilibrium when every |velocity| stays below this over one check's span.
 TAU_EQ = 1e-8
-# Newton iterations the trap certificate may take to reach its equilibrium.
-_TRAP_NEWTON_ITERS = 8
+# Newton steps one equilibrium solve (_equilibrium) may take.
+_NEWTON_ITERS = 8
+# Newton steps the fold solve may take, and halvings of each of its steps.
+_FOLD_NEWTON_ITERS = 20
+# The fold solve starts from the pinned equilibrium rounded to this many decimals.
+_FOLD_START_DECIMALS = 3
 # Bound on the rounding of one force entry or Cholesky step, per unit of its scale.
 _ROUND = 8.0 * np.finfo(float).eps
 # Traveling wave when the neighbor-delay identity holds this tightly.
 TAU_WAVE = 1e-4
 # Give up and report "undecided" after this much integrated time.
 DEFAULT_HORIZON = 1e5
-# critical_torque bisects until the bracket is this narrow relative to its ends.
+# critical_torque probes the fold at (1 -+ this/2) times it, from the pinned
+# equilibrium at (1 - this) times it; its fallback bisection stops once the
+# bracket is this narrow relative to its ends.
 BISECTION_RTOL = 1e-3
 # Positions beyond this magnitude abort the run as a blow-up.
 BLOWUP_LIMIT = 1e8
@@ -624,6 +633,44 @@ def _trap(state: ChainState, c: ChainParams,
     return well, _holds(state, c, well)
 
 
+def _scale(x: np.ndarray, c: ChainParams, delta: float) -> float:
+    """The size of the terms of the equilibrium equations at ``x``: their
+    residual is converged once it is below ``1e-14`` of one plus this."""
+    return 4.0 * float(np.max(np.abs(x))) + 2.0 * math.pi * c.p + abs(delta) + c.eps
+
+
+def _equilibrium(pos: np.ndarray, c: ChainParams):
+    """Newton on the equilibrium equations ``lap x + wrap + delta - eps sin x
+    = 0`` from ``pos``, each step solved with the Cholesky factor of the
+    Hessian ``H = eps diag(cos x) - lap`` of the potential.
+
+    Returns ``(x, hess, low, rho)``: the stable equilibrium, ``H`` there and
+    its lower Cholesky factor, and the residual's norm widened by a bound
+    on its rounding; ``None`` when ``H`` stops being positive definite, an
+    iterate moves more than 1 from ``pos`` on some site (it has left the
+    well that ``pos`` lies in), or ``_NEWTON_ITERS`` steps do not
+    converge.  :func:`_well` builds the trap certificate on it, and
+    :func:`_fold` continues the pinned branch with it from the fold to
+    the probes' start.
+    """
+    lap, wrap = _coupling(c.q, c.p)
+    x = pos
+    for _ in range(_NEWTON_ITERS):
+        force = lap @ x + wrap + c.delta - c.eps * np.sin(x)
+        hess = c.eps * np.diag(np.cos(x)) - lap
+        low = _cholesky(hess)
+        if low is None:
+            return None
+        scale = _scale(x, c, c.delta)
+        rho = math.sqrt(float(force @ force)) + _ROUND * math.sqrt(c.q) * scale
+        if rho <= 1e-14 * (1.0 + scale):
+            return x, hess, low, rho
+        x = x + _cholesky_solve(low, force)
+        if float(np.max(np.abs(x - pos))) > 1.0:
+            return None
+    return None
+
+
 def _well(pos: np.ndarray, c: ChainParams) -> _Well | None:
     """The stable equilibrium ``x_e`` that Newton reaches from ``pos`` and the
     ball about it on which the trap certificate of :func:`_holds` holds;
@@ -632,8 +679,8 @@ def _well(pos: np.ndarray, c: ChainParams) -> _Well | None:
     The damped chain has the Lyapunov function ``E = sum v^2/2 + V(x)``,
     ``V = -x.(lap x/2 + wrap) - eps sum cos x - delta sum x`` (see
     :func:`_coupling`), with ``dE/dt = -gamma sum v^2 <= 0``.  Newton on
-    the equilibrium equations ``lap x + wrap + delta - eps sin x = 0``,
-    started from ``pos``, gives ``x_e`` with a residual of norm ``rho``;
+    the equilibrium equations (:func:`_equilibrium`), started from
+    ``pos``, gives ``x_e`` with a residual of norm ``rho``;
     ``lam > 0`` bounds the smallest eigenvalue of the Hessian
     ``H = -lap + eps diag(cos x_e)`` of ``V`` there from below, and
     ``r = lam/(2 eps)``.  As ``|cos a - cos b| <= |a - b|``,
@@ -641,7 +688,9 @@ def _well(pos: np.ndarray, c: ChainParams) -> _Well | None:
     Taylor's theorem ``V(x) >= V(x_e) - rho |x - x_e| + lam |x - x_e|^2/4``
     on the ball and ``V >= V(x_e) + lam r^2/4 - rho r`` on its sphere.
     ``V`` is strictly convex on the ball, so the ball holds exactly one
-    equilibrium, within ``2 rho/lam`` of ``x_e``.
+    equilibrium, within ``2 rho/lam`` of ``x_e``.  ``r <= 1/2`` (``lam`` is
+    at most ``eps``, by the Rayleigh quotient of the constant vector), so
+    a Newton iterate more than 1 from ``pos`` leads to no trap.
 
     ``rho`` is widened by a bound on its rounding.  The only LAPACK
     routine used is Cholesky's: with numpy 2.4 the first call of
@@ -658,25 +707,10 @@ def _well(pos: np.ndarray, c: ChainParams) -> _Well | None:
     """
     if c.eps <= 0.0:
         return None
-    lap, wrap = _coupling(c.q, c.p)
-    x = pos
-    for _ in range(_TRAP_NEWTON_ITERS):
-        force = lap @ x + wrap + c.delta - c.eps * np.sin(x)
-        hess = c.eps * np.diag(np.cos(x)) - lap
-        low = _cholesky(hess)
-        if low is None:
-            return None
-        scale = 4.0 * float(np.max(np.abs(x))) + 2.0 * math.pi * c.p + abs(c.delta) + c.eps
-        rho = math.sqrt(float(force @ force)) + _ROUND * math.sqrt(c.q) * scale
-        if rho <= 1e-14 * (1.0 + scale):
-            break
-        x = x + _cholesky_solve(low, force)
-        # r <= 1/2 (lam is at most eps, by the Rayleigh quotient of the
-        # constant vector), so an iterate this far away leads to no trap
-        if float(np.max(np.abs(x - pos))) > 1.0:
-            return None
-    else:
+    solved = _equilibrium(pos, c)
+    if solved is None:
         return None
+    x, hess, low, rho = solved
     mode = np.ones(c.q)
     for _ in range(3):
         mode = _cholesky_solve(low, mode)
@@ -720,7 +754,8 @@ class InvalidBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorqueProbe:
-    """One bisection probe of :func:`critical_torque`."""
+    """One probe of :func:`critical_torque`: a run at torque ``delta`` from
+    a pinned equilibrium at rest, until it settles or depins."""
 
     delta: float
     outcome: str  # "equilibrium" | "depinned" | "undecided"
@@ -730,14 +765,26 @@ class TorqueProbe:
 
 @dataclass(frozen=True)
 class CriticalTorque:
-    """The critical torque and how the bisection reached it: ``dt`` is the
-    start step :func:`default_dt` at which every run of the bisection
-    integrated, with no halving."""
+    """The critical torque and how :func:`critical_torque` reached it.
+
+    ``dt`` is the start step :func:`default_dt` at which every run
+    integrated, with no halving.  ``fold_delta`` is the fold of the pinned
+    branch, ``None`` when its solve failed, and ``fold_iterations`` the
+    steps of that solve (:func:`_fold`: Newton steps, and continuation
+    steps below the branch's inflection).  ``bracket`` is the final
+    bracket and
+    ``bisection_probes`` counts the probes of the fallback bisection: 0
+    when both fold probes agree, and ``critical_delta`` is then the fold.
+    """
 
     critical_delta: float
     dt: float
     rk4_steps: int  # over both bracket-end classifications and every probe
-    probes: tuple[TorqueProbe, ...]
+    probes: tuple[TorqueProbe, ...]  # in the order they ran
+    fold_delta: float | None
+    fold_iterations: int
+    bracket: tuple[float, float]
+    bisection_probes: int
 
 
 def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
@@ -782,21 +829,147 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
     return probe("undecided", "horizon"), state
 
 
+def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):
+    """The terms of :func:`_fold`'s extended system at positions ``x``:
+    ``(delta, force, g, v, low, norm)``, or ``None`` where ``B^T H B`` is
+    not positive definite, ``B`` being ``basis``.
+
+    ``delta`` is the torque that balances the mean force at ``x`` and
+    ``force`` the residual of the equilibrium equations with it; ``g`` and
+    ``v`` solve the bordered system ``H v + g 1 = 0``, ``1.v = 1``, by the
+    Cholesky factor ``low`` of ``B^T H B``, and ``norm`` is the norm of
+    ``(force, g)``.
+    """
+    lap, wrap = _coupling(c.q, c.p)
+    hess = c.eps * np.diag(np.cos(x)) - lap
+    low = _cholesky(basis.T @ hess @ basis)
+    if low is None:
+        return None
+    force = lap @ x + wrap - c.eps * np.sin(x)
+    delta = -float(np.mean(force))
+    force += delta
+    one = np.ones(c.q)
+    v = (one - basis @ _cholesky_solve(low, basis.T @ hess @ one)) / c.q
+    g = -float(np.mean(hess @ v))
+    return delta, force, g, v, low, math.sqrt(float(force @ force) + g * g)
+
+
+def _fold(pos: np.ndarray, c: ChainParams,
+          top: float) -> tuple[tuple[float, np.ndarray] | None, int]:
+    """The fold of the pinned branch through the equilibrium ``pos``: its
+    torque ``delta_f`` and the branch's stable equilibrium at
+    ``delta_f (1 - BISECTION_RTOL)``, or ``None`` when the solve fails,
+    together with the steps the solve took.  ``top`` bounds the torques
+    the continuation below tries.
+
+    The sites' forces sum to ``q delta - eps sum sin x`` (the coupling sums
+    to zero over the ring), so on the branch ``delta = eps mean(sin x)``,
+    and the other equations, ``B^T (lap x + wrap - eps sin x) = 0`` for the
+    basis ``B`` of columns ``e_{k+1} - e_k`` of the site vectors that sum
+    to zero, leave it one free direction.  The
+    branch ends at a fold, where the Hessian ``H = eps diag(cos x) - lap``
+    of the potential is singular with a null vector that does not sum to
+    zero.  The bordered system ``H v + g 1 = 0``, ``1.v = 1`` then has
+    ``g = 0``, and Newton solves the extended system ``(B^T F, g) = 0`` in
+    ``x``, ``F`` being the force (a minimally extended system with the
+    bordered test function of Griewank and Reddien, 1984; see Govaerts,
+    *Numerical Methods for Bifurcations of Dynamical Equilibria*, 2000, and
+    for the full extended system Moore and Spence, 1980).  ``g = -v.H v``
+    is ``-1/q`` times the slope of ``delta`` along the branch against the
+    mean position ``s``: negative on the stable branch, zero at the fold.
+    By the symmetry of ``H`` its gradient is ``eps sin(x) v^2``, and
+    ``kappa = (eps sin(x) v^2).v`` gives the branch's curvature,
+    ``delta = delta_f - q^2 kappa (s - s_f)^2 / 2`` near the fold.  ``H``
+    is positive definite on the vectors that sum to zero along the stable
+    branch and through the fold, so every solve uses the Cholesky factor
+    of ``B^T H B``, and no other factorization.
+
+    The solve starts on the branch near ``pos``, rounded to
+    ``_FOLD_START_DECIMALS`` decimals: ``pos`` comes from a run, and its
+    last digits, which depend on the run's step, would otherwise reach the
+    last digits of the fold, which Newton finds only to within a few
+    roundings.  Where ``kappa <= 0`` the branch is below its inflection
+    and the torque has no maximum ahead, so :func:`_equilibrium` continues
+    the branch in ``delta``, halfway to the lowest torque above it at
+    which it has failed (``top`` at first).  Where ``kappa > 0`` Newton
+    follows the branch in ``s``, which, unlike ``delta``, does not turn at
+    the fold; a step is halved until the norm of ``(F, g)`` drops, at most
+    ``_FOLD_NEWTON_ITERS`` times.  The solve fails after that many steps
+    of either kind.  It has converged when a whole Newton step no longer
+    lowers the norm and the norm is below ``1e-14`` of one plus the
+    equations' scale, the bound at which :func:`_equilibrium` stops.  The
+    quadratic model then puts the branch's equilibrium at
+    ``delta_f (1 - BISECTION_RTOL)`` at
+    ``x_f - sqrt(2 BISECTION_RTOL |delta_f| / kappa) v``, and
+    :func:`_equilibrium` continues the branch there from that prediction.
+    """
+    basis = np.eye(c.q, c.q - 1, -1) - np.eye(c.q, c.q - 1)
+    x = np.round(pos, _FOLD_START_DECIMALS)
+    terms = _fold_terms(x, c, basis)
+    for steps in range(_FOLD_NEWTON_ITERS):
+        if terms is None:
+            return None, steps
+        delta, force, g, v, low, norm = terms
+        slope = c.eps * np.sin(x) * v * v
+        kappa = float(slope @ v)
+        if not kappa > 0.0:
+            mid = 0.5 * (delta + top)
+            ahead = _equilibrium(x, replace(c, delta=mid))
+            if ahead is None:
+                top = mid
+            else:
+                x = ahead[0]
+                terms = _fold_terms(x, c, basis)
+            continue
+        step = basis @ _cholesky_solve(low, basis.T @ force)
+        step -= (g + float(slope @ step)) / kappa * v
+        for _ in range(_FOLD_NEWTON_ITERS):
+            terms = _fold_terms(x + step, c, basis)
+            if terms is not None and terms[-1] < norm:
+                break
+            if norm <= 1e-14 * (1.0 + _scale(x, c, delta)):
+                guess = x - math.sqrt(2.0 * BISECTION_RTOL * abs(delta) / kappa) * v
+                below = _equilibrium(guess, replace(c, delta=delta * (1.0 - BISECTION_RTOL)))
+                return (None if below is None else (delta, below[0])), steps
+            step *= 0.5
+        else:
+            return None, steps + 1
+        x = x + step
+    return None, _FOLD_NEWTON_ITERS
+
+
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
                     horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
-    """Bisect the torque between pinned and running behavior.
+    """The torque at which the pinned branch ends: its fold, confirmed by two
+    probes, or a bisection between pinned and running behavior where
+    they disagree.
 
     The bracket ends are validated with the full attractor classifier
     (equilibrium at ``bracket[0]``, traveling wave at ``bracket[1]``).
-    Interior points use the pinned/depinned dichotomy instead: close to
-    the threshold the wave period diverges, so waiting for a full period
-    there would turn each probe into an hours-long run, while escape by a
-    full turn decides "no equilibrium" just as rigorously given the
-    attractor dichotomy.  Each probe restarts at rest from the last settled
-    equilibrium so the continuation follows the pinned branch; the first
-    is the one the classification at ``bracket[0]`` settled in.  A probe
-    settled by the energy trap certificate hands on its Newton
-    equilibrium, which solves the equilibrium equations to rounding.
+    From the equilibrium that the classification at ``bracket[0]``
+    settled in, :func:`_fold` solves for the fold of the pinned branch and
+    continues the branch to its equilibrium at ``fold (1 -
+    BISECTION_RTOL)``.  Two probes start at rest from that equilibrium, at
+    ``fold (1 -+ BISECTION_RTOL/2)``: the lower one must settle and the
+    upper one must depin.  The probes are the evidence: the fold alone
+    solves the equilibrium equations, not the dynamics.  Each probe that
+    agrees narrows the bracket to its torque; one that disagrees (through
+    hysteresis, or a fold of another branch) leaves the bracket as it is.
+    Then, while the bracket is wider than ``BISECTION_RTOL`` relative to
+    its larger end, its midpoint is probed, so this bisection runs only
+    where the fold solve failed or a fold probe disagreed.
+
+    Probes use the pinned/depinned dichotomy of :func:`_settles_or_depins`
+    instead of the classifier: close to the threshold the wave period
+    diverges, so waiting for a full period there would turn each probe
+    into an hours-long run, while escape by a full turn decides "no
+    equilibrium" just as rigorously given the attractor dichotomy.  The
+    chain is underdamped and hysteretic, so each bisection probe restarts
+    at rest from the last settled equilibrium, the first being the one
+    the classification at ``bracket[0]`` settled in, and the fold probes
+    start just below the fold on the branch.  A probe settled by the
+    energy trap certificate hands on its Newton equilibrium, which solves
+    the equilibrium equations to rounding.
 
     Every run uses the start step :func:`default_dt`, with no halving
     check.  At an equilibrium of the chain every RK4 stage is zero, so
@@ -806,11 +979,12 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     branch, and the torque at which it ends, therefore do not move with
     the step.  The bracket ends need only their kind, not a wave period.
 
-    The bisection stops once the bracket is narrower than
-    ``BISECTION_RTOL`` relative to its larger end.  Returns the midpoint of
-    the final bracket, the step, every probe in order and the RK4 steps
-    of every run.  Raises :class:`InvalidBracketError` when the bracket
-    does not have ``lo < hi`` or its ends are not of the two kinds, and
+    Returns the fold when both fold probes agree, and otherwise the
+    midpoint of the final bracket, with the step, every probe in order,
+    the RK4 steps of every run, the fold and its solve's steps, the final
+    bracket and the number of bisection probes.  Raises
+    :class:`InvalidBracketError` when the bracket does not have
+    ``lo < hi`` or its ends are not of the two kinds, and
     :class:`ValueError` when ``horizon`` is not finite and positive.
     """
     _check_horizon(horizon)
@@ -827,18 +1001,39 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     if rep_hi.kind != "traveling_wave":
         raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} "
                                           f"(got {rep_hi.kind})")
-    probes = []
-    while (hi - lo) > BISECTION_RTOL * max(abs(hi), abs(lo), 1e-12):
-        mid = 0.5 * (lo + hi)
-        probe, final = _settles_or_depins(eq_state, replace(c, delta=mid), horizon, dt)
+    fold, fold_iterations = _fold(settled.pos, c, hi)
+    fold_delta, planned = None, []
+    if fold is not None:
+        fold_delta, below = fold
+        fold_start = ChainState(0.0, below, np.zeros(c.q))
+        # each fold probe with the outcome it must have
+        planned = [(fold_delta * (1.0 - 0.5 * BISECTION_RTOL), "equilibrium"),
+                   (fold_delta * (1.0 + 0.5 * BISECTION_RTOL), "depinned")]
+    probes, agreed, bisected = [], 0, 0
+    while True:
+        planned = [(d, outcome) for d, outcome in planned if lo < d < hi]
+        if planned:
+            (mid, expected), start = planned.pop(0), fold_start
+        elif (hi - lo) > BISECTION_RTOL * max(abs(hi), abs(lo), 1e-12):
+            mid, expected, start = 0.5 * (lo + hi), None, eq_state
+            bisected += 1
+        else:
+            break
+        probe, final = _settles_or_depins(start, replace(c, delta=mid), horizon, dt)
         probes.append(probe)
+        if probe.outcome == "undecided":
+            raise RuntimeError(f"undecided at delta={mid:g} within horizon "
+                               f"{horizon:g}; raise the horizon")
+        if expected is not None:
+            if probe.outcome != expected:
+                continue
+            agreed += 1
         if probe.outcome == "equilibrium":
             lo = mid
             eq_state = ChainState(0.0, final.pos, np.zeros(c.q))
-        elif probe.outcome == "depinned":
-            hi = mid
         else:
-            raise RuntimeError(f"undecided at delta={mid:g} within horizon "
-                               f"{horizon:g}; raise the horizon")
+            hi = mid
+    crit = fold_delta if agreed == 2 else 0.5 * (lo + hi)
     steps = rep_lo.rk4_steps + rep_hi.rk4_steps + sum(p.rk4_steps for p in probes)
-    return CriticalTorque(0.5 * (lo + hi), dt, steps, tuple(probes))
+    return CriticalTorque(crit, dt, steps, tuple(probes), fold_delta, fold_iterations,
+                          (lo, hi), bisected)

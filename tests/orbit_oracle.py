@@ -3,8 +3,10 @@
 :func:`step` and :func:`iterate` walk the map one scalar step at a time,
 independently of the batched kernel :func:`~tonguelab.cylmap.remainder_jet`
 that the package iterates the map with; :func:`is_walk` checks the
-kernel's points against them.  :func:`multistart_orbits` is a fixed-drift
-orbit search from a grid of Newton starts.  It never evaluates the drift
+kernel's points against them.  :func:`solve_orbits_fixed_delta` runs the
+package's fixed-drift Newton on a batch of starts, and
+:func:`multistart_orbits` is a fixed-drift orbit search from a grid of
+such starts.  It never evaluates the drift
 profile, so it checks :func:`tonguelab.tongue.orbits_at`, which builds
 its orbits from the profile's roots, by an independent route.  :func:`monodromy` multiplies
 the tangent maps along an orbit one step at a time, independently of
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import PeriodicOrbit, solve_orbits_fixed_delta
+from tonguelab.orbits import _CONVERGED, _FIXED_DELTA, PeriodicOrbit, _newton, _orbit
 
 
 def kick(m: MapParams, x: float) -> float:
@@ -88,6 +90,23 @@ def orbit_distance(a: PeriodicOrbit, b: PeriodicOrbit) -> float:
             worst = max(worst, dx, abs(sa.y - sb.y))
         best = min(best, worst)
     return best
+
+
+def solve_orbits_fixed_delta(starts, m: MapParams,
+                             max_iter: int = 50) -> list[PeriodicOrbit | None]:
+    """Damped Newton on the periodicity conditions at fixed drift, for a
+    batch of ``(x0, y0)`` starts solved together.
+
+    Returns one entry per start: ``None`` when the start does not converge
+    within ``max_iter``, diverges, or meets a singular Newton system, and
+    otherwise the orbit built from the batch's own final jet at the
+    converged point.
+    """
+    pts = np.asarray(starts, dtype=float).reshape(-1, 2)
+    u = np.array([pts[:, 0], pts[:, 1], np.full(len(pts), m.delta), np.full(len(pts), m.eps)])
+    status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
+    return [_orbit(res[:, k], jac[..., k], path[..., k]) if status[k] == _CONVERGED else None
+            for k in range(len(pts))]
 
 
 def multistart_orbits(m: MapParams, x0_grid: int = 64,

@@ -9,6 +9,9 @@ import pytest
 
 import tonguelab
 from tonguelab import cli, sgchain
+from tonguelab.cylmap import MapParams
+from tonguelab.tongue import width_at
+from tonguelab.trigpoly import TrigPoly
 
 SAMPLE_KEYS = {"eps", "width", "delta_max", "delta_min", "x_argmax", "x_argmin"}
 
@@ -277,7 +280,8 @@ def test_chain_classification(capsys):
 
 def test_chain_reports_its_step(capsys):
     """The JSON meta says at which RK4 step the result was obtained and how
-    many halvings the check took; the bisection runs at the start step."""
+    many halvings the check took; the torque probes run at the start step,
+    and the critical torque is the Newton tongue edge to 1e-9."""
     chain = sgchain.ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.012)
     rc, out = run_json(capsys, ["chain", "--q", "3", "--p", "1", "--eps", "0.6",
                                 "--delta", "0.012"])
@@ -287,15 +291,17 @@ def test_chain_reports_its_step(capsys):
     assert step["dt"] == sgchain.default_dt(chain) / 2 ** step["halvings"]
     rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
                                 "--gamma", "0.25", "--bracket", "0.01,0.1"])
-    assert rc == 0 and out["critical_delta"] == 0.04465087890625
+    edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
+    assert rc == 0 and out["critical_delta"] == pytest.approx(edge, rel=1e-9, abs=0.0)
     pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
     diag = out["meta"]["diagnostics"]
     assert (diag["dt"], diag["halvings"]) == (sgchain.default_dt(pinning), 0)
 
 
 def test_bracket_reports_how_it_decided(capsys):
-    """The bisection's diagnostics count its RK4 steps and the test that
-    decided each probe, as the record critical_torque returns."""
+    """The diagnostics count the RK4 steps and the test that decided each
+    probe, and give the fold, its Newton steps, the final bracket and the
+    bisection probes, as the record critical_torque returns."""
     rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
                                 "--gamma", "0.25", "--bracket", "0.01,0.1"])
     assert rc == 0
@@ -303,12 +309,32 @@ def test_bracket_reports_how_it_decided(capsys):
     torque = sgchain.critical_torque(pinning, (0.01, 0.1))
     assert out["critical_delta"] == torque.critical_delta
     diag = out["meta"]["diagnostics"]
-    assert set(diag) == {"dt", "halvings", "rk4_steps", "probes_decided_by"}
+    assert set(diag) == {"dt", "halvings", "rk4_steps", "probes_decided_by", "fold_delta",
+                         "fold_newton_iters", "bracket", "bisection_probes"}
     assert diag["rk4_steps"] == torque.rk4_steps
     counts = diag["probes_decided_by"]
     assert set(counts) == {"trap", "velocity", "escape"}
     assert sum(counts.values()) == len(torque.probes)
     assert counts["trap"] > 0 and counts["escape"] > 0
+    assert diag["fold_delta"] == torque.fold_delta == out["critical_delta"]
+    assert diag["fold_newton_iters"] == torque.fold_iterations > 0
+    assert diag["bracket"] == list(torque.bracket)
+    assert diag["bisection_probes"] == torque.bisection_probes == 0
+
+
+def test_bracket_reports_a_fallback_bisection(capsys, monkeypatch):
+    """A fold solve that runs out of Newton steps leaves the bracket to the
+    bisection, and the diagnostics say so."""
+    monkeypatch.setattr(sgchain, "_FOLD_NEWTON_ITERS", 1)
+    rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
+                                "--gamma", "0.25", "--bracket", "0.01,0.1"])
+    assert rc == 0
+    diag = out["meta"]["diagnostics"]
+    assert (diag["fold_delta"], diag["fold_newton_iters"]) == (None, 1)
+    assert diag["bisection_probes"] == sum(diag["probes_decided_by"].values()) > 0
+    lo, hi = diag["bracket"]
+    assert hi - lo <= sgchain.BISECTION_RTOL * hi
+    assert out["critical_delta"] == 0.5 * (lo + hi)
 
 
 def test_chain_halving_failure_exits_1(capsys, monkeypatch):
@@ -475,7 +501,7 @@ def test_profile_grid_below_eight_q_is_raised(capsys):
 @pytest.mark.parametrize("flag,value", [("--out", "t.csv"), ("--t-end", "20"),
                                         ("--delta", "0.3"), ("--format", "svg")])
 def test_bracket_rejects_what_it_drops(tmp_path, capsys, flag, value):
-    """--bracket writes no trajectory and bisects over the drift itself."""
+    """--bracket writes no trajectory and searches the drift itself."""
     if flag == "--out":
         value = str(tmp_path / value)
     rc = cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--bracket", "0.01,0.1",

@@ -229,14 +229,28 @@ class TestCriticalTorque:
         assert _settles_or_depins(near, probe, DEFAULT_HORIZON, dt)[0].outcome == "equilibrium"
 
     def test_matches_newton_tongue_edge(self):
-        crit = critical_torque(PINNING, (0.01, 0.1)).critical_delta
+        """The chain's fold solves the map's tongue-edge equations, and the
+        probes confirm it: the critical torque is the edge to rounding."""
+        for c, bracket in [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))]:
+            crit = critical_torque(c, bracket).critical_delta
+            edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
+            assert crit == pytest.approx(edge, rel=1e-9, abs=0.0)
+
+    def test_a_pinned_end_below_the_inflection_still_reaches_the_fold(self):
+        """At delta = -0.02 the torque falls toward the branch's other end, so
+        the branch is continued up in delta before Newton seeks the fold.
+        (Bisected from there, the probe at 0.04 depinned by overshoot and
+        the torque came out as 0.03999.)"""
+        result = critical_torque(PINNING, (-0.02, 0.1))
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
-        assert crit == pytest.approx(edge, rel=1e-3)
+        assert result.bisection_probes == 0
+        assert result.critical_delta == result.fold_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_does_not_move_with_the_step(self, monkeypatch, c, bracket):
-        """The bisection follows equilibria, which are fixed points of the RK4
-        step at any stable h: halving the start step gives the same torque."""
+        """The fold and the probes' starts are equilibria, which are fixed
+        points of the RK4 step at any stable h: halving the start step gives
+        the same torque."""
         coarse = critical_torque(c, bracket).critical_delta
         start = sgchain.default_dt
         monkeypatch.setattr(sgchain, "default_dt", lambda chain: 0.5 * start(chain))
@@ -386,10 +400,10 @@ def pinned_chains(draw):
 class TestTrapCertificate:
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_verdicts_match_the_velocity_criterion(self, monkeypatch, c, bracket):
-        """Every probe of the bisection, and both bracket-end classifications,
-        run again from the same start with the certificate switched off (no
-        well is ever found): the velocity criterion reaches the same
-        verdict, and the bisection the same torque."""
+        """Both fold probes, and both bracket-end classifications, run again
+        from the same start with the certificate switched off (no well is
+        ever found): the velocity criterion reaches the same verdict, and
+        critical_torque the same torque."""
         probe, classify, trap = sgchain._settles_or_depins, sgchain._classify_attractor, sgchain._trap
         runs, certified = [], []
 
@@ -412,7 +426,7 @@ class TestTrapCertificate:
         monkeypatch.setattr(sgchain, "_classify_attractor", recording_classify)
         monkeypatch.setattr(sgchain, "_trap", recording_trap)
         crit = critical_torque(c, bracket).critical_delta
-        assert any(certified) and len(runs) > 5
+        assert any(certified) and len(runs) == 4
         monkeypatch.setattr(sgchain, "_trap", trap)
         monkeypatch.setattr(sgchain, "_well", lambda pos, chain: None)
         for run, s0, chain, dt, verdict in runs:
@@ -549,30 +563,85 @@ class TestTrapCertificate:
 
 class TestBisectionRecord:
     def test_the_record_counts_every_step_and_names_each_probe(self, monkeypatch):
-        """The bench's critical-torque bisection: the record holds every
-        probe in order, with the test that decided it, and counts the RK4
-        steps of every run; fewer than 7000 of them (9100 when the runs were
-        checked at the ends of doubling windows)."""
-        steps = []
+        """The bench's critical torque: the fold, confirmed by a probe half a
+        BISECTION_RTOL below it that the trap certificate settles and one
+        half a BISECTION_RTOL above it that escapes, both from the branch's
+        equilibrium a whole BISECTION_RTOL below the fold.  The record
+        counts the RK4 steps of every run: at most 2600 of them (6711 when
+        the torque was bisected)."""
+        steps, starts = [], []
 
         def counting(state, chain, dt, t_end, record_every=0):
             traj = integrate(state, chain, dt, t_end, record_every)
             steps.append(traj.steps)
             return traj
 
+        def recording(s0, chain, horizon, dt):
+            starts.append(s0)
+            return _settles_or_depins(s0, chain, horizon, dt)
+
         monkeypatch.setattr(sgchain, "integrate", counting)
+        monkeypatch.setattr(sgchain, "_settles_or_depins", recording)
         result = critical_torque(PINNING, (0.01, 0.1))
-        assert result.critical_delta == 0.04465087890625
+        fold = result.fold_delta
+        rtol = sgchain.BISECTION_RTOL
+        assert result.critical_delta == fold
+        assert 0 < result.fold_iterations <= sgchain._FOLD_NEWTON_ITERS
         assert result.dt == default_dt(PINNING)
-        assert result.rk4_steps == sum(steps) <= 7000
+        assert result.rk4_steps == sum(steps) <= 2600
+        low, high = result.probes
+        assert (low.delta, low.outcome, low.decided_by) == (fold * (1 - rtol / 2),
+                                                             "equilibrium", "trap")
+        assert (high.delta, high.outcome, high.decided_by) == (fold * (1 + rtol / 2),
+                                                                "depinned", "escape")
+        assert result.bracket == (low.delta, high.delta)
+        assert result.bisection_probes == 0
+        assert sum(p.rk4_steps for p in result.probes) < result.rk4_steps
+        # both start at rest from the branch's equilibrium at fold (1 - rtol)
+        assert starts[0] is starts[1]
+        below = replace(PINNING, delta=fold * (1 - rtol))
+        assert np.abs(equilibrium_residual(starts[0].pos, below)).max() <= 1e-12
+        assert np.array_equal(starts[0].vel, np.zeros(PINNING.q))
+
+    def test_an_upper_probe_that_settles_falls_back_to_bisection(self, monkeypatch):
+        """Made to settle, the upper fold probe leaves the bracket as the
+        lower one left it, and the bisection narrows that to BISECTION_RTOL
+        around the fold, counting its own probes."""
+        fold = critical_torque(PINNING, (0.01, 0.1)).fold_delta
+        upper = fold * (1 + sgchain.BISECTION_RTOL / 2)
+
+        def settling_above(s0, chain, horizon, dt):
+            if chain.delta == upper:
+                return sgchain.TorqueProbe(chain.delta, "equilibrium", "velocity", 0), s0
+            return _settles_or_depins(s0, chain, horizon, dt)
+
+        monkeypatch.setattr(sgchain, "_settles_or_depins", settling_above)
+        result = critical_torque(PINNING, (0.01, 0.1))
+        lo, hi = result.bracket
+        assert result.fold_delta == fold
+        assert [p.delta for p in result.probes[:2]] == [fold * (1 - sgchain.BISECTION_RTOL / 2),
+                                                         upper]
+        assert result.bisection_probes == len(result.probes) - 2 > 0
+        assert result.probes[2].delta == 0.5 * (result.probes[0].delta + 0.1)
+        assert hi - lo <= sgchain.BISECTION_RTOL * hi
+        assert lo <= fold <= hi
+        assert result.critical_delta == 0.5 * (lo + hi)
+
+    def test_a_failed_fold_solve_falls_back_to_bisection(self, monkeypatch):
+        """Out of Newton steps, the fold solve hands the whole bracket to the
+        bisection, which probes its midpoints from the last settled
+        equilibrium as critical_torque did before it had the fold."""
+        monkeypatch.setattr(sgchain, "_FOLD_NEWTON_ITERS", 1)
+        result = critical_torque(PINNING, (0.01, 0.1))
+        assert (result.fold_delta, result.fold_iterations) == (None, 1)
+        assert result.bisection_probes == len(result.probes) == 11
+        assert result.critical_delta == 0.04465087890625
         lo, hi = 0.01, 0.1
         for probe in result.probes:
             assert probe.delta == 0.5 * (lo + hi)
-            assert (probe.outcome, probe.decided_by) in {
-                ("equilibrium", "trap"), ("equilibrium", "velocity"), ("depinned", "escape")}
             lo, hi = (probe.delta, hi) if probe.outcome == "equilibrium" else (lo, probe.delta)
-        assert result.critical_delta == 0.5 * (lo + hi)
-        assert sum(p.rk4_steps for p in result.probes) < result.rk4_steps
+        assert result.bracket == (lo, hi)
+        assert hi - lo <= sgchain.BISECTION_RTOL * hi
 
 
 class TestStepper:

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 
 from tonguelab import tongue
 from tonguelab.cylmap import MapParams, PhaseState
-from tonguelab.orbits import (ContinuationError, _solve_implicit, continue_in_x,
-                              solve_orbits_fixed_delta)
+from tonguelab.orbits import ContinuationError, _solve_implicit, continue_in_x
 from tonguelab.series import expand, predicted_width
 from tonguelab.tongue import (InsufficientDataError, SweepFailure, SweepResult, TongueSample,
                               fit_exponent, orbits_at, sweep, width_at)
 from tonguelab.trigpoly import TrigPoly, range_extrema
 
-from orbit_oracle import is_walk, iterate, monodromy, multistart_orbits, orbit_distance
+from orbit_oracle import (is_walk, iterate, monodromy, multistart_orbits, orbit_distance,
+                          solve_orbits_fixed_delta)
 
 SIN = TrigPoly.sine()
 
