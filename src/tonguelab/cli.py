@@ -15,10 +15,13 @@ step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
 for ``--bracket``, whose probes run at the start step).  A
-classification adds the test that ended its run from the start state
+classification is ``undecided`` at the horizon or at rest on a saddle;
+a wave's ``delay_error`` is the largest entry of ``z(t + T/q) - S z(t)``
+over positions and velocities at one instant, ``S`` moving each site to
+its neighbor.  It adds the test that ended its run from the start state
 (``decided_by``: ``trap`` for the energy trap certificate, ``velocity``
 for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
-``horizon`` when undecided) and the RK4 steps of every run of the
+``horizon`` at the horizon) and the RK4 steps of every run of the
 halving check (``rk4_steps``).  ``--bracket`` solves for the fold of the
 pinned branch and confirms it by a probe just below it, which must
 settle, and one just above it, which must depin; where the fold solve

@@ -53,7 +53,11 @@ re-evaluates only the energy inequality, not Newton.  The certificate
 ends a pinned run long before its velocities die out; the older test,
 every |velocity| below ``TAU_EQ`` over the last span, remains for chains
 where it finds no certificate (``eps = 0``, a flat well, Newton not
-converging).
+converging), and decides an equilibrium only where the potential's
+Hessian is positive definite or ``eps = 0``: a run at rest on a saddle
+ends undecided.  Site 0's full turns guess a traveling wave's period T,
+and :func:`_try_wave` solves the wave's delay identity at one instant
+for the lag ``T/q``.
 
 A chain has only a few sites, so a step written site by site is
 dominated by the fixed cost of each numpy call, not by arithmetic.
@@ -155,7 +159,7 @@ class AttractorReport:
     kind: str  # "equilibrium" | "traveling_wave" | "undecided"
     mean_velocity: float
     wave_period: float | None
-    delay_error: float | None
+    delay_error: float | None  # max |z(t + T/q) - S z(t)| over the full state at one instant
     dt: float  # the RK4 step of the run that gave this report
     decided_by: str  # "trap" | "velocity" | "wave" | "horizon": the test that ended the run
     halvings: int = 0  # dt is the start step halved this many times
@@ -362,53 +366,21 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     return Trajectory(times, rec[:, :q], rec[:, q:], final, steps)
 
 
-def _hermite(traj: Trajectory):
-    """Cubic Hermite interpolant of the recorded ``(pos, vel)`` rows: ``at(t)``
-    gives ``(x, x')`` for every site at every time, each of shape ``(len(t), q)``."""
-    times = traj.times
-
-    def at(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-        h = (times[i + 1] - times[i])[:, None]
-        s = (t - times[i])[:, None] / h
-        x0, x1 = traj.pos[i], traj.pos[i + 1]
-        m0, m1 = h * traj.vel[i], h * traj.vel[i + 1]
-        c2 = 3.0 * (x1 - x0) - 2.0 * m0 - m1
-        c3 = 2.0 * (x0 - x1) + m0 + m1
-        return x0 + s * (m0 + s * (c2 + s * c3)), (m0 + s * (2.0 * c2 + 3.0 * s * c3)) / h
-
-    return at
-
-
-def _refine_period(at, ts: np.ndarray, t_guess: float, rotation: float) -> float | None:
-    """Gauss-Newton in T on the mismatch ``x(t + T) - x(t) - rotation``
-    over the times ``ts``, its slope in T being ``v(t + T)``; ``None``
-    when T leaves ``[0.75, 1.3] * t_guess``."""
-    target, T = at(ts)[0] + rotation, t_guess
-    for _ in range(50):
-        x, v = at(ts + T)
-        step = float(np.sum((x - target) * v) / np.sum(v * v))
-        T -= step
-        if not 0.75 * t_guess <= T <= 1.3 * t_guess:
-            return None
-        if abs(step) <= 1e-13 * T:
-            break
-    return T
-
-
 def classify_attractor(s0: ChainState, c: ChainParams,
                        horizon: float = DEFAULT_HORIZON) -> AttractorReport:
     """Integrate until the run settles, testing every ``CHECK_EVERY`` time
     units, and check the result by step halving.
 
     Equilibrium: every |velocity| stayed below ``TAU_EQ`` over the last
-    ``CHECK_EVERY`` time units, or the energy trap certificate of
+    ``CHECK_EVERY`` time units where the potential's Hessian is positive
+    definite (undecided on a saddle), or the energy trap certificate of
     :func:`_trap` proves the run held in the well of a stable equilibrium.
     Traveling wave: site 0 advances by full turns of 2 pi p at a steady
-    interval (that interval is the period T, robust even for the creeping
-    waves just above depinning) and the delay identity
-    ``x_k(t) = x_{k+-1}(t + T/q)`` holds to ``TAU_WAVE``.  Otherwise
-    undecided at the horizon.  The report names the test that ended the
+    interval, which is only the guess of the period T (robust even for the
+    creeping waves just above depinning), and the delay identity
+    ``z(t + T/q) = S z(t)`` of :func:`_try_wave`, solved for the lag
+    ``T/q`` from that guess, holds to ``TAU_WAVE``.  Otherwise undecided
+    at the horizon.  The report names the test that ended the
     run from ``s0`` (``decided_by``: "trap", "velocity", "wave" or
     "horizon") and counts the RK4 steps of every run of the check
     (``rk4_steps``).
@@ -468,9 +440,9 @@ def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParam
     together with the state it ended in.
 
     A wave settles at ``dt`` for ``CHECK_EVERY`` time units and goes
-    straight to :func:`_try_wave`, with ``prev``'s period as the guess and
-    its direction as the sign; if that test fails the run goes on as
-    :func:`_classify_attractor` from the settled state.  An equilibrium
+    straight to :func:`_try_wave`, with ``prev``'s period as the guess; if
+    that test fails the run goes on as :func:`_classify_attractor` from
+    the settled state.  An equilibrium
     runs :func:`_classify_attractor` from ``end``, for a trapped run the
     certified equilibrium at rest, which the RK4 step at any ``dt`` leaves
     in place, so the velocity test decides it at its first check; the
@@ -482,8 +454,7 @@ def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParam
         report, state = _classify_attractor(end, c, horizon, dt)
         return replace(report, decided_by=prev.decided_by), state
     settle = integrate(end, c, dt, CHECK_EVERY)
-    report, spent = _try_wave(settle.final, c, dt, prev.wave_period,
-                              math.copysign(1.0, prev.mean_velocity))
+    report, spent = _try_wave(settle.final, c, dt, prev.wave_period)
     spent += settle.steps
     if report is None:
         report, state = _classify_attractor(settle.final, c, horizon, dt)
@@ -503,10 +474,13 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
     equilibrium at rest.
 
     After every ``CHECK_EVERY`` time units the run tests, in this order:
-    every |velocity| over the span below ``TAU_EQ``; the energy trap
-    certificate; three full-turn crossings of site 0 at a steady interval,
-    which start the wave test of :func:`_try_wave`.  The first test that
-    holds ends the run."""
+    every |velocity| over the span below ``TAU_EQ`` (an equilibrium where
+    the Hessian ``eps diag(cos x) - lap`` has a Cholesky factor or
+    ``eps = 0``, which leaves it singular along uniform shifts; otherwise
+    undecided, at rest on a saddle); the energy trap certificate; three
+    full-turn crossings of site 0 at a steady interval, the last of which
+    guesses T for :func:`_try_wave`.  The first test that holds ends the
+    run."""
     state = s0
     elapsed = 0.0
     ref = float(s0.pos[0])
@@ -523,7 +497,9 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
         steps += traj.steps
 
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return AttractorReport("equilibrium", 0.0, None, None, dt, "velocity",
+            hess = c.eps * np.diag(np.cos(state.pos)) - _coupling(c.q, c.p)[0]
+            kind = "equilibrium" if c.eps == 0 or _cholesky(hess) is not None else "undecided"
+            return AttractorReport(kind, 0.0, None, None, dt, "velocity",
                                    rk4_steps=steps), state
         well, trapped = _trap(state, c, well)
         if trapped:
@@ -543,8 +519,7 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
             t_a = crossings[-2] - crossings[-3]
             t_b = crossings[-1] - crossings[-2]
             if t_a > 0 and t_b > 0 and abs(t_a - t_b) < 0.02 * t_b:
-                sign = 1.0 if state.pos[0] >= ref else -1.0
-                report, spent = _try_wave(state, c, dt, t_b, sign)
+                report, spent = _try_wave(state, c, dt, t_b)
                 steps += spent
                 if report is not None:
                     return replace(report, rk4_steps=steps), state
@@ -553,32 +528,52 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
     return AttractorReport("undecided", omega, None, None, dt, "horizon", rk4_steps=steps), state
 
 
-def _try_wave(state: ChainState, c: ChainParams, dt: float, t_guess: float,
-              sign: float) -> tuple[AttractorReport | None, int]:
-    """Record a dense stretch, read it through :func:`_hermite`, refine the
-    period T from ``t_guess`` (:func:`_refine_period`) and test the delay
-    identity ``x_k(t) = x_{k+-1}(t + T/q)`` for either direction of travel,
-    up to the ring seam ``x_{k+q} = x_k + 2 pi p``, against ``TAU_WAVE``.
-    Returns the wave's report, if any, and the RK4 steps spent."""
+def _try_wave(state: ChainState, c: ChainParams, dt: float,
+              t_guess: float) -> tuple[AttractorReport | None, int]:
+    """Solve the delay identity ``z(t + tau) = S z(t)`` of a traveling wave
+    for the lag ``tau = T/q``, from ``t_guess / q``, at the instant of
+    ``state``; ``S`` moves each site's position and velocity to its
+    neighbor ``k + nb``, up to the ring seam ``x_{k+q} = x_k + 2 pi p``.
+    The chain commutes with ``S``, so the identity then holds at every
+    later instant, and ``x_k`` advances by ``-nb 2 pi p`` per period.
+    Gauss-Newton in ``tau``, for ``nb = +-1``, reads ``z(t + tau)`` off one
+    stretch of ``1.3 t_guess / q`` recorded from ``state``, by one RK4 step
+    through :func:`integrate` from the last row before it; its slope is
+    the vector field there.  A lag outside ``[0.75, 1.3] t_guess / q``
+    fails.  The largest entry of the final residual is the wave's
+    ``delay_error``, which must be below ``TAU_WAVE``.  Returns the wave's
+    report, if any, and the RK4 steps spent."""
     if c.p == 0 or not 0 < t_guess < 2e5:
         return None, 0
     rotation = 2.0 * math.pi * c.p
-    dense = integrate(state, c, dt, 1.6 * t_guess + 10.0, record_every=1)
-    at = _hermite(dense)
-    ts = state.t + np.linspace(0.0, 0.25 * t_guess, 257)
-    T = _refine_period(at, ts[::8], t_guess, sign * rotation)
-    if T is None:
-        return None, dense.steps
-    now, later = at(ts)[0], at(ts + T / c.q)[0]
-    worst = math.inf
+    guess = t_guess / c.q
+    stretch = integrate(state, c, dt, 1.3 * guess, record_every=1)
+    steps = stretch.steps
+    lap, wrap = _coupling(c.q, c.p)
+    best = (math.inf, 0.0, 0)
     for nb in (-1, +1):  # the wave may run either way around the ring
-        # the site whose neighbor wraps around the ring is one turn off
-        seam = nb * rotation * (np.arange(c.q) == (c.q - 1 if nb > 0 else 0))
-        worst = min(worst, float(np.max(np.abs(now - np.roll(later, -nb, axis=1) - seam))))
+        target = np.roll(np.stack([state.pos, state.vel]), nb, axis=1)
+        target[0, 0 if nb > 0 else -1] -= nb * rotation  # the site across the seam
+        tau = guess
+        for _ in range(50):
+            i = int(np.searchsorted(stretch.times, state.t + tau, side="right")) - 1
+            step = integrate(ChainState(stretch.times[i], stretch.pos[i], stretch.vel[i]),
+                             c, dt, state.t + tau - stretch.times[i])
+            steps += step.steps
+            x, v = step.final.pos, step.final.vel
+            res = np.stack([x, v]) - target
+            slope = np.stack([v, lap @ x + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
+            dtau = float(np.sum(res * slope) / np.sum(slope * slope))
+            tau -= dtau
+            if not 0.75 * guess <= tau <= 1.3 * guess or abs(dtau) <= 1e-13 * tau:
+                break
+        if 0.75 * guess <= tau <= 1.3 * guess:
+            best = min(best, (float(np.max(np.abs(res))), tau, nb))
+    worst, tau, nb = best
     if worst < TAU_WAVE:
-        return AttractorReport("traveling_wave", sign * rotation / T, T, worst, dt,
-                               "wave"), dense.steps
-    return None, dense.steps
+        T = c.q * tau
+        return AttractorReport("traveling_wave", -nb * rotation / T, T, worst, dt, "wave"), steps
+    return None, steps
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray | None:

@@ -278,6 +278,15 @@ def test_chain_classification(capsys):
     assert set(out) == {"meta", "kind", "mean_velocity", "T", "delay_error", "critical_delta"}
 
 
+def test_chain_at_rest_on_a_saddle_is_undecided(capsys):
+    """The q=2 twisted start (0, pi) at zero torque is an equilibrium that
+    the run never leaves, but an unstable one."""
+    rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
+                                "--delta", "0"])
+    assert rc == 0
+    assert (out["kind"], out["meta"]["diagnostics"]["decided_by"]) == ("undecided", "velocity")
+
+
 def test_chain_reports_its_step(capsys):
     """The JSON meta says at which RK4 step the result was obtained and how
     many halvings the check took; the torque probes run at the start step,

@@ -74,6 +74,20 @@ def settle(s0, c):
     return ChainState(0.0, state.pos, np.zeros(c.q))
 
 
+def classify_recording_wave_tests(monkeypatch, c):
+    """``classify_attractor`` from the twisted start, and every wave test it
+    ran: the state tested, the step and the report (``None`` if it failed)."""
+    try_wave, tested = sgchain._try_wave, []
+
+    def recording(state, chain, dt, t_guess):
+        result = try_wave(state, chain, dt, t_guess)
+        tested.append((state, dt, result[0]))
+        return result
+
+    monkeypatch.setattr(sgchain, "_try_wave", recording)
+    return classify_attractor(twist_state(c), c), tested
+
+
 @st.composite
 def chains(draw):
     q = draw(st.integers(2, 9))
@@ -273,6 +287,13 @@ class TestCriticalTorque:
             critical_torque(PINNING, (0.1, 0.2))
         assert (info.value.lo, info.value.hi) == (0.1, 0.2)
 
+    def test_a_saddle_at_lo_is_no_equilibrium(self):
+        """At delta = 0 the twisted start (0, pi) is an exact equilibrium, at
+        rest, whose Hessian has a negative eigenvalue: no attractor."""
+        with pytest.raises(InvalidBracketError, match="no equilibrium at delta=0 "
+                                                      r"\(got undecided\)"):
+            critical_torque(PINNING, (0.0, 0.1))
+
     def test_no_wave_at_hi(self):
         with pytest.raises(InvalidBracketError, match="no traveling wave at delta=0.02"):
             critical_torque(PINNING, (0.01, 0.02))
@@ -354,16 +375,58 @@ class TestAttractors:
             classify_attractor(twist_state(c), c)
 
     @pytest.mark.parametrize("q,p,gamma,eps,delta,period", [
-        (3, 1, 0.5, 0.6, 0.012, 391.20862301), (3, 1, 0.5, 0.6, -0.012, 391.20862301),
-        (5, 2, 0.3, 0.8, 0.1, 40.48026115), (5, 2, 0.3, 0.8, -0.1, 40.48026115)])
+        (3, 1, 0.5, 0.6, 0.012, 391.20862355722), (3, 1, 0.5, 0.6, -0.012, 391.20862355722),
+        (5, 2, 0.3, 0.8, 0.1, 40.480261055455), (5, 2, 0.3, 0.8, -0.1, 40.480261055455)])
     def test_wave_period(self, q, p, gamma, eps, delta, period):
         """Negative torque sends the wave the other way round the ring, so the
-        delay identity then wraps at the other seam."""
+        delay identity then wraps at the other seam.  The periods agree to a
+        few 1e-12 with a separate fit of site 0's full turn on a Hermite
+        interpolant of the run."""
         c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
         rep = classify_attractor(twist_state(c), c)
         assert rep.kind == "traveling_wave"
-        assert rep.wave_period == pytest.approx(period, rel=1e-6)
+        assert rep.wave_period == pytest.approx(period, rel=1e-9)
         assert math.copysign(1.0, rep.mean_velocity) == math.copysign(1.0, delta)
+
+    @pytest.mark.parametrize("q,p,gamma,eps,delta", [
+        (3, 1, 0.5, 0.6, 0.012), (3, 1, 0.5, 0.6, -0.012),
+        (5, 2, 0.3, 0.8, 0.1), (5, 2, 0.3, 0.8, -0.1)])
+    def test_the_delay_identity_holds_later(self, monkeypatch, q, p, gamma, eps, delta):
+        """The chain commutes with the shift to the neighbor, so the identity
+        that the wave test solved at one instant still holds after the state
+        it tested has run on for two periods: site k at t + T/q is where its
+        neighbor was at t, velocities included.  The direction of travel is
+        read off the sign of the drift."""
+        c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
+        rep, tested = classify_recording_wave_tests(monkeypatch, c)
+        state, dt, found = tested[-1]
+        assert found is not None and (dt, found.wave_period) == (rep.dt, rep.wave_period)
+        later = integrate(state, c, dt, 2.0 * rep.wave_period).final
+        lagged = integrate(later, c, dt, rep.wave_period / q).final
+        nb = -int(math.copysign(1.0, rep.mean_velocity))
+        # x_{k+nb}(t + T/q) = x_k(t), with x_{k+q} = x_k + 2 pi p across the seam
+        ahead = np.roll(later.pos, nb)
+        ahead[0 if nb > 0 else -1] -= nb * 2.0 * math.pi * p
+        error = max(np.abs(lagged.pos - ahead).max(),
+                    np.abs(lagged.vel - np.roll(later.vel, nb)).max())
+        assert error < TAU_WAVE
+
+    def test_no_wave_from_a_settled_equilibrium(self):
+        """At rest on the pinned q=3 equilibrium no lag moves any site to its
+        neighbor."""
+        c = replace(Q3, delta=0.005)
+        state = settle(twist_state(c), c)
+        assert sgchain._try_wave(state, c, default_dt(c), 391.2)[0] is None
+
+    def test_no_wave_from_twice_the_period(self, monkeypatch):
+        """From a guess of 2T the lag is held in [1.5, 2.6] T/q, where the
+        identity has no solution; from T itself the same state passes."""
+        c = replace(Q3, delta=0.012)
+        try_wave = sgchain._try_wave
+        rep, tested = classify_recording_wave_tests(monkeypatch, c)
+        state, dt, _ = tested[-1]
+        assert try_wave(state, c, dt, 2.0 * rep.wave_period)[0] is None
+        assert try_wave(state, c, dt, rep.wave_period)[0] is not None
 
     @pytest.mark.parametrize("q,p,gamma,eps,delta", [
         (3, 1, 0.5, 0.6, 0.012), (3, 1, 0.5, 0.6, -0.012),
@@ -553,12 +616,13 @@ class TestTrapCertificate:
 
     def test_the_q3_wave_is_tested_soon_after_its_crossings_steady(self):
         """Its third steady crossing comes at t = 1176 at h; tested at the end
-        of a doubling window (t = 1550) it took 17588 RK4 steps, and 14811
-        when the run at h/2 replayed the transient from s0."""
+        of a doubling window (t = 1550) it took 17588 RK4 steps, 14811 when
+        the run at h/2 replayed the transient from s0, and 8624 when each
+        test recorded a stretch of 1.6 T + 10 rather than 1.3 T/q."""
         c = replace(Q3, delta=0.012)
         rep = classify_attractor(twist_state(c), c)
         assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
-        assert rep.rk4_steps <= 9000
+        assert rep.rk4_steps <= 5500
 
 
 class TestBisectionRecord:
