@@ -13,51 +13,38 @@ are in bijection with p/q periodic orbits of the drifted cylinder map
 cross-checked against the tongue edge max of the drift profile.
 
 Integration is fixed-step classical 4th order within each run: runs are
-short and the torque probes on top need deterministic
-reproducibility.  The step is chosen, not set:
+short and the torque probes need deterministic reproducibility.  The
+step is chosen, not set:
 
-* **Start step.**  :func:`default_dt` takes ``h * omega_max = 0.8`` with
-  ``omega_max = sqrt(eps + 4)`` the chain's highest linear frequency,
+* **Start step.**  :func:`default_dt` takes ``h sqrt(eps + 4) = 0.8``,
   capped at half of RK4's stability limit for the linearized chain
-  (:func:`stability_limit`, which also bounds every ``dt`` that
-  :func:`integrate` accepts).
+  (:func:`stability_limit`, which bounds every ``dt`` of :func:`integrate`).
 * **Checked classification.**  :func:`classify_attractor` compares runs
   at a step and at half of it, from ``h`` down, until such a pair agrees
-  on the kind and, for a traveling wave, on the period within
-  ``PERIOD_STEP_RTOL``; it reports the finer run, its step and the
-  number of halvings from ``h`` (step doubling, as in Hairer, Norsett and
-  Wanner, *Solving ODEs I*, II.4).  Only the first run integrates the
-  transient from the start state: each finer run starts on the attractor
-  where the run before it ended, so the check is that the attractor
-  persists at the finer step with the same period.  After a pair of
-  waves disagrees it skips to the first halving at which RK4's ``h^4``
-  error law predicts agreement.
+  on the kind and, for a traveling wave, on the period (step doubling, as
+  in Hairer, Norsett and Wanner, *Solving ODEs I*, II.4); each finer run
+  starts on the attractor where the run before it ended.
 * **Critical torque at the start step.**  :func:`critical_torque` solves
   for the fold at which the pinned branch ends and confirms it by two
-  probes just below and above it, falling back to bisection where they
-  disagree.  An equilibrium of the chain makes every RK4 stage vanish, so
-  it is a fixed point of the RK4 step for any ``h``: the pinned branch
-  and its fold do not move with the step.
+  probes, falling back to bisection where they disagree.  An equilibrium
+  is a fixed point of the RK4 step for any ``h``, so the fold does not
+  move with the step.
 
 A run stops at the first check that decides it.  The checks come every
 ``CHECK_EVERY`` time units, so a run ends within that span of the moment
 its criterion first holds.  It has settled to an equilibrium once the
 energy trap certificate (:func:`_trap`) holds: the damped chain's energy
-``E = sum v^2/2 + V(x)`` never increases, and Newton on the equilibrium
-equations finds a stable equilibrium ``x_e`` whose well the state cannot
-leave with the energy it has left, so the run converges to ``x_e``.  The
-settled state is then ``x_e`` itself at rest, from which
-:func:`critical_torque` follows the pinned branch to its fold.  A run
-keeps the last well it found and, while the state stays inside it,
-re-evaluates only the energy inequality, not Newton.  The certificate
-ends a pinned run long before its velocities die out; the older test,
-every |velocity| below ``TAU_EQ`` over the last span, remains for chains
-where it finds no certificate (``eps = 0``, a flat well, Newton not
-converging), and decides an equilibrium only where the potential's
-Hessian is positive definite or ``eps = 0``: a run at rest on a saddle
-ends undecided.  Site 0's full turns guess a traveling wave's period T,
-and :func:`_try_wave` solves the wave's delay identity at one instant
-for the lag ``T/q``.
+never increases, and Newton finds a stable equilibrium ``x_e`` whose
+well the state cannot leave with the energy it has left.  The settled
+state is then ``x_e`` at rest, from which :func:`critical_torque`
+follows the pinned branch to its fold.  The older test, every |velocity|
+below ``TAU_EQ`` over the last span, remains for chains without a
+certificate (``eps = 0``, a flat well, Newton not converging); a run it
+stops at rest on a saddle ends undecided (:func:`_rest_kind`).  A
+traveling wave returns one lag ``T/q`` later to its state shifted by one
+site: the run guesses the lag from its first recorded return to the
+neighbor shift of a state it kept (:func:`_return_time`), and
+:func:`_try_wave` solves the delay identity at that state for the lag.
 
 A chain has only a few sites, so a step written site by site is
 dominated by the fixed cost of each numpy call, not by arithmetic.
@@ -216,12 +203,17 @@ def stability_limit(c: ChainParams) -> float:
     RK4's stability region is star-shaped about 0 and meets every
     vertical line in one interval through the real axis, so the limit is
     the smaller of ``2.785/r`` and the step at which ``h`` times the top
-    root leaves the region
-    (``test_stability_limit_is_the_least_over_the_root_locus`` checks
-    this against a scan of the whole locus).
+    root leaves the region (checked against a scan of the whole locus by
+    ``test_stability_limit_is_the_least_over_the_root_locus``).  It
+    depends on ``gamma`` and ``eps`` alone, and is bisected once per pair.
     """
-    a = 0.5 * c.gamma
-    top = complex(-a, math.sqrt(max(c.eps + 4.0 - a * a, 0.0)))
+    return _stability_limit(c.gamma, c.eps)
+
+
+@functools.lru_cache(maxsize=64)
+def _stability_limit(gamma: float, eps: float) -> float:
+    a = 0.5 * gamma
+    top = complex(-a, math.sqrt(max(eps + 4.0 - a * a, 0.0)))
     # bisect along the ray through the top root: it leaves the star-shaped
     # region once, before |h top| = 3, where |R| > 1.1 all round
     inside, outside = 0.0, 3.0 / abs(top)
@@ -231,7 +223,7 @@ def stability_limit(c: ChainParams) -> float:
             inside = mid
         else:
             outside = mid
-    return min(_RK4_REAL_LIMIT / (a + math.sqrt(a * a + c.eps)), inside)
+    return min(_RK4_REAL_LIMIT / (a + math.sqrt(a * a + eps)), inside)
 
 
 def _rk4_gain(z: complex) -> complex:
@@ -317,9 +309,9 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     holds the state, the stage sines and the constants (see
     :func:`_rk4_matrices`).  A step is then 9 numpy calls on length-q
     arrays: at chain lengths of a few sites the cost of a step is the
-    per-call overhead, not the arithmetic.  The matrices, and the stability
-    limit, are built once per chain and step (:func:`_stepper`), so a run
-    cut into many short calls pays for them once.
+    per-call overhead, not the arithmetic.  The matrices are built once per
+    chain and step (:func:`_stepper`), so a run cut into many short calls
+    pays for them once.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -371,19 +363,16 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     """Integrate until the run settles, testing every ``CHECK_EVERY`` time
     units, and check the result by step halving.
 
-    Equilibrium: every |velocity| stayed below ``TAU_EQ`` over the last
-    ``CHECK_EVERY`` time units where the potential's Hessian is positive
-    definite (undecided on a saddle), or the energy trap certificate of
-    :func:`_trap` proves the run held in the well of a stable equilibrium.
-    Traveling wave: site 0 advances by full turns of 2 pi p at a steady
-    interval, which is only the guess of the period T (robust even for the
-    creeping waves just above depinning), and the delay identity
-    ``z(t + T/q) = S z(t)`` of :func:`_try_wave`, solved for the lag
-    ``T/q`` from that guess, holds to ``TAU_WAVE``.  Otherwise undecided
-    at the horizon.  The report names the test that ended the
-    run from ``s0`` (``decided_by``: "trap", "velocity", "wave" or
-    "horizon") and counts the RK4 steps of every run of the check
-    (``rk4_steps``).
+    Equilibrium: the energy trap certificate of :func:`_trap` proves the
+    run held in the well of a stable equilibrium, or every |velocity|
+    stayed below ``TAU_EQ`` over the last ``CHECK_EVERY`` time units off a
+    saddle (:func:`_rest_kind`).  Traveling wave: the run's return to the
+    neighbor shift ``S z_ref`` of a state it kept guesses the lag ``T/q``
+    (:func:`_return_time`), and the delay identity ``z(t + T/q) = S z(t)``
+    that :func:`_try_wave` solves from it at ``z_ref`` holds to
+    ``TAU_WAVE``.  Otherwise undecided at the horizon.  The report names
+    the test that ended the run from ``s0`` (``decided_by``) and counts
+    the RK4 steps of every run of the check (``rk4_steps``).
 
     The check compares pairs of runs at a step and at half of it, starting
     at ``h = default_dt(c)``, until a pair agrees on the kind and, for
@@ -391,18 +380,14 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     report is returned, with its step ``h / 2**halvings``.  Only the run
     at ``h`` starts at ``s0``; each later run starts where the one before
     it ended (:func:`_rerun`), and only an undecided run replays the
-    transient from ``s0``.  So the check does not show that ``s0``'s
-    transient reaches the same attractor at the finer step, only that the
-    attractor persists there with the same period.  RK4's error falls
-    like ``h^4``, so the gap between a pair estimates the coarse run's
-    error and the finer run's is about a fifteenth of it.  The same law
-    predicts the next pair: after two waves disagree by a
-    relative gap ``g``, the check skips to the first halving at which
-    ``g / 16**skip`` meets the tolerance (the q=5, p=2, eps 0.8 wave of
-    the tests has ``g = 2e-5`` at ``h`` and agrees at ``h/8, h/16``); after
-    a change of kind it halves once.  Raises :class:`StepRefinementError`
-    when no pair down to ``h / 2**MAX_HALVINGS`` agrees, and
-    :class:`ValueError` when ``horizon`` is not finite and positive.
+    transient from ``s0``.  So the check shows that the attractor persists
+    at the finer step with the same period, not that ``s0``'s transient
+    reaches it there.  RK4's error falls like ``h^4``: after two waves
+    disagree by a relative gap ``g``, the check skips to the first halving
+    at which ``g / 16**skip`` meets the tolerance; after a change of kind
+    it halves once.  Raises :class:`StepRefinementError` when no pair down
+    to ``h / 2**MAX_HALVINGS`` agrees, and :class:`ValueError` when
+    ``horizon`` is not finite and positive.
     """
     _check_horizon(horizon)
     start = default_dt(c)
@@ -442,12 +427,11 @@ def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParam
     A wave settles at ``dt`` for ``CHECK_EVERY`` time units and goes
     straight to :func:`_try_wave`, with ``prev``'s period as the guess; if
     that test fails the run goes on as :func:`_classify_attractor` from
-    the settled state.  An equilibrium
-    runs :func:`_classify_attractor` from ``end``, for a trapped run the
-    certified equilibrium at rest, which the RK4 step at any ``dt`` leaves
-    in place, so the velocity test decides it at its first check; the
-    report keeps ``prev``'s ``decided_by``, the test that found it.  An
-    undecided run starts again from ``s0``."""
+    the settled state.  An equilibrium runs :func:`_classify_attractor`
+    from ``end``, for a trapped run the certified equilibrium at rest,
+    which the RK4 step at any ``dt`` leaves in place, so the velocity test
+    decides it at its first check; the report keeps ``prev``'s
+    ``decided_by``.  An undecided run starts again from ``s0``."""
     if prev.kind == "undecided":
         return _classify_attractor(s0, c, horizon, dt)
     if prev.kind == "equilibrium":
@@ -473,22 +457,19 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
     the state the run ended in: for a trapped run the certified
     equilibrium at rest.
 
-    After every ``CHECK_EVERY`` time units the run tests, in this order:
-    every |velocity| over the span below ``TAU_EQ`` (an equilibrium where
-    the Hessian ``eps diag(cos x) - lap`` has a Cholesky factor or
-    ``eps = 0``, which leaves it singular along uniform shifts; otherwise
-    undecided, at rest on a saddle); the energy trap certificate; three
-    full-turn crossings of site 0 at a steady interval, the last of which
-    guesses T for :func:`_try_wave`.  The first test that holds ends the
-    run."""
+    After every ``CHECK_EVERY`` time units the run tests, until one holds:
+    every |velocity| below ``TAU_EQ`` (:func:`_rest_kind`); the energy trap
+    certificate; a traveling wave.  For the last, an undecided check keeps
+    its state as ``z_ref``, and once a later span records a return to
+    ``S z_ref`` at ``t`` (:func:`_return_time`), :func:`_try_wave` tests
+    ``z_ref`` with the guess ``T = q (t - t_ref)``.  A failed test, or a
+    mean position two shifts ``2 pi p/q`` from ``z_ref``'s with no return
+    (``z_ref`` off the wave), moves ``z_ref`` to the current state."""
     state = s0
     elapsed = 0.0
-    ref = float(s0.pos[0])
-    turns = 2.0 * math.pi * max(c.p, 1)
-    crossings: list[float] = []
-    last_turn = 0
     steps = 0
     well = None
+    ref, tail = None, None  # z_ref, and the last row but one of the span before
     while elapsed < horizon:
         span = min(CHECK_EVERY, max(horizon - elapsed, 2 * dt))
         traj = integrate(state, c, dt, span, record_every=1)
@@ -497,63 +478,85 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
         steps += traj.steps
 
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            hess = c.eps * np.diag(np.cos(state.pos)) - _coupling(c.q, c.p)[0]
-            kind = "equilibrium" if c.eps == 0 or _cholesky(hess) is not None else "undecided"
-            return AttractorReport(kind, 0.0, None, None, dt, "velocity",
+            return AttractorReport(_rest_kind(state.pos, c), 0.0, None, None, dt, "velocity",
                                    rk4_steps=steps), state
         well, trapped = _trap(state, c, well)
         if trapped:
             return (AttractorReport("equilibrium", 0.0, None, None, dt, "trap", rk4_steps=steps),
                     ChainState(state.t, well.x, np.zeros(c.q)))
 
-        # full-turn crossings of site 0
-        adv = np.floor((traj.pos[:, 0] - ref) / turns).astype(int)
-        for i in np.nonzero(np.diff(adv) != 0)[0]:
-            k_new = int(adv[i + 1])
-            level = ref + turns * (k_new if k_new > last_turn else last_turn)
-            x0a, x0b = traj.pos[i, 0], traj.pos[i + 1, 0]
-            frac = (level - x0a) / (x0b - x0a) if x0b != x0a else 0.5
-            crossings.append(float(traj.times[i] + frac * (traj.times[i + 1] - traj.times[i])))
-            last_turn = k_new
-        if len(crossings) >= 3:
-            t_a = crossings[-2] - crossings[-3]
-            t_b = crossings[-1] - crossings[-2]
-            if t_a > 0 and t_b > 0 and abs(t_a - t_b) < 0.02 * t_b:
-                report, spent = _try_wave(state, c, dt, t_b)
-                steps += spent
-                if report is not None:
-                    return replace(report, rk4_steps=steps), state
-                crossings = crossings[-1:]
-    omega = (float(state.pos[0]) - ref) / max(elapsed, dt)
+        times, rows = traj.times, np.stack([traj.pos, traj.vel], axis=1)
+        if tail is not None:
+            times, rows = np.append(tail[0], times), np.concatenate([tail[1], rows])
+        tail = times[-2:-1], rows[-2:-1]
+        t = None if ref is None else _return_time(ref, c, times, rows)
+        if t is not None:
+            report, spent = _try_wave(ref, c, dt, c.q * (t - ref.t))
+            steps += spent
+            if report is not None:
+                return replace(report, rk4_steps=steps), state
+        if c.p and (ref is None or t is not None
+                    or abs(float(np.mean(state.pos - ref.pos))) > 4.0 * math.pi * c.p / c.q):
+            ref, tail = state, None
+    omega = float(state.pos[0] - s0.pos[0]) / max(elapsed, dt)
     return AttractorReport("undecided", omega, None, None, dt, "horizon", rk4_steps=steps), state
+
+
+def _rest_kind(pos: np.ndarray, c: ChainParams) -> str:
+    """The verdict on a run at rest at ``pos``: "equilibrium" where the
+    Hessian ``eps diag(cos x) - lap`` has a Cholesky factor or ``eps = 0``
+    (singular along uniform shifts), "undecided" on a saddle."""
+    hess = c.eps * np.diag(np.cos(pos)) - _coupling(c.q, c.p)[0]
+    return "equilibrium" if c.eps == 0 or _cholesky(hess) is not None else "undecided"
+
+
+def _shifted(state: ChainState, c: ChainParams, nb: int) -> np.ndarray:
+    """``S state``, positions over velocities: each site's moved to its
+    neighbor ``k + nb``, up to the ring seam ``x_{k+q} = x_k + 2 pi p``."""
+    target = np.roll(np.stack([state.pos, state.vel]), nb, axis=1)
+    target[0, 0 if nb > 0 else -1] -= nb * 2.0 * math.pi * c.p  # the site across the seam
+    return target
+
+
+def _return_time(ref: ChainState, c: ChainParams, times: np.ndarray,
+                 rows: np.ndarray) -> float | None:
+    """The time of the first of ``rows`` (states at ``times``, shape ``(n,
+    2, q)``, neither end counted) at which the distance ``max|z - S z_ref|``
+    to the nearer neighbor shift of ``ref`` (:func:`_shifted`, ``nb =
+    +-1``) has a local minimum within one step's motion: the run's return
+    to ``S z_ref``, a lag ``T/q`` after ``ref`` on a traveling wave."""
+    motion = np.max(np.abs(np.diff(rows, axis=0)), axis=(1, 2))
+    dist = np.min([np.max(np.abs(rows - _shifted(ref, c, nb)), axis=(1, 2))
+                   for nb in (-1, +1)], axis=0)
+    mid, reach = dist[1:-1], np.maximum(motion[:-1], motion[1:])
+    hits = np.nonzero((mid < dist[:-2]) & (mid <= dist[2:]) & (mid <= reach))[0]
+    return float(times[hits[0] + 1]) if len(hits) else None
 
 
 def _try_wave(state: ChainState, c: ChainParams, dt: float,
               t_guess: float) -> tuple[AttractorReport | None, int]:
     """Solve the delay identity ``z(t + tau) = S z(t)`` of a traveling wave
     for the lag ``tau = T/q``, from ``t_guess / q``, at the instant of
-    ``state``; ``S`` moves each site's position and velocity to its
-    neighbor ``k + nb``, up to the ring seam ``x_{k+q} = x_k + 2 pi p``.
-    The chain commutes with ``S``, so the identity then holds at every
-    later instant, and ``x_k`` advances by ``-nb 2 pi p`` per period.
+    ``state``; ``S`` is the neighbor shift of :func:`_shifted`.  The chain
+    commutes with ``S``, so the identity then holds at every later
+    instant, and ``x_k`` advances by ``-nb 2 pi p`` per period.
     Gauss-Newton in ``tau``, for ``nb = +-1``, reads ``z(t + tau)`` off one
-    stretch of ``1.3 t_guess / q`` recorded from ``state``, by one RK4 step
-    through :func:`integrate` from the last row before it; its slope is
-    the vector field there.  A lag outside ``[0.75, 1.3] t_guess / q``
-    fails.  The largest entry of the final residual is the wave's
+    stretch of at least ``1.3 t_guess / q`` recorded from ``state`` in
+    whole steps ``dt``, as the run that reached ``state`` stepped, by one
+    RK4 step through :func:`integrate` from the last row before it; its
+    slope is the vector field there.  A lag outside ``[0.75, 1.3] t_guess
+    / q`` fails.  The largest entry of the final residual is the wave's
     ``delay_error``, which must be below ``TAU_WAVE``.  Returns the wave's
     report, if any, and the RK4 steps spent."""
     if c.p == 0 or not 0 < t_guess < 2e5:
         return None, 0
-    rotation = 2.0 * math.pi * c.p
     guess = t_guess / c.q
-    stretch = integrate(state, c, dt, 1.3 * guess, record_every=1)
+    stretch = integrate(state, c, dt, dt * math.ceil(1.3 * guess / dt), record_every=1)
     steps = stretch.steps
     lap, wrap = _coupling(c.q, c.p)
     best = (math.inf, 0.0, 0)
     for nb in (-1, +1):  # the wave may run either way around the ring
-        target = np.roll(np.stack([state.pos, state.vel]), nb, axis=1)
-        target[0, 0 if nb > 0 else -1] -= nb * rotation  # the site across the seam
+        target = _shifted(state, c, nb)
         tau = guess
         for _ in range(50):
             i = int(np.searchsorted(stretch.times, state.t + tau, side="right")) - 1
@@ -572,7 +575,8 @@ def _try_wave(state: ChainState, c: ChainParams, dt: float,
     worst, tau, nb = best
     if worst < TAU_WAVE:
         T = c.q * tau
-        return AttractorReport("traveling_wave", -nb * rotation / T, T, worst, dt, "wave"), steps
+        return AttractorReport("traveling_wave", -nb * 2.0 * math.pi * c.p / T, T, worst, dt,
+                               "wave"), steps
     return None, steps
 
 
@@ -786,18 +790,18 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
                        dt: float) -> tuple[TorqueProbe, ChainState]:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
-    After every ``CHECK_EVERY`` time units, in this order: "equilibrium"
-    when all velocities stayed below ``TAU_EQ`` over the span; "depinned"
-    when any site travels more than ``_ESCAPE`` (half a radian) from its
-    start; "equilibrium" when the energy trap certificate of :func:`_trap`
-    holds.  Warm-started from a settled pinned shape, the pinned-side
-    transient stays well below the escape distance, while one slip event
-    moves a site by a full site spacing; so the test decides after a
-    single bottleneck passage instead of waiting out a whole wave period,
-    which diverges at the depinning threshold.  Returns the probe's
-    outcome, the test that decided it and its RK4 steps, together with
-    the final state, which for a trapped run is the certified equilibrium
-    at rest.
+    After every ``CHECK_EVERY`` time units, in this order: the verdict of
+    :func:`_rest_kind` when all velocities stayed below ``TAU_EQ`` over the
+    span; "depinned" when any site travels more than ``_ESCAPE`` (half a
+    radian) from its start; "equilibrium" when the energy trap certificate
+    of :func:`_trap` holds.  Warm-started from a settled pinned shape, the
+    pinned-side transient stays well below the escape distance, while one
+    slip event moves a site by a full site spacing; so the test decides
+    after a single bottleneck passage instead of waiting out a whole wave
+    period, which diverges at the depinning threshold.  Returns the probe's
+    outcome, the test that decided it and its RK4 steps, together with the
+    final state, which for a trapped run is the certified equilibrium at
+    rest.
     """
     ref = s0.pos.copy()
     state = s0
@@ -815,7 +819,7 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
         elapsed += span
         steps += traj.steps
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return probe("equilibrium", "velocity"), state
+            return probe(_rest_kind(state.pos, c), "velocity"), state
         if float(np.max(np.abs(state.pos - ref))) > _ESCAPE:
             return probe("depinned", "escape"), state
         well, trapped = _trap(state, c, well)
@@ -954,33 +958,29 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     its larger end, its midpoint is probed, so this bisection runs only
     where the fold solve failed or a fold probe disagreed.
 
-    Probes use the pinned/depinned dichotomy of :func:`_settles_or_depins`
-    instead of the classifier: close to the threshold the wave period
-    diverges, so waiting for a full period there would turn each probe
-    into an hours-long run, while escape by a full turn decides "no
-    equilibrium" just as rigorously given the attractor dichotomy.  The
-    chain is underdamped and hysteretic, so each bisection probe restarts
-    at rest from the last settled equilibrium, the first being the one
-    the classification at ``bracket[0]`` settled in, and the fold probes
-    start just below the fold on the branch.  A probe settled by the
-    energy trap certificate hands on its Newton equilibrium, which solves
-    the equilibrium equations to rounding.
+    Probes use the pinned/depinned dichotomy of :func:`_settles_or_depins`,
+    not the classifier, which would wait out a wave period that diverges at
+    the threshold.  The chain is underdamped and hysteretic, so each
+    bisection probe restarts at rest from the last settled equilibrium, the
+    first being the one the classification at ``bracket[0]`` settled in,
+    and the fold probes start just below the fold on the branch.  A probe
+    settled by the energy trap certificate hands on its Newton equilibrium,
+    which solves the equilibrium equations to rounding.
 
     Every run uses the start step :func:`default_dt`, with no halving
-    check.  At an equilibrium of the chain every RK4 stage is zero, so
-    each equilibrium is a fixed point of the RK4 step at any ``h``, and a
-    stable one stays stable at every ``h`` below :func:`stability_limit`
-    (its modes are roots on the locus that limit covers).  The pinned
-    branch, and the torque at which it ends, therefore do not move with
-    the step.  The bracket ends need only their kind, not a wave period.
+    check: each equilibrium is a fixed point of the RK4 step at any ``h``,
+    and a stable one stays stable at every ``h`` below the stability limit
+    (its modes lie on the locus it covers), so the pinned branch and its
+    fold do not move with the step.
+    The bracket ends need only their kind, not a wave period.
 
     Returns the fold when both fold probes agree, and otherwise the
     midpoint of the final bracket, with the step, every probe in order,
     the RK4 steps of every run, the fold and its solve's steps, the final
     bracket and the number of bisection probes.  Raises
-    :class:`InvalidBracketError` when the bracket does not have
-    ``lo < hi`` or its ends are not of the two kinds, and
-    :class:`ValueError` when ``horizon`` is not finite and positive.
+    :class:`InvalidBracketError` when the bracket does not have ``lo < hi``
+    or its ends are not of the two kinds, and :class:`ValueError` when
+    ``horizon`` is not finite and positive.
     """
     _check_horizon(horizon)
     lo, hi = bracket

@@ -282,6 +282,14 @@ class TestCriticalTorque:
         with pytest.raises(ValueError, match="horizon must be finite and > 0"):
             classify_attractor(twist_state(PINNING), PINNING, horizon=horizon)
 
+    def test_a_probe_at_rest_on_a_saddle_is_undecided(self):
+        """The twisted q=2 start (0, pi) is an equilibrium at zero torque whose
+        Hessian has a negative eigenvalue: the probe never moves, and the
+        velocity test must not call it pinned."""
+        probe, _ = _settles_or_depins(twist_state(PINNING), PINNING, DEFAULT_HORIZON,
+                                      default_dt(PINNING))
+        assert (probe.outcome, probe.decided_by) == ("undecided", "velocity")
+
     def test_no_equilibrium_at_lo(self):
         with pytest.raises(InvalidBracketError, match="no equilibrium at delta=0.1") as info:
             critical_torque(PINNING, (0.1, 0.2))
@@ -410,6 +418,74 @@ class TestAttractors:
         error = max(np.abs(lagged.pos - ahead).max(),
                     np.abs(lagged.vel - np.roll(later.vel, nb)).max())
         assert error < TAU_WAVE
+
+    @pytest.mark.parametrize("q,p,gamma,eps,delta", [
+        (3, 1, 0.5, 0.6, 0.012), (3, 1, 0.5, 0.6, -0.012),
+        (5, 2, 0.3, 0.8, 0.1), (5, 2, 0.3, 0.8, -0.1)])
+    def test_the_first_guess_is_within_a_step_of_the_lag(self, monkeypatch, q, p, gamma, eps,
+                                                          delta):
+        """The recorded row at which the run first returns to the neighbor
+        shift of the state it kept guesses the lag T/q to within one RK4
+        step of that run."""
+        c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
+        try_wave, guesses = sgchain._try_wave, []
+
+        def recording(state, chain, dt, t_guess):
+            guesses.append((dt, t_guess))
+            return try_wave(state, chain, dt, t_guess)
+
+        monkeypatch.setattr(sgchain, "_try_wave", recording)
+        rep = classify_attractor(twist_state(c), c)
+        dt, t_guess = guesses[0]
+        assert dt == default_dt(c)
+        assert abs(t_guess - rep.wave_period) / q <= dt
+
+    def test_no_wave_test_without_a_return_to_the_shift(self, monkeypatch):
+        """Nothing off a wave returns to a neighbor shift of an earlier
+        state, so nothing calls the wave test: not the q=3 equilibrium
+        classification, not either fold probe of the bench's critical
+        torque, and not an untwisted chain, whose sites whirl round at this
+        torque (site 0's full turns used to call it there)."""
+        try_wave, settles_or_depins, calls, probing = (sgchain._try_wave,
+                                                       sgchain._settles_or_depins, [], [])
+
+        def recording(state, chain, dt, t_guess):
+            calls.append((chain, bool(probing)))
+            return try_wave(state, chain, dt, t_guess)
+
+        def probe(s0, chain, horizon, dt):
+            probing.append(chain.delta)
+            try:
+                return settles_or_depins(s0, chain, horizon, dt)
+            finally:
+                probing.pop()
+
+        monkeypatch.setattr(sgchain, "_try_wave", recording)
+        monkeypatch.setattr(sgchain, "_settles_or_depins", probe)
+        c = replace(Q3, delta=0.005)
+        assert classify_attractor(twist_state(c), c).kind == "equilibrium"
+        assert calls == []
+        result = critical_torque(PINNING, (0.01, 0.1))
+        assert len(result.probes) == 2 and result.bisection_probes == 0
+        assert calls and not any(in_probe for _, in_probe in calls)  # only the wave end
+        flat = ChainParams(q=3, p=0, gamma=0.5, eps=0.6, delta=0.8)
+        rep = _classify_attractor(twist_state(flat), flat, 1000.0, default_dt(flat))[0]
+        assert rep.kind == "undecided" and abs(rep.mean_velocity) > 0.5
+        assert all(chain.p for chain, _ in calls)
+
+    def test_a_wave_reached_from_far_off_is_found(self):
+        """Kicked hard at light damping, the q=4 chain is still far from its
+        wave at the first checks.  A state kept there never comes within a
+        step of its neighbor shift again, so it is dropped once the run's
+        mean position has moved two shifts from it.  And the wave test
+        records its stretch at the run's own step: at a shorter one the
+        delay error takes in the difference of the two steps' RK4 errors,
+        which for this fast wave at the start step exceeds TAU_WAVE."""
+        c = ChainParams(q=4, p=1, gamma=0.02, eps=0.55, delta=0.017)
+        s0 = ChainState(0.0, [1.45, 1.08, 4.62, 4.26], [1.47, 0.72, -1.59, 1.89])
+        rep = _classify_attractor(s0, c, 3000.0, default_dt(c))[0]
+        assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
+        assert rep.delay_error < TAU_WAVE
 
     def test_no_wave_from_a_settled_equilibrium(self):
         """At rest on the pinned q=3 equilibrium no lag moves any site to its
@@ -614,15 +690,18 @@ class TestTrapCertificate:
         assert start == 0.0 and end <= 100.0
         assert fine_start == end and fine_end - fine_start == sgchain.CHECK_EVERY
 
-    def test_the_q3_wave_is_tested_soon_after_its_crossings_steady(self):
-        """Its third steady crossing comes at t = 1176 at h; tested at the end
-        of a doubling window (t = 1550) it took 17588 RK4 steps, 14811 when
-        the run at h/2 replayed the transient from s0, and 8624 when each
-        test recorded a stretch of 1.6 T + 10 rather than 1.3 T/q."""
+    def test_the_q3_wave_is_tested_at_its_first_return_to_the_shift(self):
+        """The run returns to the neighbor shift of the state it kept at
+        t = 50 one lag T/q = 130 later, and the wave test from that state
+        passes.  When site 0's third steady full turn gave the guess, at
+        t = 1176 at h, the check took 17588 RK4 steps tested at the end of
+        a doubling window (t = 1550), 14811 when the run at h/2 replayed the
+        transient from s0, 8624 when each test recorded a stretch of
+        1.6 T + 10 rather than 1.3 T/q, and 4878 after that."""
         c = replace(Q3, delta=0.012)
         rep = classify_attractor(twist_state(c), c)
         assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
-        assert rep.rk4_steps <= 5500
+        assert rep.rk4_steps <= 2600
 
 
 class TestBisectionRecord:
@@ -709,6 +788,20 @@ class TestBisectionRecord:
 
 
 class TestStepper:
+    def test_the_stability_limit_is_bisected_once_per_chain(self, monkeypatch):
+        """A wave classification integrates at many step lengths (each
+        Gauss-Newton iterate of a wave test ends on a partial step), and
+        builds the stage matrices for each, but bisects the chain's
+        stability limit once: it does not depend on the step."""
+        c = replace(Q3, delta=0.012)
+        sgchain._stability_limit.cache_clear()
+        sgchain._stepper.cache_clear()
+        rk4_gain, gains = sgchain._rk4_gain, []
+        monkeypatch.setattr(sgchain, "_rk4_gain", lambda z: gains.append(z) or rk4_gain(z))
+        assert classify_attractor(twist_state(c), c).kind == "traveling_wave"
+        assert sgchain._stepper.cache_info().misses > 2
+        assert len(gains) == 60  # one bisection
+
     def test_matrices_are_built_once_and_read_only(self):
         c = replace(Q3, delta=0.005)
         dt = default_dt(c)
