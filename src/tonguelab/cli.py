@@ -52,7 +52,12 @@ the plot and names it on stderr; it exits 1 only when no positive width
 is left to plot.
 
 The parser is built once per process, on the first :func:`make_parser`
-or :func:`run` call, and every later run parses with it.
+or :func:`run` call, and every later run parses with it.  Importing this
+module and building the parser load the standard library only: each
+runner imports its route's modules (and numpy with them) when it runs,
+:mod:`~tonguelab.svgfig` only for SVG output, so a run loads its own
+route and no other, and ``--help`` or a usage error found while parsing
+loads none.
 
 Exit codes: 0 success, 1 numerical failure (diagnostics on stderr),
 2 usage error.  Outside input is checked where it enters, and only
@@ -75,17 +80,14 @@ import time
 from collections.abc import Callable
 from contextlib import nullcontext, suppress
 from dataclasses import asdict, dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .cylmap import MapParams
-from .orbits import ContinuationError, continue_in_x
-from .series import LeadingIndexNotFound, expand, verify_first_order, verify_periodicity
-from .sgchain import ChainParams, classify_attractor, critical_torque, integrate, twist_state
-from .svgfig import emit_svg
-from .tongue import InsufficientDataError, TongueSample, fit_exponent, orbits_at, sweep
-from .trigpoly import TrigPoly
+
+if TYPE_CHECKING:
+    from .cylmap import MapParams
+    from .sgchain import ChainParams
+    from .trigpoly import TrigPoly
 
 _USAGE_ERROR = 2
 _NUMERIC_ERROR = 1
@@ -100,6 +102,8 @@ class UsageError(Exception):
 def parse_f(spec: str) -> TrigPoly:
     """Parse the forcing term: ``sin``/``cos`` (optionally ``sin 2x``)
     or an explicit coefficient object ``{"cos":[...],"sin":[...]}``."""
+    from .trigpoly import TrigPoly
+
     spec = spec.strip()
     m = _F_SHORTHAND.match(spec)
     if m:
@@ -158,6 +162,8 @@ class RunConfig:
         (only ``orbit`` reads a drift); a p/q orbit needs ``gcd(p, q) = 1``,
         so a reducible one is a usage error, as is any value that
         :class:`~tonguelab.cylmap.MapParams` rejects."""
+        from .cylmap import MapParams
+
         try:
             m = MapParams(eps=eps, delta=self.delta, f=parse_f(self.f), p=self.p, q=self.q)
         except ValueError as exc:
@@ -169,6 +175,8 @@ class RunConfig:
     def chain_params(self) -> ChainParams:
         """The chain of ``chain``; a value that
         :class:`~tonguelab.sgchain.ChainParams` rejects is a usage error."""
+        from .sgchain import ChainParams
+
         try:
             return ChainParams(q=self.q, p=self.p, gamma=self.gamma,
                                eps=self.one_eps(), delta=self.delta)
@@ -261,6 +269,8 @@ def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str, **meta) -> 
 # -- subcommand runners ---------------------------------------------------
 
 def _run_orbit(cfg: RunConfig, t0: float) -> int:
+    from .tongue import orbits_at
+
     orbits, sample, grid = orbits_at(cfg.map_params(eps=cfg.one_eps()), cfg.grid)
     _write_json(cfg, t0, {
         "orbits": [{"kind": o.kind, "residual": {"R": o.residual.R, "S": o.residual.S},
@@ -271,10 +281,14 @@ def _run_orbit(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_profile(cfg: RunConfig, t0: float) -> int:
+    from .orbits import continue_in_x
+
     m = cfg.map_params(eps=cfg.one_eps())
     pts, iterations = continue_in_x(m.eps, m, cfg.grid)
     x0, delta, y0 = pts[:3].tolist()
     if cfg.format == "svg":
+        from .svgfig import emit_svg
+
         dataset = {"x0": x0, "delta": delta, "xlabel": "x0", "ylabel": "delta"}
         emit_svg(dataset, "profile", cfg.out or "profile.svg", _svg_meta(cfg))
     elif cfg.format == "json":
@@ -287,6 +301,9 @@ def _run_profile(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_tongue(cfg: RunConfig, t0: float) -> int:
+    from .orbits import ContinuationError
+    from .tongue import InsufficientDataError, fit_exponent, sweep
+
     m = cfg.map_params()
     if not all(math.isfinite(eps) and eps >= 0.0 for eps in cfg.eps):
         raise UsageError("--eps needs finite values >= 0, got "
@@ -298,6 +315,8 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
         print(f"tonguelab: eps={failure.eps:g} failed: {failure.reason}", file=sys.stderr)
     samples = result.samples
     if cfg.format == "svg":
+        from .svgfig import emit_svg
+
         plotted = [s for s in samples if s.width > 0.0]
         for s in samples:
             if s.width <= 0.0:
@@ -322,6 +341,8 @@ def _run_tongue(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_series(cfg: RunConfig, t0: float) -> int:
+    from .series import expand, verify_first_order, verify_periodicity
+
     m = cfg.map_params()
     if cfg.order < 1:
         raise UsageError(f"--order must be >= 1, got {cfg.order}")
@@ -345,6 +366,8 @@ def _run_series(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_chain(cfg: RunConfig, t0: float) -> int:
+    from .sgchain import classify_attractor, critical_torque, integrate, twist_state
+
     c = cfg.chain_params()
     if not (math.isfinite(cfg.horizon) and cfg.horizon > 0):
         raise UsageError(f"--horizon must be finite and > 0, got {cfg.horizon:g}")
@@ -390,9 +413,13 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
             n = math.ceil(1.0 / rep.dt)
             traj = integrate(twist_state(c), c, 1.0 / n, cfg.t_end, record_every=n)
             if cfg.format == "svg":
+                from .svgfig import emit_svg
+
                 emit_svg({"t": traj.times.tolist(), "x": traj.pos.T.tolist()},
                          "trajectory", cfg.out, _svg_meta(cfg))
             else:
+                import numpy as np
+
                 header = ",".join(["t", *(f"{v}_{k}" for v in "xv" for k in range(c.q))])
                 rows = np.column_stack([traj.times, traj.pos, traj.vel]).tolist()
                 _write_csv(cfg, t0, header, rows, cfg.out)
@@ -401,6 +428,9 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_fit(cfg: RunConfig, t0: float) -> int:
+    from .series import LeadingIndexNotFound, expand
+    from .tongue import TongueSample, fit_exponent
+
     if not cfg.input:
         raise UsageError("fit requires --input CSV (eps,width,... rows)")
     samples = []

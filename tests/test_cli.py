@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import tonguelab
-from tonguelab import cli, sgchain
+from tonguelab import cli, series, sgchain
 from tonguelab.cylmap import MapParams
 from tonguelab.tongue import width_at
 from tonguelab.trigpoly import TrigPoly
@@ -208,8 +208,8 @@ def test_series(capsys):
 
 def test_series_failed_periodicity_check_exits_1(capsys, monkeypatch):
     """The JSON is still written, with the failed check in it."""
-    check = cli.verify_periodicity
-    monkeypatch.setattr(cli, "verify_periodicity",
+    check = series.verify_periodicity
+    monkeypatch.setattr(series, "verify_periodicity",
                         lambda sol, m: replace(check(sol, m), support_multiples_of_q=False))
     rc = cli.run(["series", "--q", "3", "--p", "1", "--order", "4"])
     captured = capsys.readouterr()
@@ -399,13 +399,73 @@ def test_config_keys_take_their_field_types(tmp_path):
                 assert value == [3.0], (sub, name)
 
 
-def test_cli_import_leaves_out_scipy():
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tonguelab.cli as c; "
-            "c.make_parser(); print('scipy' in sys.modules)")
+# Runs argv (or only builds the parser, for None) in a fresh interpreter
+# and prints the exit code and every module loaded by then.
+_FRESH_RUN = """
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+sys.path.insert(0, sys.argv[1])
+import tonguelab.cli as cli
+argv = json.loads(sys.argv[2])
+rc = None
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    if argv is None:
+        cli.make_parser()
+    else:
+        try:
+            rc = cli.run(argv)
+        except SystemExit as exc:
+            rc = exc.code
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+# The modules that only a run loads: every tonguelab module but the package and cli.
+ROUTES = {"tonguelab.cylmap", "tonguelab.orbits", "tonguelab.series", "tonguelab.sgchain",
+          "tonguelab.svgfig", "tonguelab.tongue", "tonguelab.trigpoly"}
+
+
+def fresh_run(argv):
+    """Exit code and loaded modules of ``cli.run(argv)`` in a fresh
+    interpreter that imports this checkout's tonguelab."""
     src = str(Path(tonguelab.__file__).parents[1])
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _FRESH_RUN, src, json.dumps(argv)],
+                         capture_output=True, text=True, check=True).stdout
+    result = json.loads(out)
+    return result["rc"], set(result["modules"])
+
+
+def test_cli_import_leaves_out_scipy():
+    _, modules = fresh_run(None)
+    assert "scipy" not in modules
+
+
+def test_cli_import_and_parser_load_no_route():
+    _, modules = fresh_run(None)
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("tonguelab")} == {"tonguelab", "tonguelab.cli"}
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["series", "--q", "3", "--p", "1", "--order", "4"],
+     {"tonguelab.series", "tonguelab.cylmap", "tonguelab.trigpoly"}),
+    (["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005"],
+     {"tonguelab.sgchain"}),
+    (["tongue", "--q", "3", "--p", "1", "--eps", "0.1", "--grid", "24"],
+     {"tonguelab.tongue", "tonguelab.orbits", "tonguelab.cylmap", "tonguelab.trigpoly"}),
+])
+def test_a_run_loads_only_its_route(argv, loads):
+    rc, modules = fresh_run(argv)
+    assert rc == 0 and "numpy" in modules
+    assert modules & ROUTES == loads
+
+
+@pytest.mark.parametrize("argv", [["series", "--q", "x"],
+                                  ["chain", "--q", "2", "--format", "xml"],
+                                  ["tongue", "--order", "3"]])
+def test_usage_error_found_while_parsing_loads_no_numpy(argv):
+    rc, modules = fresh_run(argv)
+    assert rc == 2
+    assert "numpy" not in modules and not modules & ROUTES
 
 
 def exit_code(argv):
@@ -650,7 +710,7 @@ def test_value_error_inside_a_route_is_a_numerical_failure(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("singular collocation system")
 
-    monkeypatch.setattr(cli, "expand", fail)
+    monkeypatch.setattr(series, "expand", fail)
     rc = cli.run(["series", "--q", "3", "--p", "1", "--order", "2"])
     captured = capsys.readouterr()
     assert rc == 1 and captured.out == ""

@@ -3,16 +3,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tonguelab.trigpoly import (TrigPoly, _scan, product,
+from tonguelab.trigpoly import (_SCAN_DENSITY, TrigPoly, _critical_points, _scan, product,
                                 range_extrema, reconstruct, shift_average,
                                 weighted_shift_average)
 
 
 def random_poly(rng, degree):
     return TrigPoly(rng.uniform(-1, 1, degree + 1), rng.uniform(-1, 1, degree))
+
+
+def bisected_critical_points(p, n):
+    """The zeros of ``p'`` from the sign changes of the same scan, each
+    bracket bisected to 1e-13: the reference for the regula falsi."""
+    dp = p.derivative()
+    above = _scan(dp, n) >= 0
+    i = np.flatnonzero(above != np.roll(above, -1))
+    lo, hi, lo_above = 2.0 * math.pi * i / n, 2.0 * math.pi * (i + 1) / n, above[i]
+    while np.any(hi - lo > 1e-13):
+        mid = 0.5 * (lo + hi)
+        same = (dp(mid) >= 0) == lo_above
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return 0.5 * (lo + hi) % (2.0 * math.pi)
 
 
 class TestEval:
@@ -197,6 +211,49 @@ class TestRangeExtrema:
         assert lo == pytest.approx(float(np.min(vals)), abs=1e-9)
         assert abs(p.derivative().eval(xhi)) < 1e-12
         assert abs(p.derivative().eval(xlo)) < 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(coeffs=st.lists(st.floats(-1, 1), min_size=3, max_size=41))
+    def test_critical_points_match_bisection(self, coeffs):
+        """Both end in a bracket of width 1e-13 around the same sign change,
+        so their midpoints differ by at most 1e-13 (and the rounding of
+        x mod 2 pi); the extrema then agree to rounding."""
+        d = (len(coeffs) - 1) // 2
+        p = TrigPoly(coeffs[:d + 1], coeffs[d + 1:2 * d + 1])
+        assume(p.degree() > 0)
+        n = _SCAN_DENSITY * (p.degree() + 1)
+        xs, ref = _critical_points(p, n), bisected_critical_points(p, n)
+        assert len(xs) == len(ref) > 0
+        gap = np.abs((xs - ref + math.pi) % (2 * math.pi) - math.pi)
+        assert np.max(gap) <= 1e-13 + 4 * np.spacing(2 * math.pi)
+        hi, lo, xhi, xlo = range_extrema(p)
+        vals = p.eval(ref)
+        rounding = 8 * np.finfo(float).eps * (np.abs(p.cos_coeffs).sum()
+                                               + np.abs(p.sin_coeffs).sum())
+        assert hi == pytest.approx(float(np.max(vals)), rel=0, abs=rounding)
+        assert lo == pytest.approx(float(np.min(vals)), rel=0, abs=rounding)
+        assert p.eval(xhi) == pytest.approx(hi, rel=0, abs=rounding)
+        assert p.eval(xlo) == pytest.approx(lo, rel=0, abs=rounding)
+
+    def test_a_bracket_takes_at_most_ten_evaluations(self, monkeypatch):
+        """Each step evaluates p' once at every bracket, so the number of
+        evaluation calls is the number of evaluations per bracket."""
+        sizes = []
+        evaluate = TrigPoly.eval
+
+        def counted(self, x):
+            sizes.append(np.size(x))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(TrigPoly, "eval", counted)
+        rng = np.random.default_rng(7)
+        polys = [TrigPoly.sine(), TrigPoly.cosine(3), TrigPoly([0.0, 0.3], [1.0, 0.0, 0.2]),
+                 *(random_poly(rng, d) for d in range(1, 41))]
+        for p in polys:
+            sizes.clear()
+            xs = _critical_points(p, _SCAN_DENSITY * (p.degree() + 1))
+            assert 1 <= len(sizes) <= 10, p
+            assert sizes == [len(xs)] * len(sizes)
 
 
 class TestScan:
