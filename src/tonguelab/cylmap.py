@@ -20,7 +20,10 @@ out the same way; each step takes ``f`` and ``f'`` from one product of
 the starts' ``[cos kx | sin kx]`` rows with the coefficient matrix of
 ``(f, f')``, then scales them by each start's own ``-eps``: the drift and
 the strength are per start, so one pass can advance starts of several
-eps together.  All functions here are pure.
+eps together.  The step loop calls numpy's C code directly (the bound
+``ndarray.dot``, ufuncs with positional outputs): at a few dozen starts
+the array-function dispatch of ``np.dot`` and the parsing of ``out=``
+are a fair share of a step.  All functions here are pure.
 """
 
 from __future__ import annotations
@@ -139,23 +142,27 @@ def remainder_jet(x0, y0, delta, eps, m: MapParams, n: int) -> tuple[np.ndarray,
     path = np.empty((n, 2, size))
     # views that the loop writes through
     k_col, cos_rows, sin_rows, sin_k = k[:, None], trig[:len(k)], trig[len(k):], kx[1:]
-    x, y, x_val, dx, values, fj = st[0], st[1], st[0, 0], st[0, 1:], st[:, 0], gj[:2]
-    for j in range(n):
+    x, y, x_val, dx, values = st[0], st[1], st[0, 0], st[0, 1:], st[:, 0]
+    fj, fp, g_tan = gj[:2], gj[1], gj[1:]
+    mu = m.mu
+    # the bound ndarray.dot skips np.dot's array-function dispatch, and a
+    # positional output skips the ufuncs' keyword parsing
+    for j, weight in enumerate(weights):
         path[j] = values
-        np.multiply(k_col, x_val, out=kx)
-        np.cos(kx, out=cos_rows)
-        np.sin(sin_k, out=sin_rows)
-        # g = -delta - eps f with its tangent -eps f' dx - d(delta); gj[1]
+        np.multiply(k_col, x_val, kx)
+        np.cos(kx, cos_rows)
+        np.sin(sin_k, sin_rows)
+        # g = -delta - eps f with its tangent -eps f' dx - d(delta); fp = gj[1]
         # holds -eps f' until the product with dx (numpy buffers the overlap)
-        np.dot(coef, trig, out=fj)
-        np.multiply(fj, neg_eps, out=fj)
-        np.multiply(gj[1], dx, out=gj[1:])
-        np.subtract(gj, drift, out=gj)
-        np.multiply(weights[j], gj, out=term)
-        np.add(acc, term, out=acc)
+        coef.dot(trig, fj)
+        np.multiply(fj, neg_eps, fj)
+        np.multiply(fp, dx, g_tan)
+        np.subtract(gj, drift, gj)
+        np.multiply(weight, gj, term)
+        np.add(acc, term, acc)
         # x' = x + y + mu + g and y' = y + g
-        np.add(x, y, out=x)
-        np.add(x_val, m.mu, out=x_val)
-        np.add(st, gj, out=st)
+        np.add(x, y, x)
+        np.add(x_val, mu, x_val)
+        np.add(st, gj, st)
     return (acc[:, 0].reshape((2,) + shape), acc[:, 1:].reshape((2, 3) + shape),
             path.reshape((n, 2) + shape))

@@ -50,7 +50,11 @@ A chain has only a few sites, so a step written site by site is
 dominated by the fixed cost of each numpy call, not by arithmetic.
 :func:`integrate` therefore writes each RK4 stage as one matrix product
 on a work vector holding the state, the stage sines and the constants:
-9 numpy calls per step whatever q is.
+9 direct C calls per step whatever q is.  Each product goes through the
+bound ``ndarray.dot`` and each ufunc gets its output by position: at
+these sizes the per-call set-up of ``np.matmul`` (a generalized ufunc)
+or the array-function dispatch of ``np.dot`` costs more than the
+product itself.
 """
 
 from __future__ import annotations
@@ -307,11 +311,17 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     The right-hand side is linear in ``[x, v]`` apart from ``sin x``, so
     each RK4 stage is written as one matrix product on a work vector that
     holds the state, the stage sines and the constants (see
-    :func:`_rk4_matrices`).  A step is then 9 numpy calls on length-q
-    arrays: at chain lengths of a few sites the cost of a step is the
-    per-call overhead, not the arithmetic.  The matrices are built once per
-    chain and step (:func:`_stepper`), so a run cut into many short calls
-    pays for them once.
+    :func:`_rk4_matrices`).  A step is then 9 direct C calls on length-q
+    arrays: four ``ndarray.dot`` products through one bound method, four
+    ``np.sin`` and one ``np.add``, each writing to an output passed by
+    position.  At chain lengths of a few sites the cost of a step is the
+    per-call overhead, not the arithmetic: at q = 3 one
+    ``np.matmul(w, G, out=tmp)`` takes about 2.5 times as long as
+    ``w.dot(G, tmp)``, which skips the generalized-ufunc set-up and the
+    keyword parsing.  The runaway test runs after steps 1, 33, 65, ...,
+    so a run raises within 32 steps of passing ``BLOWUP_LIMIT``.  The
+    matrices are built once per chain and step (:func:`_stepper`), so a
+    run cut into many short calls pays for them once.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -336,18 +346,18 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     rec[0] = z
     row = 1
     tmp, new = np.empty(q), np.empty(2 * q)
-    sin, matmul = np.sin, np.matmul
+    sin, add, dot, absolute, peak = np.sin, np.add, w.dot, np.abs, np.maximum.reduce
     for i in range(steps):
-        sin(x, out=s1)
-        matmul(w, g2, out=tmp)
-        sin(tmp, out=s2)
-        matmul(w, g3, out=tmp)
-        sin(tmp, out=s3)
-        matmul(w, g4, out=tmp)
-        sin(tmp, out=s4)
-        matmul(w, step, out=new)
-        z += new
-        if (i & 31) == 0 and np.max(np.abs(x)) > BLOWUP_LIMIT:
+        sin(x, s1)
+        dot(g2, tmp)
+        sin(tmp, s2)
+        dot(g3, tmp)
+        sin(tmp, s3)
+        dot(g4, tmp)
+        sin(tmp, s4)
+        dot(step, new)
+        add(z, new, z)
+        if (i & 31) == 0 and peak(absolute(x)) > BLOWUP_LIMIT:
             raise BlowUpError(f"|position| exceeded {BLOWUP_LIMIT:g} "
                               f"at t={s0.t + (i + 1) * h:g}")
         if record_every and (i + 1) % record_every == 0:
@@ -565,7 +575,7 @@ def _try_wave(state: ChainState, c: ChainParams, dt: float,
             steps += step.steps
             x, v = step.final.pos, step.final.vel
             res = np.stack([x, v]) - target
-            slope = np.stack([v, lap @ x + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
+            slope = np.stack([v, lap.dot(x) + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
             dtau = float(np.sum(res * slope) / np.sum(slope * slope))
             tau -= dtau
             if not 0.75 * guess <= tau <= 1.3 * guess or abs(dtau) <= 1e-13 * tau:
@@ -593,9 +603,9 @@ def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``low @ low.T @ s = b`` by forward and back substitution."""
     s = b.copy()
     for i in range(len(s)):
-        s[i] = (s[i] - low[i, :i] @ s[:i]) / low[i, i]
+        s[i] = (s[i] - low[i, :i].dot(s[:i])) / low[i, i]
     for i in reversed(range(len(s))):
-        s[i] = (s[i] - low[i + 1:, i] @ s[i + 1:]) / low[i, i]
+        s[i] = (s[i] - low[i + 1:, i].dot(s[i + 1:])) / low[i, i]
     return s
 
 
@@ -655,7 +665,7 @@ def _equilibrium(pos: np.ndarray, c: ChainParams):
     lap, wrap = _coupling(c.q, c.p)
     x = pos
     for _ in range(_NEWTON_ITERS):
-        force = lap @ x + wrap + c.delta - c.eps * np.sin(x)
+        force = lap.dot(x) + wrap + c.delta - c.eps * np.sin(x)
         hess = c.eps * np.diag(np.cos(x)) - lap
         low = _cholesky(hess)
         if low is None:
@@ -739,7 +749,7 @@ def _holds(state: ChainState, c: ChainParams, well: _Well) -> bool:
         return False
     lap, wrap = _coupling(c.q, c.p)
     mid = state.pos + well.x
-    excess = (0.5 * float(state.vel @ state.vel) - float(d @ (0.5 * (lap @ mid) + wrap + c.delta))
+    excess = (0.5 * float(state.vel @ state.vel) - float(d @ (0.5 * lap.dot(mid) + wrap + c.delta))
               + 2.0 * c.eps * float(np.sin(0.5 * mid) @ np.sin(0.5 * d)))
     return excess < 0.25 * well.lam * well.r ** 2 - well.rho * well.r
 
@@ -841,10 +851,10 @@ def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):
     """
     lap, wrap = _coupling(c.q, c.p)
     hess = c.eps * np.diag(np.cos(x)) - lap
-    low = _cholesky(basis.T @ hess @ basis)
+    low = _cholesky(basis.T.dot(hess).dot(basis))
     if low is None:
         return None
-    force = lap @ x + wrap - c.eps * np.sin(x)
+    force = lap.dot(x) + wrap - c.eps * np.sin(x)
     delta = -float(np.mean(force))
     force += delta
     one = np.ones(c.q)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -228,6 +229,26 @@ class TestIntegrate:
         c = ChainParams(q=3, p=1, gamma=0.5, eps=0.0, delta=1e12)
         with pytest.raises(BlowUpError, match="exceeded"):
             integrate(twist_state(c), c, default_dt(c), 10.0)
+
+    def test_blow_up_is_caught_within_32_steps_of_the_crossing(self):
+        """The runaway test runs after steps 1, 33, 65, ...: a run may pass
+        BLOWUP_LIMIT between two tests and end there without raising, and a
+        longer run raises at the next test, within 32 steps of the crossing."""
+        # uniform sites at rest (p = 0, eps = 0) obey x'' + gamma x' = delta:
+        # |x| passes the limit at t ~ 26.2, between steps 65 and 66 of h = 0.4,
+        # just after a test, so a test every 64 steps would be caught out
+        c = ChainParams(q=2, p=0, gamma=0.5, eps=0.0, delta=2.066e6)
+        s0, h = twist_state(c), default_dt(c)
+        # it stops at the last step before the test at step 97
+        short = integrate(s0, c, h, 96 * h, record_every=1)
+        over = np.max(np.abs(short.pos), axis=1) > sgchain.BLOWUP_LIMIT
+        k = int(np.argmax(over))
+        assert 1 < k < 96 and over[k:].all() and not over[:k].any()
+        with pytest.raises(BlowUpError) as raised:
+            integrate(s0, c, h, 200 * h)
+        found = re.fullmatch(r"\|position\| exceeded 1e\+08 at t=(\S+)", str(raised.value))
+        assert found is not None
+        assert k * h <= float(found.group(1)) <= (k + 32) * h
 
 
 class TestCriticalTorque:
