@@ -14,11 +14,12 @@ carries the tool version and the resolved values of exactly those keys.
 step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
-for ``--bracket``, whose probes run at the start step).  A
-classification is ``undecided`` at the horizon or at rest on a saddle;
+when the run at the start step settles to an equilibrium, which ends
+the check, and for ``--bracket``, whose probes run at the start step).
+A classification is ``undecided`` at the horizon or at rest on a saddle;
 a wave's ``delay_error`` is the largest entry of ``z(t + T/q) - S z(t)``
 over positions and velocities at one instant, ``S`` moving each site to
-its neighbor.  It adds the test that ended its run from the start state
+its neighbor.  It adds the test that ended the run it reports
 (``decided_by``: ``trap`` for the energy trap certificate, ``velocity``
 for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
 ``horizon`` at the horizon) and the RK4 steps of every run of the

@@ -47,6 +47,8 @@ TAU_CLS = 1e-8
 TAU_SINGULAR = 1e-14
 
 _MAX_DAMPING_HALVINGS = 20
+# Newton steps a fixed-delta or implicit solve may take.
+_MAX_NEWTON_ITERS = 50
 
 
 class SingularJacobianError(RuntimeError):
@@ -158,19 +160,18 @@ def _orbit(res: np.ndarray, jac: np.ndarray, path: np.ndarray) -> PeriodicOrbit:
                          _kind(2.0 + float(jac[0, 0] + jac[1, 1])))
 
 
-def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
-                            max_iter: int = 50) -> PeriodicOrbit | None:
+def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams) -> PeriodicOrbit | None:
     """Damped Newton on the periodicity conditions at fixed drift.
 
     Returns the converged orbit, or ``None`` when the iteration does not
-    converge within ``max_iter`` or diverges.  Raises
+    converge within ``_MAX_NEWTON_ITERS`` steps or diverges.  Raises
     :class:`SingularJacobianError` when the Newton system degenerates,
     which signals proximity to the saddle-node at the tongue edge.  The
     orbit's states, residual and kind come from the Newton's final pass
     (:func:`_orbit`).
     """
     u = np.array([[guess.x], [guess.y], [m.delta], [m.eps]])
-    status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, max_iter)
+    status, _, res, jac, path = _newton(u, m, _FIXED_DELTA, _MAX_NEWTON_ITERS)
     if status[0] == _SINGULAR:
         raise SingularJacobianError(
             f"periodicity Jacobian determinant below {TAU_SINGULAR:g}")
@@ -179,8 +180,7 @@ def solve_orbit_fixed_delta(guess: PhaseState, m: MapParams,
     return _orbit(res[:, 0], jac[..., 0], path[..., 0])
 
 
-def _solve_implicit(x0, eps, m: MapParams, delta, y0,
-                    max_iter: int = 50) -> tuple[np.ndarray, ...]:
+def _solve_implicit(x0, eps, m: MapParams, delta, y0) -> tuple[np.ndarray, ...]:
     """Batched Newton in ``(delta, y0)`` at fixed ``x0``; returns the
     profile rows ``(x0, D, Y, D', Y')`` of each point, whether it
     converged, and its iterations.  ``x0`` is a 1-D array of the points;
@@ -192,7 +192,7 @@ def _solve_implicit(x0, eps, m: MapParams, delta, y0,
     x0 = np.asarray(x0, dtype=float)
     u = np.empty((4, x0.size))
     u[0], u[1], u[2], u[3] = x0, y0, delta, eps
-    status, iterations, _, jac, _ = _newton(u, m, _IMPLICIT, max_iter)
+    status, iterations, _, jac, _ = _newton(u, m, _IMPLICIT, _MAX_NEWTON_ITERS)
     (rx, ry, rd), (sx, sy, sd) = jac
     with np.errstate(divide="ignore", invalid="ignore"):
         det = rd * sy - ry * sd

@@ -23,7 +23,8 @@ step is chosen, not set:
   at a step and at half of it, from ``h`` down, until such a pair agrees
   on the kind and, for a traveling wave, on the period (step doubling, as
   in Hairer, Norsett and Wanner, *Solving ODEs I*, II.4); each finer run
-  starts on the attractor where the run before it ended.
+  starts on the attractor where the run before it ended.  The first run
+  that settles to an equilibrium ends the check, for the reason below.
 * **Critical torque at the start step.**  :func:`critical_torque` solves
   for the fold at which the pinned branch ends and confirms it by two
   probes, falling back to bisection where they disagree.  An equilibrium
@@ -45,6 +46,9 @@ traveling wave returns one lag ``T/q`` later to its state shifted by one
 site: the run guesses the lag from its first recorded return to the
 neighbor shift of a state it kept (:func:`_return_time`), and
 :func:`_try_wave` solves the delay identity at that state for the lag.
+The torque fixes the shift: by the energy balance over one period
+(:func:`_shifted`) a wave runs the way the torque pushes, and a chain
+without torque has no wave, so its run keeps no state to test.
 
 A chain has only a few sites, so a step written site by site is
 dominated by the fixed cost of each numpy call, not by arithmetic.
@@ -151,7 +155,9 @@ class AttractorReport:
     mean_velocity: float
     wave_period: float | None
     delay_error: float | None  # max |z(t + T/q) - S z(t)| over the full state at one instant
-    dt: float  # the RK4 step of the run that gave this report
+    # the step the run that gave this report asked for: integrate shrinks it
+    # to divide each CHECK_EVERY span, and the wave test's stretch steps at it
+    dt: float
     decided_by: str  # "trap" | "velocity" | "wave" | "horizon": the test that ended the run
     halvings: int = 0  # dt is the start step halved this many times
     rk4_steps: int = 0  # RK4 steps over every run that went into this report
@@ -183,9 +189,9 @@ def default_dt(c: ChainParams) -> float:
     cap binds only at strong damping, where the overdamped real root
     ``-gamma/2 - sqrt(gamma^2/4 + eps)`` lies beyond ``-1.74 sqrt(eps + 4)``
     (``gamma > 3.48`` at eps = 0).  The step is coarse on purpose:
-    :func:`classify_attractor` checks its result by step halving, and
-    :func:`critical_torque` follows equilibria, which do not move with the
-    step.
+    :func:`classify_attractor` checks a wave by step halving, and
+    equilibria, at which it stops and which :func:`critical_torque`
+    follows, do not move with the step.
     """
     return min(STEP_OMEGA / math.sqrt(c.eps + 4.0), 0.5 * stability_limit(c))
 
@@ -381,15 +387,19 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     (:func:`_return_time`), and the delay identity ``z(t + T/q) = S z(t)``
     that :func:`_try_wave` solves from it at ``z_ref`` holds to
     ``TAU_WAVE``.  Otherwise undecided at the horizon.  The report names
-    the test that ended the run from ``s0`` (``decided_by``) and counts
-    the RK4 steps of every run of the check (``rk4_steps``).
+    the test that ended its run (``decided_by``) and counts the RK4 steps
+    of every run of the check (``rk4_steps``).
 
     The check compares pairs of runs at a step and at half of it, starting
     at ``h = default_dt(c)``, until a pair agrees on the kind and, for
     waves, on T within ``PERIOD_STEP_RTOL`` relative.  The finer run's
-    report is returned, with its step ``h / 2**halvings``.  Only the run
-    at ``h`` starts at ``s0``; each later run starts where the one before
-    it ended (:func:`_rerun`), and only an undecided run replays the
+    report is returned, with its step ``h / 2**halvings``.  The first run
+    that settles to an equilibrium ends the check with its own report:
+    RK4 leaves every equilibrium in place at any step, and a stable one
+    stays stable at every step below :func:`stability_limit`, so a finer
+    run started there could only agree.  Only the run at ``h`` starts at
+    ``s0``; after a wave each later run starts where the one before it
+    ended (:func:`_rerun`), and only an undecided run replays the
     transient from ``s0``.  So the check shows that the attractor persists
     at the finer step with the same period, not that ``s0``'s transient
     reaches it there.  RK4's error falls like ``h^4``: after two waves
@@ -404,13 +414,13 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     depth = 0  # the coarse run of the pair is at start / 2**depth
     coarse, end = _classify_attractor(s0, c, horizon, start)
     steps = coarse.rk4_steps
-    while True:
+    while coarse.kind != "equilibrium":
         fine, fine_end = _rerun(coarse, end, s0, c, horizon, 0.5 * coarse.dt)
         steps += fine.rk4_steps
         same = fine.kind == coarse.kind
         gap = (abs(fine.wave_period - coarse.wave_period) / fine.wave_period
                if same and fine.wave_period is not None else 0.0)
-        if same and gap <= PERIOD_STEP_RTOL:
+        if fine.kind == "equilibrium" or (same and gap <= PERIOD_STEP_RTOL):
             return replace(fine, halvings=depth + 1, rk4_steps=steps)
         if depth + 1 == MAX_HALVINGS:
             raise StepRefinementError(
@@ -426,27 +436,22 @@ def classify_attractor(s0: ChainState, c: ChainParams,
         else:
             coarse, end = _rerun(fine, fine_end, s0, c, horizon, start / 2 ** depth)
             steps += coarse.rk4_steps
+    return replace(coarse, halvings=depth, rk4_steps=steps)
 
 
 def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParams,
            horizon: float, dt: float) -> tuple[AttractorReport, ChainState]:
-    """One run of :func:`classify_attractor`'s check at step ``dt``, started
-    on the attractor that the run reported by ``prev`` ended at ``end``,
+    """One run of :func:`classify_attractor`'s check at step ``dt`` after a
+    wave or an undecided run, reported by ``prev``, that ended at ``end``,
     together with the state it ended in.
 
-    A wave settles at ``dt`` for ``CHECK_EVERY`` time units and goes
-    straight to :func:`_try_wave`, with ``prev``'s period as the guess; if
-    that test fails the run goes on as :func:`_classify_attractor` from
-    the settled state.  An equilibrium runs :func:`_classify_attractor`
-    from ``end``, for a trapped run the certified equilibrium at rest,
-    which the RK4 step at any ``dt`` leaves in place, so the velocity test
-    decides it at its first check; the report keeps ``prev``'s
-    ``decided_by``.  An undecided run starts again from ``s0``."""
+    After a wave the run starts on the attractor: it settles at ``dt`` for
+    ``CHECK_EVERY`` time units from ``end`` and goes straight to
+    :func:`_try_wave`, with ``prev``'s period as the guess; if that test
+    fails the run goes on as :func:`_classify_attractor` from the settled
+    state.  After an undecided run it starts again from ``s0``."""
     if prev.kind == "undecided":
         return _classify_attractor(s0, c, horizon, dt)
-    if prev.kind == "equilibrium":
-        report, state = _classify_attractor(end, c, horizon, dt)
-        return replace(report, decided_by=prev.decided_by), state
     settle = integrate(end, c, dt, CHECK_EVERY)
     report, spent = _try_wave(settle.final, c, dt, prev.wave_period)
     spent += settle.steps
@@ -469,10 +474,11 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
 
     After every ``CHECK_EVERY`` time units the run tests, until one holds:
     every |velocity| below ``TAU_EQ`` (:func:`_rest_kind`); the energy trap
-    certificate; a traveling wave.  For the last, an undecided check keeps
-    its state as ``z_ref``, and once a later span records a return to
-    ``S z_ref`` at ``t`` (:func:`_return_time`), :func:`_try_wave` tests
-    ``z_ref`` with the guess ``T = q (t - t_ref)``.  A failed test, or a
+    certificate; a traveling wave.  For the last, an undecided check of a
+    twisted chain under torque keeps its state as ``z_ref`` (without
+    torque there is no wave, :func:`_shifted`), and once a later span
+    records a return to ``S z_ref`` at ``t`` (:func:`_return_time`),
+    :func:`_try_wave` tests ``z_ref`` with the guess ``T = q (t - t_ref)``.  A failed test, or a
     mean position two shifts ``2 pi p/q`` from ``z_ref``'s with no return
     (``z_ref`` off the wave), moves ``z_ref`` to the current state."""
     state = s0
@@ -505,7 +511,7 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
             steps += spent
             if report is not None:
                 return replace(report, rk4_steps=steps), state
-        if c.p and (ref is None or t is not None
+        if c.p and c.delta and (ref is None or t is not None
                     or abs(float(np.mean(state.pos - ref.pos))) > 4.0 * math.pi * c.p / c.q):
             ref, tail = state, None
     omega = float(state.pos[0] - s0.pos[0]) / max(elapsed, dt)
@@ -520,9 +526,19 @@ def _rest_kind(pos: np.ndarray, c: ChainParams) -> str:
     return "equilibrium" if c.eps == 0 or _cholesky(hess) is not None else "undecided"
 
 
-def _shifted(state: ChainState, c: ChainParams, nb: int) -> np.ndarray:
+def _shifted(state: ChainState, c: ChainParams) -> np.ndarray:
     """``S state``, positions over velocities: each site's moved to its
-    neighbor ``k + nb``, up to the ring seam ``x_{k+q} = x_k + 2 pi p``."""
+    neighbor ``k + nb``, up to the ring seam ``x_{k+q} = x_k + 2 pi p``,
+    for ``nb = -sign(delta)``: the way a wave runs.
+
+    Over one period of a wave the energy ``E = sum v^2/2 + V`` of
+    :func:`_well` falls by ``gamma`` times the integral of ``sum v^2``,
+    and of ``V`` only the tilt ``-delta sum x`` changes, by ``-delta q``
+    times each site's advance.  So each site advances the way the torque
+    pushes it, by ``sign(delta) 2 pi p`` per period, taking on the state
+    of its neighbor ``k - nb`` one lag later; and a chain without torque
+    has no wave."""
+    nb = -1 if c.delta > 0 else 1
     target = np.roll(np.stack([state.pos, state.vel]), nb, axis=1)
     target[0, 0 if nb > 0 else -1] -= nb * 2.0 * math.pi * c.p  # the site across the seam
     return target
@@ -532,12 +548,11 @@ def _return_time(ref: ChainState, c: ChainParams, times: np.ndarray,
                  rows: np.ndarray) -> float | None:
     """The time of the first of ``rows`` (states at ``times``, shape ``(n,
     2, q)``, neither end counted) at which the distance ``max|z - S z_ref|``
-    to the nearer neighbor shift of ``ref`` (:func:`_shifted`, ``nb =
-    +-1``) has a local minimum within one step's motion: the run's return
-    to ``S z_ref``, a lag ``T/q`` after ``ref`` on a traveling wave."""
+    to the neighbor shift of ``ref`` (:func:`_shifted`) has a local minimum
+    within one step's motion: the run's return to ``S z_ref``, a lag
+    ``T/q`` after ``ref`` on a traveling wave."""
     motion = np.max(np.abs(np.diff(rows, axis=0)), axis=(1, 2))
-    dist = np.min([np.max(np.abs(rows - _shifted(ref, c, nb)), axis=(1, 2))
-                   for nb in (-1, +1)], axis=0)
+    dist = np.max(np.abs(rows - _shifted(ref, c)), axis=(1, 2))
     mid, reach = dist[1:-1], np.maximum(motion[:-1], motion[1:])
     hits = np.nonzero((mid < dist[:-2]) & (mid <= dist[2:]) & (mid <= reach))[0]
     return float(times[hits[0] + 1]) if len(hits) else None
@@ -549,44 +564,41 @@ def _try_wave(state: ChainState, c: ChainParams, dt: float,
     for the lag ``tau = T/q``, from ``t_guess / q``, at the instant of
     ``state``; ``S`` is the neighbor shift of :func:`_shifted`.  The chain
     commutes with ``S``, so the identity then holds at every later
-    instant, and ``x_k`` advances by ``-nb 2 pi p`` per period.
-    Gauss-Newton in ``tau``, for ``nb = +-1``, reads ``z(t + tau)`` off one
-    stretch of at least ``1.3 t_guess / q`` recorded from ``state`` in
-    whole steps ``dt``, as the run that reached ``state`` stepped, by one
-    RK4 step through :func:`integrate` from the last row before it; its
-    slope is the vector field there.  A lag outside ``[0.75, 1.3] t_guess
-    / q`` fails.  The largest entry of the final residual is the wave's
-    ``delay_error``, which must be below ``TAU_WAVE``.  Returns the wave's
-    report, if any, and the RK4 steps spent."""
+    instant, and ``x_k`` advances by ``sign(delta) 2 pi p`` per period.
+    Gauss-Newton in ``tau`` reads ``z(t + tau)`` off one stretch of at
+    least ``1.3 t_guess / q`` recorded from ``state`` in whole steps
+    ``dt`` (the run that reached ``state`` stepped at ``dt`` shrunk to
+    divide each ``CHECK_EVERY`` span), by one RK4 step through
+    :func:`integrate` from the last row before it; its slope is the vector
+    field there.  A lag outside ``[0.75, 1.3] t_guess / q`` fails.  The
+    largest entry of the final residual is the wave's ``delay_error``,
+    which must be below ``TAU_WAVE``.  Returns the wave's report, if any,
+    and the RK4 steps spent."""
     if c.p == 0 or not 0 < t_guess < 2e5:
         return None, 0
     guess = t_guess / c.q
     stretch = integrate(state, c, dt, dt * math.ceil(1.3 * guess / dt), record_every=1)
     steps = stretch.steps
     lap, wrap = _coupling(c.q, c.p)
-    best = (math.inf, 0.0, 0)
-    for nb in (-1, +1):  # the wave may run either way around the ring
-        target = _shifted(state, c, nb)
-        tau = guess
-        for _ in range(50):
-            i = int(np.searchsorted(stretch.times, state.t + tau, side="right")) - 1
-            step = integrate(ChainState(stretch.times[i], stretch.pos[i], stretch.vel[i]),
-                             c, dt, state.t + tau - stretch.times[i])
-            steps += step.steps
-            x, v = step.final.pos, step.final.vel
-            res = np.stack([x, v]) - target
-            slope = np.stack([v, lap.dot(x) + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
-            dtau = float(np.sum(res * slope) / np.sum(slope * slope))
-            tau -= dtau
-            if not 0.75 * guess <= tau <= 1.3 * guess or abs(dtau) <= 1e-13 * tau:
-                break
-        if 0.75 * guess <= tau <= 1.3 * guess:
-            best = min(best, (float(np.max(np.abs(res))), tau, nb))
-    worst, tau, nb = best
-    if worst < TAU_WAVE:
+    target = _shifted(state, c)
+    tau = guess
+    for _ in range(50):
+        i = int(np.searchsorted(stretch.times, state.t + tau, side="right")) - 1
+        step = integrate(ChainState(stretch.times[i], stretch.pos[i], stretch.vel[i]),
+                         c, dt, state.t + tau - stretch.times[i])
+        steps += step.steps
+        x, v = step.final.pos, step.final.vel
+        res = np.stack([x, v]) - target
+        slope = np.stack([v, lap.dot(x) + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
+        dtau = float(np.sum(res * slope) / np.sum(slope * slope))
+        tau -= dtau
+        if not 0.75 * guess <= tau <= 1.3 * guess or abs(dtau) <= 1e-13 * tau:
+            break
+    worst = float(np.max(np.abs(res)))
+    if 0.75 * guess <= tau <= 1.3 * guess and worst < TAU_WAVE:
         T = c.q * tau
-        return AttractorReport("traveling_wave", -nb * 2.0 * math.pi * c.p / T, T, worst, dt,
-                               "wave"), steps
+        return AttractorReport("traveling_wave", math.copysign(2.0 * math.pi * c.p, c.delta) / T,
+                               T, worst, dt, "wave"), steps
     return None, steps
 
 

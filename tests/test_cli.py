@@ -641,9 +641,9 @@ def test_malformed_chain_input_is_usage_error(tmp_path, capsys, monkeypatch, ext
 @pytest.mark.parametrize("delta,kind,decided_by", [("0.005", "equilibrium", "trap"),
                                                    ("0.012", "traveling_wave", "wave")])
 def test_chain_reports_what_decided(capsys, delta, kind, decided_by):
-    """A classification's diagnostics name the test that ended its run from
-    the start state and count the RK4 steps of every run, at least two
-    runs' worth."""
+    """A classification's diagnostics name the test that ended the run it
+    reports and count the RK4 steps of every run: the equilibrium's one
+    run at the start step, the wave's runs at h and h/2."""
     rc, out = run_json(capsys, ["chain", "--q", "3", "--p", "1", "--eps", "0.6",
                                 "--delta", delta])
     assert rc == 0 and out["kind"] == kind
@@ -651,7 +651,11 @@ def test_chain_reports_what_decided(capsys, delta, kind, decided_by):
     assert set(diag) == {"dt", "halvings", "decided_by", "rk4_steps"}
     assert diag["decided_by"] == decided_by
     start = sgchain.default_dt(sgchain.ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.0))
-    assert diag["rk4_steps"] >= 3 * 50.0 / start  # a 50-unit window at h and at h/2
+    # the equilibrium ends the check at h, the wave is confirmed at h/2:
+    # one 50-unit window at h, and for the wave one more at h/2
+    halvings, windows = (0, 1) if kind == "equilibrium" else (1, 3)
+    assert diag["halvings"] == halvings
+    assert diag["rk4_steps"] >= windows * 50.0 / start
 
 
 def test_chain_trajectory_csv(tmp_path, capsys):

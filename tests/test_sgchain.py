@@ -391,10 +391,36 @@ class TestAttractors:
         assert steps == [h, h / 2, h / 8, h / 16]
         assert (rep.dt, rep.halvings) == (h / 16, 4)
 
-    def test_an_equilibrium_is_confirmed_by_one_halving(self):
+    def test_an_equilibrium_ends_the_check_at_the_start_step(self):
+        """The run at the start step settles, and no finer run follows: the
+        RK4 step leaves the equilibrium in place at any step.  Confirming
+        it at h/2 took 539 RK4 steps."""
         c = replace(Q3, delta=0.005)
         rep = classify_attractor(twist_state(c), c)
-        assert (rep.kind, rep.dt, rep.halvings) == ("equilibrium", default_dt(c) / 2, 1)
+        assert (rep.kind, rep.dt, rep.halvings) == ("equilibrium", default_dt(c), 0)
+        assert rep.rk4_steps == 270
+
+    def test_an_equilibrium_after_an_undecided_run_ends_the_check(self, monkeypatch):
+        """An undecided run at the start step is run again from s0 at h/2;
+        once that run settles, its report is the result, with one halving,
+        and no run at h/4 follows."""
+        c = replace(Q3, delta=0.005)
+        h, runs = default_dt(c), []
+
+        def undecided_at_h(s0, chain, horizon, dt):
+            runs.append(dt)
+            if dt == h:
+                return sgchain.AttractorReport("undecided", 0.0, None, None, dt, "horizon",
+                                               rk4_steps=7), s0
+            return _classify_attractor(s0, chain, horizon, dt)
+
+        monkeypatch.setattr(sgchain, "_classify_attractor", undecided_at_h)
+        rep = classify_attractor(twist_state(c), c)
+        fine = _classify_attractor(twist_state(c), c, DEFAULT_HORIZON, h / 2)[0]
+        assert runs == [h, h / 2]
+        assert (rep.kind, rep.decided_by, rep.dt, rep.halvings) == ("equilibrium", "trap",
+                                                                     h / 2, 1)
+        assert rep.rk4_steps == 7 + fine.rk4_steps
 
     def test_halvings_are_bounded(self, monkeypatch):
         c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
@@ -499,14 +525,34 @@ class TestAttractors:
         wave at the first checks.  A state kept there never comes within a
         step of its neighbor shift again, so it is dropped once the run's
         mean position has moved two shifts from it.  And the wave test
-        records its stretch at the run's own step: at a shorter one the
-        delay error takes in the difference of the two steps' RK4 errors,
-        which for this fast wave at the start step exceeds TAU_WAVE."""
+        records its stretch at the run's dt, which the run's CHECK_EVERY
+        spans shrink only slightly to divide them (to 0.3731 from 0.3750):
+        at a step 10 % shorter the delay error takes in the difference of
+        the two steps' RK4 errors, which for this fast wave at the start
+        step exceeds TAU_WAVE."""
         c = ChainParams(q=4, p=1, gamma=0.02, eps=0.55, delta=0.017)
         s0 = ChainState(0.0, [1.45, 1.08, 4.62, 4.26], [1.47, 0.72, -1.59, 1.89])
         rep = _classify_attractor(s0, c, 3000.0, default_dt(c))[0]
         assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
         assert rep.delay_error < TAU_WAVE
+
+    def test_no_wave_test_without_torque(self, monkeypatch):
+        """Kicked into a whirl at light damping and no torque, the twisted
+        q=3 chain returns near the neighbor shifts of earlier states while
+        it slows down, and the wave test used to run on them (three times,
+        failing each).  Without torque no wave exists, so the run keeps no
+        state to test, and it settles."""
+        c = ChainParams(q=3, p=1, gamma=0.02, eps=0.6, delta=0.0)
+        try_wave, calls = sgchain._try_wave, []
+
+        def recording(state, chain, dt, t_guess):
+            calls.append(state.t)
+            return try_wave(state, chain, dt, t_guess)
+
+        monkeypatch.setattr(sgchain, "_try_wave", recording)
+        rep = classify_attractor(ChainState(0.0, twist_state(c).pos, [6.0] * 3), c)
+        assert calls == []
+        assert rep.kind == "equilibrium"
 
     def test_no_wave_from_a_settled_equilibrium(self):
         """At rest on the pinned q=3 equilibrium no lag moves any site to its
@@ -691,10 +737,10 @@ class TestTrapCertificate:
 
     def test_the_q3_equilibrium_ends_at_the_first_check_that_holds(self, monkeypatch):
         """Trapped from t = 71 on, the run from s0 ends at the check at t = 100
-        (at the end of a doubling window the certificate came at t = 150).
-        The confirming run at h/2 starts from the certified equilibrium at
-        rest, which the RK4 step leaves in place, and ends at its own first
-        check."""
+        (at the end of a doubling window the certificate came at t = 150),
+        and that run is the whole classification: a confirming run at h/2
+        from the certified equilibrium at rest, which the RK4 step leaves in
+        place, used to end at its own first check."""
         c = replace(Q3, delta=0.005)
         spans = []
 
@@ -705,11 +751,10 @@ class TestTrapCertificate:
 
         monkeypatch.setattr(sgchain, "_classify_attractor", recording)
         rep = classify_attractor(twist_state(c), c)
-        assert (rep.kind, rep.decided_by, rep.halvings) == ("equilibrium", "trap", 1)
-        assert len(spans) == 2
-        (start, end), (fine_start, fine_end) = spans
+        assert (rep.kind, rep.decided_by, rep.halvings) == ("equilibrium", "trap", 0)
+        assert len(spans) == 1
+        (start, end), = spans
         assert start == 0.0 and end <= 100.0
-        assert fine_start == end and fine_end - fine_start == sgchain.CHECK_EVERY
 
     def test_the_q3_wave_is_tested_at_its_first_return_to_the_shift(self):
         """The run returns to the neighbor shift of the state it kept at
