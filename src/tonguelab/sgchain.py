@@ -43,9 +43,10 @@ below ``TAU_EQ`` over the last span, remains for chains without a
 certificate (``eps = 0``, a flat well, Newton not converging); a run it
 stops at rest on a saddle ends undecided (:func:`_rest_kind`).  A
 traveling wave returns one lag ``T/q`` later to its state shifted by one
-site: the run guesses the lag from its first recorded return to the
-neighbor shift of a state it kept (:func:`_return_time`), and
-:func:`_try_wave` solves the delay identity at that state for the lag.
+site: the run finds its first recorded return to the neighbor shift of a
+state it kept (:func:`_return_time`), and :func:`_try_wave` solves the
+delay identity at that state for the lag, from the return, on the rows
+in which the run found it.
 The torque fixes the shift: by the energy balance over one period
 (:func:`_shifted`) a wave runs the way the torque pushes, and a chain
 without torque has no wave, so its run keeps no state to test.
@@ -156,7 +157,7 @@ class AttractorReport:
     wave_period: float | None
     delay_error: float | None  # max |z(t + T/q) - S z(t)| over the full state at one instant
     # the step the run that gave this report asked for: integrate shrinks it
-    # to divide each CHECK_EVERY span, and the wave test's stretch steps at it
+    # to divide each CHECK_EVERY span; only _rerun's stretch steps at it undivided
     dt: float
     decided_by: str  # "trap" | "velocity" | "wave" | "horizon": the test that ended the run
     halvings: int = 0  # dt is the start step halved this many times
@@ -446,15 +447,22 @@ def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParam
     together with the state it ended in.
 
     After a wave the run starts on the attractor: it settles at ``dt`` for
-    ``CHECK_EVERY`` time units from ``end`` and goes straight to
-    :func:`_try_wave`, with ``prev``'s period as the guess; if that test
-    fails the run goes on as :func:`_classify_attractor` from the settled
-    state.  After an undecided run it starts again from ``s0``."""
+    ``CHECK_EVERY`` time units from ``end``, records 1.3 of ``prev``'s lag
+    ``T/q`` from there in whole steps ``dt``, and goes straight to
+    :func:`_try_wave` on that record, with the return put one such lag
+    on; if that test fails the run goes on as :func:`_classify_attractor`
+    from the settled state.  The run has no return of its own to wait
+    for: run as :func:`_classify_attractor` from ``end``, the check of the
+    q=5 wave at (q, p, gamma, eps, delta) = (5, 2, 0.3, 0.8, 0.1) took
+    7546 RK4 steps instead of 4736.  After an undecided run it starts
+    again from ``s0``."""
     if prev.kind == "undecided":
         return _classify_attractor(s0, c, horizon, dt)
     settle = integrate(end, c, dt, CHECK_EVERY)
-    report, spent = _try_wave(settle.final, c, dt, prev.wave_period)
-    spent += settle.steps
+    lag = prev.wave_period / c.q
+    stretch = integrate(settle.final, c, dt, dt * math.ceil(1.3 * lag / dt), record_every=1)
+    report, spent = _try_wave(settle.final, c, dt, stretch, settle.final.t + lag)
+    spent += settle.steps + stretch.steps
     if report is None:
         report, state = _classify_attractor(settle.final, c, horizon, dt)
         return replace(report, rk4_steps=spent + report.rk4_steps), state
@@ -478,8 +486,10 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
     twisted chain under torque keeps its state as ``z_ref`` (without
     torque there is no wave, :func:`_shifted`), and once a later span
     records a return to ``S z_ref`` at ``t`` (:func:`_return_time`),
-    :func:`_try_wave` tests ``z_ref`` with the guess ``T = q (t - t_ref)``.  A failed test, or a
-    mean position two shifts ``2 pi p/q`` from ``z_ref``'s with no return
+    :func:`_try_wave` tests ``z_ref`` from the return at ``t``, on the rows
+    in which the run found it: the span's, after the one row carried from
+    the span before.  No earlier row is kept.  A failed test, or a mean
+    position two shifts ``2 pi p/q`` from ``z_ref``'s with no return
     (``z_ref`` off the wave), moves ``z_ref`` to the current state."""
     state = s0
     elapsed = 0.0
@@ -507,7 +517,8 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
         tail = times[-2:-1], rows[-2:-1]
         t = None if ref is None else _return_time(ref, c, times, rows)
         if t is not None:
-            report, spent = _try_wave(ref, c, dt, c.q * (t - ref.t))
+            report, spent = _try_wave(ref, c, dt, Trajectory(times, rows[:, 0], rows[:, 1],
+                                                             state, traj.steps), t)
             steps += spent
             if report is not None:
                 return replace(report, rk4_steps=steps), state
@@ -558,44 +569,41 @@ def _return_time(ref: ChainState, c: ChainParams, times: np.ndarray,
     return float(times[hits[0] + 1]) if len(hits) else None
 
 
-def _try_wave(state: ChainState, c: ChainParams, dt: float,
-              t_guess: float) -> tuple[AttractorReport | None, int]:
+def _try_wave(ref: ChainState, c: ChainParams, dt: float, rows: Trajectory,
+              t_return: float) -> tuple[AttractorReport | None, int]:
     """Solve the delay identity ``z(t + tau) = S z(t)`` of a traveling wave
-    for the lag ``tau = T/q``, from ``t_guess / q``, at the instant of
-    ``state``; ``S`` is the neighbor shift of :func:`_shifted`.  The chain
-    commutes with ``S``, so the identity then holds at every later
-    instant, and ``x_k`` advances by ``sign(delta) 2 pi p`` per period.
-    Gauss-Newton in ``tau`` reads ``z(t + tau)`` off one stretch of at
-    least ``1.3 t_guess / q`` recorded from ``state`` in whole steps
-    ``dt`` (the run that reached ``state`` stepped at ``dt`` shrunk to
-    divide each ``CHECK_EVERY`` span), by one RK4 step through
-    :func:`integrate` from the last row before it; its slope is the vector
-    field there.  A lag outside ``[0.75, 1.3] t_guess / q`` fails.  The
-    largest entry of the final residual is the wave's ``delay_error``,
-    which must be below ``TAU_WAVE``.  Returns the wave's report, if any,
-    and the RK4 steps spent."""
-    if c.p == 0 or not 0 < t_guess < 2e5:
-        return None, 0
-    guess = t_guess / c.q
-    stretch = integrate(state, c, dt, dt * math.ceil(1.3 * guess / dt), record_every=1)
-    steps = stretch.steps
+    for the lag ``tau = T/q`` at the instant ``t`` of ``ref``, from the
+    run's return to ``S z_ref`` at ``t_return``; ``S`` is the neighbor
+    shift of :func:`_shifted`.  The chain commutes with ``S``, so the
+    identity then holds at every later instant, and ``x_k`` advances by
+    ``sign(delta) 2 pi p`` per period.  Gauss-Newton in ``tau`` reads
+    ``z(t + tau)`` off ``rows``, states that the run through ``ref``
+    recorded at most ``dt`` apart, by the one partial RK4 step through
+    :func:`integrate` from the last row before it; its slope is the
+    vector field there.  A lag outside ``[0.75, 1.3] (t_return - t)``
+    fails, and so does one before the first row, which no step forward
+    reaches.  The largest entry of the final residual is the wave's
+    ``delay_error``, which must be below ``TAU_WAVE``.  Returns the wave's
+    report, if any, and the RK4 steps spent."""
+    lag = t_return - ref.t
     lap, wrap = _coupling(c.q, c.p)
-    target = _shifted(state, c)
-    tau = guess
+    target = _shifted(ref, c)
+    tau, steps = lag, 0
     for _ in range(50):
-        i = int(np.searchsorted(stretch.times, state.t + tau, side="right")) - 1
-        step = integrate(ChainState(stretch.times[i], stretch.pos[i], stretch.vel[i]),
-                         c, dt, state.t + tau - stretch.times[i])
+        i = int(np.searchsorted(rows.times, ref.t + tau, side="right")) - 1
+        step = integrate(ChainState(rows.times[i], rows.pos[i], rows.vel[i]),
+                         c, dt, ref.t + tau - rows.times[i])
         steps += step.steps
         x, v = step.final.pos, step.final.vel
         res = np.stack([x, v]) - target
         slope = np.stack([v, lap.dot(x) + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
         dtau = float(np.sum(res * slope) / np.sum(slope * slope))
         tau -= dtau
-        if not 0.75 * guess <= tau <= 1.3 * guess or abs(dtau) <= 1e-13 * tau:
+        inside = rows.times[0] <= ref.t + tau and 0.75 * lag <= tau <= 1.3 * lag
+        if not inside or abs(dtau) <= 1e-13 * tau:
             break
     worst = float(np.max(np.abs(res)))
-    if 0.75 * guess <= tau <= 1.3 * guess and worst < TAU_WAVE:
+    if inside and worst < TAU_WAVE:
         T = c.q * tau
         return AttractorReport("traveling_wave", math.copysign(2.0 * math.pi * c.p, c.delta) / T,
                                T, worst, dt, "wave"), steps

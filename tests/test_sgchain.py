@@ -80,8 +80,8 @@ def classify_recording_wave_tests(monkeypatch, c):
     ran: the state tested, the step and the report (``None`` if it failed)."""
     try_wave, tested = sgchain._try_wave, []
 
-    def recording(state, chain, dt, t_guess):
-        result = try_wave(state, chain, dt, t_guess)
+    def recording(state, chain, dt, rows, t_return):
+        result = try_wave(state, chain, dt, rows, t_return)
         tested.append((state, dt, result[0]))
         return result
 
@@ -475,17 +475,17 @@ class TestAttractors:
         shift of the state it kept guesses the lag T/q to within one RK4
         step of that run."""
         c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
-        try_wave, guesses = sgchain._try_wave, []
+        try_wave, returns = sgchain._try_wave, []
 
-        def recording(state, chain, dt, t_guess):
-            guesses.append((dt, t_guess))
-            return try_wave(state, chain, dt, t_guess)
+        def recording(state, chain, dt, rows, t_return):
+            returns.append((dt, t_return - state.t))
+            return try_wave(state, chain, dt, rows, t_return)
 
         monkeypatch.setattr(sgchain, "_try_wave", recording)
         rep = classify_attractor(twist_state(c), c)
-        dt, t_guess = guesses[0]
+        dt, lag = returns[0]
         assert dt == default_dt(c)
-        assert abs(t_guess - rep.wave_period) / q <= dt
+        assert abs(lag - rep.wave_period / q) <= dt
 
     def test_no_wave_test_without_a_return_to_the_shift(self, monkeypatch):
         """Nothing off a wave returns to a neighbor shift of an earlier
@@ -496,9 +496,9 @@ class TestAttractors:
         try_wave, settles_or_depins, calls, probing = (sgchain._try_wave,
                                                        sgchain._settles_or_depins, [], [])
 
-        def recording(state, chain, dt, t_guess):
+        def recording(state, chain, dt, rows, t_return):
             calls.append((chain, bool(probing)))
-            return try_wave(state, chain, dt, t_guess)
+            return try_wave(state, chain, dt, rows, t_return)
 
         def probe(s0, chain, horizon, dt):
             probing.append(chain.delta)
@@ -524,12 +524,12 @@ class TestAttractors:
         """Kicked hard at light damping, the q=4 chain is still far from its
         wave at the first checks.  A state kept there never comes within a
         step of its neighbor shift again, so it is dropped once the run's
-        mean position has moved two shifts from it.  And the wave test
-        records its stretch at the run's dt, which the run's CHECK_EVERY
-        spans shrink only slightly to divide them (to 0.3731 from 0.3750):
-        at a step 10 % shorter the delay error takes in the difference of
-        the two steps' RK4 errors, which for this fast wave at the start
-        step exceeds TAU_WAVE."""
+        mean position has moved two shifts from it.  The wave test reads
+        the run's own rows, so its delay error no longer takes in the
+        difference between the RK4 errors of two steps, which for this
+        fast wave at the start step exceeds TAU_WAVE at a step 10 % off
+        the run's (its CHECK_EVERY spans shrink the step to 0.3731 from
+        0.3750)."""
         c = ChainParams(q=4, p=1, gamma=0.02, eps=0.55, delta=0.017)
         s0 = ChainState(0.0, [1.45, 1.08, 4.62, 4.26], [1.47, 0.72, -1.59, 1.89])
         rep = _classify_attractor(s0, c, 3000.0, default_dt(c))[0]
@@ -545,9 +545,9 @@ class TestAttractors:
         c = ChainParams(q=3, p=1, gamma=0.02, eps=0.6, delta=0.0)
         try_wave, calls = sgchain._try_wave, []
 
-        def recording(state, chain, dt, t_guess):
+        def recording(state, chain, dt, rows, t_return):
             calls.append(state.t)
-            return try_wave(state, chain, dt, t_guess)
+            return try_wave(state, chain, dt, rows, t_return)
 
         monkeypatch.setattr(sgchain, "_try_wave", recording)
         rep = classify_attractor(ChainState(0.0, twist_state(c).pos, [6.0] * 3), c)
@@ -558,18 +558,81 @@ class TestAttractors:
         """At rest on the pinned q=3 equilibrium no lag moves any site to its
         neighbor."""
         c = replace(Q3, delta=0.005)
-        state = settle(twist_state(c), c)
-        assert sgchain._try_wave(state, c, default_dt(c), 391.2)[0] is None
+        state, dt = settle(twist_state(c), c), default_dt(c)
+        rows = integrate(state, c, dt, 1.3 * 391.2 / 3, record_every=1)
+        assert sgchain._try_wave(state, c, dt, rows, state.t + 391.2 / 3)[0] is None
 
     def test_no_wave_from_twice_the_period(self, monkeypatch):
-        """From a guess of 2T the lag is held in [1.5, 2.6] T/q, where the
-        identity has no solution; from T itself the same state passes."""
+        """From a return put 2T/q on the lag is held in [1.5, 2.6] T/q,
+        where the identity has no solution; from T/q the same state, on
+        the same rows, passes."""
         c = replace(Q3, delta=0.012)
         try_wave = sgchain._try_wave
         rep, tested = classify_recording_wave_tests(monkeypatch, c)
         state, dt, _ = tested[-1]
-        assert try_wave(state, c, dt, 2.0 * rep.wave_period)[0] is None
-        assert try_wave(state, c, dt, rep.wave_period)[0] is not None
+        lag = rep.wave_period / c.q
+        rows = integrate(state, c, dt, dt * math.ceil(2.6 * lag / dt), record_every=1)
+        assert try_wave(state, c, dt, rows, state.t + 2.0 * lag)[0] is None
+        assert try_wave(state, c, dt, rows, state.t + lag)[0] is not None
+
+    def test_the_run_tests_its_own_rows_by_single_partial_steps(self, monkeypatch):
+        """The wave test of a run reads the lagged state off the rows the
+        run recorded: each of its integrations is one partial step from a
+        row, no longer than the run's own step.  It used to integrate 1.3
+        lags again from the state it kept."""
+        c = replace(Q3, delta=0.012)
+        integrate_, classify, try_wave = (sgchain.integrate, sgchain._classify_attractor,
+                                          sgchain._try_wave)
+        runs, testing, calls = [], [], []
+
+        def run(s0, chain, horizon, dt):
+            runs.append(dt)
+            try:
+                return classify(s0, chain, horizon, dt)
+            finally:
+                runs.pop()
+
+        def wave_test(*args):
+            testing.append(True)
+            try:
+                return try_wave(*args)
+            finally:
+                testing.pop()
+
+        def counting(state, chain, dt, t_end, record_every=0):
+            traj = integrate_(state, chain, dt, t_end, record_every)
+            if runs and testing:
+                calls.append((runs[-1], t_end, record_every, traj.steps))
+            return traj
+
+        monkeypatch.setattr(sgchain, "integrate", counting)
+        monkeypatch.setattr(sgchain, "_classify_attractor", run)
+        monkeypatch.setattr(sgchain, "_try_wave", wave_test)
+        assert classify_attractor(twist_state(c), c).kind == "traveling_wave"
+        assert calls
+        for dt, t_end, record_every, steps in calls:
+            h = sgchain.CHECK_EVERY / math.ceil(sgchain.CHECK_EVERY / dt)
+            assert (record_every, steps) == (0, 1 if t_end else 0)
+            assert 0.0 <= t_end <= h * (1.0 + 1e-12)
+
+    def test_a_lag_before_the_first_row_fails(self, monkeypatch):
+        """Rows that start just after the wave's lag T/q, and so after 0.75
+        of the lag that the return gives: the solve heads for T/q, before
+        the first row, and fails there, without a step of negative length.
+        On rows that reach back to the tested state the same return
+        passes."""
+        c = replace(Q3, delta=0.012)
+        rep, tested = classify_recording_wave_tests(monkeypatch, c)
+        state, dt, _ = tested[-1]
+        lag = rep.wave_period / c.q
+        late = integrate(state, c, dt, dt * math.ceil(1.02 * lag / dt)).final
+        rows = integrate(late, c, dt, dt * math.ceil(0.2 * lag / dt), record_every=1)
+        t_return = state.t + 1.05 * lag
+        assert rows.times[0] > state.t + 0.75 * (t_return - state.t)
+        # one partial step at the return, whose Newton step lands before the rows
+        assert sgchain._try_wave(state, c, dt, rows, t_return) == (None, 1)
+        whole = integrate(state, c, dt, dt * math.ceil(1.3 * lag / dt), record_every=1)
+        assert sgchain._try_wave(state, c, dt, whole, t_return)[0] is not None
 
     @pytest.mark.parametrize("q,p,gamma,eps,delta", [
         (3, 1, 0.5, 0.6, 0.012), (3, 1, 0.5, 0.6, -0.012),
@@ -763,11 +826,13 @@ class TestTrapCertificate:
         t = 1176 at h, the check took 17588 RK4 steps tested at the end of
         a doubling window (t = 1550), 14811 when the run at h/2 replayed the
         transient from s0, 8624 when each test recorded a stretch of
-        1.6 T + 10 rather than 1.3 T/q, and 4878 after that."""
+        1.6 T + 10 rather than 1.3 T/q, 4878 after that, 2178 when the run's
+        test recorded 1.3 T/q again from the state it kept, and 1722 since
+        it reads the run's own rows."""
         c = replace(Q3, delta=0.012)
         rep = classify_attractor(twist_state(c), c)
         assert (rep.kind, rep.decided_by) == ("traveling_wave", "wave")
-        assert rep.rk4_steps <= 2600
+        assert rep.rk4_steps <= 1900
 
 
 class TestBisectionRecord:
@@ -776,8 +841,9 @@ class TestBisectionRecord:
         BISECTION_RTOL below it that the trap certificate settles and one
         half a BISECTION_RTOL above it that escapes, both from the branch's
         equilibrium a whole BISECTION_RTOL below the fold.  The record
-        counts the RK4 steps of every run: at most 2600 of them (6711 when
-        the torque was bisected)."""
+        counts the RK4 steps of every run: at most 2300 of them (6711 when
+        the torque was bisected, 2163 since the wave test at the bracket's
+        upper end reads its run's rows)."""
         steps, starts = [], []
 
         def counting(state, chain, dt, t_end, record_every=0):
@@ -797,7 +863,7 @@ class TestBisectionRecord:
         assert result.critical_delta == fold
         assert 0 < result.fold_iterations <= sgchain._FOLD_NEWTON_ITERS
         assert result.dt == default_dt(PINNING)
-        assert result.rk4_steps == sum(steps) <= 2600
+        assert result.rk4_steps == sum(steps) <= 2300
         low, high = result.probes
         assert (low.delta, low.outcome, low.decided_by) == (fold * (1 - rtol / 2),
                                                              "equilibrium", "trap")
