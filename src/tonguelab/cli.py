@@ -25,15 +25,13 @@ for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
 ``horizon`` at the horizon) and the RK4 steps of every run of the
 halving check (``rk4_steps``).  ``--bracket`` solves for the fold of the
 pinned branch and confirms it by a probe just below it, which must
-settle, and one just above it, which must depin; where the fold solve
-fails or a probe disagrees it bisects the bracket.  It adds the RK4
-steps of all its runs (``rk4_steps``), how many probes each test decided
+settle, and one just above it, which must depin; ``critical_delta`` is
+the fold, and a fold that its solve or its probes cannot confirm is a
+numerical failure (exit 1).  It adds the RK4 steps of all its runs
+(``rk4_steps``), how many probes each test decided
 (``probes_decided_by``: ``trap``, ``velocity``, or ``escape`` for a site
-that moved off the pinned branch), the fold's torque (``fold_delta``,
-null when its solve failed) and the steps of that solve
-(``fold_newton_iters``), the final bracket (``bracket``) and the number
-of bisection probes (``bisection_probes``, 0 when both fold probes
-agreed and ``critical_delta`` is the fold).  ``--t-end`` and ``--format`` shape
+that moved off the pinned branch) and the steps of the fold's solve
+(``fold_newton_iters``).  ``--t-end`` and ``--format`` shape
 the trajectory that ``--out`` writes, so ``chain`` takes them only with
 ``--out``; for a whole-number ``--t-end`` (200 time units by default)
 the trajectory's rows are one time unit apart.  These
@@ -394,8 +392,7 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         step = {"dt": torque.dt, "halvings": 0, "rk4_steps": torque.rk4_steps,
                 "probes_decided_by": {test: sum(p.decided_by == test for p in torque.probes)
                                       for test in ("trap", "velocity", "escape")},
-                "fold_delta": torque.fold_delta, "fold_newton_iters": torque.fold_iterations,
-                "bracket": list(torque.bracket), "bisection_probes": torque.bisection_probes}
+                "fold_newton_iters": torque.fold_iterations}
     else:
         # --t-end and --format only shape the trajectory --out writes
         dropped = given("t_end", "format")
@@ -508,7 +505,7 @@ _HELP = {
     "out": "output path (default: stdout)",
     "bracket": "lo,hi torque bracket, finite with lo < hi: measure the critical torque "
                "instead of classifying, as the fold of the pinned branch confirmed by "
-               "a probe on each side of it, bisecting where they disagree",
+               "a probe on each side of it",
     "report": "path for the JSON report (default: stdout)",
     "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",

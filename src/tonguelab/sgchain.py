@@ -27,9 +27,8 @@ step is chosen, not set:
   that settles to an equilibrium ends the check, for the reason below.
 * **Critical torque at the start step.**  :func:`critical_torque` solves
   for the fold at which the pinned branch ends and confirms it by two
-  probes, falling back to bisection where they disagree.  An equilibrium
-  is a fixed point of the RK4 step for any ``h``, so the fold does not
-  move with the step.
+  probes, one on each side of it.  An equilibrium is a fixed point of the
+  RK4 step for any ``h``, so the fold does not move with the step.
 
 A run stops at the first check that decides it.  The checks come every
 ``CHECK_EVERY`` time units, so a run ends within that span of the moment
@@ -95,9 +94,8 @@ TAU_WAVE = 1e-4
 # Give up and report "undecided" after this much integrated time.
 DEFAULT_HORIZON = 1e5
 # critical_torque probes the fold at (1 -+ this/2) times it, from the pinned
-# equilibrium at (1 - this) times it; its fallback bisection stops once the
-# bracket is this narrow relative to its ends.
-BISECTION_RTOL = 1e-3
+# equilibrium at (1 - this) times it.
+FOLD_PROBE_RTOL = 1e-3
 # Positions beyond this magnitude abort the run as a blow-up.
 BLOWUP_LIMIT = 1e8
 # A torque probe has depinned once a site moves this far from its start.
@@ -110,6 +108,11 @@ class BlowUpError(RuntimeError):
 
 class StepRefinementError(RuntimeError):
     """Classifications at successive step halvings kept disagreeing."""
+
+
+class UnconfirmedFoldError(RuntimeError):
+    """:func:`critical_torque` could not confirm the fold: its solve failed,
+    or a probe beside it disagreed or was undecided at the horizon."""
 
 
 @dataclass(frozen=True)
@@ -299,12 +302,10 @@ def _rk4_matrices(c: ChainParams, h: float):
 
 @functools.lru_cache(maxsize=64)
 def _stepper(q: int, p: int, gamma: float, eps: float, h: float):
-    """:func:`stability_limit` and the read-only :func:`_rk4_matrices` at step
-    ``h``, built once per chain and step.  Neither depends on the torque,
-    which enters the step through the work vector, so the probes of a
-    bisection share them."""
-    c = ChainParams(q, p, gamma, eps, 0.0)
-    return stability_limit(c), _read_only(*_rk4_matrices(c, h))
+    """The read-only :func:`_rk4_matrices` at step ``h``, built once per
+    chain and step.  They do not depend on the torque, which enters the
+    step through the work vector, so runs at every torque share them."""
+    return _read_only(*_rk4_matrices(ChainParams(q, p, gamma, eps, 0.0), h))
 
 
 def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
@@ -336,9 +337,10 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
         raise ValueError("t_end must be >= 0")
     steps = max(1, math.ceil(t_end / dt - 1e-12)) if t_end > 0 else 0
     h = t_end / steps if steps else dt
-    limit, (g2, g3, g4, step) = _stepper(c.q, c.p, c.gamma, c.eps, h)
+    limit = stability_limit(c)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
+    g2, g3, g4, step = _stepper(c.q, c.p, c.gamma, c.eps, h)
     q = c.q
     w = np.empty(6 * q + 2)
     w[:q], w[q:2 * q], w[-2:] = s0.pos, s0.vel, (1.0, c.delta)
@@ -794,30 +796,25 @@ class TorqueProbe:
 
 @dataclass(frozen=True)
 class CriticalTorque:
-    """The critical torque and how :func:`critical_torque` reached it.
+    """The critical torque, the fold of the pinned branch, and how
+    :func:`critical_torque` reached it.
 
     ``dt`` is the start step :func:`default_dt` at which every run
-    integrated, with no halving.  ``fold_delta`` is the fold of the pinned
-    branch, ``None`` when its solve failed, and ``fold_iterations`` the
-    steps of that solve (:func:`_fold`: Newton steps, and continuation
-    steps below the branch's inflection).  ``bracket`` is the final
-    bracket and
-    ``bisection_probes`` counts the probes of the fallback bisection: 0
-    when both fold probes agree, and ``critical_delta`` is then the fold.
+    integrated, with no halving.  ``probes`` are the two that confirmed
+    the fold, the lower one first, and ``fold_iterations`` the steps of
+    the fold's solve (:func:`_fold`: Newton steps, and continuation steps
+    below the branch's inflection).
     """
 
     critical_delta: float
     dt: float
-    rk4_steps: int  # over both bracket-end classifications and every probe
-    probes: tuple[TorqueProbe, ...]  # in the order they ran
-    fold_delta: float | None
+    rk4_steps: int  # over both bracket-end classifications and both probes
+    probes: tuple[TorqueProbe, ...]
     fold_iterations: int
-    bracket: tuple[float, float]
-    bisection_probes: int
 
 
 def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
-                       dt: float) -> tuple[TorqueProbe, ChainState]:
+                       dt: float) -> TorqueProbe:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
     After every ``CHECK_EVERY`` time units, in this order: the verdict of
@@ -829,9 +826,7 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
     slip event moves a site by a full site spacing; so the test decides
     after a single bottleneck passage instead of waiting out a whole wave
     period, which diverges at the depinning threshold.  Returns the probe's
-    outcome, the test that decided it and its RK4 steps, together with the
-    final state, which for a trapped run is the certified equilibrium at
-    rest.
+    outcome, the test that decided it and its RK4 steps.
     """
     ref = s0.pos.copy()
     state = s0
@@ -849,13 +844,13 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
         elapsed += span
         steps += traj.steps
         if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return probe(_rest_kind(state.pos, c), "velocity"), state
+            return probe(_rest_kind(state.pos, c), "velocity")
         if float(np.max(np.abs(state.pos - ref))) > _ESCAPE:
-            return probe("depinned", "escape"), state
+            return probe("depinned", "escape")
         well, trapped = _trap(state, c, well)
         if trapped:
-            return probe("equilibrium", "trap"), ChainState(state.t, well.x, np.zeros(c.q))
-    return probe("undecided", "horizon"), state
+            return probe("equilibrium", "trap")
+    return probe("undecided", "horizon")
 
 
 def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):
@@ -887,7 +882,7 @@ def _fold(pos: np.ndarray, c: ChainParams,
           top: float) -> tuple[tuple[float, np.ndarray] | None, int]:
     """The fold of the pinned branch through the equilibrium ``pos``: its
     torque ``delta_f`` and the branch's stable equilibrium at
-    ``delta_f (1 - BISECTION_RTOL)``, or ``None`` when the solve fails,
+    ``delta_f (1 - FOLD_PROBE_RTOL)``, or ``None`` when the solve fails,
     together with the steps the solve took.  ``top`` bounds the torques
     the continuation below tries.
 
@@ -928,8 +923,8 @@ def _fold(pos: np.ndarray, c: ChainParams,
     lowers the norm and the norm is below ``1e-14`` of one plus the
     equations' scale, the bound at which :func:`_equilibrium` stops.  The
     quadratic model then puts the branch's equilibrium at
-    ``delta_f (1 - BISECTION_RTOL)`` at
-    ``x_f - sqrt(2 BISECTION_RTOL |delta_f| / kappa) v``, and
+    ``delta_f (1 - FOLD_PROBE_RTOL)`` at
+    ``x_f - sqrt(2 FOLD_PROBE_RTOL |delta_f| / kappa) v``, and
     :func:`_equilibrium` continues the branch there from that prediction.
     """
     basis = np.eye(c.q, c.q - 1, -1) - np.eye(c.q, c.q - 1)
@@ -957,8 +952,8 @@ def _fold(pos: np.ndarray, c: ChainParams,
             if terms is not None and terms[-1] < norm:
                 break
             if norm <= 1e-14 * (1.0 + _scale(x, c, delta)):
-                guess = x - math.sqrt(2.0 * BISECTION_RTOL * abs(delta) / kappa) * v
-                below = _equilibrium(guess, replace(c, delta=delta * (1.0 - BISECTION_RTOL)))
+                guess = x - math.sqrt(2.0 * FOLD_PROBE_RTOL * abs(delta) / kappa) * v
+                below = _equilibrium(guess, replace(c, delta=delta * (1.0 - FOLD_PROBE_RTOL)))
                 return (None if below is None else (delta, below[0])), steps
             step *= 0.5
         else:
@@ -969,33 +964,22 @@ def _fold(pos: np.ndarray, c: ChainParams,
 
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
                     horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
-    """The torque at which the pinned branch ends: its fold, confirmed by two
-    probes, or a bisection between pinned and running behavior where
-    they disagree.
+    """The torque at which the pinned branch ends: its fold, confirmed by a
+    probe on each side of it.
 
     The bracket ends are validated with the full attractor classifier
     (equilibrium at ``bracket[0]``, traveling wave at ``bracket[1]``).
     From the equilibrium that the classification at ``bracket[0]``
     settled in, :func:`_fold` solves for the fold of the pinned branch and
     continues the branch to its equilibrium at ``fold (1 -
-    BISECTION_RTOL)``.  Two probes start at rest from that equilibrium, at
-    ``fold (1 -+ BISECTION_RTOL/2)``: the lower one must settle and the
-    upper one must depin.  The probes are the evidence: the fold alone
-    solves the equilibrium equations, not the dynamics.  Each probe that
-    agrees narrows the bracket to its torque; one that disagrees (through
-    hysteresis, or a fold of another branch) leaves the bracket as it is.
-    Then, while the bracket is wider than ``BISECTION_RTOL`` relative to
-    its larger end, its midpoint is probed, so this bisection runs only
-    where the fold solve failed or a fold probe disagreed.
-
-    Probes use the pinned/depinned dichotomy of :func:`_settles_or_depins`,
-    not the classifier, which would wait out a wave period that diverges at
-    the threshold.  The chain is underdamped and hysteretic, so each
-    bisection probe restarts at rest from the last settled equilibrium, the
-    first being the one the classification at ``bracket[0]`` settled in,
-    and the fold probes start just below the fold on the branch.  A probe
-    settled by the energy trap certificate hands on its Newton equilibrium,
-    which solves the equilibrium equations to rounding.
+    FOLD_PROBE_RTOL)``.  Two probes start at rest from that equilibrium,
+    at ``fold (1 -+ FOLD_PROBE_RTOL/2)``: the lower one must settle and
+    the upper one must depin.  The probes are the evidence: the fold
+    alone solves the equilibrium equations, not the dynamics.  They use
+    the pinned/depinned dichotomy of :func:`_settles_or_depins`, not the
+    classifier, which would wait out a wave period that diverges at the
+    threshold; the chain is underdamped and hysteretic, so they start on
+    the branch just below the fold, not at the bracket's lower end.
 
     Every run uses the start step :func:`default_dt`, with no halving
     check: each equilibrium is a fixed point of the RK4 step at any ``h``,
@@ -1004,13 +988,13 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     fold do not move with the step.
     The bracket ends need only their kind, not a wave period.
 
-    Returns the fold when both fold probes agree, and otherwise the
-    midpoint of the final bracket, with the step, every probe in order,
-    the RK4 steps of every run, the fold and its solve's steps, the final
-    bracket and the number of bisection probes.  Raises
+    Returns the fold with the step, both probes, the RK4 steps of every
+    run and the steps of the fold's solve.  Raises
     :class:`InvalidBracketError` when the bracket does not have ``lo < hi``
-    or its ends are not of the two kinds, and :class:`ValueError` when
-    ``horizon`` is not finite and positive.
+    or its ends are not of the two kinds, :class:`UnconfirmedFoldError`
+    when the fold solve fails or a probe disagrees or is undecided at the
+    horizon, and :class:`ValueError` when ``horizon`` is not finite and
+    positive.
     """
     _check_horizon(horizon)
     lo, hi = bracket
@@ -1027,38 +1011,20 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
         raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} "
                                           f"(got {rep_hi.kind})")
     fold, fold_iterations = _fold(settled.pos, c, hi)
-    fold_delta, planned = None, []
-    if fold is not None:
-        fold_delta, below = fold
-        fold_start = ChainState(0.0, below, np.zeros(c.q))
-        # each fold probe with the outcome it must have
-        planned = [(fold_delta * (1.0 - 0.5 * BISECTION_RTOL), "equilibrium"),
-                   (fold_delta * (1.0 + 0.5 * BISECTION_RTOL), "depinned")]
-    probes, agreed, bisected = [], 0, 0
-    while True:
-        planned = [(d, outcome) for d, outcome in planned if lo < d < hi]
-        if planned:
-            (mid, expected), start = planned.pop(0), fold_start
-        elif (hi - lo) > BISECTION_RTOL * max(abs(hi), abs(lo), 1e-12):
-            mid, expected, start = 0.5 * (lo + hi), None, eq_state
-            bisected += 1
-        else:
-            break
-        probe, final = _settles_or_depins(start, replace(c, delta=mid), horizon, dt)
+    if fold is None:
+        raise UnconfirmedFoldError(f"the fold solve failed ({fold_iterations} steps)")
+    crit, below = fold
+    start = ChainState(0.0, below, np.zeros(c.q))
+    probes = []
+    for delta, expected in ((crit * (1.0 - 0.5 * FOLD_PROBE_RTOL), "equilibrium"),
+                            (crit * (1.0 + 0.5 * FOLD_PROBE_RTOL), "depinned")):
+        probe = _settles_or_depins(start, replace(c, delta=delta), horizon, dt)
         probes.append(probe)
         if probe.outcome == "undecided":
-            raise RuntimeError(f"undecided at delta={mid:g} within horizon "
-                               f"{horizon:g}; raise the horizon")
-        if expected is not None:
-            if probe.outcome != expected:
-                continue
-            agreed += 1
-        if probe.outcome == "equilibrium":
-            lo = mid
-            eq_state = ChainState(0.0, final.pos, np.zeros(c.q))
-        else:
-            hi = mid
-    crit = fold_delta if agreed == 2 else 0.5 * (lo + hi)
+            raise UnconfirmedFoldError(f"probe undecided at delta={delta:g} within horizon "
+                                       f"{horizon:g}; raise the horizon")
+        if probe.outcome != expected:
+            raise UnconfirmedFoldError(f"probe at delta={delta:g} disagrees with the fold "
+                                       f"{crit:g}: {probe.outcome}, not {expected}")
     steps = rep_lo.rk4_steps + rep_hi.rk4_steps + sum(p.rk4_steps for p in probes)
-    return CriticalTorque(crit, dt, steps, tuple(probes), fold_delta, fold_iterations,
-                          (lo, hi), bisected)
+    return CriticalTorque(crit, dt, steps, tuple(probes), fold_iterations)

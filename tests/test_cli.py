@@ -309,8 +309,8 @@ def test_chain_reports_its_step(capsys):
 
 def test_bracket_reports_how_it_decided(capsys):
     """The diagnostics count the RK4 steps and the test that decided each
-    probe, and give the fold, its Newton steps, the final bracket and the
-    bisection probes, as the record critical_torque returns."""
+    probe, and give the fold solve's steps, as the record critical_torque
+    returns."""
     rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
                                 "--gamma", "0.25", "--bracket", "0.01,0.1"])
     assert rc == 0
@@ -318,32 +318,33 @@ def test_bracket_reports_how_it_decided(capsys):
     torque = sgchain.critical_torque(pinning, (0.01, 0.1))
     assert out["critical_delta"] == torque.critical_delta
     diag = out["meta"]["diagnostics"]
-    assert set(diag) == {"dt", "halvings", "rk4_steps", "probes_decided_by", "fold_delta",
-                         "fold_newton_iters", "bracket", "bisection_probes"}
+    assert set(diag) == {"dt", "halvings", "rk4_steps", "probes_decided_by", "fold_newton_iters"}
     assert diag["rk4_steps"] == torque.rk4_steps
     counts = diag["probes_decided_by"]
     assert set(counts) == {"trap", "velocity", "escape"}
-    assert sum(counts.values()) == len(torque.probes)
+    assert sum(counts.values()) == len(torque.probes) == 2
     assert counts["trap"] > 0 and counts["escape"] > 0
-    assert diag["fold_delta"] == torque.fold_delta == out["critical_delta"]
     assert diag["fold_newton_iters"] == torque.fold_iterations > 0
-    assert diag["bracket"] == list(torque.bracket)
-    assert diag["bisection_probes"] == torque.bisection_probes == 0
 
 
-def test_bracket_reports_a_fallback_bisection(capsys, monkeypatch):
-    """A fold solve that runs out of Newton steps leaves the bracket to the
-    bisection, and the diagnostics say so."""
-    monkeypatch.setattr(sgchain, "_FOLD_NEWTON_ITERS", 1)
-    rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
-                                "--gamma", "0.25", "--bracket", "0.01,0.1"])
-    assert rc == 0
-    diag = out["meta"]["diagnostics"]
-    assert (diag["fold_delta"], diag["fold_newton_iters"]) == (None, 1)
-    assert diag["bisection_probes"] == sum(diag["probes_decided_by"].values()) > 0
-    lo, hi = diag["bracket"]
-    assert hi - lo <= sgchain.BISECTION_RTOL * hi
-    assert out["critical_delta"] == 0.5 * (lo + hi)
+def test_bracket_reports_an_unconfirmed_fold(capsys, monkeypatch):
+    """A fold solve that runs out of Newton steps, or an upper probe that
+    settles, leaves the fold unconfirmed: a numerical failure, exit 1,
+    that names which of them happened."""
+    argv = ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--gamma", "0.25",
+            "--bracket", "0.01,0.1"]
+    with monkeypatch.context() as m:
+        m.setattr(sgchain, "_FOLD_NEWTON_ITERS", 1)
+        assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "tonguelab: numerical failure: the fold solve failed (1 steps)\n"
+    monkeypatch.setattr(sgchain, "_settles_or_depins", lambda s0, chain, horizon, dt:
+                        sgchain.TorqueProbe(chain.delta, "equilibrium", "velocity", 0))
+    assert cli.run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("tonguelab: numerical failure: probe at delta=0.044")
+    assert err.endswith("disagrees with the fold 0.0446682: equilibrium, not depinned\n")
 
 
 def test_chain_halving_failure_exits_1(capsys, monkeypatch):
