@@ -413,13 +413,13 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
             if cfg.format == "svg":
                 from .svgfig import emit_svg
 
-                emit_svg({"t": traj.times.tolist(), "x": traj.pos.T.tolist()},
+                emit_svg({"t": traj.times.tolist(), "x": traj.rows[:, 0].T.tolist()},
                          "trajectory", cfg.out, _svg_meta(cfg))
             else:
                 import numpy as np
 
                 header = ",".join(["t", *(f"{v}_{k}" for v in "xv" for k in range(c.q))])
-                rows = np.column_stack([traj.times, traj.pos, traj.vel]).tolist()
+                rows = np.column_stack([traj.times, traj.rows[:, 0], traj.rows[:, 1]]).tolist()
                 _write_csv(cfg, t0, header, rows, cfg.out)
     _write_json(cfg, t0, report, cfg.report, diagnostics=step)
     return 0
@@ -449,8 +449,10 @@ def _run_fit(cfg: RunConfig, t0: float) -> int:
             samples.append(TongueSample(eps, width, *[math.nan] * 4))
     fit = fit_exponent(samples)
     expected_r = None
+    # r is q for the sine; D_n depends on x only through harmonics that are
+    # multiples of q, which every forcing's D_n can hold by order q
     with suppress(ValueError, LeadingIndexNotFound):
-        expected_r = expand(cfg.map_params(), cfg.order).r
+        expected_r = expand(cfg.map_params(), cfg.q).r
     _write_json(cfg, t0, {"exponent": fit.exponent, "residual": fit.residual,
                           "expected_r": expected_r, "log_prefactor": fit.log_prefactor,
                           "eps_range": list(fit.eps_range)}, cfg.out)
@@ -486,8 +488,9 @@ COMMANDS = {
                         "chosen and checked by step halving, and the JSON meta reports it",
                         ("q", "p", "eps", "delta", "gamma", "horizon", "bracket", "report",
                          "t_end", "format", "out"), ("csv", "svg")),
-    "fit": Subcommand(_run_fit, "power-law fit of a width CSV (JSON)",
-                      ("f", "q", "p", "order", "input", "out")),
+    "fit": Subcommand(_run_fit, "power-law fit of a width CSV, beside the exponent "
+                      "expected_r that the eps-series to order q predicts (JSON)",
+                      ("f", "q", "p", "input", "out")),
 }
 
 # Flag help per config key; the flag is the key with '_' written '-'.

@@ -169,11 +169,11 @@ class AttractorReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Decimated samples of one integration plus the exact final state."""
+    """Decimated samples of one integration plus the exact final state;
+    ``rows[n]``, positions over velocities, is the state at ``times[n]``."""
 
     times: np.ndarray
-    pos: np.ndarray  # shape (n_samples, q)
-    vel: np.ndarray
+    rows: np.ndarray  # shape (n_samples, 2, q): the layout of _shifted
     final: ChainState
     steps: int  # RK4 steps taken
 
@@ -263,8 +263,12 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _rk4_matrices(c: ChainParams, h: float):
-    """Stage matrices ``(G2, G3, G4)`` and step matrix ``P`` of one RK4 step.
+@functools.lru_cache(maxsize=64)
+def _rk4_matrices(q: int, p: int, gamma: float, eps: float, h: float):
+    """Stage matrices ``(G2, G3, G4)`` and step matrix ``P`` of one RK4 step
+    ``h`` of the chain ``(q, p, gamma, eps)``, read-only and built once per
+    chain and step.  They do not depend on the torque, which enters the
+    step through the work vector, so runs at every torque share them.
 
     On the work vector ``w = [x, v, s1, s2, s3, s4, 1, delta]`` (length
     ``6q + 2``, ``s_i = sin`` of stage i's x-argument) the x-argument of
@@ -273,16 +277,15 @@ def _rk4_matrices(c: ChainParams, h: float):
     new state so that ``x`` is not multiplied by a rounded ``1 + O(h^2)``
     coefficient: the update then rounds like ``x + h/6 (...)``.
     """
-    q = c.q
     basis = np.eye(6 * q + 2)
     x, v = basis[:, :q], basis[:, q:2 * q]
     s = [basis[:, (2 + i) * q:(3 + i) * q] for i in range(4)]
-    lap, wrap = _coupling(c.q, c.p)
+    lap, wrap = _coupling(q, p)
     const = np.outer(basis[:, -2], wrap) + np.outer(basis[:, -1], np.ones(q))
 
     def vdot(xs, vs, sines):
         # v' as a matrix on w, from the stage's x, v and sine matrices
-        return xs @ lap + const - c.gamma * vs - c.eps * sines
+        return xs @ lap + const - gamma * vs - eps * sines
 
     h2, h6 = 0.5 * h, h / 6.0
     k1v = vdot(x, v, s[0])
@@ -297,15 +300,7 @@ def _rk4_matrices(c: ChainParams, h: float):
     k4v = vdot(g4, k4x, s[3])
     step = np.hstack([h6 * (v + 2.0 * (k2x + k3x) + k4x),
                       h6 * (k1v + 2.0 * (k2v + k3v) + k4v)])
-    return g2, g3, g4, step
-
-
-@functools.lru_cache(maxsize=64)
-def _stepper(q: int, p: int, gamma: float, eps: float, h: float):
-    """The read-only :func:`_rk4_matrices` at step ``h``, built once per
-    chain and step.  They do not depend on the torque, which enters the
-    step through the work vector, so runs at every torque share them."""
-    return _read_only(*_rk4_matrices(ChainParams(q, p, gamma, eps, 0.0), h))
+    return _read_only(g2, g3, g4, step)
 
 
 def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
@@ -328,8 +323,9 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     ``w.dot(G, tmp)``, which skips the generalized-ufunc set-up and the
     keyword parsing.  The runaway test runs after steps 1, 33, 65, ...,
     so a run raises within 32 steps of passing ``BLOWUP_LIMIT``.  The
-    matrices are built once per chain and step (:func:`_stepper`), so a
-    run cut into many short calls pays for them once.
+    matrices are cached per chain and step, so a run cut into many short
+    calls pays for them once.  The record is the trajectory's ``rows``, a
+    view of the array the steps were written to.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -340,7 +336,7 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
     limit = stability_limit(c)
     if dt > limit * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:g} exceeds the stability limit {limit:g}")
-    g2, g3, g4, step = _stepper(c.q, c.p, c.gamma, c.eps, h)
+    g2, g3, g4, step = _rk4_matrices(c.q, c.p, c.gamma, c.eps, h)
     q = c.q
     w = np.empty(6 * q + 2)
     w[:q], w[q:2 * q], w[-2:] = s0.pos, s0.vel, (1.0, c.delta)
@@ -374,7 +370,7 @@ def integrate(s0: ChainState, c: ChainParams, dt: float, t_end: float,
             row += 1
     rec[-1] = z
     final = ChainState(float(times[-1]), w[:q].copy(), w[q:2 * q].copy())
-    return Trajectory(times, rec[:, :q], rec[:, q:], final, steps)
+    return Trajectory(times, rec.reshape(len(marks), 2, q), final, steps)
 
 
 def classify_attractor(s0: ChainState, c: ChainParams,
@@ -463,7 +459,8 @@ def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParam
     settle = integrate(end, c, dt, CHECK_EVERY)
     lag = prev.wave_period / c.q
     stretch = integrate(settle.final, c, dt, dt * math.ceil(1.3 * lag / dt), record_every=1)
-    report, spent = _try_wave(settle.final, c, dt, stretch, settle.final.t + lag)
+    report, spent = _try_wave(settle.final, c, dt, stretch.times, stretch.rows,
+                              settle.final.t + lag)
     spent += settle.steps + stretch.steps
     if report is None:
         report, state = _classify_attractor(settle.final, c, horizon, dt)
@@ -476,13 +473,29 @@ def _check_horizon(horizon: float) -> None:
         raise ValueError(f"horizon must be finite and > 0, got {horizon:g}")
 
 
+def _spans(s0: ChainState, c: ChainParams, dt: float, horizon: float, record_every: int):
+    """The run from ``s0`` at step ``dt`` cut into spans of ``CHECK_EVERY``
+    time units, the last one cut short at ``horizon`` (but at least two
+    steps long): for each span its :class:`Trajectory`, recorded every
+    ``record_every`` steps, with the run's RK4 steps and time up to its
+    end.  The run goes on for as long as the caller reads on."""
+    state, steps, elapsed = s0, 0, 0.0
+    while elapsed < horizon:
+        span = min(CHECK_EVERY, max(horizon - elapsed, 2 * dt))
+        traj = integrate(state, c, dt, span, record_every)
+        state = traj.final
+        steps += traj.steps
+        elapsed += span
+        yield traj, steps, elapsed
+
+
 def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
                         dt: float) -> tuple[AttractorReport, ChainState]:
     """:func:`classify_attractor` for one run at step ``dt``, together with
     the state the run ended in: for a trapped run the certified
     equilibrium at rest.
 
-    After every ``CHECK_EVERY`` time units the run tests, until one holds:
+    After each span of :func:`_spans` the run tests, until one holds:
     every |velocity| below ``TAU_EQ`` (:func:`_rest_kind`); the energy trap
     certificate; a traveling wave.  For the last, an undecided check of a
     twisted chain under torque keeps its state as ``z_ref`` (without
@@ -492,43 +505,39 @@ def _classify_attractor(s0: ChainState, c: ChainParams, horizon: float,
     in which the run found it: the span's, after the one row carried from
     the span before.  No earlier row is kept.  A failed test, or a mean
     position two shifts ``2 pi p/q`` from ``z_ref``'s with no return
-    (``z_ref`` off the wave), moves ``z_ref`` to the current state."""
-    state = s0
-    elapsed = 0.0
-    steps = 0
+    (``z_ref`` off the wave), moves ``z_ref`` to the current state.  The
+    report counts the RK4 steps of the spans and of every wave test, the
+    failed ones included."""
     well = None
     ref, tail = None, None  # z_ref, and the last row but one of the span before
-    while elapsed < horizon:
-        span = min(CHECK_EVERY, max(horizon - elapsed, 2 * dt))
-        traj = integrate(state, c, dt, span, record_every=1)
+    tested = 0  # RK4 steps of the wave tests
+    for traj, steps, elapsed in _spans(s0, c, dt, horizon, 1):
         state = traj.final
-        elapsed += span
-        steps += traj.steps
-
-        if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
+        if float(np.max(np.abs(traj.rows[1:, 1]))) < TAU_EQ:
             return AttractorReport(_rest_kind(state.pos, c), 0.0, None, None, dt, "velocity",
-                                   rk4_steps=steps), state
+                                   rk4_steps=steps + tested), state
         well, trapped = _trap(state, c, well)
         if trapped:
-            return (AttractorReport("equilibrium", 0.0, None, None, dt, "trap", rk4_steps=steps),
+            return (AttractorReport("equilibrium", 0.0, None, None, dt, "trap",
+                                    rk4_steps=steps + tested),
                     ChainState(state.t, well.x, np.zeros(c.q)))
 
-        times, rows = traj.times, np.stack([traj.pos, traj.vel], axis=1)
+        times, rows = traj.times, traj.rows
         if tail is not None:
             times, rows = np.append(tail[0], times), np.concatenate([tail[1], rows])
         tail = times[-2:-1], rows[-2:-1]
         t = None if ref is None else _return_time(ref, c, times, rows)
         if t is not None:
-            report, spent = _try_wave(ref, c, dt, Trajectory(times, rows[:, 0], rows[:, 1],
-                                                             state, traj.steps), t)
-            steps += spent
+            report, spent = _try_wave(ref, c, dt, times, rows, t)
+            tested += spent
             if report is not None:
-                return replace(report, rk4_steps=steps), state
+                return replace(report, rk4_steps=steps + tested), state
         if c.p and c.delta and (ref is None or t is not None
                     or abs(float(np.mean(state.pos - ref.pos))) > 4.0 * math.pi * c.p / c.q):
             ref, tail = state, None
     omega = float(state.pos[0] - s0.pos[0]) / max(elapsed, dt)
-    return AttractorReport("undecided", omega, None, None, dt, "horizon", rk4_steps=steps), state
+    return (AttractorReport("undecided", omega, None, None, dt, "horizon",
+                            rk4_steps=steps + tested), state)
 
 
 def _rest_kind(pos: np.ndarray, c: ChainParams) -> str:
@@ -571,37 +580,37 @@ def _return_time(ref: ChainState, c: ChainParams, times: np.ndarray,
     return float(times[hits[0] + 1]) if len(hits) else None
 
 
-def _try_wave(ref: ChainState, c: ChainParams, dt: float, rows: Trajectory,
-              t_return: float) -> tuple[AttractorReport | None, int]:
+def _try_wave(ref: ChainState, c: ChainParams, dt: float, times: np.ndarray,
+              rows: np.ndarray, t_return: float) -> tuple[AttractorReport | None, int]:
     """Solve the delay identity ``z(t + tau) = S z(t)`` of a traveling wave
     for the lag ``tau = T/q`` at the instant ``t`` of ``ref``, from the
     run's return to ``S z_ref`` at ``t_return``; ``S`` is the neighbor
     shift of :func:`_shifted`.  The chain commutes with ``S``, so the
     identity then holds at every later instant, and ``x_k`` advances by
     ``sign(delta) 2 pi p`` per period.  Gauss-Newton in ``tau`` reads
-    ``z(t + tau)`` off ``rows``, states that the run through ``ref``
-    recorded at most ``dt`` apart, by the one partial RK4 step through
-    :func:`integrate` from the last row before it; its slope is the
-    vector field there.  A lag outside ``[0.75, 1.3] (t_return - t)``
-    fails, and so does one before the first row, which no step forward
-    reaches.  The largest entry of the final residual is the wave's
-    ``delay_error``, which must be below ``TAU_WAVE``.  Returns the wave's
-    report, if any, and the RK4 steps spent."""
+    ``z(t + tau)`` off ``rows``, the states at ``times`` (laid out as in
+    :class:`Trajectory`) that the run through ``ref`` recorded at most
+    ``dt`` apart, by the one partial RK4 step through :func:`integrate`
+    from the last row before it; its slope is the vector field there.  A
+    lag outside ``[0.75, 1.3] (t_return - t)`` fails, and so does one
+    before the first row, which no step forward reaches.  The largest
+    entry of the final residual is the wave's ``delay_error``, which must
+    be below ``TAU_WAVE``.  Returns the wave's report, if any, and the RK4
+    steps spent."""
     lag = t_return - ref.t
     lap, wrap = _coupling(c.q, c.p)
     target = _shifted(ref, c)
     tau, steps = lag, 0
     for _ in range(50):
-        i = int(np.searchsorted(rows.times, ref.t + tau, side="right")) - 1
-        step = integrate(ChainState(rows.times[i], rows.pos[i], rows.vel[i]),
-                         c, dt, ref.t + tau - rows.times[i])
+        i = int(np.searchsorted(times, ref.t + tau, side="right")) - 1
+        step = integrate(ChainState(times[i], *rows[i]), c, dt, ref.t + tau - times[i])
         steps += step.steps
         x, v = step.final.pos, step.final.vel
         res = np.stack([x, v]) - target
         slope = np.stack([v, lap.dot(x) + wrap + c.delta - c.gamma * v - c.eps * np.sin(x)])
         dtau = float(np.sum(res * slope) / np.sum(slope * slope))
         tau -= dtau
-        inside = rows.times[0] <= ref.t + tau and 0.75 * lag <= tau <= 1.3 * lag
+        inside = times[0] <= ref.t + tau and 0.75 * lag <= tau <= 1.3 * lag
         if not inside or abs(dtau) <= 1e-13 * tau:
             break
     worst = float(np.max(np.abs(res)))
@@ -817,40 +826,29 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
                        dt: float) -> TorqueProbe:
     """Fast pinned/depinned dichotomy for a state near the pinned branch.
 
-    After every ``CHECK_EVERY`` time units, in this order: the verdict of
-    :func:`_rest_kind` when all velocities stayed below ``TAU_EQ`` over the
-    span; "depinned" when any site travels more than ``_ESCAPE`` (half a
-    radian) from its start; "equilibrium" when the energy trap certificate
-    of :func:`_trap` holds.  Warm-started from a settled pinned shape, the
+    After each span of :func:`_spans`, recorded every 8 steps, in this
+    order: the verdict of :func:`_rest_kind` when all velocities stayed
+    below ``TAU_EQ`` over the span (a run at rest off the branch gets it,
+    not "depinned"); "depinned" when any site travels more than
+    ``_ESCAPE`` (half a radian) from its start; "equilibrium" when the
+    energy trap certificate of :func:`_trap` holds.  Warm-started from a settled pinned shape, the
     pinned-side transient stays well below the escape distance, while one
     slip event moves a site by a full site spacing; so the test decides
     after a single bottleneck passage instead of waiting out a whole wave
     period, which diverges at the depinning threshold.  Returns the probe's
     outcome, the test that decided it and its RK4 steps.
     """
-    ref = s0.pos.copy()
-    state = s0
-    elapsed = 0.0
-    steps = 0
     well = None
-
-    def probe(outcome: str, decided_by: str) -> TorqueProbe:
-        return TorqueProbe(c.delta, outcome, decided_by, steps)
-
-    while elapsed < horizon:
-        span = min(CHECK_EVERY, max(horizon - elapsed, 2 * dt))
-        traj = integrate(state, c, dt, span, record_every=8)
+    for traj, steps, _ in _spans(s0, c, dt, horizon, 8):
         state = traj.final
-        elapsed += span
-        steps += traj.steps
-        if float(np.max(np.abs(traj.vel[1:]))) < TAU_EQ:
-            return probe(_rest_kind(state.pos, c), "velocity")
-        if float(np.max(np.abs(state.pos - ref))) > _ESCAPE:
-            return probe("depinned", "escape")
+        if float(np.max(np.abs(traj.rows[1:, 1]))) < TAU_EQ:
+            return TorqueProbe(c.delta, _rest_kind(state.pos, c), "velocity", steps)
+        if float(np.max(np.abs(state.pos - s0.pos))) > _ESCAPE:
+            return TorqueProbe(c.delta, "depinned", "escape", steps)
         well, trapped = _trap(state, c, well)
         if trapped:
-            return probe("equilibrium", "trap")
-    return probe("undecided", "horizon")
+            return TorqueProbe(c.delta, "equilibrium", "trap", steps)
+    return TorqueProbe(c.delta, "undecided", "horizon", steps)
 
 
 def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):

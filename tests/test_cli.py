@@ -231,6 +231,21 @@ def test_fit_on_tongue_csv(tmp_path, capsys):
     assert out["eps_range"] == [0.05, 0.3]
 
 
+def test_fit_expands_to_order_q(tmp_path, capsys):
+    """The sine's leading index is q, so fit expands the series to order q,
+    which it works out itself: the order is no option of fit."""
+    widths = tmp_path / "widths.csv"
+    assert cli.run(["tongue", "--q", "5", "--p", "1", "--eps", "0.1,0.15,0.2,0.25,0.3,0.35",
+                    "--grid", "40", "--out", str(widths)]) == 0
+    rc, out = run_json(capsys, ["fit", "--q", "5", "--p", "1", "--input", str(widths)])
+    assert rc == 0
+    assert out["expected_r"] == 5
+    assert out["exponent"] == pytest.approx(5.0, abs=0.5)
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["fit", "--q", "5", "--p", "1", "--input", str(widths), "--order", "5"])
+    assert exc.value.code == 2
+
+
 def test_fit_without_input_is_usage_error(capsys):
     assert cli.run(["fit"]) == 2
     assert "--input" in capsys.readouterr().err

@@ -80,8 +80,8 @@ def classify_recording_wave_tests(monkeypatch, c):
     ran: the state tested, the step and the report (``None`` if it failed)."""
     try_wave, tested = sgchain._try_wave, []
 
-    def recording(state, chain, dt, rows, t_return):
-        result = try_wave(state, chain, dt, rows, t_return)
+    def recording(state, chain, dt, times, rows, t_return):
+        result = try_wave(state, chain, dt, times, rows, t_return)
         tested.append((state, dt, result[0]))
         return result
 
@@ -115,10 +115,10 @@ class TestIntegrate:
                + np.array(data.draw(st.lists(site, min_size=c.q, max_size=c.q))))
         vel = np.array(data.draw(st.lists(site, min_size=c.q, max_size=c.q)))
         traj, h = run_500(ChainState(0.0, pos, vel), c, default_dt(c))
-        x, v = reference_step(traj.pos[:-1], traj.vel[:-1], c, h)
-        scale = np.maximum(1.0, np.abs(traj.pos[:-1]).max(axis=1, keepdims=True))
-        assert np.all(np.abs(x - traj.pos[1:]) <= 1e-14 * scale)
-        assert np.all(np.abs(v - traj.vel[1:]) <= 1e-14 * scale)
+        x, v = reference_step(traj.rows[:-1, 0], traj.rows[:-1, 1], c, h)
+        scale = np.maximum(1.0, np.abs(traj.rows[:-1, 0]).max(axis=1, keepdims=True))
+        assert np.all(np.abs(x - traj.rows[1:, 0]) <= 1e-14 * scale)
+        assert np.all(np.abs(v - traj.rows[1:, 1]) <= 1e-14 * scale)
 
     @pytest.mark.parametrize("c", [
         replace(PINNING, delta=0.01),
@@ -140,8 +140,8 @@ class TestIntegrate:
         for n in range(1, 501):
             x, v = reference_step(x, v, c, h)
             scale = max(1.0, float(np.max(np.abs(x))))
-            assert np.max(np.abs(traj.pos[n] - x)) <= 1e-11 * scale
-            assert np.max(np.abs(traj.vel[n] - v)) <= 1e-11 * scale
+            assert np.max(np.abs(traj.rows[n, 0] - x)) <= 1e-11 * scale
+            assert np.max(np.abs(traj.rows[n, 1] - v)) <= 1e-11 * scale
 
     @pytest.mark.parametrize("steps", [0, 48, 50])
     @pytest.mark.parametrize("k", [0, 1, 3, 8])
@@ -157,20 +157,18 @@ class TestIntegrate:
         if k == 0 or marks[-1] != steps:
             marks.append(steps)
         assert len(traj.times) == rows == len(marks)
-        assert traj.pos.shape == traj.vel.shape == (rows, 3)
+        assert traj.rows.shape == (rows, 2, 3)  # positions over velocities
         np.testing.assert_allclose(traj.times, s0.t + np.array(marks) * h, rtol=1e-15, atol=0)
         # the recorded rows are the states after exactly those steps
-        assert np.array_equal(traj.pos, every.pos[marks])
-        assert np.array_equal(traj.vel, every.vel[marks])
-        assert np.array_equal(traj.pos[0], s0.pos) and np.array_equal(traj.vel[0], s0.vel)
+        assert np.array_equal(traj.rows, every.rows[marks])
+        assert np.array_equal(traj.rows[0], [s0.pos, s0.vel])
         assert traj.final.t == traj.times[-1]
-        assert np.array_equal(traj.pos[-1], traj.final.pos)
-        assert np.array_equal(traj.vel[-1], traj.final.vel)
+        assert np.array_equal(traj.rows[-1], [traj.final.pos, traj.final.vel])
 
     def test_final_state_does_not_alias_the_records(self):
         c = replace(PINNING, delta=0.01)
         traj = integrate(twist_state(c), c, default_dt(c), 1.0)
-        traj.pos[-1] = 0.0
+        traj.rows[-1] = 0.0
         assert np.all(traj.final.pos != 0.0)
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
@@ -241,7 +239,7 @@ class TestIntegrate:
         s0, h = twist_state(c), default_dt(c)
         # it stops at the last step before the test at step 97
         short = integrate(s0, c, h, 96 * h, record_every=1)
-        over = np.max(np.abs(short.pos), axis=1) > sgchain.BLOWUP_LIMIT
+        over = np.max(np.abs(short.rows[:, 0]), axis=1) > sgchain.BLOWUP_LIMIT
         k = int(np.argmax(over))
         assert 1 < k < 96 and over[k:].all() and not over[:k].any()
         with pytest.raises(BlowUpError) as raised:
@@ -526,9 +524,9 @@ class TestAttractors:
         c = ChainParams(q=q, p=p, gamma=gamma, eps=eps, delta=delta)
         try_wave, returns = sgchain._try_wave, []
 
-        def recording(state, chain, dt, rows, t_return):
+        def recording(state, chain, dt, times, rows, t_return):
             returns.append((dt, t_return - state.t))
-            return try_wave(state, chain, dt, rows, t_return)
+            return try_wave(state, chain, dt, times, rows, t_return)
 
         monkeypatch.setattr(sgchain, "_try_wave", recording)
         rep = classify_attractor(twist_state(c), c)
@@ -545,9 +543,9 @@ class TestAttractors:
         try_wave, settles_or_depins, calls, probing = (sgchain._try_wave,
                                                        sgchain._settles_or_depins, [], [])
 
-        def recording(state, chain, dt, rows, t_return):
+        def recording(state, chain, dt, times, rows, t_return):
             calls.append((chain, bool(probing)))
-            return try_wave(state, chain, dt, rows, t_return)
+            return try_wave(state, chain, dt, times, rows, t_return)
 
         def probe(s0, chain, horizon, dt):
             probing.append(chain.delta)
@@ -594,9 +592,9 @@ class TestAttractors:
         c = ChainParams(q=3, p=1, gamma=0.02, eps=0.6, delta=0.0)
         try_wave, calls = sgchain._try_wave, []
 
-        def recording(state, chain, dt, rows, t_return):
+        def recording(state, chain, dt, times, rows, t_return):
             calls.append(state.t)
-            return try_wave(state, chain, dt, rows, t_return)
+            return try_wave(state, chain, dt, times, rows, t_return)
 
         monkeypatch.setattr(sgchain, "_try_wave", recording)
         rep = classify_attractor(ChainState(0.0, twist_state(c).pos, [6.0] * 3), c)
@@ -608,8 +606,9 @@ class TestAttractors:
         neighbor."""
         c = replace(Q3, delta=0.005)
         state, dt = settle(twist_state(c), c), default_dt(c)
-        rows = integrate(state, c, dt, 1.3 * 391.2 / 3, record_every=1)
-        assert sgchain._try_wave(state, c, dt, rows, state.t + 391.2 / 3)[0] is None
+        run = integrate(state, c, dt, 1.3 * 391.2 / 3, record_every=1)
+        t_return = state.t + 391.2 / 3
+        assert sgchain._try_wave(state, c, dt, run.times, run.rows, t_return)[0] is None
 
     def test_no_wave_from_twice_the_period(self, monkeypatch):
         """From a return put 2T/q on the lag is held in [1.5, 2.6] T/q,
@@ -620,9 +619,9 @@ class TestAttractors:
         rep, tested = classify_recording_wave_tests(monkeypatch, c)
         state, dt, _ = tested[-1]
         lag = rep.wave_period / c.q
-        rows = integrate(state, c, dt, dt * math.ceil(2.6 * lag / dt), record_every=1)
-        assert try_wave(state, c, dt, rows, state.t + 2.0 * lag)[0] is None
-        assert try_wave(state, c, dt, rows, state.t + lag)[0] is not None
+        run = integrate(state, c, dt, dt * math.ceil(2.6 * lag / dt), record_every=1)
+        assert try_wave(state, c, dt, run.times, run.rows, state.t + 2.0 * lag)[0] is None
+        assert try_wave(state, c, dt, run.times, run.rows, state.t + lag)[0] is not None
 
     def test_the_run_tests_its_own_rows_by_single_partial_steps(self, monkeypatch):
         """The wave test of a run reads the lagged state off the rows the
@@ -675,13 +674,13 @@ class TestAttractors:
         state, dt, _ = tested[-1]
         lag = rep.wave_period / c.q
         late = integrate(state, c, dt, dt * math.ceil(1.02 * lag / dt)).final
-        rows = integrate(late, c, dt, dt * math.ceil(0.2 * lag / dt), record_every=1)
+        run = integrate(late, c, dt, dt * math.ceil(0.2 * lag / dt), record_every=1)
         t_return = state.t + 1.05 * lag
-        assert rows.times[0] > state.t + 0.75 * (t_return - state.t)
+        assert run.times[0] > state.t + 0.75 * (t_return - state.t)
         # one partial step at the return, whose Newton step lands before the rows
-        assert sgchain._try_wave(state, c, dt, rows, t_return) == (None, 1)
+        assert sgchain._try_wave(state, c, dt, run.times, run.rows, t_return) == (None, 1)
         whole = integrate(state, c, dt, dt * math.ceil(1.3 * lag / dt), record_every=1)
-        assert sgchain._try_wave(state, c, dt, whole, t_return)[0] is not None
+        assert sgchain._try_wave(state, c, dt, whole.times, whole.rows, t_return)[0] is not None
 
     @pytest.mark.parametrize("q,p,gamma,eps,delta", [
         (3, 1, 0.5, 0.6, 0.012), (3, 1, 0.5, 0.6, -0.012),
@@ -779,9 +778,9 @@ class TestTrapCertificate:
         assert np.abs(equilibrium_residual(x_e, c)).max() <= 1e-12
         for _ in range(40):
             traj = integrate(state, c, dt, 100.0, record_every=1)
-            assert np.linalg.norm(traj.pos - x_e, axis=1).max() < r
+            assert np.linalg.norm(traj.rows[:, 0] - x_e, axis=1).max() < r
             state = traj.final
-            if np.abs(traj.vel).max() < sgchain.TAU_EQ:
+            if np.abs(traj.rows[:, 1]).max() < sgchain.TAU_EQ:
                 break
         assert np.abs(state.vel).max() < sgchain.TAU_EQ
 
@@ -789,7 +788,7 @@ class TestTrapCertificate:
         """Above its critical drift the q=3 chain has no equilibrium to trap it."""
         c = replace(Q3, delta=0.012)
         traj = integrate(twist_state(c), c, default_dt(c), 1200.0, record_every=16)
-        for t, pos, vel in zip(traj.times, traj.pos, traj.vel):
+        for t, (pos, vel) in zip(traj.times, traj.rows):
             assert sgchain._trap(ChainState(t, pos, vel), c) == (None, False)
 
     @pytest.mark.parametrize("c,s0,horizon,decided_by", [
@@ -799,6 +798,8 @@ class TestTrapCertificate:
         # eps = 0: the twisted chain can slide, so no equilibrium is isolated
         (replace(Q3, eps=0.0), ChainState(0.0, [0.3, 2.0, 4.5], [0.1, 0.0, -0.2]),
          DEFAULT_HORIZON, "velocity"),
+        # the first run fails a wave test before a later one passes
+        (ChainParams(5, 2, 0.3, 0.8, 0.1), None, DEFAULT_HORIZON, "wave"),
     ])
     def test_report_names_the_deciding_test_and_counts_every_step(self, monkeypatch, c, s0,
                                                                   horizon, decided_by):
@@ -832,7 +833,7 @@ class TestTrapCertificate:
         dt = default_dt(c)
         traj = integrate(twist_state(c), c, dt, t_end, record_every=round(5.0 / dt))
         well, verdicts, reused = None, [], 0
-        for t, pos, vel in zip(traj.times, traj.pos, traj.vel):
+        for t, (pos, vel) in zip(traj.times, traj.rows):
             state = ChainState(t, pos, vel)
             carried, trapped = sgchain._trap(state, c, well)
             fresh, fresh_trapped = sgchain._trap(state, c)
@@ -969,24 +970,24 @@ class TestStepper:
         stability limit once: it does not depend on the step."""
         c = replace(Q3, delta=0.012)
         sgchain._stability_limit.cache_clear()
-        sgchain._stepper.cache_clear()
+        sgchain._rk4_matrices.cache_clear()
         rk4_gain, gains = sgchain._rk4_gain, []
         monkeypatch.setattr(sgchain, "_rk4_gain", lambda z: gains.append(z) or rk4_gain(z))
         assert classify_attractor(twist_state(c), c).kind == "traveling_wave"
-        assert sgchain._stepper.cache_info().misses > 2
+        assert sgchain._rk4_matrices.cache_info().misses > 2
         assert len(gains) == 60  # one bisection
 
     def test_matrices_are_built_once_and_read_only(self):
         c = replace(Q3, delta=0.005)
         dt = default_dt(c)
         first = integrate(twist_state(c), c, dt, 50.0, record_every=1)
-        matrices = sgchain._stepper(c.q, c.p, c.gamma, c.eps, 50.0 / first.steps)
+        matrices = sgchain._rk4_matrices(c.q, c.p, c.gamma, c.eps, 50.0 / first.steps)
         assert len(matrices) == 4 and not any(m.flags.writeable for m in matrices)
         # a different torque shares the matrices: it enters through the work vector
-        hits = sgchain._stepper.cache_info().hits
+        hits = sgchain._rk4_matrices.cache_info().hits
         integrate(twist_state(c), replace(c, delta=0.012), dt, 50.0)
-        assert sgchain._stepper.cache_info().hits == hits + 1
+        assert sgchain._rk4_matrices.cache_info().hits == hits + 1
         for m in sgchain._coupling(c.q, c.p):
             assert not m.flags.writeable
         again = integrate(twist_state(c), c, dt, 50.0, record_every=1)
-        assert np.array_equal(first.pos, again.pos) and np.array_equal(first.vel, again.vel)
+        assert np.array_equal(first.rows, again.rows)
