@@ -15,7 +15,7 @@ step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
 when the run at the start step settles to an equilibrium, which ends
-the check, and for ``--bracket``, whose probes run at the start step).
+the check, and for ``--bracket``, whose probe runs at the start step).
 A classification is ``undecided`` at the horizon or at rest on a saddle;
 a wave's ``delay_error`` is the largest entry of ``z(t + T/q) - S z(t)``
 over positions and velocities at one instant, ``S`` moving each site to
@@ -24,13 +24,11 @@ its neighbor.  It adds the test that ended the run it reports
 for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
 ``horizon`` at the horizon) and the RK4 steps of every run of the
 halving check (``rk4_steps``).  ``--bracket`` solves for the fold of the
-pinned branch and confirms it by a probe just below it, which must
-settle, and one just above it, which must depin; ``critical_delta`` is
-the fold, and a fold that its solve or its probes cannot confirm is a
+pinned branch and confirms it by a stable equilibrium of the branch just
+below it and a probe just above it, which must depin; ``critical_delta``
+is the fold, and a fold that its solve or its probe cannot confirm is a
 numerical failure (exit 1).  It adds the RK4 steps of all its runs
-(``rk4_steps``), how many probes each test decided
-(``probes_decided_by``: ``trap``, ``velocity``, or ``escape`` for a site
-that moved off the pinned branch) and the steps of the fold's solve
+(``rk4_steps``) and the steps of the fold's solve
 (``fold_newton_iters``).  ``--t-end`` and ``--format`` shape
 the trajectory that ``--out`` writes, so ``chain`` takes them only with
 ``--out``; for a whole-number ``--t-end`` (200 time units by default)
@@ -390,8 +388,6 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         report["critical_delta"] = torque.critical_delta
         # critical_torque probes at the start step, without halvings
         step = {"dt": torque.dt, "halvings": 0, "rk4_steps": torque.rk4_steps,
-                "probes_decided_by": {test: sum(p.decided_by == test for p in torque.probes)
-                                      for test in ("trap", "velocity", "escape")},
                 "fold_newton_iters": torque.fold_iterations}
     else:
         # --t-end and --format only shape the trajectory --out writes
@@ -484,8 +480,9 @@ COMMANDS = {
     "series": Subcommand(_run_series, "eps-series expansion of the drift profile (JSON)",
                          ("f", "q", "p", "order", "out")),
     "chain": Subcommand(_run_chain, "classify the twisted sine-Gordon chain's attractor, "
-                        "or measure its critical torque with --bracket; the RK4 step is "
-                        "chosen and checked by step halving, and the JSON meta reports it",
+                        "its RK4 step chosen and checked by step halving, or measure its "
+                        "critical torque with --bracket, at the start step with one probe; "
+                        "the JSON meta reports the step",
                         ("q", "p", "eps", "delta", "gamma", "horizon", "bracket", "report",
                          "t_end", "format", "out"), ("csv", "svg")),
     "fit": Subcommand(_run_fit, "power-law fit of a width CSV, beside the exponent "
@@ -507,8 +504,8 @@ _HELP = {
     "format": "output format (default csv):",
     "out": "output path (default: stdout)",
     "bracket": "lo,hi torque bracket, finite with lo < hi: measure the critical torque "
-               "instead of classifying, as the fold of the pinned branch confirmed by "
-               "a probe on each side of it",
+               "instead of classifying: the fold of the pinned branch, certified stable "
+               "just below it and confirmed by a probe that depins just above it",
     "report": "path for the JSON report (default: stdout)",
     "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",

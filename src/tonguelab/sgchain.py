@@ -13,7 +13,7 @@ are in bijection with p/q periodic orbits of the drifted cylinder map
 cross-checked against the tongue edge max of the drift profile.
 
 Integration is fixed-step classical 4th order within each run: runs are
-short and the torque probes need deterministic reproducibility.  The
+short and the torque probe needs deterministic reproducibility.  The
 step is chosen, not set:
 
 * **Start step.**  :func:`default_dt` takes ``h sqrt(eps + 4) = 0.8``,
@@ -26,9 +26,9 @@ step is chosen, not set:
   starts on the attractor where the run before it ended.  The first run
   that settles to an equilibrium ends the check, for the reason below.
 * **Critical torque at the start step.**  :func:`critical_torque` solves
-  for the fold at which the pinned branch ends and confirms it by two
-  probes, one on each side of it.  An equilibrium is a fixed point of the
-  RK4 step for any ``h``, so the fold does not move with the step.
+  for the fold at which the pinned branch ends and confirms it by a stable
+  equilibrium below it and a probe above it.  Equilibria are fixed points
+  of the RK4 step for any ``h``, so the fold does not move with the step.
 
 A run stops at the first check that decides it.  The checks come every
 ``CHECK_EVERY`` time units, so a run ends within that span of the moment
@@ -93,8 +93,8 @@ _ROUND = 8.0 * np.finfo(float).eps
 TAU_WAVE = 1e-4
 # Give up and report "undecided" after this much integrated time.
 DEFAULT_HORIZON = 1e5
-# critical_torque probes the fold at (1 -+ this/2) times it, from the pinned
-# equilibrium at (1 - this) times it.
+# critical_torque probes the fold at (1 + this/2) times it, from the pinned
+# equilibrium at (1 - this/2) times it.
 FOLD_PROBE_RTOL = 1e-3
 # Positions beyond this magnitude abort the run as a blow-up.
 BLOWUP_LIMIT = 1e8
@@ -112,7 +112,7 @@ class StepRefinementError(RuntimeError):
 
 class UnconfirmedFoldError(RuntimeError):
     """:func:`critical_torque` could not confirm the fold: its solve failed,
-    or a probe beside it disagreed or was undecided at the horizon."""
+    or the probe above it disagreed or was undecided at the horizon."""
 
 
 @dataclass(frozen=True)
@@ -691,7 +691,7 @@ def _equilibrium(pos: np.ndarray, c: ChainParams):
     well that ``pos`` lies in), or ``_NEWTON_ITERS`` steps do not
     converge.  :func:`_well` builds the trap certificate on it, and
     :func:`_fold` continues the pinned branch with it from the fold to
-    the probes' start.
+    the probe's start.
     """
     lap, wrap = _coupling(c.q, c.p)
     x = pos
@@ -794,7 +794,7 @@ class InvalidBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorqueProbe:
-    """One probe of :func:`critical_torque`: a run at torque ``delta`` from
+    """The probe of :func:`critical_torque`: a run at torque ``delta`` from
     a pinned equilibrium at rest, until it settles or depins."""
 
     delta: float
@@ -809,16 +809,16 @@ class CriticalTorque:
     :func:`critical_torque` reached it.
 
     ``dt`` is the start step :func:`default_dt` at which every run
-    integrated, with no halving.  ``probes`` are the two that confirmed
-    the fold, the lower one first, and ``fold_iterations`` the steps of
-    the fold's solve (:func:`_fold`: Newton steps, and continuation steps
-    below the branch's inflection).
+    integrated, with no halving.  ``probe`` is the run above the fold that
+    confirmed it, and ``fold_iterations`` the steps of the fold's solve
+    (:func:`_fold`: Newton steps, and continuation steps below the
+    branch's inflection).
     """
 
     critical_delta: float
     dt: float
-    rk4_steps: int  # over both bracket-end classifications and both probes
-    probes: tuple[TorqueProbe, ...]
+    rk4_steps: int  # over both bracket-end classifications and the probe
+    probe: TorqueProbe
     fold_iterations: int
 
 
@@ -831,12 +831,13 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
     below ``TAU_EQ`` over the span (a run at rest off the branch gets it,
     not "depinned"); "depinned" when any site travels more than
     ``_ESCAPE`` (half a radian) from its start; "equilibrium" when the
-    energy trap certificate of :func:`_trap` holds.  Warm-started from a settled pinned shape, the
-    pinned-side transient stays well below the escape distance, while one
-    slip event moves a site by a full site spacing; so the test decides
-    after a single bottleneck passage instead of waiting out a whole wave
-    period, which diverges at the depinning threshold.  Returns the probe's
-    outcome, the test that decided it and its RK4 steps.
+    energy trap certificate of :func:`_trap` holds.  Warm-started from a
+    settled pinned shape, the pinned-side transient stays well below the
+    escape distance, while one slip event moves a site by a full site
+    spacing; so the test decides after a single bottleneck passage
+    instead of waiting out a whole wave period, which diverges at the
+    depinning threshold, and the velocity and trap tests end a pinned run.
+    Returns the probe's outcome, the test that decided it and its steps.
     """
     well = None
     for traj, steps, _ in _spans(s0, c, dt, horizon, 8):
@@ -880,7 +881,7 @@ def _fold(pos: np.ndarray, c: ChainParams,
           top: float) -> tuple[tuple[float, np.ndarray] | None, int]:
     """The fold of the pinned branch through the equilibrium ``pos``: its
     torque ``delta_f`` and the branch's stable equilibrium at
-    ``delta_f (1 - FOLD_PROBE_RTOL)``, or ``None`` when the solve fails,
+    ``delta_f (1 - FOLD_PROBE_RTOL/2)``, or ``None`` when the solve fails,
     together with the steps the solve took.  ``top`` bounds the torques
     the continuation below tries.
 
@@ -921,9 +922,11 @@ def _fold(pos: np.ndarray, c: ChainParams,
     lowers the norm and the norm is below ``1e-14`` of one plus the
     equations' scale, the bound at which :func:`_equilibrium` stops.  The
     quadratic model then puts the branch's equilibrium at
-    ``delta_f (1 - FOLD_PROBE_RTOL)`` at
-    ``x_f - sqrt(2 FOLD_PROBE_RTOL |delta_f| / kappa) v``, and
-    :func:`_equilibrium` continues the branch there from that prediction.
+    ``delta_f (1 - FOLD_PROBE_RTOL/2)`` at
+    ``x_f - sqrt(FOLD_PROBE_RTOL |delta_f| / kappa) v``, and
+    :func:`_equilibrium` continues the branch there from that prediction,
+    to a strict minimum of the potential (``H`` has a Cholesky factor),
+    asymptotically stable under damping (:func:`_well`), or fails.
     """
     basis = np.eye(c.q, c.q - 1, -1) - np.eye(c.q, c.q - 1)
     x = np.round(pos, _FOLD_START_DECIMALS)
@@ -950,8 +953,9 @@ def _fold(pos: np.ndarray, c: ChainParams,
             if terms is not None and terms[-1] < norm:
                 break
             if norm <= 1e-14 * (1.0 + _scale(x, c, delta)):
-                guess = x - math.sqrt(2.0 * FOLD_PROBE_RTOL * abs(delta) / kappa) * v
-                below = _equilibrium(guess, replace(c, delta=delta * (1.0 - FOLD_PROBE_RTOL)))
+                guess = x - math.sqrt(FOLD_PROBE_RTOL * abs(delta) / kappa) * v
+                below = _equilibrium(guess,
+                                     replace(c, delta=delta * (1.0 - 0.5 * FOLD_PROBE_RTOL)))
                 return (None if below is None else (delta, below[0])), steps
             step *= 0.5
         else:
@@ -962,21 +966,21 @@ def _fold(pos: np.ndarray, c: ChainParams,
 
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
                     horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
-    """The torque at which the pinned branch ends: its fold, confirmed by a
-    probe on each side of it.
+    """The torque at which the pinned branch ends: its fold, stable just
+    below it and confirmed by a probe that depins just above it.
 
     The bracket ends are validated with the full attractor classifier
     (equilibrium at ``bracket[0]``, traveling wave at ``bracket[1]``).
     From the equilibrium that the classification at ``bracket[0]``
     settled in, :func:`_fold` solves for the fold of the pinned branch and
     continues the branch to its equilibrium at ``fold (1 -
-    FOLD_PROBE_RTOL)``.  Two probes start at rest from that equilibrium,
-    at ``fold (1 -+ FOLD_PROBE_RTOL/2)``: the lower one must settle and
-    the upper one must depin.  The probes are the evidence: the fold
-    alone solves the equilibrium equations, not the dynamics.  They use
-    the pinned/depinned dichotomy of :func:`_settles_or_depins`, not the
+    FOLD_PROBE_RTOL/2)``, a strict minimum of the potential: the pinned
+    side, certified without a run.  One probe starts at rest there, at
+    ``fold (1 + FOLD_PROBE_RTOL/2)``, and must depin: the fold alone
+    solves the equilibrium equations, not the dynamics.  It uses the
+    pinned/depinned dichotomy of :func:`_settles_or_depins`, not the
     classifier, which would wait out a wave period that diverges at the
-    threshold; the chain is underdamped and hysteretic, so they start on
+    threshold; the chain is underdamped and hysteretic, so it starts on
     the branch just below the fold, not at the bracket's lower end.
 
     Every run uses the start step :func:`default_dt`, with no halving
@@ -986,12 +990,12 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     fold do not move with the step.
     The bracket ends need only their kind, not a wave period.
 
-    Returns the fold with the step, both probes, the RK4 steps of every
-    run and the steps of the fold's solve.  Raises
+    Returns the fold with the step, the probe, the RK4 steps of every run
+    and the steps of the fold's solve.  Raises
     :class:`InvalidBracketError` when the bracket does not have ``lo < hi``
     or its ends are not of the two kinds, :class:`UnconfirmedFoldError`
-    when the fold solve fails or a probe disagrees or is undecided at the
-    horizon, and :class:`ValueError` when ``horizon`` is not finite and
+    when the fold solve fails or the probe disagrees or is undecided at
+    the horizon, and :class:`ValueError` when ``horizon`` is not finite and
     positive.
     """
     _check_horizon(horizon)
@@ -1012,17 +1016,14 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     if fold is None:
         raise UnconfirmedFoldError(f"the fold solve failed ({fold_iterations} steps)")
     crit, below = fold
-    start = ChainState(0.0, below, np.zeros(c.q))
-    probes = []
-    for delta, expected in ((crit * (1.0 - 0.5 * FOLD_PROBE_RTOL), "equilibrium"),
-                            (crit * (1.0 + 0.5 * FOLD_PROBE_RTOL), "depinned")):
-        probe = _settles_or_depins(start, replace(c, delta=delta), horizon, dt)
-        probes.append(probe)
-        if probe.outcome == "undecided":
-            raise UnconfirmedFoldError(f"probe undecided at delta={delta:g} within horizon "
-                                       f"{horizon:g}; raise the horizon")
-        if probe.outcome != expected:
-            raise UnconfirmedFoldError(f"probe at delta={delta:g} disagrees with the fold "
-                                       f"{crit:g}: {probe.outcome}, not {expected}")
-    steps = rep_lo.rk4_steps + rep_hi.rk4_steps + sum(p.rk4_steps for p in probes)
-    return CriticalTorque(crit, dt, steps, tuple(probes), fold_iterations)
+    delta = crit * (1.0 + 0.5 * FOLD_PROBE_RTOL)
+    probe = _settles_or_depins(ChainState(0.0, below, np.zeros(c.q)), replace(c, delta=delta),
+                               horizon, dt)
+    if probe.outcome == "undecided":
+        raise UnconfirmedFoldError(f"probe undecided at delta={delta:g} within horizon "
+                                   f"{horizon:g}; raise the horizon")
+    if probe.outcome != "depinned":
+        raise UnconfirmedFoldError(f"probe at delta={delta:g} disagrees with the fold "
+                                   f"{crit:g}: {probe.outcome}, not depinned")
+    steps = rep_lo.rk4_steps + rep_hi.rk4_steps + probe.rk4_steps
+    return CriticalTorque(crit, dt, steps, probe, fold_iterations)

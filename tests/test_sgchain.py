@@ -249,13 +249,43 @@ class TestIntegrate:
         assert k * h <= float(found.group(1)) <= (k + 32) * h
 
 
+def confirmed_torque(c, bracket):
+    """``critical_torque(c, bracket)``, checked to confirm its fold as it
+    documents: one probe, at ``fold (1 + FOLD_PROBE_RTOL/2)``, depins by
+    escape, started at rest from an equilibrium of the chain at ``fold (1 -
+    FOLD_PROBE_RTOL/2)`` (to 1e-12) whose Hessian ``eps diag(cos x) - lap``
+    has a Cholesky factor: a strict minimum of the potential, so the branch
+    is stable there.  Records the probe's start around whatever
+    ``_settles_or_depins`` is in place."""
+    starts, probe = [], sgchain._settles_or_depins
+
+    def recording(s0, chain, horizon, dt):
+        starts.append(s0)
+        return probe(s0, chain, horizon, dt)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sgchain, "_settles_or_depins", recording)
+        result = critical_torque(c, bracket)
+    fold, rtol = result.critical_delta, sgchain.FOLD_PROBE_RTOL
+    assert (result.probe.delta, result.probe.outcome, result.probe.decided_by) == (
+        fold * (1 + rtol / 2), "depinned", "escape")
+    [start] = starts
+    below = replace(c, delta=fold * (1 - rtol / 2))
+    assert np.abs(equilibrium_residual(start.pos, below)).max() <= 1e-12
+    assert np.array_equal(start.vel, np.zeros(c.q))
+    lap = np.roll(np.eye(c.q), 1, axis=0) + np.roll(np.eye(c.q), -1, axis=0) - 2.0 * np.eye(c.q)
+    np.linalg.cholesky(c.eps * np.diag(np.cos(start.pos)) - lap)  # raises unless positive definite
+    return result
+
+
 @st.composite
 def sine_chains(draw):
-    """Sine chains whose fold the two probes confirm.  A seeded sweep of 376
+    """Sine chains whose fold the probe confirms.  A seeded sweep of 376
     chains (every q, p and range corner among them) agreed with the Newton
     edge to 3e-12; stronger eps (1.8 to 2.5 at gamma 0.3 to 0.6) put a wave
     at 0.5 or no decided wave at 1.5 times the edge, and at q=5, eps 0.52,
-    gamma 1.1-1.3 the upper probe was undecided at the horizon."""
+    gamma 1.1-1.3 the probe crawls, near the horizon (see
+    ``test_a_small_fold_confirms_within_the_default_horizon``)."""
     q = draw(st.integers(2, 5))
     p = draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
     return ChainParams(q=q, p=p, gamma=draw(st.floats(0.3, 1.5)), eps=draw(st.floats(0.8, 1.5)),
@@ -266,8 +296,9 @@ class TestCriticalTorque:
     def test_probe_outcome_depends_on_the_start(self):
         """Underdamped and hysteretic: at delta=0.04375 the pinned state
         settled at 0.01 depins, while the one continued to 0.0325 settles.
-        So the fold probes start on the pinned branch just below the fold,
-        not from the bracket's lower end."""
+        So the fold probe starts on the pinned branch just below the fold,
+        not from the bracket's lower end, and no run from one start stands
+        for the pinned side of the fold."""
         low = settle(twist_state(PINNING), replace(PINNING, delta=0.01))
         near = settle(low, replace(PINNING, delta=0.0325))
         probe = replace(PINNING, delta=0.04375)
@@ -277,7 +308,7 @@ class TestCriticalTorque:
 
     def test_matches_newton_tongue_edge(self):
         """The chain's fold solves the map's tongue-edge equations, and the
-        probes confirm it: the critical torque is the edge to rounding."""
+        probe confirms it: the critical torque is the edge to rounding."""
         for c, bracket in [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))]:
             crit = critical_torque(c, bracket).critical_delta
             edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
@@ -286,38 +317,49 @@ class TestCriticalTorque:
     def test_a_pinned_end_below_the_inflection_still_reaches_the_fold(self):
         """At delta = -0.02 the torque falls toward the branch's other end, so
         the branch is continued up in delta before Newton seeks the fold.
-        The probes start on the branch just below the fold: a probe at 0.04
+        The probe starts on the branch just below the fold: a probe at 0.04
         started from the equilibrium at -0.02 depins by overshoot, 10 %
         below the fold (a bisection from there found 0.03999)."""
-        result = critical_torque(PINNING, (-0.02, 0.1))
+        result = confirmed_torque(PINNING, (-0.02, 0.1))
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
-        assert [p.outcome for p in result.probes] == ["equilibrium", "depinned"]
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     def test_a_lower_end_just_below_the_fold_still_probes_both_sides(self):
-        """The bracket's lower end 0.0087978 lies between the lower probe's
-        torque and the q=3 fold 0.0087995: both probes still run, and the
-        torque is the fold.  (When probes outside the bracket were skipped,
-        the upper probe alone ran and a bisection returned 0.0088009.)"""
-        result = critical_torque(Q3, (0.0087978, 0.012))
+        """The bracket's lower end 0.0087978 lies between the torque of the
+        probe's start and the q=3 fold 0.0087995: the pinned side is still
+        certified there, the probe still runs, and the torque is the fold.
+        (When probes outside the bracket were skipped, the upper probe alone
+        ran and a bisection returned 0.0088009.)"""
+        result = confirmed_torque(Q3, (0.0087978, 0.012))
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 3), 0.6, 64).delta_max
-        assert [p.outcome for p in result.probes] == ["equilibrium", "depinned"]
-        assert result.probes[0].delta < 0.0087978
+        assert result.critical_delta * (1 - sgchain.FOLD_PROBE_RTOL / 2) < 0.0087978
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     @settings(max_examples=6, deadline=None)
     @given(sine_chains())
     def test_is_the_newton_tongue_edge_across_chains(self, c):
         """With the bracket (0.5, 1.5) times the Newton edge, the fold is the
-        edge to rounding, the lower probe settles and the upper one depins."""
+        edge to rounding, the branch is a strict minimum just below it and
+        the probe just above it depins."""
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
-        result = critical_torque(c, (0.5 * edge, 1.5 * edge))
+        result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
-        assert [p.outcome for p in result.probes] == ["equilibrium", "depinned"]
+
+    def test_a_small_fold_confirms_within_the_default_horizon(self):
+        """Near a small fold, 3.4e-4 here, the probe crawls through the
+        bottleneck the fold leaves: it escapes after 262,143 RK4 steps, at
+        t = 98,550 (1971 of the 2000 spans of the 1e5 horizon), and the
+        whole torque takes 293,267 steps.  Started on the branch a whole
+        FOLD_PROBE_RTOL below the fold, the probe did not escape within the
+        horizon (UnconfirmedFoldError)."""
+        c = ChainParams(q=5, p=2, gamma=1.131, eps=0.525, delta=0.0)
+        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
+        result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
+        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_does_not_move_with_the_step(self, monkeypatch, c, bracket):
-        """The fold and the probes' starts are equilibria, which are fixed
+        """The fold and the probe's start are equilibria, which are fixed
         points of the RK4 step at any stable h: halving the start step gives
         the same torque."""
         coarse = critical_torque(c, bracket).critical_delta
@@ -537,8 +579,7 @@ class TestAttractors:
     def test_no_wave_test_without_a_return_to_the_shift(self, monkeypatch):
         """Nothing off a wave returns to a neighbor shift of an earlier
         state, so nothing calls the wave test: not the q=3 equilibrium
-        classification, not either fold probe of the bench's critical
-        torque, and not an untwisted chain, whose sites whirl round at this
+        classification, not the fold probe of the bench's critical torque, and not an untwisted chain, whose sites whirl round at this
         torque (site 0's full turns used to call it there)."""
         try_wave, settles_or_depins, calls, probing = (sgchain._try_wave,
                                                        sgchain._settles_or_depins, [], [])
@@ -559,8 +600,7 @@ class TestAttractors:
         c = replace(Q3, delta=0.005)
         assert classify_attractor(twist_state(c), c).kind == "equilibrium"
         assert calls == []
-        result = critical_torque(PINNING, (0.01, 0.1))
-        assert len(result.probes) == 2
+        confirmed_torque(PINNING, (0.01, 0.1))
         assert calls and not any(in_probe for _, in_probe in calls)  # only the wave end
         flat = ChainParams(q=3, p=0, gamma=0.5, eps=0.6, delta=0.8)
         rep = _classify_attractor(twist_state(flat), flat, 1000.0, default_dt(flat))[0]
@@ -717,7 +757,7 @@ def pinned_chains(draw):
 class TestTrapCertificate:
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_verdicts_match_the_velocity_criterion(self, monkeypatch, c, bracket):
-        """Both fold probes, and both bracket-end classifications, run again
+        """The fold probe, and both bracket-end classifications, run again
         from the same start with the certificate switched off (no well is
         ever found): the velocity criterion reaches the same verdict, and
         critical_torque the same torque."""
@@ -742,8 +782,8 @@ class TestTrapCertificate:
         monkeypatch.setattr(sgchain, "_settles_or_depins", recording_probe)
         monkeypatch.setattr(sgchain, "_classify_attractor", recording_classify)
         monkeypatch.setattr(sgchain, "_trap", recording_trap)
-        crit = critical_torque(c, bracket).critical_delta
-        assert any(certified) and len(runs) == 4
+        crit = confirmed_torque(c, bracket).critical_delta
+        assert any(certified) and len(runs) == 3
         monkeypatch.setattr(sgchain, "_trap", trap)
         monkeypatch.setattr(sgchain, "_well", lambda pos, chain: None)
         for run, s0, chain, dt, verdict in runs:
@@ -885,49 +925,31 @@ class TestTrapCertificate:
         assert rep.rk4_steps <= 1900
 
 
-class TestBisectionRecord:
-    def test_the_record_counts_every_step_and_names_each_probe(self, monkeypatch):
-        """The bench's critical torque: the fold, confirmed by a probe half a
-        FOLD_PROBE_RTOL below it that the trap certificate settles and one
-        half a FOLD_PROBE_RTOL above it that escapes, both from the branch's
-        equilibrium a whole FOLD_PROBE_RTOL below the fold.  The record
-        counts the RK4 steps of every run: at most 2300 of them (6711 when
-        the torque was bisected, 2163 since the wave test at the bracket's
-        upper end reads its run's rows)."""
-        steps, starts = [], []
+class TestTorqueRecord:
+    def test_the_record_counts_every_step_and_names_the_probe(self, monkeypatch):
+        """The bench's critical torque: the fold, its pinned side certified
+        by the branch's stable equilibrium half a FOLD_PROBE_RTOL below it,
+        and confirmed by a probe half a FOLD_PROBE_RTOL above it, started
+        there at rest, that escapes.  The record counts the RK4 steps of
+        every run: at most 2300 of them (6711 when the torque was bisected,
+        2163 while a second probe ran below the fold, 1623 since)."""
+        steps = []
 
         def counting(state, chain, dt, t_end, record_every=0):
             traj = integrate(state, chain, dt, t_end, record_every)
             steps.append(traj.steps)
             return traj
 
-        def recording(s0, chain, horizon, dt):
-            starts.append(s0)
-            return _settles_or_depins(s0, chain, horizon, dt)
-
         monkeypatch.setattr(sgchain, "integrate", counting)
-        monkeypatch.setattr(sgchain, "_settles_or_depins", recording)
-        result = critical_torque(PINNING, (0.01, 0.1))
-        fold = result.critical_delta
-        rtol = sgchain.FOLD_PROBE_RTOL
+        result = confirmed_torque(PINNING, (0.01, 0.1))
         assert 0 < result.fold_iterations <= sgchain._FOLD_NEWTON_ITERS
         assert result.dt == default_dt(PINNING)
         assert result.rk4_steps == sum(steps) <= 2300
-        low, high = result.probes
-        assert (low.delta, low.outcome, low.decided_by) == (fold * (1 - rtol / 2),
-                                                             "equilibrium", "trap")
-        assert (high.delta, high.outcome, high.decided_by) == (fold * (1 + rtol / 2),
-                                                                "depinned", "escape")
-        assert sum(p.rk4_steps for p in result.probes) < result.rk4_steps
-        # both start at rest from the branch's equilibrium at fold (1 - rtol)
-        assert starts[0] is starts[1]
-        below = replace(PINNING, delta=fold * (1 - rtol))
-        assert np.abs(equilibrium_residual(starts[0].pos, below)).max() <= 1e-12
-        assert np.array_equal(starts[0].vel, np.zeros(PINNING.q))
+        assert 0 < result.probe.rk4_steps < result.rk4_steps
 
     def test_an_upper_probe_that_settles_raises(self, monkeypatch):
-        """Made to settle, the upper fold probe disagrees with the fold,
-        which then goes unconfirmed."""
+        """Made to settle, the fold probe disagrees with the fold, which
+        then goes unconfirmed."""
         fold = critical_torque(PINNING, (0.01, 0.1)).critical_delta
         upper = fold * (1 + sgchain.FOLD_PROBE_RTOL / 2)
 
