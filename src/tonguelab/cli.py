@@ -9,6 +9,7 @@ runner, help text, output formats and the config keys it reads.  A
 subcommand accepts those keys, and no others, as flags and as
 ``key=value`` lines of a ``--config`` file (flags win); every output
 carries the tool version and the resolved values of exactly those keys.
+A list value may start with a negative number: ``--bracket -0.02,0.1``.
 
 ``chain`` has no step option: :mod:`tonguelab.sgchain` chooses the RK4
 step and checks a classification by step halving.  Its JSON ``meta``
@@ -344,12 +345,12 @@ def _run_series(cfg: RunConfig, t0: float) -> int:
     if cfg.order < 1:
         raise UsageError(f"--order must be >= 1, got {cfg.order}")
     sol = expand(m, cfg.order)
-    first = verify_first_order(sol, m)
+    first = verify_first_order(sol)
     payload = dict(sol.to_dict())
     payload["first_order_check"] = {"delta1_error": first.delta1_error, "y1_error": first.y1_error}
     passed = True
     if sol.r is not None:
-        per = verify_periodicity(sol, m)
+        per = verify_periodicity(sol)
         payload["periodicity_check"] = {
             "shift_residual": per.shift_residual, "norm": per.norm,
             "support": sorted(per.support), "support_multiples_of_q": per.support_multiples_of_q,
@@ -422,7 +423,7 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
 
 
 def _run_fit(cfg: RunConfig, t0: float) -> int:
-    from .series import LeadingIndexNotFound, expand
+    from .series import expand
     from .tongue import TongueSample, fit_exponent
 
     if not cfg.input:
@@ -446,8 +447,9 @@ def _run_fit(cfg: RunConfig, t0: float) -> int:
     fit = fit_exponent(samples)
     expected_r = None
     # r is q for the sine; D_n depends on x only through harmonics that are
-    # multiples of q, which every forcing's D_n can hold by order q
-    with suppress(ValueError, LeadingIndexNotFound):
+    # multiples of q, which every forcing's D_n can hold by order q; expand
+    # raises ValueError on a forcing whose jet overflows
+    with suppress(ValueError):
         expected_r = expand(cfg.map_params(), cfg.q).r
     _write_json(cfg, t0, {"exponent": fit.exponent, "residual": fit.residual,
                           "expected_r": expected_r, "log_prefactor": fit.log_prefactor,
@@ -534,6 +536,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     """Entry point returning the process exit code."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a list value that starts with a negative number for an
+    # option: join it to its flag, as in the '=' form
+    lists = {f"--{key.replace('_', '-')}" for key, value in vars(RunConfig("")).items()
+             if isinstance(value, list)}
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in lists and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = make_parser().parse_args(argv)
     t0 = time.time()
     try:

@@ -217,9 +217,10 @@ class FirstOrderReport:
         return max(self.delta1_error, self.y1_error)
 
 
-def verify_first_order(sol: SeriesSolution, m: MapParams) -> FirstOrderReport:
+def verify_first_order(sol: SeriesSolution) -> FirstOrderReport:
     """Check ``D_1 = -avg`` and ``Y_1 = -(q+1)/2 avg + wavg`` where avg and
     wavg are the plain and weighted shift averages of f over mu."""
+    m = sol.params
     fbar = shift_average(m.f, m.q, m.mu)
     fbarbar = weighted_shift_average(m.f, m.q, m.mu)
     d1_expected = -fbar
@@ -250,7 +251,7 @@ class PeriodicityReport:
         return self.shift_residual < self.residual_tol and self.support_multiples_of_q
 
 
-def verify_periodicity(sol: SeriesSolution, m: MapParams) -> PeriodicityReport:
+def verify_periodicity(sol: SeriesSolution) -> PeriodicityReport:
     """Check ``D_r(x + mu) = D_r(x)``; with gcd(p, q) = 1 this is the same
     as the support of D_r containing only multiples of q."""
     if sol.r is None:
@@ -258,14 +259,14 @@ def verify_periodicity(sol: SeriesSolution, m: MapParams) -> PeriodicityReport:
             f"no x-dependent coefficient through order {sol.order}")
     dr = sol.delta.coeff(sol.r)
     norm = dr.coeff_norm()
-    residual = dr.shift(m.mu).coeff_distance(dr)
+    residual = dr.shift(sol.params.mu).coeff_distance(dr)
     support = dr.support(_harmonic_tol(dr, sol.roundoff[sol.r]))
     return PeriodicityReport(
         r=sol.r,
         shift_residual=residual,
         norm=norm,
         support=frozenset(support),
-        support_multiples_of_q=all(k % m.q == 0 for k in support),
+        support_multiples_of_q=all(k % sol.params.q == 0 for k in support),
         residual_tol=max(1e-10 * norm, 2.0 * float(sol.roundoff[sol.r])),
     )
 

@@ -19,11 +19,11 @@ step is chosen, not set:
 * **Start step.**  :func:`default_dt` takes ``h sqrt(eps + 4) = 0.8``,
   capped at half of RK4's stability limit for the linearized chain
   (:func:`stability_limit`, which bounds every ``dt`` of :func:`integrate`).
-* **Checked classification.**  :func:`classify_attractor` compares runs
-  at a step and at half of it, from ``h`` down, until such a pair agrees
-  on the kind and, for a traveling wave, on the period (step doubling, as
-  in Hairer, Norsett and Wanner, *Solving ODEs I*, II.4); each finer run
-  starts on the attractor where the run before it ended.  The first run
+* **Checked classification.**  :func:`classify_attractor` halves the step
+  one run at a time, from ``h`` down, until two runs in turn agree on the
+  kind and, for a traveling wave, on the period (step doubling, as in
+  Hairer, Norsett and Wanner, *Solving ODEs I*, II.4); each finer run
+  starts on the attractor of the run at twice its step.  The first run
   that settles to an equilibrium ends the check, for the reason below.
 * **Critical torque at the start step.**  :func:`critical_torque` solves
   for the fold at which the pinned branch ends and confirms it by a stable
@@ -389,53 +389,41 @@ def classify_attractor(s0: ChainState, c: ChainParams,
     the test that ended its run (``decided_by``) and counts the RK4 steps
     of every run of the check (``rk4_steps``).
 
-    The check compares pairs of runs at a step and at half of it, starting
-    at ``h = default_dt(c)``, until a pair agrees on the kind and, for
-    waves, on T within ``PERIOD_STEP_RTOL`` relative.  The finer run's
-    report is returned, with its step ``h / 2**halvings``.  The first run
-    that settles to an equilibrium ends the check with its own report:
-    RK4 leaves every equilibrium in place at any step, and a stable one
-    stays stable at every step below :func:`stability_limit`, so a finer
-    run started there could only agree.  Only the run at ``h`` starts at
-    ``s0``; after a wave each later run starts where the one before it
-    ended (:func:`_rerun`), and only an undecided run replays the
-    transient from ``s0``.  So the check shows that the attractor persists
-    at the finer step with the same period, not that ``s0``'s transient
-    reaches it there.  RK4's error falls like ``h^4``: after two waves
-    disagree by a relative gap ``g``, the check skips to the first halving
-    at which ``g / 16**skip`` meets the tolerance; after a change of kind
-    it halves once.  Raises :class:`StepRefinementError` when no pair down
-    to ``h / 2**MAX_HALVINGS`` agrees, and :class:`ValueError` when
+    The check halves the step one run at a time, starting at ``h =
+    default_dt(c)``, until a run agrees with the one at twice its step on
+    the kind and, for waves, on T within ``PERIOD_STEP_RTOL`` relative.
+    The finer run's report is returned, with its step ``h / 2**halvings``.
+    The first run that settles to an equilibrium ends the check with its
+    own report: RK4 leaves every equilibrium in place at any step, and a
+    stable one stays stable at every step below :func:`stability_limit`,
+    so a finer run started there could only agree.  Only the run at ``h``
+    starts at ``s0``; after a wave each finer run starts on the attractor
+    of the run at twice its step, where that run ended (:func:`_rerun`),
+    and only an undecided run replays the transient from ``s0``.  So the
+    check shows that the attractor persists at the finer step with the
+    same period, not that ``s0``'s transient reaches it there.  Raises
+    :class:`StepRefinementError` when no pair down to
+    ``h / 2**MAX_HALVINGS`` agrees, and :class:`ValueError` when
     ``horizon`` is not finite and positive.
     """
     _check_horizon(horizon)
-    start = default_dt(c)
-    depth = 0  # the coarse run of the pair is at start / 2**depth
-    coarse, end = _classify_attractor(s0, c, horizon, start)
-    steps = coarse.rk4_steps
+    coarse, end = _classify_attractor(s0, c, horizon, default_dt(c))
+    steps, halvings = coarse.rk4_steps, 0
     while coarse.kind != "equilibrium":
-        fine, fine_end = _rerun(coarse, end, s0, c, horizon, 0.5 * coarse.dt)
+        fine, end = _rerun(coarse, end, s0, c, horizon, 0.5 * coarse.dt)
         steps += fine.rk4_steps
-        same = fine.kind == coarse.kind
+        halvings += 1
         gap = (abs(fine.wave_period - coarse.wave_period) / fine.wave_period
-               if same and fine.wave_period is not None else 0.0)
-        if fine.kind == "equilibrium" or (same and gap <= PERIOD_STEP_RTOL):
-            return replace(fine, halvings=depth + 1, rk4_steps=steps)
-        if depth + 1 == MAX_HALVINGS:
+               if fine.kind == coarse.kind and fine.wave_period is not None else 0.0)
+        if fine.kind == "equilibrium" or (fine.kind == coarse.kind and gap <= PERIOD_STEP_RTOL):
+            return replace(fine, halvings=halvings, rk4_steps=steps)
+        if halvings == MAX_HALVINGS:
             raise StepRefinementError(
                 f"no agreement after {MAX_HALVINGS} step halvings: {coarse.kind} "
                 f"(T={coarse.wave_period}) at dt={coarse.dt:g}, {fine.kind} "
                 f"(T={fine.wave_period}) at dt={fine.dt:g}")
-        skip = 1
-        while same and depth + skip + 1 < MAX_HALVINGS and gap / 16.0 ** skip > PERIOD_STEP_RTOL:
-            skip += 1
-        depth += skip
-        if skip == 1:
-            coarse, end = fine, fine_end
-        else:
-            coarse, end = _rerun(fine, fine_end, s0, c, horizon, start / 2 ** depth)
-            steps += coarse.rk4_steps
-    return replace(coarse, halvings=depth, rk4_steps=steps)
+        coarse = fine
+    return coarse
 
 
 def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParams,
@@ -445,20 +433,20 @@ def _rerun(prev: AttractorReport, end: ChainState, s0: ChainState, c: ChainParam
     together with the state it ended in.
 
     After a wave the run starts on the attractor: it settles at ``dt`` for
-    ``CHECK_EVERY`` time units from ``end``, records 1.3 of ``prev``'s lag
-    ``T/q`` from there in whole steps ``dt``, and goes straight to
-    :func:`_try_wave` on that record, with the return put one such lag
-    on; if that test fails the run goes on as :func:`_classify_attractor`
-    from the settled state.  The run has no return of its own to wait
-    for: run as :func:`_classify_attractor` from ``end``, the check of the
-    q=5 wave at (q, p, gamma, eps, delta) = (5, 2, 0.3, 0.8, 0.1) took
-    7546 RK4 steps instead of 4736.  After an undecided run it starts
-    again from ``s0``."""
+    ``CHECK_EVERY`` time units from ``end``, records ``prev``'s lag ``T/q``
+    (good to that run's step error) and one step ``dt`` more from there,
+    and goes straight to :func:`_try_wave` on that record, with the return
+    put one such lag on; if that test fails the run goes on as
+    :func:`_classify_attractor` from the settled state.  The run has no
+    return of its own to wait for: run as :func:`_classify_attractor` from
+    ``end``, the check of the q=5 wave at (q, p, gamma, eps, delta) = (5,
+    2, 0.3, 0.8, 0.1) took 8644 RK4 steps instead of 5207.  After an
+    undecided run it starts again from ``s0``."""
     if prev.kind == "undecided":
         return _classify_attractor(s0, c, horizon, dt)
     settle = integrate(end, c, dt, CHECK_EVERY)
     lag = prev.wave_period / c.q
-    stretch = integrate(settle.final, c, dt, dt * math.ceil(1.3 * lag / dt), record_every=1)
+    stretch = integrate(settle.final, c, dt, dt * (math.ceil(lag / dt) + 1), record_every=1)
     report, spent = _try_wave(settle.final, c, dt, stretch.times, stretch.rows,
                               settle.final.t + lag)
     spent += settle.steps + stretch.steps
@@ -590,8 +578,8 @@ def _try_wave(ref: ChainState, c: ChainParams, dt: float, times: np.ndarray,
     ``sign(delta) 2 pi p`` per period.  Gauss-Newton in ``tau`` reads
     ``z(t + tau)`` off ``rows``, the states at ``times`` (laid out as in
     :class:`Trajectory`) that the run through ``ref`` recorded at most
-    ``dt`` apart, by the one partial RK4 step through :func:`integrate`
-    from the last row before it; its slope is the vector field there.  A
+    ``dt`` apart, by :func:`integrate` from the last row before it (one
+    partial RK4 step within the rows); its slope is the vector field.  A
     lag outside ``[0.75, 1.3] (t_return - t)`` fails, and so does one
     before the first row, which no step forward reaches.  The largest
     entry of the final residual is the wave's ``delay_error``, which must

@@ -212,7 +212,7 @@ def test_series_failed_periodicity_check_exits_1(capsys, monkeypatch):
     """The JSON is still written, with the failed check in it."""
     check = series.verify_periodicity
     monkeypatch.setattr(series, "verify_periodicity",
-                        lambda sol, m: replace(check(sol, m), support_multiples_of_q=False))
+                        lambda sol: replace(check(sol), support_multiples_of_q=False))
     rc = cli.run(["series", "--q", "3", "--p", "1", "--order", "4"])
     captured = capsys.readouterr()
     assert rc == 1 and "D_3 fails its periodicity check" in captured.err
@@ -339,6 +339,34 @@ def test_bracket_reports_how_it_decided(capsys):
     assert set(diag) == {"dt", "halvings", "rk4_steps", "fold_newton_iters"}
     assert diag["rk4_steps"] == torque.rk4_steps
     assert diag["fold_newton_iters"] == torque.fold_iterations > 0
+
+
+def test_a_negative_list_value_reads_with_a_space_as_with_equals(tmp_path, capsys):
+    """argparse alone takes '-0.02,0.1' for an option: the space form of a
+    list value that starts with a negative number gives the payload of the
+    '=' form and of a config file.  This bracket's lower end lies below the
+    pinned branch's inflection.  --eps is joined the same way, and a
+    --bracket with no value stays a usage error."""
+    base = ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--gamma", "0.25"]
+    config = tmp_path / "run.cfg"
+    config.write_text("bracket=-0.02,0.1\n")
+    payloads = []
+    for given in (["--bracket", "-0.02,0.1"], ["--bracket=-0.02,0.1"],
+                  ["--config", str(config)]):
+        rc, out = run_json(capsys, base + given)
+        assert rc == 0
+        del out["meta"]["wallclock_utc"], out["meta"]["elapsed_s"]
+        payloads.append(out)
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0]["meta"]["config"]["bracket"] == [-0.02, 0.1]
+    tongue = ["tongue", "--q", "3", "--p", "1"]
+    for given in (["--eps", "-0.1,0.2"], ["--eps=-0.1,0.2"]):
+        assert cli.run(tongue + given) == 2
+        assert "--eps needs finite values >= 0, got -0.1,0.2" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.run(base + ["--bracket"])
+    assert exc.value.code == 2
+    assert "argument --bracket: expected one argument" in capsys.readouterr().err
 
 
 def test_bracket_reports_an_unconfirmed_fold(capsys, monkeypatch):

@@ -68,7 +68,7 @@ class TestFirstOrder:
 
     def test_closed_form_q3(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        rep = verify_first_order(expand(m, 1), m)
+        rep = verify_first_order(expand(m, 1))
         assert rep.max_error < 1e-12
 
     def test_resonant_degree_equals_q(self):
@@ -76,7 +76,7 @@ class TestFirstOrder:
         f = TrigPoly.sine(3)
         m = MapParams(0.0, 0.0, f, 1, 3)
         sol = expand(m, 1)
-        rep = verify_first_order(sol, m)
+        rep = verify_first_order(sol)
         assert rep.max_error < 1e-12
         assert sol.delta.coeff(1).coeff_distance(TrigPoly.sine(3, -1.0)) < 1e-12
 
@@ -85,7 +85,7 @@ class TestFirstOrder:
         for _ in range(100):
             f = random_poly(rng, 4)
             m = MapParams(0.0, 0.0, f, 2, 5)
-            rep = verify_first_order(expand(m, 1), m)
+            rep = verify_first_order(expand(m, 1))
             assert rep.max_error < 1e-11
 
     def test_first_order_formulas_directly(self):
@@ -132,15 +132,15 @@ class TestLeadingIndex:
         with pytest.raises(LeadingIndexNotFound):
             predicted_width(sol, 0.1)
         with pytest.raises(LeadingIndexNotFound):
-            verify_periodicity(sol, m)
+            verify_periodicity(sol)
 
     def test_high_order_q11(self):
         # large q at high order, where Newton widths are below the fit floor
         m = MapParams(0.0, 0.0, SIN, 3, 11)
         sol = expand(m, 30)
         assert sol.r == 11
-        assert verify_periodicity(sol, m).passed
-        assert verify_first_order(sol, m).max_error < 1e-12
+        assert verify_periodicity(sol).passed
+        assert verify_first_order(sol).max_error < 1e-12
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("q", range(2, 14))
@@ -157,7 +157,7 @@ class TestLeadingIndex:
             m = MapParams(0.0, 0.0, f, p, q)
             sol = expand(m, r + 1)
             assert sol.r == r, f"p={p}"
-            assert verify_periodicity(sol, m).passed, f"p={p}"
+            assert verify_periodicity(sol).passed, f"p={p}"
 
     def test_constant_drift_coefficients_recorded(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
@@ -188,14 +188,14 @@ class TestDegreeStructure:
 class TestPeriodicity:
     def test_q2_support(self):
         m = MapParams(0.0, 0.0, SIN, 1, 2)
-        rep = verify_periodicity(expand(m, 2), m)
+        rep = verify_periodicity(expand(m, 2))
         assert rep.r == 2
         assert rep.support <= {0, 2}
         assert rep.passed
 
     def test_q3_support(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
-        rep = verify_periodicity(expand(m, 3), m)
+        rep = verify_periodicity(expand(m, 3))
         assert rep.support <= {0, 3}
         assert rep.passed
 
@@ -203,7 +203,7 @@ class TestPeriodicity:
     def test_shift_residual_small(self, q, p):
         m = MapParams(0.0, 0.0, SIN, p, q)
         sol = expand(m, q)
-        rep = verify_periodicity(sol, m)
+        rep = verify_periodicity(sol)
         assert rep.shift_residual < 1e-10 * rep.norm
         assert rep.support_multiples_of_q
 

@@ -449,23 +449,48 @@ class TestAttractors:
         assert checked.kind == fine.kind == "traveling_wave"
         assert checked.wave_period == pytest.approx(fine.wave_period, rel=1e-8)
 
-    def test_a_wave_gap_skips_to_the_predicted_halving(self, monkeypatch):
-        """The q=5 wave's period moves 2e-5 relative from h to h/2; at 16
-        times less per halving the pair h/8, h/16 is the first predicted to
-        agree within 1e-8, so the runs at h/4 are skipped."""
+    def test_the_step_halves_one_run_at_a_time(self, monkeypatch):
+        """The q=5 wave's period moves 2e-5 relative from h to h/2, and about
+        16 times less per halving: the check integrates at h, h/2, h/4, h/8
+        and h/16, each finer run from where the run at twice its step ended,
+        and ends at the pair h/8, h/16."""
         c = ChainParams(q=5, p=2, gamma=0.3, eps=0.8, delta=0.1)
-        steps = []
+        classify, rerun, starts, ends = sgchain._classify_attractor, sgchain._rerun, {}, {}
 
         def recording(state, chain, dt, t_end, record_every=0):
-            if not steps or steps[-1] != dt:  # a run integrates at one step throughout
-                steps.append(dt)
+            starts.setdefault(dt, state)  # a run integrates at one step throughout
             return integrate(state, chain, dt, t_end, record_every)
 
+        def ending(run):
+            def recorded(*args):
+                report, end = run(*args)
+                ends[report.dt] = end  # a rerun's, after any run it falls back to
+                return report, end
+            return recorded
+
         monkeypatch.setattr(sgchain, "integrate", recording)
+        monkeypatch.setattr(sgchain, "_classify_attractor", ending(classify))
+        monkeypatch.setattr(sgchain, "_rerun", ending(rerun))
         rep = classify_attractor(twist_state(c), c)
         h = default_dt(c)
-        assert steps == [h, h / 2, h / 8, h / 16]
-        assert (rep.dt, rep.halvings) == (h / 16, 4)
+        assert list(starts) == [h / 2 ** k for k in range(5)]
+        assert all(starts[h / 2 ** k] is ends[h / 2 ** (k - 1)] for k in range(1, 5))
+        assert (rep.kind, rep.dt, rep.halvings) == ("traveling_wave", h / 16, 4)
+
+    @pytest.mark.parametrize("q,p,delta,period", [(4, 1, 0.2, 11.328275264906),
+                                                  (4, 3, -0.2, 33.984825794688)])
+    def test_a_wave_agreeing_only_at_the_last_halving_is_found(self, q, p, delta, period):
+        """These waves agree only at the pair h/16, h/32.  A check that
+        skipped from h/2 to h/16 started that run 8 times finer on the
+        attractor of the run at h/2, whose offset one CHECK_EVERY settle
+        did not absorb: its period came out 4e-9 off, and the check raised
+        StepRefinementError."""
+        c = ChainParams(q=q, p=p, gamma=0.3, eps=1.0, delta=delta)
+        rep = classify_attractor(twist_state(c), c)
+        assert (rep.kind, rep.halvings) == ("traveling_wave", 5)
+        assert rep.delay_error < 1e-10
+        assert rep.wave_period == pytest.approx(period, rel=1e-9)
+        assert abs(rep.mean_velocity) * rep.wave_period == pytest.approx(2.0 * math.pi * p)
 
     def test_an_equilibrium_ends_the_check_at_the_start_step(self):
         """The run at the start step settles, and no finer run follows: the
