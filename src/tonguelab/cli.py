@@ -16,7 +16,7 @@ step and checks a classification by step halving.  Its JSON ``meta``
 carries ``diagnostics``: the step the result was obtained at (``dt``) and
 how many times the start step was halved to reach it (``halvings``; 0
 when the run at the start step settles to an equilibrium, which ends
-the check, and for ``--bracket``, whose probe runs at the start step).
+the check, and for ``--bracket``, whose probes run at the start step).
 A classification is ``undecided`` at the horizon or at rest on a saddle;
 a wave's ``delay_error`` is the largest entry of ``z(t + T/q) - S z(t)``
 over positions and velocities at one instant, ``S`` moving each site to
@@ -26,17 +26,24 @@ for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
 ``horizon`` at the horizon) and the RK4 steps of every run of the
 halving check (``rk4_steps``).  ``--bracket`` solves for the fold of the
 pinned branch and confirms it by a stable equilibrium of the branch just
-below it and a probe just above it, which must depin; ``critical_delta``
-is the fold, and a fold that its solve or its probe cannot confirm is a
-numerical failure (exit 1).  It adds the RK4 steps of all its runs
-(``rk4_steps``) and the steps of the fold's solve
-(``fold_newton_iters``).  ``--t-end`` and ``--format`` shape
-the trajectory that ``--out`` writes, so ``chain`` takes them only with
-``--out``; for a whole-number ``--t-end`` (200 time units by default)
-the trajectory's rows are one time unit apart.  These
-guards, like the ones of ``--bracket``, look at which options were
-given, by flag or by ``--config``, not at their values: an option given
-at its default value is still one the run would not read.  The values
+below it and two probes above it, at ``fold + mu`` and ``fold + 4 mu``,
+which must depin with escape times whose ``t^-2``, extrapolated linearly
+in the torque, vanishes within ``FOLD_LAW_RTOL`` of the fold (the
+saddle-node's bottleneck law);
+``critical_delta`` is the fold, and a fold that its solve or its probes
+cannot confirm is a numerical failure (exit 1).  It adds the RK4 steps
+of all its runs (``rk4_steps``), the steps of the fold's solve
+(``fold_newton_iters``), the fold's normal-form constants ``A`` and
+``B`` and the ``mu`` they chose, each probe (``probes``: its torque,
+outcome, deciding test, RK4 steps and escape time) and the extrapolated
+threshold (``delta_star``); the payload keeps ``critical_delta`` alone.
+``--t-end`` and ``--format`` shape the trajectory that ``--out`` writes,
+so ``chain`` takes them only with ``--out``; for a whole-number
+``--t-end`` (200 time units by default) the trajectory's rows are one
+time unit apart.  These guards, like the ones of ``--bracket``, look at
+which options were given, by flag or by ``--config``, not at their
+values: an option given at its default value is still one the run would
+not read.  The values
 are checked before any run: :class:`~tonguelab.sgchain.ChainParams`
 checks the chain's parameters and ``--horizon`` must be finite and
 positive, both before the guards, then ``--t-end`` must be finite and
@@ -389,7 +396,10 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
         report["critical_delta"] = torque.critical_delta
         # critical_torque probes at the start step, without halvings
         step = {"dt": torque.dt, "halvings": 0, "rk4_steps": torque.rk4_steps,
-                "fold_newton_iters": torque.fold_iterations}
+                "fold_newton_iters": torque.fold_iterations,
+                "A": torque.normal_form[0], "B": torque.normal_form[1], "mu": torque.mu,
+                "probes": [asdict(probe) for probe in torque.probes],
+                "delta_star": torque.delta_star}
     else:
         # --t-end and --format only shape the trajectory --out writes
         dropped = given("t_end", "format")
@@ -483,7 +493,7 @@ COMMANDS = {
                          ("f", "q", "p", "order", "out")),
     "chain": Subcommand(_run_chain, "classify the twisted sine-Gordon chain's attractor, "
                         "its RK4 step chosen and checked by step halving, or measure its "
-                        "critical torque with --bracket, at the start step with one probe; "
+                        "critical torque with --bracket, at the start step with two probes; "
                         "the JSON meta reports the step",
                         ("q", "p", "eps", "delta", "gamma", "horizon", "bracket", "report",
                          "t_end", "format", "out"), ("csv", "svg")),
@@ -507,7 +517,8 @@ _HELP = {
     "out": "output path (default: stdout)",
     "bracket": "lo,hi torque bracket, finite with lo < hi: measure the critical torque "
                "instead of classifying: the fold of the pinned branch, certified stable "
-               "just below it and confirmed by a probe that depins just above it",
+               "just below it and confirmed by two probes above it that depin as the "
+               "bottleneck law through the fold predicts",
     "report": "path for the JSON report (default: stdout)",
     "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",

@@ -13,7 +13,7 @@ are in bijection with p/q periodic orbits of the drifted cylinder map
 cross-checked against the tongue edge max of the drift profile.
 
 Integration is fixed-step classical 4th order within each run: runs are
-short and the torque probe needs deterministic reproducibility.  The
+short and the torque probes need deterministic reproducibility.  The
 step is chosen, not set:
 
 * **Start step.**  :func:`default_dt` takes ``h sqrt(eps + 4) = 0.8``,
@@ -27,8 +27,10 @@ step is chosen, not set:
   that settles to an equilibrium ends the check, for the reason below.
 * **Critical torque at the start step.**  :func:`critical_torque` solves
   for the fold at which the pinned branch ends and confirms it by a stable
-  equilibrium below it and a probe above it.  Equilibria are fixed points
-  of the RK4 step for any ``h``, so the fold does not move with the step.
+  equilibrium below it and two probes above it, placed by the fold's
+  normal form, whose escape times must extrapolate to the fold by the
+  saddle-node's bottleneck law.  Equilibria are fixed points of the RK4
+  step for any ``h``, so the fold does not move with the step.
 
 A run stops at the first check that decides it.  The checks come every
 ``CHECK_EVERY`` time units, so a run ends within that span of the moment
@@ -93,9 +95,15 @@ _ROUND = 8.0 * np.finfo(float).eps
 TAU_WAVE = 1e-4
 # Give up and report "undecided" after this much integrated time.
 DEFAULT_HORIZON = 1e5
-# critical_torque probes the fold at (1 + this/2) times it, from the pinned
-# equilibrium at (1 - this/2) times it.
+# critical_torque certifies the pinned branch at (1 - this/2) times the fold,
+# and starts its probes there at least this/2 times the fold above it.
 FOLD_PROBE_RTOL = 1e-3
+# The nearer probe lies at most this times the fold above it.
+_PROBE_MAX_RTOL = 8e-3
+# The threshold extrapolated from the probes' escape times agrees with the
+# fold to this, relative: over 288 sine chains (q 2-5, gamma 0.1-1.5, eps
+# 0.5-1.5) it lay between -1.5e-3 and +2.7e-3 of it.
+FOLD_LAW_RTOL = 5e-3
 # Positions beyond this magnitude abort the run as a blow-up.
 BLOWUP_LIMIT = 1e8
 # A torque probe has depinned once a site moves this far from its start.
@@ -112,7 +120,8 @@ class StepRefinementError(RuntimeError):
 
 class UnconfirmedFoldError(RuntimeError):
     """:func:`critical_torque` could not confirm the fold: its solve failed,
-    or the probe above it disagreed or was undecided at the horizon."""
+    a probe above it disagreed or was undecided at the horizon, or the
+    probes' escape times missed the bottleneck law through it."""
 
 
 @dataclass(frozen=True)
@@ -782,13 +791,16 @@ class InvalidBracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorqueProbe:
-    """The probe of :func:`critical_torque`: a run at torque ``delta`` from
-    a pinned equilibrium at rest, until it settles or depins."""
+    """One of the two probes of :func:`critical_torque`: a run at torque
+    ``delta`` from a pinned equilibrium at rest, until it settles or
+    depins.  A depinned probe gives the time from its start to the first
+    recorded row at which a site had moved more than ``_ESCAPE``."""
 
     delta: float
     outcome: str  # "equilibrium" | "depinned" | "undecided"
     decided_by: str  # "trap" | "velocity" | "escape" | "horizon": the test that ended the run
     rk4_steps: int
+    escape_time: float | None = None  # None unless the probe depinned
 
 
 @dataclass(frozen=True)
@@ -797,27 +809,35 @@ class CriticalTorque:
     :func:`critical_torque` reached it.
 
     ``dt`` is the start step :func:`default_dt` at which every run
-    integrated, with no halving.  ``probe`` is the run above the fold that
-    confirmed it, and ``fold_iterations`` the steps of the fold's solve
-    (:func:`_fold`: Newton steps, and continuation steps below the
-    branch's inflection).
+    integrated, with no halving.  ``normal_form`` holds the constants
+    ``(A, B)`` of the saddle-node ``gamma s' = A mu + B s^2`` on the
+    fold's null vector, ``mu`` the nearer probe's distance above the fold
+    that they chose, and ``probes`` the runs at ``fold + mu`` and ``fold
+    + 4 mu`` that confirmed it, whose escape times extrapolate to the
+    threshold ``delta_star``.  ``fold_iterations`` counts the steps of the
+    fold's solve (:func:`_fold`: Newton steps, and continuation steps
+    below the branch's inflection).
     """
 
     critical_delta: float
     dt: float
-    rk4_steps: int  # over both bracket-end classifications and the probe
-    probe: TorqueProbe
+    rk4_steps: int  # over both bracket-end classifications and both probes
+    probes: tuple[TorqueProbe, TorqueProbe]
     fold_iterations: int
+    normal_form: tuple[float, float]
+    mu: float
+    delta_star: float
 
 
 def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
                        dt: float) -> TorqueProbe:
-    """Fast pinned/depinned dichotomy for a state near the pinned branch.
+    """Fast pinned/depinned dichotomy for a state near the pinned branch:
+    one probe of :func:`critical_torque`.
 
     After each span of :func:`_spans`, recorded every 8 steps, in this
     order: the verdict of :func:`_rest_kind` when all velocities stayed
     below ``TAU_EQ`` over the span (a run at rest off the branch gets it,
-    not "depinned"); "depinned" when any site travels more than
+    not "depinned"); "depinned" when a site ends the span more than
     ``_ESCAPE`` (half a radian) from its start; "equilibrium" when the
     energy trap certificate of :func:`_trap` holds.  Warm-started from a
     settled pinned shape, the pinned-side transient stays well below the
@@ -826,6 +846,10 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
     instead of waiting out a whole wave period, which diverges at the
     depinning threshold, and the velocity and trap tests end a pinned run.
     Returns the probe's outcome, the test that decided it and its steps.
+    A depinned probe adds its escape time from ``s0``, read off the span's
+    rows, not its end: the first row with a site past ``_ESCAPE``, at most
+    8 steps after the crossing.  That is the bottleneck passage whose law
+    :func:`critical_torque` checks.
     """
     well = None
     for traj, steps, _ in _spans(s0, c, dt, horizon, 8):
@@ -833,7 +857,9 @@ def _settles_or_depins(s0: ChainState, c: ChainParams, horizon: float,
         if float(np.max(np.abs(traj.rows[1:, 1]))) < TAU_EQ:
             return TorqueProbe(c.delta, _rest_kind(state.pos, c), "velocity", steps)
         if float(np.max(np.abs(state.pos - s0.pos))) > _ESCAPE:
-            return TorqueProbe(c.delta, "depinned", "escape", steps)
+            far = np.max(np.abs(traj.rows[:, 0] - s0.pos), axis=1) > _ESCAPE
+            return TorqueProbe(c.delta, "depinned", "escape", steps,
+                               float(traj.times[np.argmax(far)]) - s0.t)
         well, trapped = _trap(state, c, well)
         if trapped:
             return TorqueProbe(c.delta, "equilibrium", "trap", steps)
@@ -865,11 +891,12 @@ def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):
     return delta, force, g, v, low, math.sqrt(float(force @ force) + g * g)
 
 
-def _fold(pos: np.ndarray, c: ChainParams,
-          top: float) -> tuple[tuple[float, np.ndarray] | None, int]:
+def _fold(pos: np.ndarray, c: ChainParams, top: float
+          ) -> tuple[tuple[float, np.ndarray, float, float] | None, int]:
     """The fold of the pinned branch through the equilibrium ``pos``: its
-    torque ``delta_f`` and the branch's stable equilibrium at
-    ``delta_f (1 - FOLD_PROBE_RTOL/2)``, or ``None`` when the solve fails,
+    torque ``delta_f``, the branch's stable equilibrium at
+    ``delta_f (1 - FOLD_PROBE_RTOL/2)`` and the normal-form constants
+    ``A`` and ``B`` of the fold, or ``None`` when the solve fails,
     together with the steps the solve took.  ``top`` bounds the torques
     the continuation below tries.
 
@@ -890,10 +917,14 @@ def _fold(pos: np.ndarray, c: ChainParams,
     mean position ``s``: negative on the stable branch, zero at the fold.
     By the symmetry of ``H`` its gradient is ``eps sin(x) v^2``, and
     ``kappa = (eps sin(x) v^2).v`` gives the branch's curvature,
-    ``delta = delta_f - q^2 kappa (s - s_f)^2 / 2`` near the fold.  ``H``
-    is positive definite on the vectors that sum to zero along the stable
-    branch and through the fold, so every solve uses the Cholesky factor
-    of ``B^T H B``, and no other factorization.
+    ``delta = delta_f - q^2 kappa (s - s_f)^2 / 2`` near the fold.  On
+    ``x = x_f + s v`` the slow motion past the fold at ``delta_f + mu``
+    then follows the saddle-node ``gamma s' = A mu + B s^2``, with ``A =
+    (1.v)/|v|^2`` and ``B = kappa/(2 |v|^2)`` (Strogatz, *Nonlinear
+    Dynamics and Chaos*, 4.3), which :func:`critical_torque` sizes its
+    probes by.  ``H`` is positive definite on the vectors that sum to zero
+    along the stable branch and through the fold, so every solve uses the
+    Cholesky factor of ``B^T H B``, and no other factorization.
 
     The solve starts on the branch near ``pos``, rounded to
     ``_FOLD_START_DECIMALS`` decimals: ``pos`` comes from a run, and its
@@ -944,7 +975,8 @@ def _fold(pos: np.ndarray, c: ChainParams,
                 guess = x - math.sqrt(FOLD_PROBE_RTOL * abs(delta) / kappa) * v
                 below = _equilibrium(guess,
                                      replace(c, delta=delta * (1.0 - 0.5 * FOLD_PROBE_RTOL)))
-                return (None if below is None else (delta, below[0])), steps
+                a = 1.0 / float(v @ v)  # 1.v = 1
+                return (None if below is None else (delta, below[0], a, 0.5 * kappa * a)), steps
             step *= 0.5
         else:
             return None, steps + 1
@@ -955,7 +987,8 @@ def _fold(pos: np.ndarray, c: ChainParams,
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
                     horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
     """The torque at which the pinned branch ends: its fold, stable just
-    below it and confirmed by a probe that depins just above it.
+    below it and confirmed above it by two probes that depin as the
+    saddle-node's bottleneck predicts.
 
     The bracket ends are validated with the full attractor classifier
     (equilibrium at ``bracket[0]``, traveling wave at ``bracket[1]``).
@@ -963,13 +996,28 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     settled in, :func:`_fold` solves for the fold of the pinned branch and
     continues the branch to its equilibrium at ``fold (1 -
     FOLD_PROBE_RTOL/2)``, a strict minimum of the potential: the pinned
-    side, certified without a run.  One probe starts at rest there, at
-    ``fold (1 + FOLD_PROBE_RTOL/2)``, and must depin: the fold alone
-    solves the equilibrium equations, not the dynamics.  It uses the
+    side, certified without a run.  The fold alone solves the equilibrium
+    equations, not the dynamics, so two probes above it follow.
+
+    Past ``fold + mu`` a run crawls through the bottleneck the fold
+    leaves, ``gamma s' = A mu + B s^2`` with :func:`_fold`'s ``A`` and
+    ``B``, in the time ``pi gamma / sqrt(A B mu)`` (a run from the pinned
+    equilibrium, part way in, takes a little over half of it).  ``mu`` is
+    chosen to make that time two ``CHECK_EVERY`` spans, within
+    ``[FOLD_PROBE_RTOL/2, _PROBE_MAX_RTOL]`` times the fold: small folds,
+    and the bench and CI chains, take the upper end.  One probe runs at
+    ``fold + mu`` and one at ``fold + 4 mu``, each from rest at the
+    certified equilibrium, and each must depin.  They use the
     pinned/depinned dichotomy of :func:`_settles_or_depins`, not the
     classifier, which would wait out a wave period that diverges at the
-    threshold; the chain is underdamped and hysteretic, so it starts on
-    the branch just below the fold, not at the bracket's lower end.
+    threshold; the chain is underdamped and hysteretic, so they start on
+    the branch just below the fold, not at the bracket's lower end.  By
+    the law, ``t^-2`` of an escape time ``t`` is linear in the torque and
+    vanishes at the threshold, so the line through the two probes' values
+    must cross zero at a ``delta_star`` within ``FOLD_LAW_RTOL`` of the
+    fold; a far probe that escapes no sooner than the near one fails.
+    One escape above the fold would show only that the chain depins
+    there; the law shows that its dynamics depin at the fold.
 
     Every run uses the start step :func:`default_dt`, with no halving
     check: each equilibrium is a fixed point of the RK4 step at any ``h``,
@@ -978,12 +1026,13 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     fold do not move with the step.
     The bracket ends need only their kind, not a wave period.
 
-    Returns the fold with the step, the probe, the RK4 steps of every run
-    and the steps of the fold's solve.  Raises
-    :class:`InvalidBracketError` when the bracket does not have ``lo < hi``
-    or its ends are not of the two kinds, :class:`UnconfirmedFoldError`
-    when the fold solve fails or the probe disagrees or is undecided at
-    the horizon, and :class:`ValueError` when ``horizon`` is not finite and
+    Returns the fold with the step, the normal form and the probes, the
+    RK4 steps of every run and the steps of the fold's solve.  Raises
+    :class:`InvalidBracketError` when the bracket does not have ``lo <
+    hi`` or its ends are not of the two kinds,
+    :class:`UnconfirmedFoldError` when the fold solve fails, a probe
+    disagrees or is undecided at the horizon, or the escape times miss
+    the law, and :class:`ValueError` when ``horizon`` is not finite and
     positive.
     """
     _check_horizon(horizon)
@@ -1003,15 +1052,27 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     fold, fold_iterations = _fold(settled.pos, c, hi)
     if fold is None:
         raise UnconfirmedFoldError(f"the fold solve failed ({fold_iterations} steps)")
-    crit, below = fold
-    delta = crit * (1.0 + 0.5 * FOLD_PROBE_RTOL)
-    probe = _settles_or_depins(ChainState(0.0, below, np.zeros(c.q)), replace(c, delta=delta),
-                               horizon, dt)
-    if probe.outcome == "undecided":
-        raise UnconfirmedFoldError(f"probe undecided at delta={delta:g} within horizon "
-                                   f"{horizon:g}; raise the horizon")
-    if probe.outcome != "depinned":
-        raise UnconfirmedFoldError(f"probe at delta={delta:g} disagrees with the fold "
-                                   f"{crit:g}: {probe.outcome}, not depinned")
-    steps = rep_lo.rk4_steps + rep_hi.rk4_steps + probe.rk4_steps
-    return CriticalTorque(crit, dt, steps, probe, fold_iterations)
+    crit, below, a, b = fold
+    mu = (math.pi * c.gamma / (2.0 * CHECK_EVERY)) ** 2 / (a * b)
+    mu = min(max(mu, 0.5 * FOLD_PROBE_RTOL * abs(crit)), _PROBE_MAX_RTOL * abs(crit))
+    start = ChainState(0.0, below, np.zeros(c.q))
+    probes = []
+    for delta in (crit + mu, crit + 4.0 * mu):
+        probe = _settles_or_depins(start, replace(c, delta=delta), horizon, dt)
+        if probe.outcome == "undecided":
+            raise UnconfirmedFoldError(f"probe undecided at delta={delta:g} within horizon "
+                                       f"{horizon:g}; raise the horizon")
+        if probe.outcome != "depinned":
+            raise UnconfirmedFoldError(f"probe at delta={delta:g} disagrees with the fold "
+                                       f"{crit:g}: {probe.outcome}, not depinned")
+        probes.append(probe)
+    near, far = probes
+    slow, fast = near.escape_time ** -2, far.escape_time ** -2
+    star = near.delta - slow * (far.delta - near.delta) / (fast - slow) if fast > slow else math.nan
+    if not abs(star - crit) <= FOLD_LAW_RTOL * abs(crit):
+        raise UnconfirmedFoldError(
+            f"probes at delta={near.delta:g} and {far.delta:g} escaped at t={near.escape_time:g} "
+            f"and {far.escape_time:g}, off the bottleneck law through the fold {crit:g}"
+            + (f" (threshold {star:g})" if fast > slow else ""))
+    steps = rep_lo.rk4_steps + rep_hi.rk4_steps + near.rk4_steps + far.rk4_steps
+    return CriticalTorque(crit, dt, steps, (near, far), fold_iterations, (a, b), mu, star)

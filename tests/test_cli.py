@@ -326,19 +326,32 @@ def test_chain_reports_its_step(capsys):
 
 def test_bracket_reports_how_it_decided(capsys):
     """The diagnostics count the RK4 steps and give the fold solve's steps,
-    as the record critical_torque returns.  They name no deciding test: the
-    one probe confirms the fold only by escaping, from rest at a strict
-    minimum of the potential just below the fold (confirmed_torque)."""
+    the fold's normal form ``A``, ``B``, the nearer probe's distance ``mu``
+    above it that they chose, each probe's torque, outcome, deciding test,
+    escape time and steps, and the threshold ``delta_star`` that the
+    escape times extrapolate to, as the record critical_torque returns.
+    The payload keeps the fold alone."""
     rc, out = run_json(capsys, ["chain", "--q", "2", "--p", "1", "--eps", "0.6",
                                 "--gamma", "0.25", "--bracket", "0.01,0.1"])
     assert rc == 0
     pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
     torque = confirmed_torque(pinning, (0.01, 0.1))
     assert out["critical_delta"] == torque.critical_delta
+    assert {k: v for k, v in out.items() if k != "meta"} == {
+        "kind": None, "mean_velocity": None, "T": None, "delay_error": None,
+        "critical_delta": torque.critical_delta}
     diag = out["meta"]["diagnostics"]
-    assert set(diag) == {"dt", "halvings", "rk4_steps", "fold_newton_iters"}
+    assert set(diag) == {"dt", "halvings", "rk4_steps", "fold_newton_iters", "A", "B", "mu",
+                         "probes", "delta_star"}
     assert diag["rk4_steps"] == torque.rk4_steps
     assert diag["fold_newton_iters"] == torque.fold_iterations > 0
+    assert (diag["A"], diag["B"]) == torque.normal_form
+    assert (diag["mu"], diag["delta_star"]) == (torque.mu, torque.delta_star)
+    near, far = diag["probes"]
+    for reported, probe in zip(diag["probes"], torque.probes):
+        assert reported == {"delta": probe.delta, "outcome": "depinned", "decided_by": "escape",
+                            "rk4_steps": probe.rk4_steps, "escape_time": probe.escape_time}
+    assert far["escape_time"] < near["escape_time"]
 
 
 def test_a_negative_list_value_reads_with_a_space_as_with_equals(tmp_path, capsys):
@@ -370,9 +383,9 @@ def test_a_negative_list_value_reads_with_a_space_as_with_equals(tmp_path, capsy
 
 
 def test_bracket_reports_an_unconfirmed_fold(capsys, monkeypatch):
-    """A fold solve that runs out of Newton steps, or an upper probe that
+    """A fold solve that runs out of Newton steps, or a near probe that
     settles, leaves the fold unconfirmed: a numerical failure, exit 1,
-    that names which of them happened."""
+    that names which of them happened and the probe's torque."""
     argv = ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--gamma", "0.25",
             "--bracket", "0.01,0.1"]
     with monkeypatch.context() as m:
@@ -385,7 +398,7 @@ def test_bracket_reports_an_unconfirmed_fold(capsys, monkeypatch):
                         sgchain.TorqueProbe(chain.delta, "equilibrium", "velocity", 0))
     assert cli.run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("tonguelab: numerical failure: probe at delta=0.044")
+    assert err.startswith("tonguelab: numerical failure: probe at delta=0.0450255 ")
     assert err.endswith("disagrees with the fold 0.0446682: equilibrium, not depinned\n")
 
 
