@@ -24,17 +24,17 @@ its neighbor.  It adds the test that ended the run it reports
 (``decided_by``: ``trap`` for the energy trap certificate, ``velocity``
 for velocities below ``TAU_EQ``, ``wave`` for the delay identity,
 ``horizon`` at the horizon) and the RK4 steps of every run of the
-halving check (``rk4_steps``).  ``--bracket`` solves for the fold of the
-pinned branch and confirms it by a stable equilibrium of the branch just
-below it and two probes above it, at ``fold + mu`` and ``fold + 4 mu``,
-which must depin with escape times whose ``t^-2``, extrapolated linearly
-in the torque, vanishes within ``FOLD_LAW_RTOL`` of the fold (the
-saddle-node's bottleneck law);
-``critical_delta`` is the fold, and a fold that its solve or its probes
-cannot confirm is a numerical failure (exit 1).  It adds the RK4 steps
-of all its runs (``rk4_steps``), the steps of the fold's solve
-(``fold_newton_iters``), the fold's normal-form constants ``A`` and
-``B`` and the ``mu`` they chose, each probe (``probes``: its torque,
+halving check (``rk4_steps``).  ``--bracket lo,hi`` reports the critical
+torque of :func:`~tonguelab.sgchain.critical_torque` as
+``critical_delta``: the fold of the pinned branch, certified stable just
+below it and confirmed by two probes above it, at ``fold + mu`` and
+``fold + 4 mu``, whose escape times follow the saddle-node's bottleneck
+law.  ``lo`` must settle to an equilibrium and ``hi`` lie above the fold;
+a bracket that does not, or a fold that cannot be confirmed, is a
+numerical failure (exit 1).  It adds the RK4 steps of the classification
+at ``lo`` and of the probes (``rk4_steps``), the steps of the fold's
+solve (``fold_newton_iters``), the fold's normal-form constants ``A``
+and ``B`` and the ``mu`` they chose, each probe (``probes``: its torque,
 outcome, deciding test, RK4 steps and escape time) and the extrapolated
 threshold (``delta_star``); the payload keeps ``critical_delta`` alone.
 ``--t-end`` and ``--format`` shape the trajectory that ``--out`` writes,
@@ -515,10 +515,9 @@ _HELP = {
     "horizon": "chain classification horizon (default 1e5)",
     "format": "output format (default csv):",
     "out": "output path (default: stdout)",
-    "bracket": "lo,hi torque bracket, finite with lo < hi: measure the critical torque "
-               "instead of classifying: the fold of the pinned branch, certified stable "
-               "just below it and confirmed by two probes above it that depin as the "
-               "bottleneck law through the fold predicts",
+    "bracket": "lo,hi torque bracket, finite with lo < hi, lo settling to an equilibrium and "
+               "hi above the fold: measure the critical torque, the fold of the pinned branch "
+               "confirmed by two probes above it, instead of classifying",
     "report": "path for the JSON report (default: stdout)",
     "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",

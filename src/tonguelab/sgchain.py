@@ -783,6 +783,9 @@ def _holds(state: ChainState, c: ChainParams, well: _Well) -> bool:
 
 
 class InvalidBracketError(RuntimeError):
+    """A bracket :func:`critical_torque` cannot search: not ``lo < hi``, no
+    equilibrium at ``lo`` from the twisted start, or ``hi`` not above the fold."""
+
     def __init__(self, lo: float, hi: float, message: str):
         super().__init__(f"{message} (bracket [{lo:g}, {hi:g}])")
         self.lo = lo
@@ -821,7 +824,7 @@ class CriticalTorque:
 
     critical_delta: float
     dt: float
-    rk4_steps: int  # over both bracket-end classifications and both probes
+    rk4_steps: int  # over the classification at the bracket's lower end and both probes
     probes: tuple[TorqueProbe, TorqueProbe]
     fold_iterations: int
     normal_form: tuple[float, float]
@@ -892,7 +895,7 @@ def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):
 
 
 def _fold(pos: np.ndarray, c: ChainParams, top: float
-          ) -> tuple[tuple[float, np.ndarray, float, float] | None, int]:
+          ) -> tuple[tuple[float, np.ndarray | None, float, float] | None, int]:
     """The fold of the pinned branch through the equilibrium ``pos``: its
     torque ``delta_f``, the branch's stable equilibrium at
     ``delta_f (1 - FOLD_PROBE_RTOL/2)`` and the normal-form constants
@@ -930,14 +933,16 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
     ``_FOLD_START_DECIMALS`` decimals: ``pos`` comes from a run, and its
     last digits, which depend on the run's step, would otherwise reach the
     last digits of the fold, which Newton finds only to within a few
-    roundings.  Where ``kappa <= 0`` the branch is below its inflection
-    and the torque has no maximum ahead, so :func:`_equilibrium` continues
-    the branch in ``delta``, halfway to the lowest torque above it at
-    which it has failed (``top`` at first).  Where ``kappa > 0`` Newton
-    follows the branch in ``s``, which, unlike ``delta``, does not turn at
-    the fold; a step is halved until the norm of ``(F, g)`` drops, at most
-    ``_FOLD_NEWTON_ITERS`` times.  The solve fails after that many steps
-    of either kind.  It has converged when a whole Newton step no longer
+    roundings.  Where ``kappa <= 0`` the branch is below its inflection and
+    the torque has no maximum ahead, so :func:`_equilibrium` continues the
+    branch in ``delta``, halfway to the lowest torque above it at which it
+    has failed (``top`` at first).  Where ``kappa > 0`` Newton follows the
+    branch in ``s``, which, unlike ``delta``, does not turn at the fold; a
+    step is halved until the norm of ``(F, g)`` drops, at most
+    ``_FOLD_NEWTON_ITERS`` times.  The solve fails after that many steps of
+    either kind, unless they end below the inflection with the branch stable
+    at every torque tried: the fold is then ``(top, None, nan, nan)``, at or
+    above ``top``.  It has converged when a whole Newton step no longer
     lowers the norm and the norm is below ``1e-14`` of one plus the
     equations' scale, the bound at which :func:`_equilibrium` stops.  The
     quadratic model then puts the branch's equilibrium at
@@ -950,6 +955,7 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
     basis = np.eye(c.q, c.q - 1, -1) - np.eye(c.q, c.q - 1)
     x = np.round(pos, _FOLD_START_DECIMALS)
     terms = _fold_terms(x, c, basis)
+    reach = top  # the lowest torque at which the continuation failed
     for steps in range(_FOLD_NEWTON_ITERS):
         if terms is None:
             return None, steps
@@ -957,10 +963,10 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
         slope = c.eps * np.sin(x) * v * v
         kappa = float(slope @ v)
         if not kappa > 0.0:
-            mid = 0.5 * (delta + top)
+            mid = 0.5 * (delta + reach)
             ahead = _equilibrium(x, replace(c, delta=mid))
             if ahead is None:
-                top = mid
+                reach = mid
             else:
                 x = ahead[0]
                 terms = _fold_terms(x, c, basis)
@@ -981,7 +987,8 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
         else:
             return None, steps + 1
         x = x + step
-    return None, _FOLD_NEWTON_ITERS
+    held = not kappa > 0.0 and reach == top
+    return ((top, None, math.nan, math.nan) if held else None), _FOLD_NEWTON_ITERS
 
 
 def critical_torque(c: ChainParams, bracket: tuple[float, float],
@@ -990,13 +997,13 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     below it and confirmed above it by two probes that depin as the
     saddle-node's bottleneck predicts.
 
-    The bracket ends are validated with the full attractor classifier
-    (equilibrium at ``bracket[0]``, traveling wave at ``bracket[1]``).
-    From the equilibrium that the classification at ``bracket[0]``
-    settled in, :func:`_fold` solves for the fold of the pinned branch and
-    continues the branch to its equilibrium at ``fold (1 -
-    FOLD_PROBE_RTOL/2)``, a strict minimum of the potential: the pinned
-    side, certified without a run.  The fold alone solves the equilibrium
+    ``lo`` must settle to an equilibrium from the twisted start, and ``hi``
+    lie above the fold.  The classifier runs once, at ``lo``; from the
+    equilibrium it settles in, :func:`_fold` solves for the fold (``hi``
+    bounding its continuation) and continues the branch to its equilibrium
+    at ``fold (1 - FOLD_PROBE_RTOL/2)``, a strict minimum of the potential:
+    the pinned side, certified without a run.  The branch still holds at
+    ``hi`` if the fold is not below it.  The fold solves the equilibrium
     equations, not the dynamics, so two probes above it follow.
 
     Past ``fold + mu`` a run crawls through the bottleneck the fold
@@ -1020,19 +1027,16 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     there; the law shows that its dynamics depin at the fold.
 
     Every run uses the start step :func:`default_dt`, with no halving
-    check: each equilibrium is a fixed point of the RK4 step at any ``h``,
-    and a stable one stays stable at every ``h`` below the stability limit
-    (its modes lie on the locus it covers), so the pinned branch and its
-    fold do not move with the step.
-    The bracket ends need only their kind, not a wave period.
+    check: the branch and its fold, equilibria, do not move with the step
+    (see :func:`classify_attractor`); the run at ``lo`` needs only its kind.
 
-    Returns the fold with the step, the normal form and the probes, the
-    RK4 steps of every run and the steps of the fold's solve.  Raises
-    :class:`InvalidBracketError` when the bracket does not have ``lo <
-    hi`` or its ends are not of the two kinds,
+    Returns a :class:`CriticalTorque`.  Raises :class:`InvalidBracketError`,
+    before any probe runs, when the bracket does not have ``lo < hi``,
+    ``lo`` does not settle to an equilibrium, or the pinned branch still
+    holds at ``hi`` ("no traveling wave at delta=hi");
     :class:`UnconfirmedFoldError` when the fold solve fails, a probe
-    disagrees or is undecided at the horizon, or the escape times miss
-    the law, and :class:`ValueError` when ``horizon`` is not finite and
+    disagrees or is undecided at the horizon, or the escape times miss the
+    law; and :class:`ValueError` when ``horizon`` is not finite and
     positive.
     """
     _check_horizon(horizon)
@@ -1040,19 +1044,15 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     if not lo < hi:
         raise InvalidBracketError(lo, hi, "bracket must satisfy lo < hi")
     dt = default_dt(c)
-    rep_lo, settled = _classify_attractor(twist_state(c), replace(c, delta=lo), horizon, dt)
-    if rep_lo.kind != "equilibrium":
-        raise InvalidBracketError(lo, hi, f"no equilibrium at delta={lo:g} "
-                                          f"(got {rep_lo.kind})")
-    eq_state = ChainState(0.0, settled.pos, np.zeros(c.q))
-    rep_hi = _classify_attractor(eq_state, replace(c, delta=hi), horizon, dt)[0]
-    if rep_hi.kind != "traveling_wave":
-        raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} "
-                                          f"(got {rep_hi.kind})")
+    rep, settled = _classify_attractor(twist_state(c), replace(c, delta=lo), horizon, dt)
+    if rep.kind != "equilibrium":
+        raise InvalidBracketError(lo, hi, f"no equilibrium at delta={lo:g} (got {rep.kind})")
     fold, fold_iterations = _fold(settled.pos, c, hi)
     if fold is None:
         raise UnconfirmedFoldError(f"the fold solve failed ({fold_iterations} steps)")
     crit, below, a, b = fold
+    if crit >= hi:
+        raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} (still pinned)")
     mu = (math.pi * c.gamma / (2.0 * CHECK_EVERY)) ** 2 / (a * b)
     mu = min(max(mu, 0.5 * FOLD_PROBE_RTOL * abs(crit)), _PROBE_MAX_RTOL * abs(crit))
     start = ChainState(0.0, below, np.zeros(c.q))
@@ -1074,5 +1074,5 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
             f"probes at delta={near.delta:g} and {far.delta:g} escaped at t={near.escape_time:g} "
             f"and {far.escape_time:g}, off the bottleneck law through the fold {crit:g}"
             + (f" (threshold {star:g})" if fast > slow else ""))
-    steps = rep_lo.rk4_steps + rep_hi.rk4_steps + near.rk4_steps + far.rk4_steps
+    steps = rep.rk4_steps + near.rk4_steps + far.rk4_steps
     return CriticalTorque(crit, dt, steps, (near, far), fold_iterations, (a, b), mu, star)

@@ -259,16 +259,26 @@ def confirmed_torque(c, bracket):
     FOLD_PROBE_RTOL/2)`` (to 1e-12) whose Hessian ``eps diag(cos x) -
     lap`` has a Cholesky factor: a strict minimum of the potential, so the
     branch is stable there.  Their escape times extrapolate to a threshold
-    within ``FOLD_LAW_RTOL`` of the fold.  Records the probes' starts
-    around whatever ``_settles_or_depins`` is in place."""
+    within ``FOLD_LAW_RTOL`` of the fold.  The classifier runs once, at
+    the bracket's lower end, and ``rk4_steps`` counts that run and the two
+    probes.  Records the probes' starts and the classifier's runs around
+    whatever ``_settles_or_depins`` and ``_classify_attractor`` are in
+    place."""
     starts, probe = [], sgchain._settles_or_depins
+    runs, classify = [], sgchain._classify_attractor
 
     def recording(s0, chain, horizon, dt):
         starts.append(s0)
         return probe(s0, chain, horizon, dt)
 
+    def classifying(s0, chain, horizon, dt):
+        report, state = classify(s0, chain, horizon, dt)
+        runs.append((chain.delta, report.rk4_steps))
+        return report, state
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sgchain, "_settles_or_depins", recording)
+        m.setattr(sgchain, "_classify_attractor", classifying)
         result = critical_torque(c, bracket)
     fold, rtol = result.critical_delta, sgchain.FOLD_PROBE_RTOL
     a, b = result.normal_form
@@ -278,6 +288,7 @@ def confirmed_torque(c, bracket):
     near, far = result.probes
     assert [(p.delta, p.outcome, p.decided_by) for p in result.probes] == [
         (fold + mu, "depinned", "escape"), (fold + 4 * mu, "depinned", "escape")]
+    assert runs == [(bracket[0], result.rk4_steps - near.rk4_steps - far.rk4_steps)]
     assert 0 < far.escape_time < near.escape_time
     slow, fast = near.escape_time ** -2, far.escape_time ** -2
     assert result.delta_star == near.delta - slow * (far.delta - near.delta) / (fast - slow)
@@ -297,12 +308,14 @@ def sine_chains(draw):
     """Sine chains whose fold the probes confirm.  A seeded sweep of 376
     chains (every q, p and range corner among them) agreed with the Newton
     edge to 3e-12 when eps started at 0.8; stronger eps (1.8 to 2.5 at
-    gamma 0.3 to 0.6) put a wave at 0.5 or no decided wave at 1.5 times
-    the edge.  Down to eps 0.5, where the folds are small and the probes
-    slow (see ``test_a_small_fold_confirms_within_the_default_horizon``),
-    a seeded sweep of 189 chains (150 drawn, the 36 range corners, and the
-    CI and small-fold chains) confirmed each fold, at the Newton edge to
-    1e-9, in at most 191,655 RK4 steps."""
+    gamma 0.3 to 0.6) put a wave at 0.5 times the edge in 2 of 16 seeded
+    chains, where the lower end must settle to an equilibrium, and the
+    other 14 confirmed the edge to 2e-14.  Down to eps 0.5, where the
+    folds are small and the probes slow (see
+    ``test_a_small_fold_confirms_within_the_default_horizon``), a seeded
+    sweep of 189 chains (150 drawn, the 36 range corners, and the CI and
+    small-fold chains) confirmed each fold, at the Newton edge to 1e-9, in
+    at most 191,655 RK4 steps."""
     q = draw(st.integers(2, 5))
     p = draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
     return ChainParams(q=q, p=p, gamma=draw(st.floats(0.3, 1.5)), eps=draw(st.floats(0.5, 1.5)),
@@ -366,7 +379,8 @@ class TestCriticalTorque:
         """Near a small fold, 3.4e-4 here, the normal form puts the probes
         at ``fold (1 + 8e-3)`` and ``fold (1 + 3.2e-2)``, the clamp's
         upper end.  They escape at t = 18,630 and 8,433, after 49,609 and
-        22,477 RK4 steps, and the whole torque takes 103,210 steps.  One
+        22,477 RK4 steps, and the whole torque, with the classification of
+        the bracket's lower end, takes 83,125 steps.  One
         probe at ``fold (1 + FOLD_PROBE_RTOL/2)`` crawled through the
         bottleneck to t = 98,550 of the 1e5 horizon, and the torque took
         293,267 steps; started a whole FOLD_PROBE_RTOL below the fold, it
@@ -376,7 +390,17 @@ class TestCriticalTorque:
         result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
         assert result.mu == 8e-3 * result.critical_delta
-        assert result.rk4_steps <= 105_000
+        assert result.rk4_steps <= 90_000
+
+    def test_a_wave_the_upper_end_run_missed_confirms_its_fold(self):
+        """At low damping a run from rest at 1.5 times the edge whirled
+        without a decided wave over the whole horizon (370,196 RK4 steps),
+        and a torque that classified its upper end raised.  The fold needs
+        no run there: it is the edge to rounding, confirmed by the probes."""
+        c = ChainParams(q=3, p=2, gamma=0.1434, eps=1.4655, delta=0.0)
+        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
+        result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
+        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_escape_times_follow_the_normal_form(self, c, bracket):
@@ -439,9 +463,24 @@ class TestCriticalTorque:
                                                       r"\(got undecided\)"):
             critical_torque(PINNING, (0.0, 0.1))
 
-    def test_no_wave_at_hi(self):
-        with pytest.raises(InvalidBracketError, match="no traveling wave at delta=0.02"):
-            critical_torque(PINNING, (0.01, 0.02))
+    @pytest.mark.parametrize("bracket", [(0.01, 0.02), (-0.02, 0.0), (-0.02, -0.01)],
+                             ids=["fold-above", "held-to-0", "held-to-neg"])
+    def test_no_wave_at_hi(self, monkeypatch, bracket):
+        """The fold settles the upper end without a run: Newton puts it at
+        0.0447, above 0.02, and from -0.02, below the branch's inflection,
+        the continuation finds the branch stable at every torque it tries
+        on the way to 0 or -0.01.  Only the lower end is classified."""
+        runs, classify = [], sgchain._classify_attractor
+
+        def classifying(s0, chain, horizon, dt):
+            runs.append(chain.delta)
+            return classify(s0, chain, horizon, dt)
+
+        monkeypatch.setattr(sgchain, "_classify_attractor", classifying)
+        monkeypatch.setattr(sgchain, "_settles_or_depins", None)  # no probe may run
+        with pytest.raises(InvalidBracketError, match=f"no traveling wave at delta={bracket[1]:g} "):
+            critical_torque(PINNING, bracket)
+        assert runs == [bracket[0]]
 
 
 class TestAttractors:
@@ -655,34 +694,24 @@ class TestAttractors:
     def test_no_wave_test_without_a_return_to_the_shift(self, monkeypatch):
         """Nothing off a wave returns to a neighbor shift of an earlier
         state, so nothing calls the wave test: not the q=3 equilibrium
-        classification, not the fold probes of the bench's critical
-        torque, and not an untwisted chain, whose sites whirl round at
-        this torque (site 0's full turns used to call it there)."""
-        try_wave, settles_or_depins, calls, probing = (sgchain._try_wave,
-                                                       sgchain._settles_or_depins, [], [])
+        classification, not the bench's critical torque (its run at the
+        bracket's lower end settles, and its fold probes only depin), and
+        not an untwisted chain, whose sites whirl round at this torque
+        (site 0's full turns used to call it there)."""
+        try_wave, calls = sgchain._try_wave, []
 
         def recording(state, chain, dt, times, rows, t_return):
-            calls.append((chain, bool(probing)))
+            calls.append(chain)
             return try_wave(state, chain, dt, times, rows, t_return)
 
-        def probe(s0, chain, horizon, dt):
-            probing.append(chain.delta)
-            try:
-                return settles_or_depins(s0, chain, horizon, dt)
-            finally:
-                probing.pop()
-
         monkeypatch.setattr(sgchain, "_try_wave", recording)
-        monkeypatch.setattr(sgchain, "_settles_or_depins", probe)
         c = replace(Q3, delta=0.005)
         assert classify_attractor(twist_state(c), c).kind == "equilibrium"
-        assert calls == []
         confirmed_torque(PINNING, (0.01, 0.1))
-        assert calls and not any(in_probe for _, in_probe in calls)  # only the wave end
         flat = ChainParams(q=3, p=0, gamma=0.5, eps=0.6, delta=0.8)
         rep = _classify_attractor(twist_state(flat), flat, 1000.0, default_dt(flat))[0]
         assert rep.kind == "undecided" and abs(rep.mean_velocity) > 0.5
-        assert all(chain.p for chain, _ in calls)
+        assert calls == []
 
     def test_a_wave_reached_from_far_off_is_found(self):
         """Kicked hard at light damping, the q=4 chain is still far from its
@@ -834,10 +863,10 @@ def pinned_chains(draw):
 class TestTrapCertificate:
     @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
     def test_verdicts_match_the_velocity_criterion(self, monkeypatch, c, bracket):
-        """The two fold probes, and both bracket-end classifications, run again
-        from the same start with the certificate switched off (no well is
-        ever found): the velocity criterion reaches the same verdict, and
-        critical_torque the same torque."""
+        """The two fold probes, and the classification at the bracket's lower
+        end, run again from the same start with the certificate switched off
+        (no well is ever found): the velocity criterion reaches the same
+        verdict, and critical_torque the same torque."""
         probe, classify, trap = sgchain._settles_or_depins, sgchain._classify_attractor, sgchain._trap
         runs, certified = [], []
 
@@ -860,7 +889,7 @@ class TestTrapCertificate:
         monkeypatch.setattr(sgchain, "_classify_attractor", recording_classify)
         monkeypatch.setattr(sgchain, "_trap", recording_trap)
         crit = confirmed_torque(c, bracket).critical_delta
-        assert any(certified) and len(runs) == 4
+        assert any(certified) and len(runs) == 3
         monkeypatch.setattr(sgchain, "_trap", trap)
         monkeypatch.setattr(sgchain, "_well", lambda pos, chain: None)
         for run, s0, chain, dt, verdict in runs:
@@ -1009,10 +1038,11 @@ class TestTorqueRecord:
         and confirmed by two probes started there at rest, at ``fold +
         mu`` and ``fold + 4 mu``, that escape as the bottleneck law
         predicts.  The record counts the RK4 steps of every run: at most
-        2300 of them (6711 when the torque was bisected, 2163 while a
+        600 of them (6711 when the torque was bisected, 2163 while a
         second probe ran below the fold, 1623 with one probe at ``fold (1 +
-        FOLD_PROBE_RTOL/2)``, 813 since), and names each probe's torque,
-        escape time and steps."""
+        FOLD_PROBE_RTOL/2)``, 813 while the bracket's upper end was
+        classified, 540 since), and names each probe's torque, escape time
+        and steps."""
         steps = []
 
         def counting(state, chain, dt, t_end, record_every=0):
@@ -1024,7 +1054,7 @@ class TestTorqueRecord:
         result = confirmed_torque(PINNING, (0.01, 0.1))
         assert 0 < result.fold_iterations <= sgchain._FOLD_NEWTON_ITERS
         assert result.dt == default_dt(PINNING)
-        assert result.rk4_steps == sum(steps) == 813
+        assert result.rk4_steps == sum(steps) == 540
         near, far = result.probes
         assert result.mu == 8e-3 * result.critical_delta  # the clamp binds here
         assert (near.rk4_steps, far.rk4_steps) == (270, 135)
