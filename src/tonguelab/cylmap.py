@@ -16,14 +16,16 @@ remainders, and their exact Jacobian, whose block in ``(x0, y0)`` is the
 monodromy minus the identity.  A pass holds the state of all starts as
 one array, x and y each with its tangent in ``(x0, y0, delta)``, and
 accumulates the remainders with their Jacobian in a second array laid
-out the same way; each step takes ``f`` and ``f'`` from one product of
-the starts' ``[cos kx | sin kx]`` rows with the coefficient matrix of
+out the same way; each step takes ``f`` and ``f'`` as sums of the
+starts' ``[cos kx | sin kx]`` rows weighted by the coefficients of
 ``(f, f')``, then scales them by each start's own ``-eps``: the drift and
 the strength are per start, so one pass can advance starts of several
-eps together.  The step loop calls numpy's C code directly (the bound
-``ndarray.dot``, ufuncs with positional outputs): at a few dozen starts
-the array-function dispatch of ``np.dot`` and the parsing of ``out=``
-are a fair share of a step.  All functions here are pure.
+eps together.  The rows are added one after another, elementwise, so a
+start's values do not depend on the other starts in its batch (a BLAS
+matrix product may sum in an order that changes with the batch size).
+The step loop calls ufuncs with positional outputs: at a few dozen
+starts the parsing of ``out=`` is a fair share of a step.  All functions
+here are pure.
 """
 
 from __future__ import annotations
@@ -106,21 +108,22 @@ def remainder_jet(x0, y0, delta, eps, m: MapParams, n: int) -> tuple[np.ndarray,
     to ``(x0, y0, delta)``, pushed through the n map steps together by
     forward-mode tangent propagation.  A second array of the same shape
     accumulates ``(R, S)`` and their derivatives the same way.  Each step
-    takes ``f`` and ``f'`` from one product of the ``(2, 2K-1)`` coefficient
-    matrix with the rows ``[cos kx | sin kx]`` of every start (``K - 1`` the
-    capacity of ``f``), then one multiply by each start's ``-eps``; all
-    buffers are allocated once per pass.  Returns ``res`` of shape
-    ``(2, *b)`` holding ``(R, S)``, ``jac`` of shape ``(2, 3, *b)`` with
-    ``jac[i, j] = d res[i] / d (x0, y0, delta)[j]`` and ``path`` of shape
-    ``(n, 2, *b)`` holding the points ``(x_k, y_k)``.
+    weights the ``2K-1`` rows ``[cos kx | sin kx]`` of every start (``K - 1``
+    the capacity of ``f``) by the coefficients of ``(f, f')`` and sums them
+    in row order, so each start's result is the same in any batch, then
+    multiplies by each start's ``-eps``; all buffers are allocated once per
+    pass.  Returns ``res`` of shape ``(2, *b)`` holding ``(R, S)``, ``jac``
+    of shape ``(2, 3, *b)`` with ``jac[i, j] = d res[i] / d (x0, y0,
+    delta)[j]`` and ``path`` of shape ``(n, 2, *b)`` holding the points
+    ``(x_k, y_k)``.
     """
     shape = np.broadcast(x0, y0, delta, eps).shape
     a, b = m.f.cos_coeffs, m.f.sin_coeffs
     k = np.arange(len(a), dtype=float)
-    # column j of the product is (f, f') at x_j: the rows of the cos kx,
-    # k >= 0, then of the sin kx, k >= 1
+    # coef[i] holds the weights of (f, f') on row i of trig: the cos kx,
+    # k >= 0, then the sin kx, k >= 1
     coef = np.array([np.concatenate([a, b]),
-                     np.concatenate([[0.0], k[1:] * b, -k[1:] * a[1:]])])
+                     np.concatenate([[0.0], k[1:] * b, -k[1:] * a[1:]])]).T[:, :, None]
     # st[0] is x and st[1] is y, each as (value, d/dx0, d/dy0, d/ddelta)
     st = np.zeros((2, 4) + shape)
     st[0, 0], st[1, 0], st[0, 1], st[1, 2] = x0, y0, 1.0, 1.0
@@ -137,16 +140,16 @@ def remainder_jet(x0, y0, delta, eps, m: MapParams, n: int) -> tuple[np.ndarray,
     drift[0], drift[3] = delta, 1.0
     drift = drift.reshape(4, -1)
     neg_eps = np.negative(eps, out=np.empty(shape)).reshape(-1)
-    kx, trig = np.empty((len(k), size)), np.empty((2 * len(k) - 1, size))
+    kx, trig = np.empty((len(k), size)), np.empty((2 * len(k) - 1, 1, size))
+    terms = np.empty((len(trig), 2, size))
     gj, term = np.empty((4, size)), np.empty_like(st)
     path = np.empty((n, 2, size))
     # views that the loop writes through
-    k_col, cos_rows, sin_rows, sin_k = k[:, None], trig[:len(k)], trig[len(k):], kx[1:]
+    k_col, cos_rows, sin_rows, sin_k = k[:, None], trig[:len(k), 0], trig[len(k):, 0], kx[1:]
     x, y, x_val, dx, values = st[0], st[1], st[0, 0], st[0, 1:], st[:, 0]
     fj, fp, g_tan = gj[:2], gj[1], gj[1:]
     mu = m.mu
-    # the bound ndarray.dot skips np.dot's array-function dispatch, and a
-    # positional output skips the ufuncs' keyword parsing
+    # a positional output skips the ufuncs' keyword parsing
     for j, weight in enumerate(weights):
         path[j] = values
         np.multiply(k_col, x_val, kx)
@@ -154,7 +157,9 @@ def remainder_jet(x0, y0, delta, eps, m: MapParams, n: int) -> tuple[np.ndarray,
         np.sin(sin_k, sin_rows)
         # g = -delta - eps f with its tangent -eps f' dx - d(delta); fp = gj[1]
         # holds -eps f' until the product with dx (numpy buffers the overlap)
-        coef.dot(trig, fj)
+        # the sum runs over the outer axis of terms: row by row, elementwise
+        np.multiply(coef, trig, terms)
+        np.add.reduce(terms, 0, None, fj)
         np.multiply(fj, neg_eps, fj)
         np.multiply(fp, dx, g_tan)
         np.subtract(gj, drift, gj)

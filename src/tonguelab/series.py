@@ -22,11 +22,14 @@ gives the D,Y-free parts of the remainders (S, R) as running sums.  The
 unknown pair enters affinely, ``S = -q D_n + ...`` and ``R = q Y_n -
 q(q+1)/2 D_n + ...``, so ``D_n`` and ``Y_n`` follow pointwise and the
 deviations get the affine response ``xi_i += i Y_n - i(i+1)/2 D_n``.
-Each ``D_n``, ``Y_n`` is turned into a :class:`~tonguelab.trigpoly.TrigPoly`
-once, by FFT.
+The values of every ``D_n`` and ``Y_n`` go through one real FFT, and
+each order keeps the ``n deg f`` harmonics its structure allows as a
+:class:`~tonguelab.trigpoly.TrigPoly`.
 
 The leading x-dependent index ``r`` (first n with a non-constant ``D_n``)
-controls the tongue width, which scales like ``eps^r``.
+controls the tongue width, which scales like ``eps^r``; it and the
+constants before it are read off the matrix of ``D_n`` coefficients in
+one pass.
 """
 
 from __future__ import annotations
@@ -37,14 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylmap import MapParams
-from .trigpoly import (TrigPoly, product, range_extrema, reconstruct, shift_average,
-                       weighted_shift_average)
+from .trigpoly import TrigPoly, product, range_extrema, sample_coeffs, shift_sums
 
 # A coefficient D_n counts as constant when every harmonic above 0 is
-# below this tolerance relative to the coefficient's own size, or below
+# below this tolerance times the coefficient's largest entry, or below
 # the round-off of the sums that make D_n (SeriesSolution.roundoff),
 # whichever is larger; the two together separate structural zeros from
-# round-off.
+# round-off.  Both scale with D_n, so scaling f (which only rescales
+# eps) leaves r where it is.
 R_DETECT_TOL = 1e-10
 
 
@@ -133,10 +136,11 @@ class SeriesSolution:
         }
 
 
-def _harmonic_tol(poly: TrigPoly, roundoff: float) -> float:
-    """Below this a harmonic of ``poly`` is round-off: ``R_DETECT_TOL``
-    relative to its size, or the round-off of the sums it came from."""
-    return max(R_DETECT_TOL * (1.0 + poly.coeff_norm()), roundoff)
+def _harmonic_tol(norm, roundoff):
+    """Below this a harmonic of a coefficient whose largest entry is
+    ``norm`` is round-off: ``R_DETECT_TOL`` relative to that size, or the
+    round-off of the sums it came from; elementwise on arrays."""
+    return np.maximum(R_DETECT_TOL * norm, roundoff)
 
 
 def expand(m: MapParams, order: int) -> SeriesSolution:
@@ -156,51 +160,62 @@ def expand(m: MapParams, order: int) -> SeriesSolution:
     n_pts = 2 * order * d + 2
     x0 = np.linspace(0.0, 2.0 * math.pi, n_pts, endpoint=False)
     theta = x0 + m.mu * np.arange(q)[:, None]
-    k = np.arange(1, d + 1)[:, None, None]
+    ik = 1j * np.arange(1, d + 1)[:, None, None]
     # f(theta + xi) = a_0 + Re sum_k (a_k - i b_k) e^{ik theta} W_k with
     # W_k = exp(ik xi), so only W_k needs the eps-jet of xi.
     phase = ((m.f.cos_coeffs[1:] - 1j * m.f.sin_coeffs)[:, None, None]
-             * np.exp(1j * k * theta))
+             * np.exp(ik * theta))
 
     xi = np.zeros((order + 1, q, n_pts))
     w = np.zeros((order, d, q, n_pts), dtype=complex)
     w[0] = 1.0
     i = np.arange(1, q)[:, None]
-    delta_vals = np.zeros((order + 1, n_pts))
-    y_vals = np.zeros((order + 1, n_pts))
+    tri = i * (i + 1) / 2.0
+    ms = np.arange(1, order)[:, None, None]
+    ulp = np.finfo(float).eps
+    # the values of D_n and Y_n, n = 1..order
+    vals = np.zeros((2, order, n_pts))
     roundoff = np.zeros(order + 1)
     f_prev = m.f.eval(theta)
     for n in range(1, order + 1):
         if n > 1:
             # W_j = (ik/j) sum_{m=1..j} m xi_m W_{j-m}, with j = n - 1
             j = n - 1
-            mxi = np.arange(1, n)[:, None, None] * xi[1:n]
-            w[j] = (1j * k / j) * np.einsum("mqx,mkqx->kqx", mxi, w[j - 1::-1])
+            mxi = ms[:j] * xi[1:n]
+            w[j] = (ik / j) * np.einsum("mqx,mkqx->kqx", mxi, w[j - 1::-1])
             f_prev = (phase * w[j]).real.sum(axis=0)
         # g_i = -D_n - F_{i,n-1}; the D,Y-free parts of eta_1..eta_q and
         # xi_1..xi_q are its running sums, and S = R = 0 fixes (D_n, Y_n).
         eta = -np.cumsum(f_prev, axis=0)
-        roundoff[n] = q * np.finfo(float).eps * float(np.max(np.abs(f_prev)))
+        roundoff[n] = q * ulp * float(np.max(np.abs(f_prev)))
         x = np.cumsum(eta, axis=0)
         dn = eta[-1] / q
         yn = (q + 1) / 2.0 * dn - x[-1] / q
-        delta_vals[n], y_vals[n] = dn, yn
-        xi[n, 1:] = x[:-1] + i * yn - i * (i + 1) / 2.0 * dn
+        vals[0, n - 1], vals[1, n - 1] = dn, yn
+        xi[n, 1:] = x[:-1] + i * yn - tri * dn
 
-    def from_values(vals):
+    # one FFT for every order of D and Y; order n keeps its n d harmonics
+    a, b = sample_coeffs(vals, order * d)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("coefficients must be finite")
+    cap = d * np.arange(1, order + 1)
+
+    def from_coeffs(part):
         return EpsSeries([TrigPoly.zero()]
-                         + [reconstruct(vals[n], n * d) for n in range(1, order + 1)])
+                         + [TrigPoly._from_arrays(a[part, n, :c + 1], b[part, n, :c + 1])
+                            for n, c in enumerate(cap)])
 
-    delta, y = from_values(delta_vals), from_values(y_vals)
+    delta, y = from_coeffs(0), from_coeffs(1)
 
-    r = None
-    for n in range(1, order + 1):
-        dn = delta.coeff(n)
-        if dn.degree(_harmonic_tol(dn, roundoff[n])) > 0:
-            r = n
-            break
+    # TrigPoly.degree(_harmonic_tol(norm, roundoff)) > 0 for every D_n at
+    # once, each row cut to the n d harmonics D_n holds
+    mag = np.maximum(np.abs(a[0]), np.abs(b[0]))
+    mag[np.arange(order * d + 1) > cap[:, None]] = 0.0
+    tol = _harmonic_tol(mag.max(axis=1), roundoff[1:])
+    varies = np.flatnonzero((mag[:, 1:] > tol[:, None]).any(axis=1))
+    r = int(varies[0]) + 1 if len(varies) else None
     upto = r if r is not None else order + 1
-    a_coeffs = np.array([float(delta.coeff(n).cos_coeffs[0]) for n in range(upto)])
+    a_coeffs = np.concatenate([[0.0], a[0, :upto - 1, 0]])
     return SeriesSolution(m, order, delta, y, r, a_coeffs, roundoff)
 
 
@@ -219,15 +234,16 @@ class FirstOrderReport:
 
 def verify_first_order(sol: SeriesSolution) -> FirstOrderReport:
     """Check ``D_1 = -avg`` and ``Y_1 = -(q+1)/2 avg + wavg`` where avg and
-    wavg are the plain and weighted shift averages of f over mu."""
+    wavg are the plain and weighted shift averages of f over mu.  Both are
+    sums of the shifts ``f(x + k mu)``, with weights ``-1/q`` and
+    ``(q - k - (q+1)/2)/q``, so one product gives them."""
     m = sol.params
-    fbar = shift_average(m.f, m.q, m.mu)
-    fbarbar = weighted_shift_average(m.f, m.q, m.mu)
-    d1_expected = -fbar
-    y1_expected = fbar * (-(m.q + 1) / 2.0) + fbarbar
+    q = m.q
+    weights = np.stack([np.full(q, -1.0), q - np.arange(q) - (q + 1) / 2.0]) / q
+    a, b = shift_sums(m.f, weights, m.mu)
     return FirstOrderReport(
-        delta1_error=sol.delta.coeff(1).coeff_distance(d1_expected),
-        y1_error=sol.y.coeff(1).coeff_distance(y1_expected),
+        delta1_error=sol.delta.coeff(1).coeff_distance(TrigPoly._from_arrays(a[0], b[0])),
+        y1_error=sol.y.coeff(1).coeff_distance(TrigPoly._from_arrays(a[1], b[1])),
     )
 
 
@@ -260,7 +276,7 @@ def verify_periodicity(sol: SeriesSolution) -> PeriodicityReport:
     dr = sol.delta.coeff(sol.r)
     norm = dr.coeff_norm()
     residual = dr.shift(sol.params.mu).coeff_distance(dr)
-    support = dr.support(_harmonic_tol(dr, sol.roundoff[sol.r]))
+    support = dr.support(float(_harmonic_tol(norm, sol.roundoff[sol.r])))
     return PeriodicityReport(
         r=sol.r,
         shift_residual=residual,

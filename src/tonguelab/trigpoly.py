@@ -11,7 +11,8 @@ immutable after construction and every operation returns a new
 :class:`TrigPoly`, which makes them safe to share across threads.
 
 The coefficient threshold ``TAU_DEG`` is applied only when *reporting*
-the effective degree (and in :meth:`TrigPoly.support`); it never mutates
+the effective degree (and in :meth:`TrigPoly.support`, and, relative to
+the largest coefficient, in :func:`range_extrema`); it never mutates
 stored coefficients.
 """
 
@@ -222,8 +223,7 @@ class TrigPoly:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {"cos": [float(v) for v in self._a],
-                "sin": [float(v) for v in self._b[1:]]}
+        return {"cos": self._a.tolist(), "sin": self._b[1:].tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrigPoly":
@@ -248,6 +248,21 @@ def product(p: TrigPoly, q: TrigPoly) -> TrigPoly:
     return reconstruct(_scan(p, n) * _scan(q, n), capacity)
 
 
+def shift_sums(f: TrigPoly, weights, mu: float) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(a, b)``, in the aligned layout of ``TrigPoly`` (``b_0 = 0``),
+    of ``sum_{j=0}^{q-1} w_j f(x + j mu)`` for each row ``w`` of ``weights``
+    (shape ``(..., q)``).
+
+    Shifting by ``s`` turns ``(a_k, b_k)`` into ``(a_k cos ks + b_k sin ks,
+    b_k cos ks - a_k sin ks)``, so the whole sum is one product of the
+    weights with the cosines and sines of the ``(q, K)`` angles ``j mu k``.
+    """
+    w = np.asarray(weights, dtype=float)
+    angle = np.multiply.outer(np.arange(w.shape[-1]) * mu, np.arange(len(f._a)))
+    c, s = w @ np.cos(angle), w @ np.sin(angle)
+    return f._a * c + f._b * s, f._b * c - f._a * s
+
+
 def shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:
     """``(1/q) * sum_{k=0}^{q-1} f(x + k mu)``.
 
@@ -256,20 +271,14 @@ def shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    acc = f
-    for k in range(1, q):
-        acc = acc + f.shift(k * mu)
-    return acc * (1.0 / q)
+    return TrigPoly._from_arrays(*shift_sums(f, np.full(q, 1.0 / q), mu))
 
 
 def weighted_shift_average(f: TrigPoly, q: int, mu: float) -> TrigPoly:
     """``(1/q) * sum_{k=0}^{q-1} (q - k) f(x + k mu)``."""
     if q < 1:
         raise ValueError("q must be >= 1")
-    acc = f * float(q)
-    for k in range(1, q):
-        acc = acc + f.shift(k * mu) * float(q - k)
-    return acc * (1.0 / q)
+    return TrigPoly._from_arrays(*shift_sums(f, (q - np.arange(q)) / q, mu))
 
 
 def range_extrema(p: TrigPoly) -> tuple[float, float, float, float]:
@@ -278,8 +287,10 @@ def range_extrema(p: TrigPoly) -> tuple[float, float, float, float]:
     Returns ``(max, min, argmax, argmin)`` with arguments in ``[0, 2 pi)``:
     the largest and smallest value of ``p`` at its critical points, found
     by :func:`_critical_points` on ``_SCAN_DENSITY * (degree + 1)`` points.
+    The degree counts harmonics above ``TAU_DEG`` times the largest
+    coefficient, so ``c * p`` is constant exactly when ``p`` is.
     """
-    d = p.degree()
+    d = p.degree(TAU_DEG * p.coeff_norm())
     if d == 0:
         c = float(p._a[0])
         return c, c, 0.0, 0.0
@@ -340,18 +351,26 @@ def _critical_points(p: TrigPoly, n: int) -> np.ndarray:
     return 0.5 * (a + b) % (2.0 * math.pi)
 
 
+def sample_coeffs(samples: np.ndarray, capacity: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients ``(a, b)``, in the aligned layout of ``TrigPoly`` (``b_0 = 0``),
+    of the degree <= ``capacity`` polynomials whose uniform samples on
+    ``[0, 2 pi)`` lie along the last axis of ``samples``, all from one real
+    FFT; harmonics past the spectrum's end are zero."""
+    spec = np.fft.rfft(samples, axis=-1) / samples.shape[-1]
+    shape = spec.shape[:-1] + (capacity + 1,)
+    a, b = np.zeros(shape), np.zeros(shape)
+    kmax = min(capacity, spec.shape[-1] - 1)
+    a[..., 0] = spec[..., 0].real
+    a[..., 1:kmax + 1] = 2.0 * spec[..., 1:kmax + 1].real
+    b[..., 1:kmax + 1] = -2.0 * spec[..., 1:kmax + 1].imag
+    return a, b
+
+
 def reconstruct(samples: Iterable[float], capacity: int) -> TrigPoly:
     """Recover coefficients of a degree <= ``capacity`` polynomial from
     ``2 * (capacity + 1)`` uniform samples on ``[0, 2 pi)``."""
     y = np.asarray(list(samples), dtype=float)
-    m = len(y)
-    if m < 2 * capacity + 1:
+    if len(y) < 2 * capacity + 1:
         raise ValueError("need at least 2*capacity + 1 samples")
-    spec = np.fft.rfft(y) / m
-    a = np.zeros(capacity + 1)
-    b = np.zeros(capacity)
-    a[0] = spec[0].real
-    kmax = min(capacity, len(spec) - 1)
-    a[1:kmax + 1] = 2.0 * spec[1:kmax + 1].real
-    b[:kmax] = -2.0 * spec[1:kmax + 1].imag
-    return TrigPoly(a, b)
+    a, b = sample_coeffs(y, capacity)
+    return TrigPoly(a, b[1:])

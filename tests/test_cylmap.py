@@ -240,24 +240,22 @@ class TestRemainderJet:
                                   min_size=1, max_size=12),
            st.integers(1, 9), st.sampled_from((None, SIN, TrigPoly([0.0, 0.0, -0.7]))))
     def test_mixed_eps_batch_is_its_one_eps_batches(self, m, starts, n, one_harmonic):
-        """Each start's eps scales only its own column.  For a forcing of one
-        harmonic the product with the coefficient matrix adds exact zeros,
-        so a mixed batch is bit for bit its one-eps batches; for a general
-        forcing the sum may run in another order, within the bound of
-        ``test_batch_equals_one_point_remainders``."""
+        """Each start's eps scales only its own column, and the harmonics
+        of each start are summed in one order in any batch, so for any
+        forcing a mixed batch is bit for bit its one-eps batches, and each
+        start bit for bit its batch of one."""
         m = replace(m, f=m.f if one_harmonic is None else one_harmonic)
         xs, ys, eps = np.array(starts).T
         res, jac, path = remainder_jet(xs, ys, m.delta, eps, m, n)
         for e in np.unique(eps):
             at = eps == e
             e_res, e_jac, e_path = remainder_jet(xs[at], ys[at], m.delta, e, m, n)
-            if one_harmonic is not None:
-                assert np.array_equal(res[:, at], e_res) and np.array_equal(jac[..., at], e_jac)
-                assert np.array_equal(path[..., at], e_path)
-                continue
-            growth = 1.0 + np.abs(e_jac[:, :2]).max()
-            rel = 64 * np.finfo(float).eps * n ** 2 * growth
-            assert np.allclose(res[:, at], e_res, rtol=rel, atol=rel)
+            assert np.array_equal(res[:, at], e_res) and np.array_equal(jac[..., at], e_jac)
+            assert np.array_equal(path[..., at], e_path)
+        for i in range(len(xs)):
+            one = remainder_jet(xs[i:i + 1], ys[i:i + 1], m.delta, eps[i:i + 1], m, n)
+            for batched, alone in zip((res, jac, path), one):
+                assert np.array_equal(batched[..., i:i + 1], alone)
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_scalar_start_is_the_batch_of_one_column(self, n):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tonguelab.cylmap import MapParams, remainder_jet
 from tonguelab.orbits import _solve_implicit
-from tonguelab.series import (EpsSeries, LeadingIndexNotFound, expand,
+from tonguelab.series import (EpsSeries, LeadingIndexNotFound, _harmonic_tol, expand,
                               predicted_width, verify_first_order, verify_periodicity)
 from tonguelab.trigpoly import TrigPoly, shift_average, weighted_shift_average
 
@@ -150,14 +150,39 @@ class TestLeadingIndex:
         passes its periodicity check.  At p = 1, q = 12 and 13, the small
         divisors make the sums behind D_n far larger than D_n, and their
         round-off in the constant D_11 (q = 12) and D_9 (q = 13) once read
-        as x-dependence."""
-        f = TrigPoly(np.zeros(d + 1), [1.0 / k for k in range(1, d + 1)])
+        as x-dependence.  Scaling f by amp only rescales eps, so r holds
+        at every amp; an absolute floor under the detection tolerance once
+        missed it at small amp (0.01 sin x at q = 5 read no r)."""
         r = math.ceil(q / d)
-        for p in [p for p in (1, 2, 3, 5) if p == 1 or (p < q and math.gcd(p, q) == 1)]:
-            m = MapParams(0.0, 0.0, f, p, q)
-            sol = expand(m, r + 1)
-            assert sol.r == r, f"p={p}"
-            assert verify_periodicity(sol).passed, f"p={p}"
+        for amp in (1.0, 1e-2, 1e-4, 30.0):
+            f = TrigPoly(np.zeros(d + 1), [amp / k for k in range(1, d + 1)])
+            for p in [p for p in (1, 2, 3, 5) if p == 1 or (p < q and math.gcd(p, q) == 1)]:
+                sol = expand(MapParams(0.0, 0.0, f, p, q), r + 1)
+                assert sol.r == r, f"amp={amp}, p={p}"
+                assert verify_periodicity(sol).passed, f"amp={amp}, p={p}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(2, 13),
+           st.integers(1, 14), st.sampled_from([1e-3, 1.0, 50.0]))
+    def test_r_and_constants_follow_the_per_order_rule(self, seed, degree, q, order, amp):
+        """``r`` and ``a_coeffs``, read off the coefficient matrix at once,
+        against the rule applied to each ``D_n`` in turn: the first n with
+        ``D_n.degree(_harmonic_tol(...)) > 0``, and the constant terms of
+        the orders before it."""
+        rng = np.random.default_rng(seed)
+        p = int(rng.choice([p for p in range(1, q) if math.gcd(p, q) == 1]))
+        f = random_poly(rng, degree) * amp
+        sol = expand(MapParams(0.0, 0.0, f, p, q), order)
+        r = None
+        for n in range(1, order + 1):
+            dn = sol.delta.coeff(n)
+            if dn.degree(_harmonic_tol(dn.coeff_norm(), sol.roundoff[n])) > 0:
+                r = n
+                break
+        assert sol.r == r
+        upto = r if r is not None else order + 1
+        assert sol.a_coeffs.tolist() == [float(sol.delta.coeff(n).cos_coeffs[0])
+                                         for n in range(upto)]
 
     def test_constant_drift_coefficients_recorded(self):
         m = MapParams(0.0, 0.0, SIN, 1, 3)
@@ -258,6 +283,22 @@ class TestPredictedWidth:
         sol = expand(m, 1)
         assert predicted_width(sol, 0.1) == pytest.approx(0.2, abs=1e-12)
 
+    def test_sine_at_q3_is_a_twelfth_of_eps_cubed(self):
+        sol = expand(MapParams(0.0, 0.0, SIN, 1, 3), 3)
+        assert predicted_width(sol, 0.1) == pytest.approx(0.1 ** 3 / 12, rel=1e-13)
+
+    @pytest.mark.parametrize("amp", [1e-4, 1e-2, 3.0, 1e2])
+    @pytest.mark.parametrize("f", [SIN, TrigPoly([0.0, 0.3], [1.0, 0.5])], ids=["sin", "mixed"])
+    @pytest.mark.parametrize("q", [3, 5])
+    def test_scaling_f_rescales_eps(self, q, f, amp):
+        """The map with forcing amp f at eps/amp is the map with f at eps,
+        so its predicted width is the same; a constant test with an
+        absolute threshold once gave 0 for 1e-4 sin x at q = 3."""
+        want = predicted_width(expand(MapParams(0.0, 0.0, f, 1, q), q), 0.1)
+        got = predicted_width(expand(MapParams(0.0, 0.0, f * amp, 1, q), q), 0.1 / amp)
+        assert want > 0
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_against_measured_width(self):
         from tonguelab.tongue import width_at
 
@@ -271,6 +312,12 @@ class TestValidation:
     def test_reducible_fraction_rejected(self):
         with pytest.raises(ValueError):
             expand(MapParams(0.0, 0.0, SIN, 2, 4), 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_jet_is_rejected(self):
+        # `fit` relies on this ValueError to report no expected_r
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            expand(MapParams(0.0, 0.0, TrigPoly.sine(1, 1e300), 1, 3), 5)
 
     def test_solution_serialization(self):
         m = MapParams(0.0, 0.0, SIN, 1, 2)

@@ -189,6 +189,21 @@ class TestWeightedShiftAverage:
         w = weighted_shift_average(TrigPoly.constant(c), q, 1.1)
         assert w.eval(0.42) == pytest.approx(expected, abs=1e-14)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(1, 13),
+           st.floats(-10.0, 10.0))
+    def test_matches_the_chained_shifts(self, seed, degree, q, mu):
+        """The one weighted sum against its definition, summed one shift
+        at a time: ``sum_k (q - k) f.shift(k mu) / q``."""
+        f = random_poly(np.random.default_rng(seed), degree)
+        chained = f * float(q)
+        for k in range(1, q):
+            chained = chained + f.shift(k * mu) * float(q - k)
+        chained = chained * (1.0 / q)
+        w = weighted_shift_average(f, q, mu)
+        assert w.capacity == f.capacity
+        assert w.coeff_distance(chained) <= 8 * q * np.finfo(float).eps * f.coeff_norm()
+
 
 class TestRangeExtrema:
     def test_sine(self):
@@ -201,6 +216,16 @@ class TestRangeExtrema:
     def test_constant(self):
         hi, lo, _, _ = range_extrema(TrigPoly.constant(3.0))
         assert hi == lo == 3.0
+
+    @pytest.mark.parametrize("scale", [1e-16, 1e-8, 1e4])
+    def test_scaling_scales_the_extrema(self, scale):
+        """Whether p is constant does not depend on its size: a sine
+        below ``TAU_DEG`` still has its extrema."""
+        p = TrigPoly([0.5, 0.2], [1.0, 0.0, 0.3])
+        hi, lo, xhi, xlo = range_extrema(p)
+        shi, slo, sxhi, sxlo = range_extrema(p * scale)
+        assert (shi, slo) == pytest.approx((scale * hi, scale * lo), rel=1e-13)
+        assert (sxhi, sxlo) == pytest.approx((xhi, xlo), abs=1e-9)
 
     def test_dense_grid_oracle(self):
         p = TrigPoly([0.0, 0.0, 0.0, 0.0, 0.0, 0.1], [0.0, 0.3, 0.0, 0.0, 0.0])
