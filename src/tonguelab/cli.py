@@ -266,9 +266,9 @@ def _write_csv(cfg: RunConfig, t0: float, header: str, rows, path: str) -> None:
 
 
 def _write_json(cfg: RunConfig, t0: float, payload: dict, path: str, **meta) -> None:
+    # one line, in one write: without indent, json.dumps runs the C encoder
     with _open_out(path) as fh:
-        json.dump({"meta": _meta(cfg, t0, **meta), **payload}, fh, indent=2, sort_keys=False)
-        fh.write("\n")
+        fh.write(json.dumps({"meta": _meta(cfg, t0, **meta), **payload}) + "\n")
 
 
 # -- subcommand runners ---------------------------------------------------

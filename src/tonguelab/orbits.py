@@ -4,7 +4,7 @@ Every solver here works on the same q-step equations ``(R, S) = 0``
 (since ``q mu = 2 pi p`` they are also the periodicity conditions
 ``x_q - x_0 - 2 pi p = 0``, ``y_q - y_0 = 0``), with the residual and its
 exact Jacobian from the one batched kernel
-:func:`~tonguelab.cylmap.remainder_jet`.  Two pairs of unknowns are used:
+:func:`~tonguelab.cylmap.jet_pass`.  Two pairs of unknowns are used:
 
 * :func:`continue_in_x` keeps the initial angle ``x_0`` fixed on a grid
   and solves for ``(delta, y_0)``; the result samples the implicit
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylmap import MapParams, PhaseState, RemainderPair, remainder_jet
+from .cylmap import MapParams, PhaseState, RemainderPair, jet_pass, jet_workspace
 
 # Residual threshold below which an orbit counts as converged.
 TAU_NEWTON = 1e-12
@@ -107,47 +107,90 @@ def _newton(u: np.ndarray, m: MapParams, unknowns: tuple[int, int],
     halving it at most ``_MAX_DAMPING_HALVINGS`` times; a non-finite
     residual fails it.  Returns each point's status, the
     number of Newton steps it took, and the kernel's ``res, jac, path``
-    (:func:`~tonguelab.cylmap.remainder_jet`) at its final point.
+    (:func:`~tonguelab.cylmap.jet_pass`) at its final point.
+
+    The full steps run on a working batch and its kernel workspace
+    (:func:`~tonguelab.cylmap.jet_workspace`), built once: the points
+    that have stopped step by 0, and a trial is accepted by masked copies
+    (``np.copyto`` where the residual dropped) into the batch's arrays.
+    The points whose full step is rejected are gathered, and their halved
+    steps run as a batch of their own, on workspaces that share the
+    constants.  Once at most half of the working batch is still active,
+    its stopped points are written out and the batch shrinks to the
+    active ones, with a workspace of that size.
     """
     i, j = unknowns
-    res, jac, path = remainder_jet(*u, m, m.q)
+    ws = jet_workspace(m, m.q, (u.shape[1],))
+    res, jac, path = (arr.copy() for arr in jet_pass(ws, *u))
     norm = np.hypot(res[0], res[1])
     status = np.full(u.shape[1], _ACTIVE)
     iterations = np.full(u.shape[1], max_iter)
+    # the working batch is the points at `work` of these arrays (point axis
+    # last); until the first compaction it is the arrays themselves
+    full = batch = (u, res, jac, path, norm, status, iterations)
+    work = None
     for it in range(max_iter):
-        active = status == _ACTIVE
-        done = active & (norm < TAU_NEWTON)
-        failed = active & ~np.isfinite(norm)
-        det = jac[0, i] * jac[1, j] - jac[0, j] * jac[1, i]
+        w_u, w_res, w_jac, w_path, w_norm, w_status, w_iter = batch
+        active = w_status == _ACTIVE
+        done = active & (w_norm < TAU_NEWTON)
+        failed = active & ~np.isfinite(w_norm)
+        det = w_jac[0, i] * w_jac[1, j] - w_jac[0, j] * w_jac[1, i]
         singular = active & ~done & ~failed & (np.abs(det) < TAU_SINGULAR)
-        status[done] = _CONVERGED
-        status[failed] = _FAILED
-        status[singular] = _SINGULAR
-        iterations[done | failed | singular] = it
-        todo = np.flatnonzero(status == _ACTIVE)
-        if not todo.size:
+        w_status[done] = _CONVERGED
+        w_status[failed] = _FAILED
+        w_status[singular] = _SINGULAR
+        w_iter[done | failed | singular] = it
+        active = w_status == _ACTIVE
+        left = np.count_nonzero(active)
+        if not left:
             break
+        if 2 * left <= active.size:
+            keep = np.flatnonzero(active)
+            if work is not None:
+                gone = ~active
+                for to, arr in zip(full, batch):
+                    to[..., work[gone]] = arr[..., gone]
+            work = keep if work is None else work[keep]
+            batch = tuple(arr[..., keep] for arr in batch)
+            w_u, w_res, w_jac, w_path, w_norm, w_status, w_iter = batch
+            det, active = det[keep], active[keep]
+            ws = jet_workspace(m, m.q, (left,), ws)
         # closed-form solve of the 2x2 Newton system for the step
-        a, b, c, d = jac[0, i, todo], jac[0, j, todo], jac[1, i, todo], jac[1, j, todo]
-        r, s = res[:, todo]
-        step = np.array([b * s - d * r, c * r - a * s]) / det[todo]
-        lam = np.ones(todo.size)
-        for _ in range(_MAX_DAMPING_HALVINGS):
-            trial = u[:, todo]
-            trial[[i, j]] += lam * step
-            t_res, t_jac, t_path = remainder_jet(*trial, m, m.q)
-            t_norm = np.hypot(t_res[0], t_res[1])
-            ok = (t_norm < norm[todo]) | (t_norm < TAU_NEWTON)
-            take = todo[ok]
-            u[:, take] = trial[:, ok]
-            res[:, take], jac[..., take], norm[take] = t_res[:, ok], t_jac[..., ok], t_norm[ok]
-            path[..., take] = t_path[..., ok]
-            todo, step, lam = todo[~ok], step[:, ~ok], 0.5 * lam[~ok]
+        a, b, c, d = w_jac[0, i], w_jac[0, j], w_jac[1, i], w_jac[1, j]
+        r, s = w_res
+        step = np.zeros((2, active.size))
+        np.divide(np.array([b * s - d * r, c * r - a * s]), det, step, where=active)
+        trial = w_u.copy()
+        trial[i] += step[0]
+        trial[j] += step[1]
+        t_res, t_jac, t_path = jet_pass(ws, *trial)
+        t_norm = np.hypot(t_res[0], t_res[1])
+        ok = active & ((t_norm < w_norm) | (t_norm < TAU_NEWTON))
+        for to, arr in ((w_u, trial), (w_res, t_res), (w_jac, t_jac), (w_path, t_path),
+                        (w_norm, t_norm)):
+            np.copyto(to, arr, where=ok)
+        todo = np.flatnonzero(active & ~ok)
+        step, lam = step[:, todo], np.full(todo.size, 0.5)
+        for _ in range(_MAX_DAMPING_HALVINGS - 1):
             if not todo.size:
                 break
-        status[todo], iterations[todo] = _FAILED, it
-    active = status == _ACTIVE
-    status[active] = np.where(norm[active] < TAU_NEWTON, _CONVERGED, _FAILED)
+            trial = w_u[:, todo]
+            trial[[i, j]] += lam * step
+            t_res, t_jac, t_path = jet_pass(jet_workspace(m, m.q, (todo.size,), ws), *trial)
+            t_norm = np.hypot(t_res[0], t_res[1])
+            ok = (t_norm < w_norm[todo]) | (t_norm < TAU_NEWTON)
+            take = todo[ok]
+            w_u[:, take] = trial[:, ok]
+            w_res[:, take], w_jac[..., take] = t_res[:, ok], t_jac[..., ok]
+            w_norm[take], w_path[..., take] = t_norm[ok], t_path[..., ok]
+            todo, step, lam = todo[~ok], step[:, ~ok], 0.5 * lam[~ok]
+        w_status[todo], w_iter[todo] = _FAILED, it
+    w_u, w_res, w_jac, w_path, w_norm, w_status, w_iter = batch
+    active = w_status == _ACTIVE
+    w_status[active] = np.where(w_norm[active] < TAU_NEWTON, _CONVERGED, _FAILED)
+    if work is not None:
+        for to, arr in zip(full, batch):
+            to[..., work] = arr
     return status, iterations, res, jac, path
 
 

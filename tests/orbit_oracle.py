@@ -1,7 +1,7 @@
 """The tests' oracles for periodic orbits.
 
 :func:`step` and :func:`iterate` walk the map one scalar step at a time,
-independently of the batched kernel :func:`~tonguelab.cylmap.remainder_jet`
+independently of the batched kernel :func:`~tonguelab.cylmap.jet_pass`
 that the package iterates the map with; :func:`is_walk` checks the
 kernel's points against them.  :func:`solve_orbits_fixed_delta` runs the
 package's fixed-drift Newton on a batch of starts, and
@@ -59,7 +59,7 @@ def is_walk(states, m: MapParams) -> bool:
 def monodromy(states, m: MapParams) -> np.ndarray:
     """Product of the tangent maps ``[[1 + g', 1], [g', 1]]`` along the orbit
     states (last factor first): the reference for the monodromy that the
-    solvers read off :func:`~tonguelab.cylmap.remainder_jet`."""
+    solvers read off :func:`~tonguelab.cylmap.jet_pass`."""
     fp = m.f.derivative()
     mat = np.eye(2)
     for s in states:

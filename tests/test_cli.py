@@ -574,19 +574,35 @@ def widths_csv(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("argv", [
+# One small run of every subcommand that writes JSON; fit's input is
+# added from the widths_csv fixture.
+JSON_RUNS = pytest.mark.parametrize("argv", [
     ["orbit", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "8"],
     ["profile", "--q", "3", "--p", "1", "--eps", "0.2", "--grid", "24", "--format", "json"],
     ["tongue", "--q", "3", "--p", "1", "--eps", "0.1", "--grid", "24", "--format", "json"],
     ["series", "--q", "3", "--p", "1", "--order", "2"],
     ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--delta", "0.005"],
     ["fit", "--q", "2", "--p", "1"]], ids=lambda argv: argv[0])
+
+
+@JSON_RUNS
 def test_meta_config_is_the_table_row(capsys, widths_csv, argv):
     if argv[0] == "fit":
         argv = [*argv, "--input", str(widths_csv)]
     rc, out = run_json(capsys, argv)
     assert rc == 0
     assert list(out["meta"]["config"]) == ["subcommand", *cli.COMMANDS[argv[0]].keys]
+
+
+@JSON_RUNS
+def test_json_is_one_line(capsys, widths_csv, argv):
+    """Every JSON output is one line, the C encoder's, that parses back."""
+    if argv[0] == "fit":
+        argv = [*argv, "--input", str(widths_csv)]
+    assert cli.run(argv) == 0
+    text = capsys.readouterr().out
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert set(json.loads(text)) > {"meta"}
 
 
 def test_csv_and_svg_record_the_table_row(tmp_path, capsys):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from tonguelab import orbits as orbits_module
 from tonguelab.cylmap import MapParams, PhaseState, remainder_jet
-from tonguelab.orbits import (ContinuationError, _solve_implicit, continue_in_x,
-                              solve_orbit_fixed_delta)
+from tonguelab.orbits import (_FIXED_DELTA, _IMPLICIT, _MAX_NEWTON_ITERS, ContinuationError,
+                              _newton, _solve_implicit, continue_in_x, solve_orbit_fixed_delta)
 from tonguelab.trigpoly import TrigPoly
 
 from orbit_oracle import monodromy, multistart_orbits, orbit_distance, step
@@ -237,6 +237,65 @@ class TestContinuation:
             continue_in_x(3.0, m, 24)
         assert 0.0 <= err.value.x0 <= 2 * math.pi
         assert err.value.x0 == 0.0
+
+
+def bench_q3_grid():
+    """The first implicit solve of the q=3 p=1 bench sweep: its 64 grid
+    points at each of 6 eps, all from the seed (0, 0)."""
+    u = np.zeros((4, 384))
+    u[0] = np.tile(np.linspace(0.0, 2 * math.pi, 64, endpoint=False), 6)
+    u[3] = np.repeat([0.05, 0.1, 0.15, 0.2, 0.3, 0.4], 64)
+    return u
+
+
+def assert_batch_is_points_alone(u, m, unknowns):
+    """``_newton`` on the batch ``u`` against each of its columns solved
+    alone: status, iterations, the solved ``u`` and the final ``res, jac,
+    path`` are equal, NaN to NaN."""
+    alone = []
+    for k in range(u.shape[1]):
+        col = u[:, k:k + 1].copy()
+        alone.append((*_newton(col, m, unknowns, _MAX_NEWTON_ITERS), col))
+    batch = (*_newton(u, m, unknowns, _MAX_NEWTON_ITERS), u)
+    for got, cols in zip(batch, zip(*alone)):
+        assert np.array_equal(got, np.concatenate(cols, axis=-1), equal_nan=True)
+
+
+class TestNewtonBatch:
+    """Each point's Newton runs on its own: the working batch, its masked
+    acceptance and its compaction leave every point's values as they are
+    when it is solved alone."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(f=st.sampled_from([TrigPoly.sine(1, 1.0), TrigPoly.sine(1, 5.0),
+                              TrigPoly.sine(1, 50.0),
+                              TrigPoly([0.0, 0.3, 0.0, 0.0], [1.0, 0.0, 0.2])]),
+           q=st.integers(2, 7), unknowns=st.sampled_from([_IMPLICIT, _FIXED_DELTA]),
+           starts=st.lists(st.tuples(st.floats(0.0, 2 * math.pi), st.floats(-0.5, 0.5),
+                                     st.floats(-0.3, 0.3), st.floats(0.0, 3.0)),
+                           min_size=1, max_size=40))
+    def test_batch_is_its_points_solved_alone(self, f, q, unknowns, starts):
+        assert_batch_is_points_alone(np.array(starts).T, MapParams(0.0, 0.0, f, 1, q),
+                                     unknowns)
+
+    def test_a_compacted_batch_is_its_points_solved_alone(self, monkeypatch):
+        """On the q=3 bench grid 20 of 384 points are left for the last
+        step: the batch shrinks to them, so its last full trial is a pass
+        of 20 points, not 384."""
+        sizes = []
+        jet_pass = orbits_module.jet_pass
+
+        def counted(ws, *starts):
+            sizes.append(np.size(starts[0]))
+            return jet_pass(ws, *starts)
+
+        m = MapParams(0.0, 0.0, SIN, 1, 3)
+        u = bench_q3_grid()
+        monkeypatch.setattr(orbits_module, "jet_pass", counted)
+        status, iterations, *_ = _newton(u.copy(), m, _IMPLICIT, _MAX_NEWTON_ITERS)
+        assert np.bincount(iterations).tolist() == [0, 0, 55, 309, 20]
+        assert sizes.count(384) == 4 and sizes[-1] == 20
+        assert_batch_is_points_alone(u, m, _IMPLICIT)
 
 
 class TestCrossValidation:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tonguelab import tongue
+from tonguelab import cylmap, orbits, tongue
 from tonguelab.cylmap import MapParams, PhaseState
 from tonguelab.orbits import ContinuationError, _solve_implicit, continue_in_x
 from tonguelab.series import expand, predicted_width
@@ -288,6 +288,28 @@ class TestSweepAndFit:
         with pytest.raises(ValueError, match="eps must be finite and >= 0"):
             sweep(MapParams(0.0, 0.0, SIN, 1, 3), eps_list)
         assert solved == []
+
+    @pytest.mark.parametrize("q, p, eps_list, passes", [
+        (3, 1, (0.05, 0.1, 0.15, 0.2, 0.3, 0.4), 10),
+        (5, 1, (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4), 11),
+        (5, 2, (0.2, 0.3, 0.4), 10),
+        (7, 1, (0.3, 0.4, 0.5), 26)], ids=["q3p1", "q5p1", "q5p2", "q7p1"])
+    def test_bench_sweeps_make_their_kernel_passes(self, monkeypatch, q, p, eps_list, passes):
+        """The kernel passes of the four bench tongue sweeps (grid 64),
+        counted at :func:`~tonguelab.cylmap.jet_pass`, the one place a pass
+        runs, under each name it is called by: the Newton's working batch
+        and its compaction add none."""
+        calls = []
+        jet_pass = cylmap.jet_pass
+
+        def counted(*args):
+            calls.append(args)
+            return jet_pass(*args)
+
+        monkeypatch.setattr(cylmap, "jet_pass", counted)
+        monkeypatch.setattr(orbits, "jet_pass", counted)
+        sweep(MapParams(0.0, 0.0, SIN, p, q), eps_list, grid=64)
+        assert len(calls) == passes
 
     @settings(max_examples=40, deadline=None)
     @given(sweep_cases(mixed=False))
