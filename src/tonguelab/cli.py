@@ -29,12 +29,13 @@ torque of :func:`~tonguelab.sgchain.critical_torque` as
 ``critical_delta``: the fold of the pinned branch, certified stable just
 below it and confirmed by two probes above it, at ``fold + mu`` and
 ``fold + 4 mu``, whose escape times follow the saddle-node's bottleneck
-law.  ``lo`` must settle to an equilibrium and ``hi`` lie above the fold;
-a bracket that does not, or a fold that cannot be confirmed, is a
-numerical failure (exit 1).  It adds the RK4 steps of the classification
-at ``lo`` and of the probes (``rk4_steps``), the steps of the fold's
-solve (``fold_newton_iters``), the fold's normal-form constants ``A``
-and ``B`` and the ``mu`` they chose, each probe (``probes``: its torque,
+law.  ``lo,hi`` is only the range the torque must lie in: one outside it,
+or a fold that cannot be confirmed, is a numerical failure (exit 1).  It
+adds the deciding test and RK4 steps of the descent, the run without
+torque that finds the pinned branch (``descent``), the RK4 steps of the
+descent and the probes (``rk4_steps``), the steps of the fold's solve
+(``fold_newton_iters``), the fold's normal-form constants ``A`` and
+``B`` and the ``mu`` they chose, each probe (``probes``: its torque,
 outcome, deciding test, RK4 steps and escape time) and the extrapolated
 threshold (``delta_star``); the payload keeps ``critical_delta`` alone.
 ``--t-end`` and ``--format`` shape the trajectory that ``--out`` writes,
@@ -392,10 +393,15 @@ def _run_chain(cfg: RunConfig, t0: float) -> int:
                 or not cfg.bracket[0] < cfg.bracket[1]:
             raise UsageError("--bracket needs two finite values lo,hi with lo < hi, got "
                              + ",".join(f"{v:g}" for v in cfg.bracket))
-        torque = critical_torque(c, tuple(cfg.bracket), horizon=cfg.horizon)
+        torque = critical_torque(c, horizon=cfg.horizon)
+        if not cfg.bracket[0] < torque.critical_delta < cfg.bracket[1]:
+            raise RuntimeError(f"critical torque {torque.critical_delta!r} outside the bracket "
+                               + ",".join(f"{v:g}" for v in cfg.bracket))
         report["critical_delta"] = torque.critical_delta
         # critical_torque probes at the start step, without halvings
         step = {"dt": torque.dt, "halvings": 0, "rk4_steps": torque.rk4_steps,
+                "descent": {"decided_by": torque.descent.decided_by,
+                            "rk4_steps": torque.descent.rk4_steps},
                 "fold_newton_iters": torque.fold_iterations,
                 "A": torque.normal_form[0], "B": torque.normal_form[1], "mu": torque.mu,
                 "probes": [asdict(probe) for probe in torque.probes],
@@ -493,7 +499,7 @@ COMMANDS = {
                          ("f", "q", "p", "order", "out")),
     "chain": Subcommand(_run_chain, "classify the twisted sine-Gordon chain's attractor, "
                         "its RK4 step chosen and checked by step halving, or measure its "
-                        "critical torque with --bracket, at the start step with two probes; "
+                        "critical torque within --bracket, at the start step with two probes; "
                         "the JSON meta reports the step",
                         ("q", "p", "eps", "delta", "gamma", "horizon", "bracket", "report",
                          "t_end", "format", "out"), ("csv", "svg")),
@@ -515,9 +521,9 @@ _HELP = {
     "horizon": "chain classification horizon (default 1e5)",
     "format": "output format (default csv):",
     "out": "output path (default: stdout)",
-    "bracket": "lo,hi torque bracket, finite with lo < hi, lo settling to an equilibrium and "
-               "hi above the fold: measure the critical torque, the fold of the pinned branch "
-               "confirmed by two probes above it, instead of classifying",
+    "bracket": "lo,hi, finite with lo < hi: measure the critical torque, the fold of the "
+               "pinned branch confirmed by two probes above it, instead of classifying, and "
+               "check that it lies strictly between lo and hi",
     "report": "path for the JSON report (default: stdout)",
     "t_end": "trajectory length in time units, finite and > 0 (default 200)",
     "input": "width CSV produced by the tongue command",

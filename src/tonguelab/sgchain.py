@@ -25,12 +25,12 @@ step is chosen, not set:
   Hairer, Norsett and Wanner, *Solving ODEs I*, II.4); each finer run
   starts on the attractor of the run at twice its step.  The first run
   that settles to an equilibrium ends the check, for the reason below.
-* **Critical torque at the start step.**  :func:`critical_torque` solves
-  for the fold at which the pinned branch ends and confirms it by a stable
-  equilibrium below it and two probes above it, placed by the fold's
-  normal form, whose escape times must extrapolate to the fold by the
-  saddle-node's bottleneck law.  Equilibria are fixed points of the RK4
-  step for any ``h``, so the fold does not move with the step.
+* **Critical torque at the start step.**  :func:`critical_torque` finds
+  the pinned branch by a descent without torque, solves for its fold and
+  confirms it by a stable equilibrium below it and two probes above it,
+  placed by its normal form, whose escape times must extrapolate to it by
+  the saddle-node's bottleneck law.  Equilibria are fixed points of the
+  RK4 step for any ``h``, so the fold does not move with the step.
 
 A run stops at the first check that decides it.  The checks come every
 ``CHECK_EVERY`` time units, so a run ends within that span of the moment
@@ -38,9 +38,8 @@ its criterion first holds.  It has settled to an equilibrium once the
 energy trap certificate (:func:`_trap`) holds: the damped chain's energy
 never increases, and Newton finds a stable equilibrium ``x_e`` whose
 well the state cannot leave with the energy it has left.  The settled
-state is then ``x_e`` at rest, from which :func:`critical_torque`
-follows the pinned branch to its fold.  The older test, every |velocity|
-below ``TAU_EQ`` over the last span, remains for chains without a
+state is then ``x_e`` at rest.  The older test, every |velocity| below
+``TAU_EQ`` over the last span, remains for chains without a
 certificate (``eps = 0``, a flat well, Newton not converging); a run it
 stops at rest on a saddle ends undecided (:func:`_rest_kind`).  A
 traveling wave returns one lag ``T/q`` later to its state shifted by one
@@ -85,10 +84,12 @@ CHECK_EVERY = 50.0
 TAU_EQ = 1e-8
 # Newton steps one equilibrium solve (_equilibrium) may take.
 _NEWTON_ITERS = 8
-# Newton steps the fold solve may take, and halvings of each of its steps.
+# Steps the fold solve's walk and its Newton may each take, and halvings of a Newton step.
 _FOLD_NEWTON_ITERS = 20
 # The fold solve starts from the pinned equilibrium rounded to this many decimals.
 _FOLD_START_DECIMALS = 3
+# The fold solve walks the pinned branch in steps of this fraction of its period 2 pi/q.
+_WALK_STEP = 1.0 / 12.0
 # Bound on the rounding of one force entry or Cholesky step, per unit of its scale.
 _ROUND = 8.0 * np.finfo(float).eps
 # Traveling wave when the neighbor-delay identity holds this tightly.
@@ -119,9 +120,9 @@ class StepRefinementError(RuntimeError):
 
 
 class UnconfirmedFoldError(RuntimeError):
-    """:func:`critical_torque` could not confirm the fold: its solve failed,
-    a probe above it disagreed or was undecided at the horizon, or the
-    probes' escape times missed the bottleneck law through it."""
+    """:func:`critical_torque` could not confirm the fold: its descent or
+    its solve failed, a probe above it disagreed or was undecided at the
+    horizon, or the probes' escape times missed the bottleneck law."""
 
 
 @dataclass(frozen=True)
@@ -782,16 +783,6 @@ def _holds(state: ChainState, c: ChainParams, well: _Well) -> bool:
     return excess < 0.25 * well.lam * well.r ** 2 - well.rho * well.r
 
 
-class InvalidBracketError(RuntimeError):
-    """A bracket :func:`critical_torque` cannot search: not ``lo < hi``, no
-    equilibrium at ``lo`` from the twisted start, or ``hi`` not above the fold."""
-
-    def __init__(self, lo: float, hi: float, message: str):
-        super().__init__(f"{message} (bracket [{lo:g}, {hi:g}])")
-        self.lo = lo
-        self.hi = hi
-
-
 @dataclass(frozen=True)
 class TorqueProbe:
     """One of the two probes of :func:`critical_torque`: a run at torque
@@ -818,13 +809,14 @@ class CriticalTorque:
     that they chose, and ``probes`` the runs at ``fold + mu`` and ``fold
     + 4 mu`` that confirmed it, whose escape times extrapolate to the
     threshold ``delta_star``.  ``fold_iterations`` counts the steps of the
-    fold's solve (:func:`_fold`: Newton steps, and continuation steps
-    below the branch's inflection).
+    fold's solve (:func:`_fold`: the walk's steps along the branch, halved
+    ones included, and Newton steps).
     """
 
     critical_delta: float
     dt: float
-    rk4_steps: int  # over the classification at the bracket's lower end and both probes
+    rk4_steps: int  # over the descent and both probes
+    descent: AttractorReport  # the run without torque that found the pinned branch
     probes: tuple[TorqueProbe, TorqueProbe]
     fold_iterations: int
     normal_form: tuple[float, float]
@@ -894,20 +886,34 @@ def _fold_terms(x: np.ndarray, c: ChainParams, basis: np.ndarray):
     return delta, force, g, v, low, math.sqrt(float(force @ force) + g * g)
 
 
-def _fold(pos: np.ndarray, c: ChainParams, top: float
-          ) -> tuple[tuple[float, np.ndarray | None, float, float] | None, int]:
-    """The fold of the pinned branch through the equilibrium ``pos``: its
-    torque ``delta_f``, the branch's stable equilibrium at
-    ``delta_f (1 - FOLD_PROBE_RTOL/2)`` and the normal-form constants
-    ``A`` and ``B`` of the fold, or ``None`` when the solve fails,
-    together with the steps the solve took.  ``top`` bounds the torques
-    the continuation below tries.
+def _pinned(x: np.ndarray, c: ChainParams, basis: np.ndarray):
+    """The pinned branch at the mean of ``x`` and its :func:`_fold_terms`,
+    by Newton on ``B^T F = 0`` with the Cholesky factor of ``B^T H B``;
+    ``None`` when that fails or ``_NEWTON_ITERS`` steps do not converge."""
+    for _ in range(_NEWTON_ITERS):
+        terms = _fold_terms(x, c, basis)
+        if terms is None:
+            return None
+        delta, force, low = terms[0], terms[1], terms[4]
+        if math.sqrt(float(force @ force)) <= 1e-14 * (1.0 + _scale(x, c, delta)):
+            return x, terms
+        x = x + basis @ _cholesky_solve(low, basis.T @ force)
+    return None
+
+
+def _fold(pos: np.ndarray, c: ChainParams
+          ) -> tuple[tuple[float, np.ndarray, float, float] | None, int]:
+    """The fold of the pinned branch through ``pos``, an equilibrium of
+    the chain without torque: its torque ``delta_f``, the branch's stable
+    equilibrium at ``delta_f (1 - FOLD_PROBE_RTOL/2)`` and the
+    normal-form constants ``A`` and ``B`` of the fold, or ``None`` when the
+    solve fails, together with the steps the solve took.
 
     The sites' forces sum to ``q delta - eps sum sin x`` (the coupling sums
     to zero over the ring), so on the branch ``delta = eps mean(sin x)``,
     and the other equations, ``B^T (lap x + wrap - eps sin x) = 0`` for the
     basis ``B`` of columns ``e_{k+1} - e_k`` of the site vectors that sum
-    to zero, leave it one free direction.  The
+    to zero, leave it one free direction: the mean position ``s``.  The
     branch ends at a fold, where the Hessian ``H = eps diag(cos x) - lap``
     of the potential is singular with a null vector that does not sum to
     zero.  The bordered system ``H v + g 1 = 0``, ``1.v = 1`` then has
@@ -915,37 +921,38 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
     ``x``, ``F`` being the force (a minimally extended system with the
     bordered test function of Griewank and Reddien, 1984; see Govaerts,
     *Numerical Methods for Bifurcations of Dynamical Equilibria*, 2000, and
-    for the full extended system Moore and Spence, 1980).  ``g = -v.H v``
-    is ``-1/q`` times the slope of ``delta`` along the branch against the
-    mean position ``s``: negative on the stable branch, zero at the fold.
-    By the symmetry of ``H`` its gradient is ``eps sin(x) v^2``, and
-    ``kappa = (eps sin(x) v^2).v`` gives the branch's curvature,
-    ``delta = delta_f - q^2 kappa (s - s_f)^2 / 2`` near the fold.  On
-    ``x = x_f + s v`` the slow motion past the fold at ``delta_f + mu``
-    then follows the saddle-node ``gamma s' = A mu + B s^2``, with ``A =
-    (1.v)/|v|^2`` and ``B = kappa/(2 |v|^2)`` (Strogatz, *Nonlinear
-    Dynamics and Chaos*, 4.3), which :func:`critical_torque` sizes its
-    probes by.  ``H`` is positive definite on the vectors that sum to zero
-    along the stable branch and through the fold, so every solve uses the
-    Cholesky factor of ``B^T H B``, and no other factorization.
+    for the full extended system Moore and Spence, 1980).  ``q v`` is the
+    branch's tangent ``dx/ds``, and ``g = -v.H v`` is ``-1/q`` times the
+    slope of ``delta`` against ``s``: negative on the stable branch, zero
+    at the fold.  By the symmetry of ``H`` its gradient is
+    ``eps sin(x) v^2``, and ``kappa = (eps sin(x) v^2).v`` gives the
+    branch's curvature, ``delta = delta_f - q^2 kappa (s - s_f)^2 / 2``
+    near the fold.  On ``x = x_f + s v`` the slow motion past the fold at
+    ``delta_f + mu`` then follows the saddle-node ``gamma s' = A mu + B
+    s^2``, with ``A = (1.v)/|v|^2`` and ``B = kappa/(2 |v|^2)`` (Strogatz,
+    *Nonlinear Dynamics and Chaos*, 4.3), which :func:`critical_torque`
+    sizes its probes by.  ``H`` is positive definite on the vectors that
+    sum to zero along the stable branch and through the fold, so every
+    solve uses the Cholesky factor of ``B^T H B``, and no other
+    factorization.
 
-    The solve starts on the branch near ``pos``, rounded to
-    ``_FOLD_START_DECIMALS`` decimals: ``pos`` comes from a run, and its
-    last digits, which depend on the run's step, would otherwise reach the
-    last digits of the fold, which Newton finds only to within a few
-    roundings.  Where ``kappa <= 0`` the branch is below its inflection and
-    the torque has no maximum ahead, so :func:`_equilibrium` continues the
-    branch in ``delta``, halfway to the lowest torque above it at which it
-    has failed (``top`` at first).  Where ``kappa > 0`` Newton follows the
-    branch in ``s``, which, unlike ``delta``, does not turn at the fold; a
-    step is halved until the norm of ``(F, g)`` drops, at most
-    ``_FOLD_NEWTON_ITERS`` times.  The solve fails after that many steps of
-    either kind, unless they end below the inflection with the branch stable
-    at every torque tried: the fold is then ``(top, None, nan, nan)``, at or
-    above ``top``.  It has converged when a whole Newton step no longer
-    lowers the norm and the norm is below ``1e-14`` of one plus the
-    equations' scale, the bound at which :func:`_equilibrium` stops.  The
-    quadratic model then puts the branch's equilibrium at
+    The solve starts on the branch at ``pos`` rounded to
+    ``_FOLD_START_DECIMALS`` decimals, whose last digits, set by the run's
+    step, would otherwise reach those of the fold.  Relabelling the sites
+    ``k -> k + m`` and shifting them by ``-2 pi n`` raises the mean by
+    ``2 pi (m p - n q)/q``, so ``delta(s)`` is ``2 pi/q``-periodic
+    (``gcd(p, q) = 1``).  The solve walks uphill, the way ``-sign(g)``, in
+    steps of ``_WALK_STEP`` of that period along the tangent, each put back
+    on the branch by :func:`_pinned` or else halved, until ``g`` changes
+    sign.  For sine forcing ``delta(s)`` has one maximum per period, so the
+    walk ends at the tongue edge ``delta_max``; a general forcing can have
+    several, and must revisit this.  Newton then starts from the end with
+    the smaller ``|g|``, each step halved until the norm of ``(F, g)``
+    drops, and ``kappa`` must stay positive.  The walk and Newton each fail
+    after ``_FOLD_NEWTON_ITERS`` steps.  Newton has converged when a whole
+    step no longer lowers the norm and the norm is below ``1e-14`` of one
+    plus the equations' scale, the bound at which :func:`_equilibrium`
+    stops.  The quadratic model then puts the branch's equilibrium at
     ``delta_f (1 - FOLD_PROBE_RTOL/2)`` at
     ``x_f - sqrt(FOLD_PROBE_RTOL |delta_f| / kappa) v``, and
     :func:`_equilibrium` continues the branch there from that prediction,
@@ -953,24 +960,30 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
     asymptotically stable under damping (:func:`_well`), or fails.
     """
     basis = np.eye(c.q, c.q - 1, -1) - np.eye(c.q, c.q - 1)
-    x = np.round(pos, _FOLD_START_DECIMALS)
-    terms = _fold_terms(x, c, basis)
-    reach = top  # the lowest torque at which the continuation failed
-    for steps in range(_FOLD_NEWTON_ITERS):
-        if terms is None:
-            return None, steps
+    branch = _pinned(np.round(pos, _FOLD_START_DECIMALS), c, basis)
+    if branch is None:
+        return None, 0
+    x, terms = branch
+    # (g, v) = terms[2:4]; uphill is the way -sign(g) in s, along the
+    # tangent q v, and a step is _WALK_STEP times 2 pi/q
+    ds = -math.copysign(_WALK_STEP * 2.0 * math.pi, terms[2])
+    for walked in range(1, _FOLD_NEWTON_ITERS + 1):
+        ahead = _pinned(x + ds * terms[3], c, basis)
+        if ahead is None:
+            ds *= 0.5
+        elif ds * ahead[1][2] < 0.0:
+            x, terms = ahead
+        else:  # g changed sign: Newton starts from the end nearer the fold
+            x, terms = min((x, terms), ahead, key=lambda end: abs(end[1][2]))
+            break
+    else:
+        return None, walked
+    for steps in range(walked, walked + _FOLD_NEWTON_ITERS):
         delta, force, g, v, low, norm = terms
         slope = c.eps * np.sin(x) * v * v
         kappa = float(slope @ v)
         if not kappa > 0.0:
-            mid = 0.5 * (delta + reach)
-            ahead = _equilibrium(x, replace(c, delta=mid))
-            if ahead is None:
-                reach = mid
-            else:
-                x = ahead[0]
-                terms = _fold_terms(x, c, basis)
-            continue
+            return None, steps
         step = basis @ _cholesky_solve(low, basis.T @ force)
         step -= (g + float(slope @ step)) / kappa * v
         for _ in range(_FOLD_NEWTON_ITERS):
@@ -987,24 +1000,23 @@ def _fold(pos: np.ndarray, c: ChainParams, top: float
         else:
             return None, steps + 1
         x = x + step
-    held = not kappa > 0.0 and reach == top
-    return ((top, None, math.nan, math.nan) if held else None), _FOLD_NEWTON_ITERS
+    return None, walked + _FOLD_NEWTON_ITERS
 
 
-def critical_torque(c: ChainParams, bracket: tuple[float, float],
-                    horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
+def critical_torque(c: ChainParams, horizon: float = DEFAULT_HORIZON) -> CriticalTorque:
     """The torque at which the pinned branch ends: its fold, stable just
     below it and confirmed above it by two probes that depin as the
     saddle-node's bottleneck predicts.
 
-    ``lo`` must settle to an equilibrium from the twisted start, and ``hi``
-    lie above the fold.  The classifier runs once, at ``lo``; from the
-    equilibrium it settles in, :func:`_fold` solves for the fold (``hi``
-    bounding its continuation) and continues the branch to its equilibrium
-    at ``fold (1 - FOLD_PROBE_RTOL/2)``, a strict minimum of the potential:
-    the pinned side, certified without a run.  The branch still holds at
-    ``hi`` if the fold is not below it.  The fold solves the equilibrium
-    equations, not the dynamics, so two probes above it follow.
+    The chain fixes the torque by itself (``c.delta`` is not read).  The
+    descent runs from :func:`twist_state` without torque, where no wave
+    exists, to a stable equilibrium (the trap certificate) or to rest (the
+    twisted q=2 start ``(0, pi)`` is a saddle on the branch's curve).
+    :func:`_fold` walks the branch from there to the fold, solves for it,
+    and continues the branch to its equilibrium at ``fold (1 -
+    FOLD_PROBE_RTOL/2)``, a strict minimum of the potential: the pinned
+    side, certified without a run.  Two probes above the fold check the
+    dynamics.
 
     Past ``fold + mu`` a run crawls through the bottleneck the fold
     leaves, ``gamma s' = A mu + B s^2`` with :func:`_fold`'s ``A`` and
@@ -1014,45 +1026,31 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
     ``[FOLD_PROBE_RTOL/2, _PROBE_MAX_RTOL]`` times the fold: small folds,
     and the bench and CI chains, take the upper end.  One probe runs at
     ``fold + mu`` and one at ``fold + 4 mu``, each from rest at the
-    certified equilibrium, and each must depin.  They use the
-    pinned/depinned dichotomy of :func:`_settles_or_depins`, not the
-    classifier, which would wait out a wave period that diverges at the
-    threshold; the chain is underdamped and hysteretic, so they start on
-    the branch just below the fold, not at the bracket's lower end.  By
-    the law, ``t^-2`` of an escape time ``t`` is linear in the torque and
-    vanishes at the threshold, so the line through the two probes' values
-    must cross zero at a ``delta_star`` within ``FOLD_LAW_RTOL`` of the
-    fold; a far probe that escapes no sooner than the near one fails.
-    One escape above the fold would show only that the chain depins
-    there; the law shows that its dynamics depin at the fold.
+    certified equilibrium (the chain is underdamped and hysteretic), and
+    each must depin by :func:`_settles_or_depins`.  By the law, ``t^-2``
+    of an escape time ``t`` is linear in the torque and vanishes at the
+    threshold, so the line through the two probes' values must cross zero
+    at a ``delta_star`` within ``FOLD_LAW_RTOL`` of the fold; a far probe
+    that escapes no sooner than the near one fails.  One escape above the
+    fold would show only that the chain depins there; the law shows that
+    its dynamics depin at the fold.
 
-    Every run uses the start step :func:`default_dt`, with no halving
-    check: the branch and its fold, equilibria, do not move with the step
-    (see :func:`classify_attractor`); the run at ``lo`` needs only its kind.
-
-    Returns a :class:`CriticalTorque`.  Raises :class:`InvalidBracketError`,
-    before any probe runs, when the bracket does not have ``lo < hi``,
-    ``lo`` does not settle to an equilibrium, or the pinned branch still
-    holds at ``hi`` ("no traveling wave at delta=hi");
-    :class:`UnconfirmedFoldError` when the fold solve fails, a probe
-    disagrees or is undecided at the horizon, or the escape times miss the
-    law; and :class:`ValueError` when ``horizon`` is not finite and
-    positive.
+    Returns a :class:`CriticalTorque`.  Raises
+    :class:`UnconfirmedFoldError` when the descent is undecided at the
+    horizon, the fold solve fails, a probe disagrees or is undecided at
+    the horizon, or the escape times miss the law; and
+    :class:`ValueError` when ``horizon`` is not finite and positive.
     """
     _check_horizon(horizon)
-    lo, hi = bracket
-    if not lo < hi:
-        raise InvalidBracketError(lo, hi, "bracket must satisfy lo < hi")
     dt = default_dt(c)
-    rep, settled = _classify_attractor(twist_state(c), replace(c, delta=lo), horizon, dt)
-    if rep.kind != "equilibrium":
-        raise InvalidBracketError(lo, hi, f"no equilibrium at delta={lo:g} (got {rep.kind})")
-    fold, fold_iterations = _fold(settled.pos, c, hi)
+    descent, settled = _classify_attractor(twist_state(c), replace(c, delta=0.0), horizon, dt)
+    if descent.decided_by == "horizon":
+        raise UnconfirmedFoldError(f"the descent at zero torque did not settle within horizon "
+                                   f"{horizon:g}; raise the horizon")
+    fold, fold_iterations = _fold(settled.pos, c)
     if fold is None:
         raise UnconfirmedFoldError(f"the fold solve failed ({fold_iterations} steps)")
     crit, below, a, b = fold
-    if crit >= hi:
-        raise InvalidBracketError(lo, hi, f"no traveling wave at delta={hi:g} (still pinned)")
     mu = (math.pi * c.gamma / (2.0 * CHECK_EVERY)) ** 2 / (a * b)
     mu = min(max(mu, 0.5 * FOLD_PROBE_RTOL * abs(crit)), _PROBE_MAX_RTOL * abs(crit))
     start = ChainState(0.0, below, np.zeros(c.q))
@@ -1074,5 +1072,5 @@ def critical_torque(c: ChainParams, bracket: tuple[float, float],
             f"probes at delta={near.delta:g} and {far.delta:g} escaped at t={near.escape_time:g} "
             f"and {far.escape_time:g}, off the bottleneck law through the fold {crit:g}"
             + (f" (threshold {star:g})" if fast > slow else ""))
-    steps = rep.rk4_steps + near.rk4_steps + far.rk4_steps
-    return CriticalTorque(crit, dt, steps, (near, far), fold_iterations, (a, b), mu, star)
+    return CriticalTorque(crit, dt, descent.rk4_steps + near.rk4_steps + far.rk4_steps,
+                          descent, (near, far), fold_iterations, (a, b), mu, star)

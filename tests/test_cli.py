@@ -325,7 +325,8 @@ def test_chain_reports_its_step(capsys):
 
 
 def test_bracket_reports_how_it_decided(capsys):
-    """The diagnostics count the RK4 steps and give the fold solve's steps,
+    """The diagnostics count the RK4 steps, name the test that stopped the
+    descent and give its steps, and give the fold solve's steps,
     the fold's normal form ``A``, ``B``, the nearer probe's distance ``mu``
     above it that they chose, each probe's torque, outcome, deciding test,
     escape time and steps, and the threshold ``delta_star`` that the
@@ -335,15 +336,16 @@ def test_bracket_reports_how_it_decided(capsys):
                                 "--gamma", "0.25", "--bracket", "0.01,0.1"])
     assert rc == 0
     pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
-    torque = confirmed_torque(pinning, (0.01, 0.1))
+    torque = confirmed_torque(pinning)
     assert out["critical_delta"] == torque.critical_delta
     assert {k: v for k, v in out.items() if k != "meta"} == {
         "kind": None, "mean_velocity": None, "T": None, "delay_error": None,
         "critical_delta": torque.critical_delta}
     diag = out["meta"]["diagnostics"]
-    assert set(diag) == {"dt", "halvings", "rk4_steps", "fold_newton_iters", "A", "B", "mu",
-                         "probes", "delta_star"}
+    assert set(diag) == {"dt", "halvings", "rk4_steps", "descent", "fold_newton_iters", "A", "B",
+                         "mu", "probes", "delta_star"}
     assert diag["rk4_steps"] == torque.rk4_steps
+    assert diag["descent"] == {"decided_by": "velocity", "rk4_steps": 135}
     assert diag["fold_newton_iters"] == torque.fold_iterations > 0
     assert (diag["A"], diag["B"]) == torque.normal_form
     assert (diag["mu"], diag["delta_star"]) == (torque.mu, torque.delta_star)
@@ -354,11 +356,25 @@ def test_bracket_reports_how_it_decided(capsys):
     assert far["escape_time"] < near["escape_time"]
 
 
+@pytest.mark.parametrize("bracket", ["0.01,0.02", "0.05,0.1"])
+def test_a_bracket_that_excludes_the_torque_exits_1(capsys, bracket):
+    """The chain fixes its critical torque by itself; --bracket is the range
+    it must fall in, and a torque outside it is a numerical failure that
+    names the torque and writes no JSON."""
+    pinning = sgchain.ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
+    crit = sgchain.critical_torque(pinning).critical_delta
+    assert cli.run(["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--gamma", "0.25",
+                    "--bracket", bracket]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"tonguelab: numerical failure: critical torque {crit!r} outside "
+                            f"the bracket {bracket}\n")
+
+
 def test_a_negative_list_value_reads_with_a_space_as_with_equals(tmp_path, capsys):
     """argparse alone takes '-0.02,0.1' for an option: the space form of a
     list value that starts with a negative number gives the payload of the
-    '=' form and of a config file.  This bracket's lower end lies below the
-    pinned branch's inflection.  --eps is joined the same way, and a
+    '=' form and of a config file.  --eps is joined the same way, and a
     --bracket with no value stays a usage error."""
     base = ["chain", "--q", "2", "--p", "1", "--eps", "0.6", "--gamma", "0.25"]
     config = tmp_path / "run.cfg"

@@ -11,8 +11,8 @@ from tonguelab import sgchain
 from tonguelab.cylmap import MapParams, PhaseState
 from tonguelab.orbits import solve_orbit_fixed_delta
 from tonguelab.sgchain import (DEFAULT_HORIZON, PERIOD_STEP_RTOL, TAU_WAVE, BlowUpError,
-                               ChainParams, ChainState, InvalidBracketError,
-                               StepRefinementError, UnconfirmedFoldError, _classify_attractor,
+                               ChainParams, ChainState, StepRefinementError,
+                               UnconfirmedFoldError, _classify_attractor,
                                _settles_or_depins, classify_attractor, critical_torque,
                                default_dt, integrate, stability_limit, twist_state)
 from tonguelab.tongue import width_at
@@ -24,6 +24,8 @@ from orbit_oracle import iterate, kick
 PINNING = ChainParams(q=2, p=1, gamma=0.25, eps=0.6, delta=0.0)
 # A q=3 chain just below (0.005) and above (0.012) its critical torque.
 Q3 = ChainParams(q=3, p=1, gamma=0.5, eps=0.6, delta=0.0)
+# The CI torque chains, each with the range its critical torque lies in.
+TORQUES = [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))]
 # RK4's stability interval on the negative real axis.
 RK4_REAL_LIMIT = 2.785293563405282
 
@@ -249,8 +251,8 @@ class TestIntegrate:
         assert k * h <= float(found.group(1)) <= (k + 32) * h
 
 
-def confirmed_torque(c, bracket):
-    """``critical_torque(c, bracket)``, checked to confirm its fold as it
+def confirmed_torque(c):
+    """``critical_torque(c)``, checked to confirm its fold as it
     documents: two probes, at ``fold + mu`` and ``fold + 4 mu``, both
     depin by escape, ``mu`` sized from the returned normal form ``(A,
     B)`` so that ``pi gamma / sqrt(A B mu)`` is two ``CHECK_EVERY`` spans,
@@ -259,8 +261,9 @@ def confirmed_torque(c, bracket):
     FOLD_PROBE_RTOL/2)`` (to 1e-12) whose Hessian ``eps diag(cos x) -
     lap`` has a Cholesky factor: a strict minimum of the potential, so the
     branch is stable there.  Their escape times extrapolate to a threshold
-    within ``FOLD_LAW_RTOL`` of the fold.  The classifier runs once, at
-    the bracket's lower end, and ``rk4_steps`` counts that run and the two
+    within ``FOLD_LAW_RTOL`` of the fold.  The classifier runs once, the
+    descent from the twisted start at zero torque, which the trap or the
+    velocity test stops, and ``rk4_steps`` counts that run and the two
     probes.  Records the probes' starts and the classifier's runs around
     whatever ``_settles_or_depins`` and ``_classify_attractor`` are in
     place."""
@@ -273,13 +276,13 @@ def confirmed_torque(c, bracket):
 
     def classifying(s0, chain, horizon, dt):
         report, state = classify(s0, chain, horizon, dt)
-        runs.append((chain.delta, report.rk4_steps))
+        runs.append((s0, chain.delta, report))
         return report, state
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(sgchain, "_settles_or_depins", recording)
         m.setattr(sgchain, "_classify_attractor", classifying)
-        result = critical_torque(c, bracket)
+        result = critical_torque(c)
     fold, rtol = result.critical_delta, sgchain.FOLD_PROBE_RTOL
     a, b = result.normal_form
     mu = (math.pi * c.gamma / (2 * sgchain.CHECK_EVERY)) ** 2 / (a * b)
@@ -288,7 +291,11 @@ def confirmed_torque(c, bracket):
     near, far = result.probes
     assert [(p.delta, p.outcome, p.decided_by) for p in result.probes] == [
         (fold + mu, "depinned", "escape"), (fold + 4 * mu, "depinned", "escape")]
-    assert runs == [(bracket[0], result.rk4_steps - near.rk4_steps - far.rk4_steps)]
+    [(s0, delta, descent)] = runs
+    assert delta == 0.0 and descent is result.descent
+    assert descent.decided_by in ("trap", "velocity")
+    assert np.array_equal(s0.pos, twist_state(c).pos) and np.array_equal(s0.vel, np.zeros(c.q))
+    assert result.rk4_steps == descent.rk4_steps + near.rk4_steps + far.rk4_steps
     assert 0 < far.escape_time < near.escape_time
     slow, fast = near.escape_time ** -2, far.escape_time ** -2
     assert result.delta_star == near.delta - slow * (far.delta - near.delta) / (fast - slow)
@@ -305,20 +312,12 @@ def confirmed_torque(c, bracket):
 
 @st.composite
 def sine_chains(draw):
-    """Sine chains whose fold the probes confirm.  A seeded sweep of 376
-    chains (every q, p and range corner among them) agreed with the Newton
-    edge to 3e-12 when eps started at 0.8; stronger eps (1.8 to 2.5 at
-    gamma 0.3 to 0.6) put a wave at 0.5 times the edge in 2 of 16 seeded
-    chains, where the lower end must settle to an equilibrium, and the
-    other 14 confirmed the edge to 2e-14.  Down to eps 0.5, where the
-    folds are small and the probes slow (see
-    ``test_a_small_fold_confirms_within_the_default_horizon``), a seeded
-    sweep of 189 chains (150 drawn, the 36 range corners, and the CI and
-    small-fold chains) confirmed each fold, at the Newton edge to 1e-9, in
-    at most 191,655 RK4 steps."""
+    """Sine chains whose fold the probes confirm, from light damping
+    (where a run from the twisted start under torque can whirl) to strong
+    forcing."""
     q = draw(st.integers(2, 5))
     p = draw(st.sampled_from([p for p in range(1, q) if math.gcd(p, q) == 1]))
-    return ChainParams(q=q, p=p, gamma=draw(st.floats(0.3, 1.5)), eps=draw(st.floats(0.5, 1.5)),
+    return ChainParams(q=q, p=p, gamma=draw(st.floats(0.15, 1.5)), eps=draw(st.floats(0.5, 2.7)),
                        delta=0.0)
 
 
@@ -327,8 +326,8 @@ class TestCriticalTorque:
         """Underdamped and hysteretic: at delta=0.04375 the pinned state
         settled at 0.01 depins, while the one continued to 0.0325 settles.
         So the fold probes start on the pinned branch just below the fold,
-        not from the bracket's lower end, and no run from one start stands
-        for the pinned side of the fold."""
+        not where a run at a lower torque settled, and no run from one
+        start stands for the pinned side of the fold."""
         low = settle(twist_state(PINNING), replace(PINNING, delta=0.01))
         near = settle(low, replace(PINNING, delta=0.0325))
         probe = replace(PINNING, delta=0.04375)
@@ -339,58 +338,37 @@ class TestCriticalTorque:
     def test_matches_newton_tongue_edge(self):
         """The chain's fold solves the map's tongue-edge equations, and the
         probes confirm it: the critical torque is the edge to rounding."""
-        for c, bracket in [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))]:
-            crit = critical_torque(c, bracket).critical_delta
+        for c in (PINNING, Q3):
+            crit = critical_torque(c).critical_delta
             edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
             assert crit == pytest.approx(edge, rel=1e-9, abs=0.0)
-
-    def test_a_pinned_end_below_the_inflection_still_reaches_the_fold(self):
-        """At delta = -0.02 the torque falls toward the branch's other end, so
-        the branch is continued up in delta before Newton seeks the fold.
-        The probes start on the branch just below the fold: a probe at 0.04
-        started from the equilibrium at -0.02 depins by overshoot, 10 %
-        below the fold (a bisection from there found 0.03999)."""
-        result = confirmed_torque(PINNING, (-0.02, 0.1))
-        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
-        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
-
-    def test_a_lower_end_just_below_the_fold_still_probes_both_sides(self):
-        """The bracket's lower end 0.0087978 lies between the torque of the
-        probes' start and the q=3 fold 0.0087995: the pinned side is still
-        certified there, the probes still run, and the torque is the fold.
-        (When probes outside the bracket were skipped, the upper probe alone
-        ran and a bisection returned 0.0088009.)"""
-        result = confirmed_torque(Q3, (0.0087978, 0.012))
-        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 3), 0.6, 64).delta_max
-        assert result.critical_delta * (1 - sgchain.FOLD_PROBE_RTOL / 2) < 0.0087978
-        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     @settings(max_examples=6, deadline=None)
     @given(sine_chains())
     def test_is_the_newton_tongue_edge_across_chains(self, c):
-        """With the bracket (0.5, 1.5) times the Newton edge, the fold is the
-        edge to rounding, the branch is a strict minimum just below it and
-        the probes above it depin as the bottleneck law predicts."""
+        """The fold is the Newton edge to rounding, the branch is a strict
+        minimum just below it and the probes above it depin as the
+        bottleneck law predicts."""
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
-        result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
+        result = confirmed_torque(c)
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
     def test_a_small_fold_confirms_within_the_default_horizon(self):
         """Near a small fold, 3.4e-4 here, the normal form puts the probes
         at ``fold (1 + 8e-3)`` and ``fold (1 + 3.2e-2)``, the clamp's
         upper end.  They escape at t = 18,630 and 8,433, after 49,609 and
-        22,477 RK4 steps, and the whole torque, with the classification of
-        the bracket's lower end, takes 83,125 steps.  One
-        probe at ``fold (1 + FOLD_PROBE_RTOL/2)`` crawled through the
-        bottleneck to t = 98,550 of the 1e5 horizon, and the torque took
-        293,267 steps; started a whole FOLD_PROBE_RTOL below the fold, it
-        did not escape within the horizon."""
+        22,477 RK4 steps, and the whole torque, with the descent, takes
+        72,219 steps (83,125 when it classified a bracket's lower end
+        instead).  One probe at ``fold (1 + FOLD_PROBE_RTOL/2)`` crawled
+        through the bottleneck to t = 98,550 of the 1e5 horizon, and the
+        torque took 293,267 steps; started a whole FOLD_PROBE_RTOL below
+        the fold, it did not escape within the horizon."""
         c = ChainParams(q=5, p=2, gamma=1.131, eps=0.525, delta=0.0)
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
-        result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
+        result = confirmed_torque(c)
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
         assert result.mu == 8e-3 * result.critical_delta
-        assert result.rk4_steps <= 90_000
+        assert result.rk4_steps <= 75_000
 
     def test_a_wave_the_upper_end_run_missed_confirms_its_fold(self):
         """At low damping a run from rest at 1.5 times the edge whirled
@@ -399,10 +377,10 @@ class TestCriticalTorque:
         no run there: it is the edge to rounding, confirmed by the probes."""
         c = ChainParams(q=3, p=2, gamma=0.1434, eps=1.4655, delta=0.0)
         edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
-        result = confirmed_torque(c, (0.5 * edge, 1.5 * edge))
+        result = confirmed_torque(c)
         assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
+    @pytest.mark.parametrize("c,bracket", TORQUES)
     def test_escape_times_follow_the_normal_form(self, c, bracket):
         """Each probe starts at rest on the branch ``mu0 = fold
         FOLD_PROBE_RTOL/2`` below the fold, at ``s0 = -sqrt(A mu0/B)`` on the
@@ -411,7 +389,8 @@ class TestCriticalTorque:
         Each escape time is that to within 20 % (0.92 to 1.17 times it
         here, 0.90 to 1.27 over 33 sine chains at gamma 0.25-1.5): the run
         agrees with the normal form's A and B."""
-        result = critical_torque(c, bracket)
+        result = critical_torque(c)
+        assert bracket[0] < result.critical_delta < bracket[1]
         a, b = result.normal_form
         fold = result.critical_delta
         mu0 = fold * sgchain.FOLD_PROBE_RTOL / 2
@@ -421,25 +400,21 @@ class TestCriticalTorque:
                        * (math.pi / 2 + math.atan(math.sqrt(mu0 / mu))))
             assert 0.8 <= probe.escape_time / passage <= 1.2
 
-    @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
+    @pytest.mark.parametrize("c,bracket", TORQUES)
     def test_does_not_move_with_the_step(self, monkeypatch, c, bracket):
         """The fold and the probes' start are equilibria, which are fixed
         points of the RK4 step at any stable h: halving the start step gives
         the same torque."""
-        coarse = critical_torque(c, bracket).critical_delta
+        coarse = critical_torque(c).critical_delta
+        assert bracket[0] < coarse < bracket[1]
         start = sgchain.default_dt
         monkeypatch.setattr(sgchain, "default_dt", lambda chain: 0.5 * start(chain))
-        assert critical_torque(c, bracket).critical_delta == coarse
-
-    @pytest.mark.parametrize("bracket", [(0.05, 0.05), (0.1, 0.05)])
-    def test_bracket_must_be_ordered(self, bracket):
-        with pytest.raises(InvalidBracketError, match="lo < hi"):
-            critical_torque(PINNING, bracket)
+        assert critical_torque(c).critical_delta == coarse
 
     @pytest.mark.parametrize("horizon", [math.nan, math.inf, 0.0, -5.0])
     def test_horizon_must_be_finite_and_positive(self, horizon):
         with pytest.raises(ValueError, match="horizon must be finite and > 0"):
-            critical_torque(PINNING, (0.01, 0.1), horizon=horizon)
+            critical_torque(PINNING, horizon=horizon)
         with pytest.raises(ValueError, match="horizon must be finite and > 0"):
             classify_attractor(twist_state(PINNING), PINNING, horizon=horizon)
 
@@ -451,36 +426,50 @@ class TestCriticalTorque:
                                    default_dt(PINNING))
         assert (probe.outcome, probe.decided_by) == ("undecided", "velocity")
 
-    def test_no_equilibrium_at_lo(self):
-        with pytest.raises(InvalidBracketError, match="no equilibrium at delta=0.1") as info:
-            critical_torque(PINNING, (0.1, 0.2))
-        assert (info.value.lo, info.value.hi) == (0.1, 0.2)
+    @pytest.mark.parametrize("gamma", [0.15, 0.19, 0.23])
+    def test_light_damping_confirms_its_fold(self, gamma):
+        """Lightly damped, the q=2 chain at eps 1.5 whirls from the twisted
+        start at half its fold, so a torque that first classified a
+        bracket's lower end there raised "no equilibrium".  The descent
+        without torque has no wave to reach, and the fold is the Newton
+        edge to rounding."""
+        c = ChainParams(q=2, p=1, gamma=gamma, eps=1.5, delta=0.0)
+        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 1.5, 64).delta_max
+        half = replace(c, delta=0.5 * edge)
+        rep = _classify_attractor(twist_state(c), half, DEFAULT_HORIZON, default_dt(c))[0]
+        assert rep.kind == "traveling_wave"
+        result = confirmed_torque(c)
+        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
-    def test_a_saddle_at_lo_is_no_equilibrium(self):
-        """At delta = 0 the twisted start (0, pi) is an exact equilibrium, at
-        rest, whose Hessian has a negative eigenvalue: no attractor."""
-        with pytest.raises(InvalidBracketError, match="no equilibrium at delta=0 "
-                                                      r"\(got undecided\)"):
-            critical_torque(PINNING, (0.0, 0.1))
+    def test_only_the_descent_reaches_the_branch(self):
+        """The twisted start of (q, p, gamma, eps) = (5, 2, 0.5, 2.011) lies
+        where ``B^T H B`` has no Cholesky factor, so the fold solve cannot
+        start there; the descent settles on the pinned branch, from which
+        the fold is the Newton edge."""
+        c = ChainParams(q=5, p=2, gamma=0.5, eps=2.011, delta=0.0)
+        assert sgchain._fold(twist_state(c).pos, c) == (None, 0)
+        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), c.p, c.q), c.eps, 64).delta_max
+        result = confirmed_torque(c)
+        assert result.descent.decided_by == "trap"
+        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
-    @pytest.mark.parametrize("bracket", [(0.01, 0.02), (-0.02, 0.0), (-0.02, -0.01)],
-                             ids=["fold-above", "held-to-0", "held-to-neg"])
-    def test_no_wave_at_hi(self, monkeypatch, bracket):
-        """The fold settles the upper end without a run: Newton puts it at
-        0.0447, above 0.02, and from -0.02, below the branch's inflection,
-        the continuation finds the branch stable at every torque it tries
-        on the way to 0 or -0.01.  Only the lower end is classified."""
-        runs, classify = [], sgchain._classify_attractor
+    def test_a_descent_at_rest_on_a_saddle_walks_to_the_fold(self):
+        """Without torque the twisted q=2 start (0, pi) is an exact
+        equilibrium whose Hessian has a negative eigenvalue: the descent
+        never moves and stops at rest, undecided.  The saddle lies on the
+        branch's curve past the fold, so the walk goes down in the mean
+        position to the fold, the Newton edge."""
+        result = confirmed_torque(PINNING)
+        assert (result.descent.kind, result.descent.decided_by) == ("undecided", "velocity")
+        edge = width_at(MapParams(0.0, 0.0, TrigPoly.sine(), 1, 2), 0.6, 64).delta_max
+        assert result.critical_delta == pytest.approx(edge, rel=1e-9, abs=0.0)
 
-        def classifying(s0, chain, horizon, dt):
-            runs.append(chain.delta)
-            return classify(s0, chain, horizon, dt)
-
-        monkeypatch.setattr(sgchain, "_classify_attractor", classifying)
-        monkeypatch.setattr(sgchain, "_settles_or_depins", None)  # no probe may run
-        with pytest.raises(InvalidBracketError, match=f"no traveling wave at delta={bracket[1]:g} "):
-            critical_torque(PINNING, bracket)
-        assert runs == [bracket[0]]
+    def test_a_descent_undecided_at_the_horizon_raises(self):
+        """The q=3 descent settles at its first check, 50 time units in:
+        within a horizon of 10 it confirms nothing, and no probe runs."""
+        with pytest.raises(UnconfirmedFoldError, match="the descent at zero torque did not "
+                                                       "settle within horizon 10; raise"):
+            critical_torque(Q3, horizon=10.0)
 
 
 class TestAttractors:
@@ -694,8 +683,8 @@ class TestAttractors:
     def test_no_wave_test_without_a_return_to_the_shift(self, monkeypatch):
         """Nothing off a wave returns to a neighbor shift of an earlier
         state, so nothing calls the wave test: not the q=3 equilibrium
-        classification, not the bench's critical torque (its run at the
-        bracket's lower end settles, and its fold probes only depin), and
+        classification, not the bench's critical torque (its descent runs
+        without torque, and its fold probes only depin), and
         not an untwisted chain, whose sites whirl round at this torque
         (site 0's full turns used to call it there)."""
         try_wave, calls = sgchain._try_wave, []
@@ -707,7 +696,7 @@ class TestAttractors:
         monkeypatch.setattr(sgchain, "_try_wave", recording)
         c = replace(Q3, delta=0.005)
         assert classify_attractor(twist_state(c), c).kind == "equilibrium"
-        confirmed_torque(PINNING, (0.01, 0.1))
+        confirmed_torque(PINNING)
         flat = ChainParams(q=3, p=0, gamma=0.5, eps=0.6, delta=0.8)
         rep = _classify_attractor(twist_state(flat), flat, 1000.0, default_dt(flat))[0]
         assert rep.kind == "undecided" and abs(rep.mean_velocity) > 0.5
@@ -861,12 +850,12 @@ def pinned_chains(draw):
 
 
 class TestTrapCertificate:
-    @pytest.mark.parametrize("c,bracket", [(PINNING, (0.01, 0.1)), (Q3, (0.005, 0.012))])
+    @pytest.mark.parametrize("c,bracket", TORQUES)
     def test_verdicts_match_the_velocity_criterion(self, monkeypatch, c, bracket):
-        """The two fold probes, and the classification at the bracket's lower
-        end, run again from the same start with the certificate switched off
-        (no well is ever found): the velocity criterion reaches the same
-        verdict, and critical_torque the same torque."""
+        """The two fold probes, and the descent, run again from the same
+        start with the certificate switched off (no well is ever found):
+        the velocity criterion reaches the same verdict, and
+        critical_torque the same torque."""
         probe, classify, trap = sgchain._settles_or_depins, sgchain._classify_attractor, sgchain._trap
         runs, certified = [], []
 
@@ -888,14 +877,16 @@ class TestTrapCertificate:
         monkeypatch.setattr(sgchain, "_settles_or_depins", recording_probe)
         monkeypatch.setattr(sgchain, "_classify_attractor", recording_classify)
         monkeypatch.setattr(sgchain, "_trap", recording_trap)
-        crit = confirmed_torque(c, bracket).critical_delta
-        assert any(certified) and len(runs) == 3
+        crit = confirmed_torque(c).critical_delta
+        assert bracket[0] < crit < bracket[1]
+        # the q=2 descent stops at rest on its saddle, and no run there is certified
+        assert any(certified) == (c is Q3) and len(runs) == 3
         monkeypatch.setattr(sgchain, "_trap", trap)
         monkeypatch.setattr(sgchain, "_well", lambda pos, chain: None)
         for run, s0, chain, dt, verdict in runs:
             result = run(s0, chain, DEFAULT_HORIZON, dt)
             assert (result.outcome if run is probe else result[0].kind) == verdict
-        assert critical_torque(c, bracket).critical_delta == crit
+        assert critical_torque(c).critical_delta == crit
 
     @pytest.mark.parametrize("c", [replace(Q3, delta=0.005), replace(PINNING, delta=0.0325),
                                    replace(PINNING, delta=-0.02)])
@@ -1041,8 +1032,8 @@ class TestTorqueRecord:
         600 of them (6711 when the torque was bisected, 2163 while a
         second probe ran below the fold, 1623 with one probe at ``fold (1 +
         FOLD_PROBE_RTOL/2)``, 813 while the bracket's upper end was
-        classified, 540 since), and names each probe's torque, escape time
-        and steps."""
+        classified, 540 since), 135 of them the descent's, and names each
+        probe's torque, escape time and steps."""
         steps = []
 
         def counting(state, chain, dt, t_end, record_every=0):
@@ -1051,10 +1042,11 @@ class TestTorqueRecord:
             return traj
 
         monkeypatch.setattr(sgchain, "integrate", counting)
-        result = confirmed_torque(PINNING, (0.01, 0.1))
-        assert 0 < result.fold_iterations <= sgchain._FOLD_NEWTON_ITERS
+        result = confirmed_torque(PINNING)
+        assert 0 < result.fold_iterations <= 2 * sgchain._FOLD_NEWTON_ITERS
         assert result.dt == default_dt(PINNING)
         assert result.rk4_steps == sum(steps) == 540
+        assert result.descent.rk4_steps == 135
         near, far = result.probes
         assert result.mu == 8e-3 * result.critical_delta  # the clamp binds here
         assert (near.rk4_steps, far.rk4_steps) == (270, 135)
@@ -1064,7 +1056,7 @@ class TestTorqueRecord:
     def test_an_upper_probe_that_settles_raises(self, monkeypatch):
         """Made to settle, the nearer probe disagrees with the fold, which
         then goes unconfirmed, and the far probe does not run."""
-        torque = critical_torque(PINNING, (0.01, 0.1))
+        torque = critical_torque(PINNING)
         fold, near = torque.critical_delta, torque.probes[0].delta
         probed = []
 
@@ -1078,7 +1070,7 @@ class TestTorqueRecord:
         with pytest.raises(UnconfirmedFoldError, match=f"probe at delta={near:g} disagrees "
                                                        f"with the fold {fold:g}: equilibrium, "
                                                        "not depinned"):
-            critical_torque(PINNING, (0.01, 0.1))
+            critical_torque(PINNING)
         assert probed == [near]
 
     @pytest.mark.parametrize("ratio,ending", [(1.0, "$"), (0.8, r" \(threshold \S+\)$")])
@@ -1088,7 +1080,7 @@ class TestTorqueRecord:
         not the half as soon that the bottleneck law has it (ratio 0.8,
         which puts the threshold 3.5 % below the fold): the fold goes
         unconfirmed."""
-        torque = critical_torque(PINNING, (0.01, 0.1))
+        torque = critical_torque(PINNING)
         near, far = torque.probes
         late = ratio * near.escape_time
 
@@ -1102,26 +1094,26 @@ class TestTorqueRecord:
                                  rf"at t={near.escape_time:g} and {late:g}, off the "
                                  rf"bottleneck law through the fold {torque.critical_delta:g}"
                                  + ending):
-            critical_torque(PINNING, (0.01, 0.1))
+            critical_torque(PINNING)
 
     def test_an_undecided_probe_raises(self, monkeypatch):
         """A probe still running at the horizon confirms nothing; the error
         asks for a longer horizon."""
-        near = critical_torque(PINNING, (0.01, 0.1)).probes[0].delta
+        near = critical_torque(PINNING).probes[0].delta
         monkeypatch.setattr(sgchain, "_settles_or_depins", lambda s0, chain, horizon, dt:
                             sgchain.TorqueProbe(chain.delta, "undecided", "horizon", 0))
         with pytest.raises(UnconfirmedFoldError, match=f"probe undecided at delta={near:g} "
                                                        "within horizon 100000; raise the horizon"):
-            critical_torque(PINNING, (0.01, 0.1))
+            critical_torque(PINNING)
 
     def test_a_failed_fold_solve_raises(self, monkeypatch):
-        """Out of Newton steps, the fold solve leaves nothing to confirm: no
-        probe runs."""
+        """Out of steps, the fold solve leaves nothing to confirm: no probe
+        runs."""
         probes = []
         monkeypatch.setattr(sgchain, "_FOLD_NEWTON_ITERS", 1)
         monkeypatch.setattr(sgchain, "_settles_or_depins", lambda *args: probes.append(args))
         with pytest.raises(UnconfirmedFoldError, match=r"the fold solve failed \(1 steps\)"):
-            critical_torque(PINNING, (0.01, 0.1))
+            critical_torque(PINNING)
         assert probes == []
 
 
